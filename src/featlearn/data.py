@@ -324,6 +324,16 @@ def kfold(indices, ds: Dataset, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
 
 
+def cv_masks(n: int, folds):
+    """Yield (training mask, validation indices) per fold, in fold order, for
+    k-fold CV over n rows: the mask is False exactly on the fold's rows."""
+    for fold in folds:
+        val = np.asarray(fold, dtype=np.intp)
+        train = np.ones(n, dtype=bool)
+        train[val] = False
+        yield train, val
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw [class0; class1; unlabeled] blocks from N(mu_k, Sigma) with
     Sigma = (1-rho) I + rho 11^T; unlabeled rows mix the classes 50/50."""

@@ -7,6 +7,17 @@ feature learner sees training rows only (semi-supervised SAE pretraining
 may additionally use standardized unlabeled rows); all hyperparameters are
 tuned by stratified k-fold CV inside the training set; the test rows are
 touched exactly once, for the final accuracy.
+
+Inner-CV optimism: the standardization, the SAE and the learned-feature
+scaler are fitted once on all training rows, and the selector search reuses
+their output on every inner fold; the C search likewise reuses the selector
+fitted on all training rows. So each inner fold's validation rows have
+already shaped the features they are scored on. The test accuracy stays
+clean, but the inner choice is biased towards candidates that fit those
+rows (Cawley & Talbot 2010, "On over-fitting in model selection and
+subsequent selection bias in performance evaluation", JMLR 11). Refitting
+the upstream stages inside each inner fold would remove the bias; its cost
+has not been measured.
 """
 
 from __future__ import annotations
@@ -18,11 +29,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, SplitIndices, StandardizationParams, kfold,
-                   random_split, standardize_fit, stratified_split)
+from .data import (Dataset, SplitIndices, StandardizationParams, cv_masks,
+                   kfold, random_split, standardize_fit, stratified_split)
 from .lasso import lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
-from .sae import SaeModel, TrainConfig, sae_features, sae_predict, semi_pretrain_finetune
+from .sae import (SaeModel, TrainConfig, fine_tune, sae_features, sae_predict,
+                  sae_pretrain, semi_pretrain_finetune)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
@@ -243,22 +255,22 @@ def _cv_svm_trainer(cfg: ExperimentConfig):
 
 def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed: int):
     """Choose the fine-tuning L2 by k-fold CV on the SAE classifier's own
-    validation accuracy, then train the final stack on all training rows."""
+    validation accuracy, then train the final stack on all training rows.
+
+    Pretraining never reads l2, so each fold's stack is pretrained once and
+    fine-tuned once per L2, all from the fold's seed."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
-    n = Xtr.shape[0]
     grid = sorted(cfg.l2_grid)
-    best_l2, best_acc = grid[0], -1.0
-    for l2 in grid:
-        score = 0.0
-        for f, val in enumerate(folds_local):
-            mask = np.ones(n, dtype=bool)
-            mask[val] = False
-            model = semi_pretrain_finetune(
-                Xtr[mask], ytr01[mask], X_extra, cfg.sae_dims,
-                TrainConfig(l2=l2, seed=_derive(seed, _TAG_SAE, f), **base))
-            score += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
-        if score > best_acc:
-            best_l2, best_acc = l2, score
+    scores = np.zeros(len(grid))
+    for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
+        fold_seed = _derive(seed, _TAG_SAE, f)
+        layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims,
+                              TrainConfig(seed=fold_seed, **base))
+        for i, l2 in enumerate(grid):
+            model = fine_tune(layers, Xtr[train], ytr01[train],
+                              TrainConfig(l2=l2, seed=fold_seed, **base))
+            scores[i] += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
+    best_l2 = grid[int(np.argmax(scores))]
     final = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
         TrainConfig(l2=best_l2, seed=_derive(seed, _TAG_SAE, len(folds_local)), **base))
@@ -295,20 +307,14 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     r_max = grid[-1]
     trainer = _cv_svm_trainer(cfg)
     scores = np.zeros(len(grid))
-    for val in folds_local:
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
-        model = pca_fit(F[mask], r_max)
-        scores_tr = pca_transform(model, F[mask])
+    for train, val in cv_masks(n, folds_local):
+        model = pca_fit(F[train], r_max)
+        scores_tr = pca_transform(model, F[train])
         scores_val = pca_transform(model, F[val])
         for i, r in enumerate(grid):
-            predict = trainer(scores_tr[:, :r], ytr01[mask])
+            predict = trainer(scores_tr[:, :r], ytr01[train])
             scores[i] += float(np.mean(predict(scores_val[:, :r]) == ytr01[val]))
-    best = 0
-    for i in range(1, len(grid)):
-        if scores[i] > scores[best]:
-            best = i
-    r = grid[best]
+    r = grid[int(np.argmax(scores))]
     model = pca_fit(F, r)
     return SelectorTransform(selector="PCA", pca=model), {"r": r}
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import cv_masks
+
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10000
 DEFAULT_SELECT_EPS = 1e-10
@@ -144,16 +146,12 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas,
     order = np.argsort(-lambdas, kind="stable")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
     errors = np.zeros(lambdas.size)
-    for fold in folds:
-        val = np.asarray(fold, dtype=np.intp)
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
-        col_means = X[mask].mean(axis=0)
-        y_mean = y[mask].mean()
-        Xtr = X[mask] - col_means
-        ytr = y[mask] - y_mean
+    for train, val in cv_masks(X.shape[0], folds):
+        col_means = X[train].mean(axis=0)
+        y_mean = y[train].mean()
+        Xtr = X[train] - col_means
+        ytr = y[train] - y_mean
         Xval = X[val] - col_means
         beta = None
         for pos in order:
@@ -162,8 +160,4 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas,
             resid = y[val] - (Xval @ beta + y_mean)
             errors[pos] += float(resid @ resid) / val.size
     errors /= len(folds)
-    best_pos = order[0]
-    for pos in order:
-        if errors[pos] < errors[best_pos]:
-            best_pos = pos
-    return float(lambdas[best_pos])
+    return float(lambdas[order[np.argmin(errors[order])]])

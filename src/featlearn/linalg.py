@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra used by the PCA and t-test screening stages.
 
-Covariance/correlation matrices, a full symmetric eigendecomposition via
-cyclic Jacobi rotations, and a power-iteration largest-eigenvalue routine.
+Covariance/correlation matrices and a full symmetric eigendecomposition via
+cyclic Jacobi rotations.
 Sized for dense problems up to a few hundred features.
 """
 
@@ -154,31 +154,3 @@ def sym_eigen(M: np.ndarray, tol: float | None = None) -> SymEigen:
     V.setflags(write=False)
     return SymEigen(eigenvalues, V)
 
-
-def largest_eigenvalue(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from the normalized all-ones vector and returns the Rayleigh
-    quotient once successive estimates differ by less than ``tol``.
-    Raises ConvergenceError at ``max_iter``; callers with near-degenerate
-    top eigenvalues can fall back to sym_eigen.
-    """
-    A = _check_symmetric(M, "largest_eigenvalue")
-    p = A.shape[0]
-    if p == 0:
-        raise ValueError("largest_eigenvalue requires p >= 1")
-    v = np.full(p, 1.0 / np.sqrt(p))
-    w = A @ v
-    lam_prev = float(v @ w)
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            # start vector is in the kernel; the matrix is zero on its span
-            return 0.0
-        v = w / norm
-        w = A @ v
-        lam = float(v @ w)
-        if abs(lam - lam_prev) < tol:
-            return lam
-        lam_prev = lam
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")

@@ -2,7 +2,7 @@
 two-output softmax head, joint fine-tuning with cross-entropy + L2, and a
 semi-supervised pretraining variant that also consumes unlabeled rows.
 
-Encoder: h = act(b + W x); decoder: xhat = d_bias + W^T h (weights tied).
+Encoder: h = sigmoid(b + W x); decoder: xhat = d_bias + W^T h (weights tied).
 Training is full-batch gradient descent; gradients are per-sample averages
 so that the default learning rate is stable regardless of sample count.
 All training is a pure function of (inputs, cfg.seed).
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-_ACTIVATIONS = ("sigmoid", "identity")
 
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
@@ -27,18 +25,8 @@ class TrainingDivergedError(RuntimeError):
 
 def sigmoid(x):
     """1 / (1 + exp(-x)), overflow-safe across the full float range."""
-    scalar = np.isscalar(x) or getattr(x, "ndim", None) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
-
-
-def _act(x, activation: str):
-    return sigmoid(x) if activation == "sigmoid" else np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -49,7 +37,6 @@ class AeLayer:
     W: np.ndarray
     b: np.ndarray
     d_bias: np.ndarray
-    activation: str = "sigmoid"
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -66,8 +53,6 @@ class AeLayer:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("layer parameters must be finite")
             arr.setflags(write=False)
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d_bias", d_bias)
@@ -135,7 +120,7 @@ def _init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(rows, cols))
 
 
-def _ae_value_and_grads(W, b, d_bias, X, activation):
+def _ae_value_and_grads(W, b, d_bias, X):
     """Mean squared reconstruction error and its gradients.
 
     The tied weight collects both contributions: decoder outer(h, 2e) and
@@ -143,19 +128,19 @@ def _ae_value_and_grads(W, b, d_bias, X, activation):
     """
     n = X.shape[0]
     A = X @ W.T + b
-    H = _act(A, activation)
+    H = sigmoid(A)
     E = (H @ W + d_bias) - X
     loss = float(np.sum(E * E)) / n
     E2 = 2.0 * E
     dH = E2 @ W.T
-    dA = dH * (H * (1.0 - H)) if activation == "sigmoid" else dH
+    dA = dH * (H * (1.0 - H))
     gW = (H.T @ E2 + dA.T @ X) / n
     gb = dA.sum(axis=0) / n
     gd = E2.sum(axis=0) / n
     return loss, gW, gb, gd
 
 
-def ae_train(X: np.ndarray, h: int, cfg: TrainConfig, activation: str = "sigmoid") -> AeLayer:
+def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     """Full-batch gradient descent on the reconstruction error for exactly
     cfg.iterations steps.
 
@@ -175,33 +160,22 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig, activation: str = "sigmoid
     d_bias = np.zeros(d)
     lr = cfg.learning_rate
     for it in range(cfg.iterations):
-        loss, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, activation)
+        loss, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"reconstruction loss non-finite at iteration {it}")
         W -= lr * gW
         b -= lr * gb
         d_bias -= lr * gd
-    if not np.isfinite(_ae_value_and_grads(W, b, d_bias, X, activation)[0]):
+    if not np.isfinite(_ae_value_and_grads(W, b, d_bias, X)[0]):
         raise TrainingDivergedError(f"reconstruction loss non-finite after iteration {cfg.iterations}")
-    return AeLayer(W=W, b=b, d_bias=d_bias, activation=activation)
+    return AeLayer(W=W, b=b, d_bias=d_bias)
 
 
 def ae_encode(layer: AeLayer, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[1] != layer.d:
         raise ValueError(f"expected {layer.d} columns, got {X.shape[1]}")
-    return _act(X @ layer.W.T + layer.b, layer.activation)
-
-
-def ae_reconstruct(layer: AeLayer, X: np.ndarray) -> np.ndarray:
-    return ae_encode(layer, X) @ layer.W + layer.d_bias
-
-
-def reconstruction_loss(layer: AeLayer, X: np.ndarray) -> float:
-    """Summed squared reconstruction error over all rows."""
-    X = np.asarray(X, dtype=float)
-    E = ae_reconstruct(layer, X) - X
-    return float(np.sum(E * E))
+    return sigmoid(X @ layer.W.T + layer.b)
 
 
 def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
@@ -238,14 +212,14 @@ def _log_softmax(Z):
     return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
 
 
-def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, activations):
+def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2):
     """Mean cross-entropy + (l2/2) * sum of squared weight-matrix norms
     (biases unpenalized), with gradients for every encoder parameter and
     the head."""
     n = X.shape[0]
     Hs = [X]
-    for W, b, act in zip(Ws, bs, activations):
-        Hs.append(_act(Hs[-1] @ W.T + b, act))
+    for W, b in zip(Ws, bs):
+        Hs.append(sigmoid(Hs[-1] @ W.T + b))
     Z = Hs[-1] @ Wh.T + bh
     logP = _log_softmax(Z)
     ce = -float(np.sum(logP[np.arange(n), y])) / n
@@ -262,7 +236,7 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, activations):
     gWs, gbs = [], []
     for idx in range(len(Ws) - 1, -1, -1):
         H = Hs[idx + 1]
-        dA = dH * (H * (1.0 - H)) if activations[idx] == "sigmoid" else dH
+        dA = dH * (H * (1.0 - H))
         gWs.append(dA.T @ Hs[idx] + l2 * Ws[idx])
         gbs.append(dA.sum(axis=0))
         dH = dA @ Ws[idx]
@@ -287,14 +261,13 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
         raise ValueError("layer dimensions do not chain with the input")
     Ws = [np.array(layer.W) for layer in layers]
     bs = [np.array(layer.b) for layer in layers]
-    activations = [layer.activation for layer in layers]
     rng = np.random.default_rng(_derive_seed(cfg.seed, _SEED_HEAD))
     h_top = layers[-1].h
     Wh = _init_matrix(rng, 2, h_top)
     bh = np.zeros(2)
     lr = cfg.learning_rate
     for it in range(cfg.iterations):
-        loss, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, cfg.l2, activations)
+        loss, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, cfg.l2)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"fine-tuning loss non-finite at iteration {it}")
         for W, gW, b_, gb in zip(Ws, gWs, bs, gbs):
@@ -303,7 +276,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
         Wh -= lr * gWh
         bh -= lr * gbh
     new_layers = tuple(
-        AeLayer(W=W, b=b_, d_bias=layer.d_bias, activation=layer.activation)
+        AeLayer(W=W, b=b_, d_bias=layer.d_bias)
         for W, b_, layer in zip(Ws, bs, layers))
     return SaeModel(layers=new_layers, softmax_W=Wh, softmax_b=bh)
 
@@ -342,89 +315,3 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
     X_pre = np.vstack([X_labeled, X_unlabeled])
     layers = sae_pretrain(X_pre, dims, cfg)
     return fine_tune(layers, X_labeled, labels, cfg)
-
-
-def pretrain_finetune(X: np.ndarray, labels, dims, cfg: TrainConfig) -> SaeModel:
-    """Supervised path: pretrain and fine-tune on the same labeled rows."""
-    X = np.asarray(X, dtype=float)
-    return semi_pretrain_finetune(X, labels, np.zeros((0, X.shape[1])), dims, cfg)
-
-
-_FORMAT_TAG = "featlearn-sae"
-_FORMAT_VERSION = 1
-
-
-def _write_matrix(fh, name, M):
-    M = np.atleast_2d(M)
-    fh.write(f"{name} {M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-class _ModelReader:
-    def __init__(self, fh, path):
-        self.lines = (line.rstrip("\n") for line in fh)
-        self.path = path
-
-    def next_line(self):
-        try:
-            return next(self.lines)
-        except StopIteration:
-            raise ValueError(f"{self.path}: truncated model file") from None
-
-    def read_matrix(self, name):
-        header = self.next_line().split()
-        if len(header) != 3 or header[0] != name:
-            raise ValueError(f"{self.path}: expected '{name} <rows> <cols>', got {' '.join(header)!r}")
-        rows, cols = int(header[1]), int(header[2])
-        M = np.empty((rows, cols))
-        for i in range(rows):
-            vals = self.next_line().split()
-            if len(vals) != cols:
-                raise ValueError(f"{self.path}: row {i} of {name} has {len(vals)} values, expected {cols}")
-            M[i] = [float(v) for v in vals]
-        return M
-
-
-def save_sae(model: SaeModel, path: str) -> None:
-    """Write a self-describing flat text file (17-significant-digit decimals)
-    that load_sae reads back bit-equivalently."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_FORMAT_TAG} {_FORMAT_VERSION}\n")
-        fh.write(f"layers {len(model.layers)}\n")
-        for layer in model.layers:
-            fh.write(f"layer {layer.h} {layer.d} {layer.activation}\n")
-            _write_matrix(fh, "W", layer.W)
-            _write_matrix(fh, "b", layer.b)
-            _write_matrix(fh, "d_bias", layer.d_bias)
-        fh.write("softmax\n")
-        _write_matrix(fh, "W", model.softmax_W)
-        _write_matrix(fh, "b", model.softmax_b)
-
-
-def load_sae(path: str) -> SaeModel:
-    with open(path, encoding="utf-8") as fh:
-        reader = _ModelReader(fh, path)
-        magic = reader.next_line().split()
-        if magic != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
-            raise ValueError(f"{path}: not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
-        head = reader.next_line().split()
-        if len(head) != 2 or head[0] != "layers":
-            raise ValueError(f"{path}: expected 'layers <count>'")
-        layers = []
-        for _ in range(int(head[1])):
-            fields = reader.next_line().split()
-            if len(fields) != 4 or fields[0] != "layer":
-                raise ValueError(f"{path}: expected 'layer <h> <d> <activation>'")
-            _, h, d, activation = fields
-            W = reader.read_matrix("W")
-            b = reader.read_matrix("b")[0]
-            d_bias = reader.read_matrix("d_bias")[0]
-            if W.shape != (int(h), int(d)):
-                raise ValueError(f"{path}: W shape {W.shape} disagrees with layer header ({h}, {d})")
-            layers.append(AeLayer(W=W, b=b, d_bias=d_bias, activation=activation))
-        if reader.next_line() != "softmax":
-            raise ValueError(f"{path}: expected 'softmax' section")
-        Wh = reader.read_matrix("W")
-        bh = reader.read_matrix("b")[0]
-    return SaeModel(layers=tuple(layers), softmax_W=Wh, softmax_b=bh)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import cv_masks
+
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_EPOCHS = 2000
 
@@ -101,17 +103,9 @@ def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=float)
-    n = X.shape[0]
     scores = np.zeros(len(grid))
-    for fold in folds:
-        val = np.asarray(fold, dtype=np.intp)
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
+    for train, val in cv_masks(X.shape[0], folds):
         for i, C in enumerate(grid):
-            model = svm_train(X[mask], y[mask], C, tol=tol, max_epochs=max_epochs)
+            model = svm_train(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
             scores[i] += accuracy(svm_predict(model, X[val]), y[val])
-    best = 0
-    for i in range(1, len(grid)):
-        if scores[i] > scores[best]:
-            best = i
-    return grid[best]
+    return grid[int(np.argmax(scores))]

@@ -8,8 +8,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset
-from .linalg import sample_correlation, sym_eigen
+from .data import Dataset, cv_masks
+from .linalg import sample_correlation
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def optimal_m(stats: TStats, X_train: np.ndarray, n0: int, n1: int) -> int:
             lam = 1.0
         else:
             R = sample_correlation(X_train[:, stats.order[:m]])
-            lam = float(sym_eigen(R).eigenvalues[0])
+            lam = float(np.linalg.eigvalsh(R)[-1])
         s = cum_t2[m - 1]
         score = (n * (s + m * (n0 - n1) / n) ** 2) / (lam * (m * n0 * n1 + n0 * n1 * s))
         if score > best_score:
@@ -95,20 +95,12 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     p = X.shape[1]
     if candidate_ms[0] < 1 or candidate_ms[-1] > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")
-    n = X.shape[0]
     scores = np.zeros(len(candidate_ms))
-    for fold in folds:
-        val = np.asarray(fold, dtype=np.intp)
-        mask = np.ones(n, dtype=bool)
-        mask[val] = False
-        stats = two_sample_t(Dataset.from_arrays(X[mask], labels[mask]))
+    for train, val in cv_masks(X.shape[0], folds):
+        Xtr, ytr = X[train], labels[train]
+        stats = two_sample_t(Dataset.from_arrays(Xtr, ytr))
         for i, m in enumerate(candidate_ms):
             cols = select_top_m(stats, m)
-            predict = classifier_trainer(X[mask][:, cols], labels[mask])
-            pred = predict(X[val][:, cols])
-            scores[i] += float(np.mean(pred == labels[val]))
-    best = 0
-    for i in range(1, len(candidate_ms)):
-        if scores[i] > scores[best]:
-            best = i
-    return candidate_ms[best]
+            predict = classifier_trainer(Xtr[:, cols], ytr)
+            scores[i] += float(np.mean(predict(X[val][:, cols]) == labels[val]))
+    return candidate_ms[int(np.argmax(scores))]

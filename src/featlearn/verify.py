@@ -69,10 +69,10 @@ def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckR
 
         def loss_of(vec):
             Wv, bv, dv = unpack(vec)
-            return _ae_value_and_grads(Wv, bv, dv, X, "sigmoid")[0]
+            return _ae_value_and_grads(Wv, bv, dv, X)[0]
 
         vec = np.concatenate([W.ravel(), b, d_bias])
-        _, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, "sigmoid")
+        _, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X)
         analytic = np.concatenate([gW.ravel(), gb, gd])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("reconstruction-gradients", worst < GRAD_RTOL, worst,
@@ -100,7 +100,6 @@ def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult
         bs = [rng.normal(scale=0.1, size=ho) for ho in dims]
         Wh = _init_matrix(rng, 2, dims[-1])
         bh = rng.normal(scale=0.1, size=2)
-        acts = ["sigmoid"] * len(dims)
         shapes = [w.shape for w in Ws]
 
         def unpack(vec):
@@ -118,10 +117,10 @@ def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult
 
         def loss_of(vec):
             ws, bs_, wh, bh_ = unpack(vec)
-            return _ft_value_and_grads(ws, bs_, wh, bh_, X, y, l2, acts)[0]
+            return _ft_value_and_grads(ws, bs_, wh, bh_, X, y, l2)[0]
 
         vec = np.concatenate([w.ravel() for w in Ws] + bs + [Wh.ravel(), bh])
-        _, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, acts)
+        _, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2)
         analytic = np.concatenate([g.ravel() for g in gWs] + gbs + [gWh.ravel(), gbh])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("fine-tune-gradients", worst < GRAD_RTOL, worst,
@@ -258,8 +257,15 @@ def check_pca_identities(instances: int = 50, seed: int = 8) -> CheckResult:
 
 
 def check_svm_grid(seed: int = 9) -> CheckResult:
-    """Solver objective vs brute-force grid search over (w, b) on a 1-D
-    4-point toy, grid [-3, 3] at step 0.01."""
+    """Solver objective vs the closed-form optimum of a 1-D 4-point toy, and
+    a brute-force grid over (w, b) in [-3, 3] at step 0.01 that must find no
+    point better than the solver.
+
+    The optimum is 25/32 at (w, b) = (1.25, -0.125): the hard margin between
+    -0.7 and 0.9 gives w = 2/1.6 with every hinge term 0, and shrinking w by
+    d costs (0.7 + 0.9) d of hinge against 1.25 d of norm. b* lies off the
+    grid, whose best point is about 0.7848, so the grid bounds from one side
+    only."""
     X = np.array([[-2.0], [-0.7], [0.9], [2.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     C = 1.0
@@ -270,9 +276,11 @@ def check_svm_grid(seed: int = 9) -> CheckResult:
     grid_best = float(obj.min())
     model = svm_train(X, y, C, tol=0.0, max_epochs=200000)
     got = svm_objective(X, y, model.w, model.bias, C)
-    err = abs(got - grid_best)
-    return CheckResult("svm-grid-oracle", err < 1e-3, err,
-                       f"solver {got:.6f} vs grid {grid_best:.6f}")
+    optimum = 25.0 / 32.0
+    err = abs(got - optimum)
+    ok = err < 1e-3 and grid_best > got - 1e-3
+    return CheckResult("svm-grid-oracle", ok, err,
+                       f"solver {got:.6f} vs optimum {optimum:.6f}, grid best {grid_best:.6f}")
 
 
 def check_svm_separable(instances: int = 20, seed: int = 10) -> CheckResult:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import (CsvFormatError, Dataset, SyntheticSpec,
+from featlearn.data import (CsvFormatError, Dataset, SyntheticSpec, cv_masks,
                             generate_synthetic, kfold, load_csv, random_split,
                             save_csv, standardize_apply, standardize_fit,
                             stratified_split)
@@ -217,6 +217,23 @@ class TestKfold:
         ds = _toy(n0=4, n1=4, n_unl=2)
         with pytest.raises(ValueError, match="labeled"):
             kfold(np.arange(10), ds, k=2, seed=0)
+
+
+class TestCvMasks:
+    def test_masks_complement_folds_in_fold_order(self):
+        ds = _toy(n0=9, n1=11)
+        folds = kfold(np.arange(20), ds, k=4, seed=3)
+        pairs = list(cv_masks(20, folds))
+        assert len(pairs) == len(folds)
+        for (train, val), fold in zip(pairs, folds):
+            np.testing.assert_array_equal(val, fold)
+            np.testing.assert_array_equal(np.flatnonzero(~train), fold)
+
+    def test_every_row_validates_exactly_once(self):
+        ds = _toy(n0=10, n1=10)
+        folds = kfold(np.arange(20), ds, k=5, seed=0)
+        held_out = sum((~train).astype(int) for train, _ in cv_masks(20, folds))
+        np.testing.assert_array_equal(held_out, np.ones(20, dtype=int))
 
 
 class TestGenerateSynthetic:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset, kfold
+from featlearn.data import Dataset, cv_masks, kfold
 from featlearn.lasso import (lambda_max, lambda_path, lasso_cv, lasso_fit,
                              lasso_objective, selected_features)
 
@@ -195,6 +195,15 @@ class TestLassoCv:
                 errors[i] += resid @ resid / val.size
         expected = lams[errors == errors.min()].max()
         assert lasso_cv(X, y, folds, lams) == expected
+
+    def test_equal_fold_errors_pick_larger_lambda(self):
+        # above every fold's own lambda_max each fit is all-zero, so every
+        # lambda has the same validation error
+        X, y, folds, _ = self._noise_problem(0)
+        top = max(lambda_max(X[train] - X[train].mean(axis=0), y[train] - y[train].mean())
+                  for train, _ in cv_masks(y.size, folds))
+        lams = top * np.array([2.0, 8.0, 4.0])
+        assert lasso_cv(X, y, folds, lams) == lams[1]
 
     def test_strong_signal_recovers_support(self):
         wins = 0

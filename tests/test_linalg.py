@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.linalg import (ConvergenceError, largest_eigenvalue,
-                              sample_correlation, sample_covariance, sym_eigen)
+from featlearn.linalg import sample_correlation, sample_covariance, sym_eigen
 
 
 class TestSampleCovariance:
@@ -113,39 +112,3 @@ class TestSymEigen:
         for j in range(7):
             col = a.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
-
-
-class TestLargestEigenvalue:
-    def test_identity(self):
-        assert largest_eigenvalue(np.eye(4)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_hand_2x2(self):
-        got = largest_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=1e-13)
-        assert got == pytest.approx(3.0, abs=1e-10)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_agrees_with_sym_eigen_on_random_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.normal(size=(rng.integers(2, 12), rng.integers(2, 12)))
-        M = B.T @ B
-        tol = 1e-12
-        got = largest_eigenvalue(M, tol=tol, max_iter=100000)
-        top = sym_eigen(M).eigenvalues[0]
-        assert abs(got - top) < 10 * tol * max(1.0, top)
-
-    def test_dominates_rayleigh_quotients(self):
-        rng = np.random.default_rng(17)
-        B = rng.normal(size=(8, 8))
-        M = B.T @ B
-        lam = largest_eigenvalue(M, tol=1e-13, max_iter=100000)
-        for _ in range(100):
-            v = rng.normal(size=8)
-            assert lam >= (v @ M @ v) / (v @ v) - 1e-6
-
-    def test_zero_matrix(self):
-        assert largest_eigenvalue(np.zeros((3, 3))) == 0.0
-
-    def test_nonconvergence_raises(self):
-        M = np.diag([1.0, 1.0 - 1e-15])
-        with pytest.raises(ConvergenceError):
-            largest_eigenvalue(M, tol=0.0, max_iter=5)

@@ -207,6 +207,17 @@ class TestTtestCv:
                 wins += 1
         assert wins >= 80
 
+    def test_equal_fold_scores_pick_smaller_m(self):
+        # a constant predictor scores every m the same on every fold
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(20, 5))
+        labels = np.array([0, 1] * 10)
+
+        def constant_trainer(Xtr, ytr):
+            return lambda Xval: np.zeros(Xval.shape[0], dtype=int)
+
+        assert ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer) == 2
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             ttest_cv(np.zeros((4, 2)), np.zeros(4, dtype=int), [], [],
