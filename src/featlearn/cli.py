@@ -12,22 +12,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from .harness import (ExperimentConfig, PipelineSpec, parse_config,
-                      read_runs_csv, render_table, run_experiment,
-                      run_pipeline, write_runs_csv)
-from .data import random_split, stratified_split
+from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec,
+                      _make_split, fit_pipeline, parse_config, read_runs_csv,
+                      render_table, run_experiment, write_runs_csv)
+from .svm import accuracy
 from .verify import run_suite
 
-_METHOD_NAMES = {
-    "llf": "LLF",
-    "saef": "SAEF",
-    "semi-saef": "SEMI_SAEF",
-    "llf+saef": "LLF_SAEF",
-    "llf+semi-saef": "LLF_SEMI_SAEF",
-}
-_SELECTOR_NAMES = {"none": "NONE", "lasso": "LASSO", "ttest": "TTEST", "pca": "PCA"}
+# CLI spelling -> harness name: the table labels, lower-cased
+_METHOD_NAMES = {label.lower(): method for method, label in METHOD_LABELS.items()}
+_SELECTOR_NAMES = {selector.lower(): selector for selector in SELECTORS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,53 +36,65 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    preset = SyntheticSpec.adni_like()
+    defaults = ExperimentConfig()
+    dims = "-".join(map(str, defaults.sae_dims))
     parser = _Parser(prog="featlearn",
                      description="Feature learning and linear-SVM classification toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen-data", help="write a synthetic CSV dataset",
                          description="Generate an equicorrelated-Gaussian two-class dataset. "
-                                     "Defaults mirror the adni-like preset: 144/179 labeled rows "
-                                     "plus 309 unlabeled, 56 features of which 6 carry a 0.8-std "
-                                     "mean shift at equicorrelation 0.2.")
+                                     f"Defaults mirror the adni-like preset: {preset.n0}/{preset.n1} "
+                                     f"labeled rows plus {preset.n_unlabeled} unlabeled, {preset.p} "
+                                     f"features of which {preset.s} carry a {preset.delta:g}-std "
+                                     f"mean shift at equicorrelation {preset.rho:g}.")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--preset", choices=["adni-like"],
                      help="use the named preset, overriding the shape flags")
-    gen.add_argument("--n0", type=int, default=144, help="class-0 rows (default 144)")
-    gen.add_argument("--n1", type=int, default=179, help="class-1 rows (default 179)")
-    gen.add_argument("--n-unlabeled", type=int, default=309, help="unlabeled rows (default 309)")
-    gen.add_argument("--p", type=int, default=56, help="feature count (default 56)")
-    gen.add_argument("--s", type=int, default=6, help="informative features (default 6)")
-    gen.add_argument("--delta", type=float, default=0.8, help="mean shift in std units (default 0.8)")
-    gen.add_argument("--rho", type=float, default=0.2, help="equicorrelation in [0,1) (default 0.2)")
+    gen.add_argument("--n0", type=int, default=preset.n0, help="class-0 rows (default %(default)s)")
+    gen.add_argument("--n1", type=int, default=preset.n1, help="class-1 rows (default %(default)s)")
+    gen.add_argument("--n-unlabeled", type=int, default=preset.n_unlabeled,
+                     help="unlabeled rows (default %(default)s)")
+    gen.add_argument("--p", type=int, default=preset.p, help="feature count (default %(default)s)")
+    gen.add_argument("--s", type=int, default=preset.s,
+                     help="informative features (default %(default)s)")
+    gen.add_argument("--delta", type=float, default=preset.delta,
+                     help="mean shift in std units (default %(default)s)")
+    gen.add_argument("--rho", type=float, default=preset.rho,
+                     help="equicorrelation in [0,1) (default %(default)s)")
 
     run = sub.add_parser("run", help="run one pipeline on one split",
                          description="Single train/test split, one (method, selector) pipeline; "
                                      "prints the test accuracy and the CV-chosen hyperparameters. "
-                                     "SAE defaults: structure 40-15, learning rate 0.01, "
-                                     "150 iterations.")
+                                     f"SAE defaults: structure {dims}, learning rate "
+                                     f"{defaults.sae_learning_rate:g}, "
+                                     f"{defaults.sae_iterations} iterations.")
     run.add_argument("--data", required=True, help="input CSV path")
     run.add_argument("--label-column", default="label")
     run.add_argument("--method", choices=sorted(_METHOD_NAMES), default="llf")
     run.add_argument("--selector", choices=sorted(_SELECTOR_NAMES), default="none")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--test-frac", type=float, default=0.2, help="test fraction (default 0.2)")
-    run.add_argument("--k", type=int, default=10, help="CV folds (default 10)")
+    run.add_argument("--test-frac", type=float, default=defaults.test_frac,
+                     help="test fraction (default %(default)s)")
+    run.add_argument("--k", type=int, default=defaults.k, help="CV folds (default %(default)s)")
     run.add_argument("--no-stratify", action="store_true",
                      help="split without class stratification")
-    run.add_argument("--sae-dims", default="40,15",
-                     help="comma-separated hidden sizes (default 40,15)")
-    run.add_argument("--sae-iterations", type=int, default=150,
-                     help="gradient steps per SAE training (default 150)")
-    run.add_argument("--sae-lr", type=float, default=0.01,
-                     help="SAE learning rate (default 0.01)")
+    run.add_argument("--sae-dims", default=",".join(map(str, defaults.sae_dims)),
+                     help="comma-separated hidden sizes (default %(default)s)")
+    run.add_argument("--sae-iterations", type=int, default=defaults.sae_iterations,
+                     help="gradient steps per SAE training (default %(default)s)")
+    run.add_argument("--sae-lr", type=float, default=defaults.sae_learning_rate,
+                     help="SAE learning rate (default %(default)s)")
 
     exp = sub.add_parser("experiment", help="run the full repeated-split comparison",
                          description="All populated (method, selector) cells over repeated "
                                      "paired splits; writes per-repeat CSV plus rendered tables. "
-                                     "Defaults: 100 repeats, 20%% test split, 10-fold CV, "
-                                     "SAE 40-15 at lr 0.01 for 150 iterations.")
+                                     f"Defaults: {defaults.repeats} repeats, "
+                                     f"{defaults.test_frac:.0%} test split, {defaults.k}-fold CV, "
+                                     f"SAE {dims} at lr {defaults.sae_learning_rate:g} for "
+                                     f"{defaults.sae_iterations} iterations.")
     exp.add_argument("--data", required=True, help="input CSV path")
     exp.add_argument("--label-column", default="label")
     exp.add_argument("--config", help="key = value config file overriding the defaults")
@@ -134,9 +142,7 @@ def _cmd_run(args) -> int:
                            sae_iterations=args.sae_iterations)
     spec = PipelineSpec(method=_METHOD_NAMES[args.method],
                         selector=_SELECTOR_NAMES[args.selector])
-    split = (stratified_split if cfg.stratify else random_split)(ds, cfg.test_frac, args.seed)
-    from .harness import fit_pipeline
-    from .svm import accuracy
+    split = _make_split(ds, cfg, args.seed)
     fit = fit_pipeline(ds, spec, split, ds.unlabeled_indices(), cfg, args.seed)
     acc = accuracy(fit.predict01(ds.features[split.test]), ds.labels[split.test])
     print(f"method={args.method} selector={args.selector} accuracy={acc:.4f}")
@@ -158,7 +164,6 @@ def _cmd_experiment(args) -> int:
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     if overrides:
-        from dataclasses import replace
         cfg = replace(cfg, **overrides)
     ds = load_csv(args.data, args.label_column)
     os.makedirs(args.out, exist_ok=True)

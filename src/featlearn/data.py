@@ -113,9 +113,9 @@ class StandardizationParams:
             j = int(np.argmax(self.stds <= 0.0))
             raise ValueError(f"std for column {j} must be positive")
 
-    @property
-    def p(self) -> int:
-        return self.means.shape[0]
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """(X - means) / stds, column by column."""
+        return (X - self.means) / self.stds
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,6 @@ def standardize_fit(ds: Dataset, rows) -> StandardizationParams:
         j = int(np.argmax(stds == 0.0))
         raise ValueError(f"column {ds.feature_names[j]!r} (index {j}) is constant over the given rows")
     return StandardizationParams(means, stds)
-
-
-def standardize_apply(ds: Dataset, params: StandardizationParams) -> Dataset:
-    """Return a Dataset with features mapped to (x - mean) / std."""
-    if params.p != ds.p:
-        raise ValueError(f"params cover {params.p} columns, dataset has {ds.p}")
-    X = (ds.features - params.means) / params.stds
-    return Dataset(X, ds.labels, ds.feature_names)
 
 
 def _round_half_up(x: float) -> int:

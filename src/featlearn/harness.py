@@ -22,10 +22,10 @@ has not been measured.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -177,23 +177,11 @@ class MethodFeatures:
         return F
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnScaler:
+def _fit_scaler(F: np.ndarray) -> StandardizationParams:
     """Centering/scaling of learned features, fitted on training rows;
     near-constant columns are centered but left unscaled."""
-
-    means: np.ndarray
-    stds: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.means) / self.stds
-
-
-def _fit_scaler(F: np.ndarray) -> ColumnScaler:
-    means = F.mean(axis=0)
     stds = F.std(axis=0, ddof=1)
-    stds = np.where(stds > 1e-12, stds, 1.0)
-    return ColumnScaler(means=means, stds=stds)
+    return StandardizationParams(F.mean(axis=0), np.where(stds > 1e-12, stds, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +207,13 @@ class PipelineFit:
     spec: PipelineSpec
     standardization: StandardizationParams
     method_map: MethodFeatures
-    feature_scaler: ColumnScaler
+    feature_scaler: StandardizationParams
     selector_map: SelectorTransform
     svm: LinearSvmModel
     chosen: dict
 
     def transform(self, X_raw: np.ndarray) -> np.ndarray:
-        Xs = (X_raw - self.standardization.means) / self.standardization.stds
+        Xs = self.standardization.apply(X_raw)
         return self.selector_map.apply(self.feature_scaler.apply(self.method_map.apply(Xs)))
 
     def predict01(self, X_raw: np.ndarray) -> np.ndarray:
@@ -331,7 +319,7 @@ def fit_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
 
     with _stage("standardize"):
         params = standardize_fit(ds, split.train)
-        Xtr = (ds.features[split.train] - params.means) / params.stds
+        Xtr = params.apply(ds.features[split.train])
         ytr01 = ds.labels[split.train].astype(np.int64)
 
     with _stage("folds"):
@@ -341,7 +329,7 @@ def fit_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
     with _stage("method-features"):
         if spec.uses_sae:
             if spec.semi_supervised:
-                X_extra = (ds.features[unlabeled_rows] - params.means) / params.stds
+                X_extra = params.apply(ds.features[unlabeled_rows])
             else:
                 X_extra = np.zeros((0, ds.p))
             sae_model, l2 = _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg, seed)
@@ -530,7 +518,8 @@ def read_runs_csv(path: str) -> ResultsTable:
     return ResultsTable(accuracies=table)
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
+# Field name -> its annotated type, e.g. float or tuple[int, ...]
+_CONFIG_FIELDS = get_type_hints(ExperimentConfig)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -559,17 +548,14 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
+        kind = _CONFIG_FIELDS[key]
+        if kind is bool:
             if value.lower() not in ("true", "false"):
                 raise ValueError(f"config line {lineno}: {key} must be true or false")
             updates[key] = value.lower() == "true"
-        elif isinstance(current, int):
-            updates[key] = int(value)
-        elif isinstance(current, float):
-            updates[key] = float(value)
-        else:  # tuple-valued
-            parts = [p for p in value.split(",") if p.strip()]
-            elem = float if key in ("l2_grid", "c_grid") else int
-            updates[key] = tuple(elem(p.strip()) for p in parts)
+        elif get_args(kind):  # tuple[elem, ...]
+            elem = get_args(kind)[0]
+            updates[key] = tuple(elem(p.strip()) for p in value.split(",") if p.strip())
+        else:
+            updates[key] = kind(value)
     return replace(cfg, **updates)

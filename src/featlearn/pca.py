@@ -1,5 +1,5 @@
-"""PCA via covariance eigendecomposition, projection and reconstruction,
-and class-separation ("discriminatory power") ranking of components."""
+"""PCA via covariance eigendecomposition: fitting, projection and
+reconstruction error. Components are ordered by variance, descending."""
 
 from __future__ import annotations
 
@@ -7,27 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .linalg import sample_covariance, sym_eigen
 
 
 @dataclass(frozen=True)
 class PcaModel:
     """Column means, orthonormal component directions, and per-component
-    score variances (covariance denominator n).
-
-    ``ranking`` records whether components are ordered by variance or by
-    discriminatory power.
-    """
+    score variances (covariance denominator n)."""
 
     mean: np.ndarray
     components: np.ndarray
     variances: np.ndarray
-    ranking: str = "variance"
-
-    @property
-    def r(self) -> int:
-        return self.components.shape[1]
 
 
 def pca_fit(X: np.ndarray, r: int) -> PcaModel:
@@ -55,32 +45,3 @@ def reconstruction_error(model: PcaModel, X: np.ndarray) -> float:
     centered = X - model.mean
     resid = centered - pca_transform(model, X) @ model.components.T
     return float(np.sum(resid * resid)) / X.shape[0]
-
-
-def discriminatory_power(model: PcaModel, ds: Dataset) -> np.ndarray:
-    """Per component k: [v_k^T (mean0 - mean1)]^2 / variance_k.
-
-    High-variance components need not separate the classes; this measures
-    which ones actually do.
-    """
-    if np.any(model.variances <= 0.0):
-        k = int(np.argmax(model.variances <= 0.0))
-        raise ValueError(f"component {k} has non-positive variance")
-    X0 = ds.features[ds.labels == 0]
-    X1 = ds.features[ds.labels == 1]
-    if X0.shape[0] == 0 or X1.shape[0] == 0:
-        raise ValueError("both classes must be present")
-    diff = X0.mean(axis=0) - X1.mean(axis=0)
-    proj = model.components.T @ diff
-    return proj * proj / model.variances
-
-
-def select_components_by_power(model: PcaModel, ds: Dataset, r_keep: int) -> PcaModel:
-    """Reorder components by discriminatory power (descending, stable so
-    ties keep the variance order) and truncate to ``r_keep``."""
-    if not 1 <= r_keep <= model.r:
-        raise ValueError(f"r_keep must lie in 1..{model.r}, got {r_keep}")
-    theta = discriminatory_power(model, ds)
-    order = np.argsort(-theta, kind="stable")[:r_keep]
-    return PcaModel(mean=model.mean, components=model.components[:, order],
-                    variances=model.variances[order], ranking="power")

@@ -200,13 +200,6 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     return layers
 
 
-def _stack_encode(layers, X):
-    cur = np.asarray(X, dtype=float)
-    for layer in layers:
-        cur = ae_encode(layer, cur)
-    return cur
-
-
 def _log_softmax(Z):
     m = Z.max(axis=1, keepdims=True)
     return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
@@ -283,7 +276,10 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
 
 def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:
     """Top-layer encodings (no softmax): the learned feature representation."""
-    return _stack_encode(model.layers, X)
+    cur = np.asarray(X, dtype=float)
+    for layer in model.layers:
+        cur = ae_encode(layer, cur)
+    return cur
 
 
 def sae_predict_proba(model: SaeModel, X: np.ndarray) -> np.ndarray:

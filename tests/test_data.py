@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from featlearn.data import (CsvFormatError, Dataset, SyntheticSpec, cv_masks,
-                            generate_synthetic, kfold, load_csv, random_split,
-                            save_csv, standardize_apply, standardize_fit,
+from featlearn.data import (CsvFormatError, Dataset, StandardizationParams,
+                            SyntheticSpec, cv_masks, generate_synthetic, kfold,
+                            load_csv, random_split, save_csv, standardize_fit,
                             stratified_split)
 
 
@@ -101,16 +101,14 @@ class TestStandardize:
         assert params.stds[0] == pytest.approx(np.sqrt(2.0))
 
     def test_apply_hand_value(self):
-        from featlearn.data import StandardizationParams
         ds = Dataset.from_arrays([[3.0]], [0])
-        out = standardize_apply(ds, StandardizationParams([1.0], [2.0]))
-        assert out.features[0, 0] == pytest.approx(1.0)
+        out = StandardizationParams([1.0], [2.0]).apply(ds.features)
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_identity_params(self):
         ds = _toy()
-        from featlearn.data import StandardizationParams
-        out = standardize_apply(ds, StandardizationParams(np.zeros(3), np.ones(3)))
-        np.testing.assert_array_equal(out.features, ds.features)
+        out = StandardizationParams(np.zeros(3), np.ones(3)).apply(ds.features)
+        np.testing.assert_array_equal(out, ds.features)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_apply_normalizes(self, seed):
@@ -118,8 +116,7 @@ class TestStandardize:
         ds = Dataset.from_arrays(rng.normal(3.0, 2.5, size=(20, 4)), [0, 1] * 10)
         rows = np.arange(12)
         params = standardize_fit(ds, rows)
-        out = standardize_apply(ds, params)
-        sub = out.features[rows]
+        sub = params.apply(ds.features)[rows]
         assert np.max(np.abs(sub.mean(axis=0))) < 1e-10
         assert np.max(np.abs(sub.std(axis=0, ddof=1) - 1.0)) < 1e-10
 
@@ -127,7 +124,7 @@ class TestStandardize:
         rng = np.random.default_rng(3)
         ds = Dataset.from_arrays(rng.normal(size=(15, 2)), [0, 1] * 7 + [0])
         rows = np.arange(15)
-        once = standardize_apply(ds, standardize_fit(ds, rows))
+        once = Dataset.from_arrays(standardize_fit(ds, rows).apply(ds.features), ds.labels)
         params2 = standardize_fit(once, rows)
         assert np.max(np.abs(params2.means)) < 1e-10
         assert np.max(np.abs(params2.stds - 1.0)) < 1e-10
@@ -136,11 +133,6 @@ class TestStandardize:
         ds = Dataset.from_arrays([[1.0, 1.0], [1.0, 2.0]], [0, 1])
         with pytest.raises(ValueError, match="'f0'"):
             standardize_fit(ds, [0, 1])
-
-    def test_labels_preserved(self):
-        ds = _toy(n_unl=3)
-        out = standardize_apply(ds, standardize_fit(ds, np.arange(ds.n)))
-        np.testing.assert_array_equal(out.labels, ds.labels)
 
 
 class TestSplits:

@@ -20,7 +20,8 @@ from featlearn.svm import accuracy
 
 GOLDEN = Path(__file__).with_name("golden_small.json")
 DATA_SEED = 0
-CONFIG = ExperimentConfig(repeats=2, k=3, sae_iterations=10)
+CONFIG = ExperimentConfig(repeats=2, k=3, sae_learning_rate=0.1,
+                          sae_iterations=30)
 
 
 def _digits(v):
@@ -59,6 +60,7 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({
         "data": f"adni-like seed {DATA_SEED}",
         "config": {"repeats": CONFIG.repeats, "k": CONFIG.k,
+                   "sae_learning_rate": CONFIG.sae_learning_rate,
                    "sae_iterations": CONFIG.sae_iterations},
         "cells": compute_results(),
     }, indent=1) + "\n", encoding="utf-8")

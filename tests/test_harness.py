@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset, kfold
-from featlearn.harness import _TAG_SAE, ExperimentConfig, _derive, _fit_sae_stage
+from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, kfold
+from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, _derive,
+                               _fit_sae_stage, config_to_text, parse_config,
+                               run_experiment)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 
 
@@ -53,3 +57,35 @@ class TestFitSaeStage:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert got.softmax_W.tobytes() == want.softmax_W.tobytes()
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
+
+
+class TestParseConfig:
+    def test_unknown_key_names_line(self):
+        with pytest.raises(ValueError, match="config line 3: unknown key 'bogus'"):
+            parse_config("k = 3\n# comment\nbogus = 1\n")
+
+    def test_round_trip_default(self):
+        cfg = ExperimentConfig()
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_round_trip_non_default(self):
+        cfg = ExperimentConfig(repeats=7, test_frac=0.3, stratify=False, sae_dims=(12, 4),
+                               l2_grid=(0.5, 2.5e-3), c_grid=(3.0, 0.25),
+                               pca_grid=(3, 7), ttest_grid=(2, 5, 9), lambda_ratio=0.05)
+        parsed = parse_config(config_to_text(cfg))
+        assert parsed == cfg
+        # each tuple's element type comes from the field's annotation
+        for name, elem in (("sae_dims", int), ("l2_grid", float), ("c_grid", float),
+                           ("pca_grid", int), ("ttest_grid", int)):
+            assert all(type(v) is elem for v in getattr(parsed, name)), name
+
+
+class TestRunExperiment:
+    def test_jobs_do_not_change_results(self):
+        ds = generate_synthetic(SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2,
+                                              delta=1.0, rho=0.2, seed=0))
+        specs = [PipelineSpec("LLF"), PipelineSpec("SEMI_SAEF"), PipelineSpec("LLF", "LASSO")]
+        cfg = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
+        serial = run_experiment(ds, specs, cfg)
+        pooled = run_experiment(ds, specs, replace(cfg, jobs=2))
+        assert pooled.accuracies == serial.accuracies

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset
 from featlearn.linalg import sample_covariance, sym_eigen
-from featlearn.pca import (discriminatory_power, pca_fit, pca_transform,
-                           reconstruction_error, select_components_by_power)
+from featlearn.pca import pca_fit, pca_transform, reconstruction_error
 
 
 class TestPcaFit:
@@ -115,75 +113,6 @@ class TestReconstructionError:
             A, _ = np.linalg.qr(rng.normal(size=(5, 2)))
             resid = centered - centered @ A @ A.T
             assert np.sum(resid * resid) / n >= best - 1e-8
-
-
-class TestDiscriminatoryPower:
-    def _shifted_ds(self, shift, scale=(np.sqrt(10.0), 1.0), n=4000, seed=12):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(2 * n, 2)) * np.asarray(scale)
-        X[n:] += np.asarray(shift)
-        labels = [0] * n + [1] * n
-        return Dataset.from_arrays(X, labels)
-
-    def test_identical_means_zero(self):
-        ds = self._shifted_ds((0.0, 0.0))
-        model = pca_fit(ds.features, 2)
-        theta = discriminatory_power(model, ds)
-        assert np.max(theta) < 0.01
-
-    def test_low_variance_direction_wins(self):
-        # shift along the small-variance axis: theta_2 > theta_1
-        ds = self._shifted_ds((0.0, 0.8))
-        model = pca_fit(ds.features, 2)
-        theta = discriminatory_power(model, ds)
-        assert theta[1] > theta[0]
-
-    def test_invariant_under_component_sign_flip(self):
-        ds = self._shifted_ds((0.5, 0.5))
-        model = pca_fit(ds.features, 2)
-        flipped = type(model)(mean=model.mean, components=-model.components,
-                              variances=model.variances)
-        np.testing.assert_allclose(discriminatory_power(model, ds),
-                                   discriminatory_power(flipped, ds), atol=1e-12)
-
-    def test_single_class_rejected(self):
-        ds = Dataset.from_arrays(np.random.default_rng(0).normal(size=(10, 2)), [0] * 10)
-        model = pca_fit(ds.features, 2)
-        with pytest.raises(ValueError, match="both classes"):
-            discriminatory_power(model, ds)
-
-
-class TestSelectComponentsByPower:
-    def test_reorders_toward_discriminative_axis(self):
-        rng = np.random.default_rng(13)
-        n = 4000
-        X = rng.normal(size=(2 * n, 2)) * np.array([np.sqrt(10.0), 1.0])
-        X[n:, 1] += 0.8
-        ds = Dataset.from_arrays(X, [0] * n + [1] * n)
-        model = pca_fit(ds.features, 2)
-        ranked = select_components_by_power(model, ds, 2)
-        assert ranked.ranking == "power"
-        # the former second component comes first now
-        np.testing.assert_allclose(np.abs(ranked.components[:, 0]),
-                                   np.abs(model.components[:, 1]), atol=1e-12)
-
-    def test_identity_when_already_sorted(self):
-        rng = np.random.default_rng(14)
-        n = 2000
-        X = rng.normal(size=(2 * n, 2)) * np.array([np.sqrt(10.0), 1.0])
-        X[n:, 0] += 2.0  # shift along the high-variance axis keeps order
-        ds = Dataset.from_arrays(X, [0] * n + [1] * n)
-        model = pca_fit(ds.features, 2)
-        ranked = select_components_by_power(model, ds, 2)
-        np.testing.assert_array_equal(ranked.components, model.components)
-        np.testing.assert_array_equal(ranked.variances, model.variances)
-
-    def test_r_keep_out_of_range(self):
-        rng = np.random.default_rng(15)
-        ds = Dataset.from_arrays(rng.normal(size=(10, 2)), [0, 1] * 5)
-        model = pca_fit(ds.features, 2)
-        with pytest.raises(ValueError):
-            select_components_by_power(model, ds, 3)
 
 
 class TestVarianceBudget:
