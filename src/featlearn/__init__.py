@@ -7,7 +7,7 @@ from .data import (CsvFormatError, Dataset, SplitIndices, StandardizationParams,
                    random_split, save_csv, standardize_fit, stratified_split)
 from .harness import (ExperimentConfig, PipelineFit, PipelineSpec,
                       PipelineStageError, ResultsTable, fit_pipeline,
-                      parse_config, render_table, run_experiment, run_pipeline)
+                      parse_config, render_table, run_experiment)
 from .lasso import (LassoFit, lambda_max, lambda_path, lasso_cv, lasso_fit,
                     selected_features)
 from .linalg import (ConvergenceError, SymEigen, sample_correlation,

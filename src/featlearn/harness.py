@@ -8,6 +8,14 @@ may additionally use standardized unlabeled rows); all hyperparameters are
 tuned by stratified k-fold CV inside the training set; the test rows are
 touched exactly once, for the final accuracy.
 
+Once per repeat versus once per cell: every cell of a repeat uses the same
+split, so the fits they have in common are made once, on first use, and
+kept for that repeat only (``_RepeatFits``). These are the standardization
+and the folds for all cells, the SAE stage once per semi flag (shared by
+the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
+lasso), and the method features with their scaler once per method. Each cell fits only its own
+selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
+
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
 their output on every inner fold; the C search likewise reuses the selector
@@ -25,16 +33,17 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import (Dataset, SplitIndices, StandardizationParams, cv_masks,
+from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, cv_masks,
                    kfold, random_split, standardize_fit, stratified_split)
 from .lasso import lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
-from .sae import (SaeModel, TrainConfig, fine_tune, sae_features, sae_predict,
-                  sae_pretrain, semi_pretrain_finetune)
+from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features,
+                  sae_predict, sae_pretrain, semi_pretrain_finetune)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
@@ -307,6 +316,93 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     return SelectorTransform(selector="PCA", pca=model), {"r": r}
 
 
+_SELECTOR_FITS = {"LASSO": _fit_lasso_selector, "TTEST": _fit_ttest_selector,
+                  "PCA": _fit_pca_selector}
+
+
+class _RepeatFits:
+    """One repeat's shared fits (see the module docstring), each made on
+    first use and kept only as long as this object; ``fit`` adds a cell's
+    own selector and SVM. Shared arrays are read-only, so a cell that wrote
+    into one would raise instead of changing what the next cell sees."""
+
+    def __init__(self, ds: Dataset, split: SplitIndices, unlabeled_rows,
+                 cfg: ExperimentConfig, seed: int):
+        self.ds = ds
+        self.split = split
+        self.unlabeled_rows = np.asarray(unlabeled_rows, dtype=np.intp)
+        self.cfg = cfg
+        self.seed = seed
+        self._sae: dict = {}
+        self._methods: dict = {}
+
+    @cached_property
+    def _train(self):
+        """Standardization, standardized training rows, 0/1 labels, local folds."""
+        ds, train = self.ds, self.split.train
+        with _stage("standardize"):
+            params = standardize_fit(ds, train)
+            Xtr = _readonly(params.apply(ds.features[train]))
+            ytr01 = _readonly(ds.labels[train].astype(np.int64))
+        with _stage("folds"):
+            folds_global = kfold(train, ds, self.cfg.k, _derive(self.seed, _TAG_FOLDS))
+            folds_local = tuple(_readonly(f) for f in _local_folds(train, folds_global))
+        return params, Xtr, ytr01, folds_local
+
+    def _sae_stage(self, semi: bool) -> tuple[SaeModel, float]:
+        if semi not in self._sae:
+            params, Xtr, ytr01, folds_local = self._train
+            if semi:
+                X_extra = params.apply(self.ds.features[self.unlabeled_rows])
+            else:
+                X_extra = np.zeros((0, self.ds.p))
+            self._sae[semi] = _fit_sae_stage(Xtr, ytr01, X_extra, folds_local,
+                                             self.cfg, self.seed)
+        return self._sae[semi]
+
+    def _method_stage(self, spec: PipelineSpec):
+        """(method map, feature scaler, scaled training features, chosen)."""
+        if spec.method not in self._methods:
+            Xtr = self._train[1]
+            with _stage("method-features"):
+                chosen = {}
+                if spec.uses_sae:
+                    sae_model, chosen["l2"] = self._sae_stage(spec.semi_supervised)
+                    method_map = MethodFeatures(method=spec.method, sae=sae_model)
+                else:
+                    method_map = MethodFeatures(method="LLF")
+                Ftr = method_map.apply(Xtr)
+                scaler = _fit_scaler(Ftr)
+                self._methods[spec.method] = (method_map, scaler,
+                                              _readonly(scaler.apply(Ftr)), chosen)
+        return self._methods[spec.method]
+
+    def fit(self, spec: PipelineSpec) -> PipelineFit:
+        params, _, ytr01, folds_local = self._train
+        method_map, scaler, Ftr, method_chosen = self._method_stage(spec)
+        chosen = dict(method_chosen)
+
+        with _stage("selector"):
+            if spec.selector == "NONE":
+                selector_map = SelectorTransform(selector="NONE")
+            else:
+                fit_selector = _SELECTOR_FITS[spec.selector]
+                selector_map, picked = fit_selector(Ftr, ytr01, folds_local, self.cfg)
+                chosen.update(picked)
+            Gtr = selector_map.apply(Ftr)
+
+        with _stage("svm"):
+            y_pm = 2.0 * ytr01.astype(float) - 1.0
+            C = svm_cv(Gtr, y_pm, folds_local, self.cfg.c_grid, tol=1e-6,
+                       max_epochs=self.cfg.svm_cv_epochs)
+            chosen["C"] = C
+            model = svm_train(Gtr, y_pm, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
+
+        return PipelineFit(spec=spec, standardization=params, method_map=method_map,
+                           feature_scaler=scaler, selector_map=selector_map, svm=model,
+                           chosen=chosen)
+
+
 def fit_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
                  unlabeled_rows, cfg: ExperimentConfig, seed: int) -> PipelineFit:
     """Fit one pipeline on the training side of ``split``.
@@ -314,65 +410,17 @@ def fit_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
     Test rows are never consulted; unlabeled rows feed SAE pretraining only
     when the method is semi-supervised.
     """
-    unlabeled_rows = np.asarray(unlabeled_rows, dtype=np.intp)
-    chosen: dict = {}
-
-    with _stage("standardize"):
-        params = standardize_fit(ds, split.train)
-        Xtr = params.apply(ds.features[split.train])
-        ytr01 = ds.labels[split.train].astype(np.int64)
-
-    with _stage("folds"):
-        folds_global = kfold(split.train, ds, cfg.k, _derive(seed, _TAG_FOLDS))
-        folds_local = _local_folds(split.train, folds_global)
-
-    with _stage("method-features"):
-        if spec.uses_sae:
-            if spec.semi_supervised:
-                X_extra = params.apply(ds.features[unlabeled_rows])
-            else:
-                X_extra = np.zeros((0, ds.p))
-            sae_model, l2 = _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg, seed)
-            method_map = MethodFeatures(method=spec.method, sae=sae_model)
-            chosen["l2"] = l2
-        else:
-            method_map = MethodFeatures(method="LLF")
-        Ftr = method_map.apply(Xtr)
-        scaler = _fit_scaler(Ftr)
-        Ftr = scaler.apply(Ftr)
-
-    with _stage("selector"):
-        if spec.selector == "NONE":
-            selector_map = SelectorTransform(selector="NONE")
-        elif spec.selector == "LASSO":
-            selector_map, picked = _fit_lasso_selector(Ftr, ytr01, folds_local, cfg)
-            chosen.update(picked)
-        elif spec.selector == "TTEST":
-            selector_map, picked = _fit_ttest_selector(Ftr, ytr01, folds_local, cfg)
-            chosen.update(picked)
-        else:
-            selector_map, picked = _fit_pca_selector(Ftr, ytr01, folds_local, cfg)
-            chosen.update(picked)
-        Gtr = selector_map.apply(Ftr)
-
-    with _stage("svm"):
-        y_pm = 2.0 * ytr01.astype(float) - 1.0
-        C = svm_cv(Gtr, y_pm, folds_local, cfg.c_grid, tol=1e-6, max_epochs=cfg.svm_cv_epochs)
-        chosen["C"] = C
-        model = svm_train(Gtr, y_pm, C, tol=1e-7, max_epochs=cfg.svm_epochs)
-
-    return PipelineFit(spec=spec, standardization=params, method_map=method_map,
-                       feature_scaler=scaler, selector_map=selector_map, svm=model,
-                       chosen=chosen)
+    return _RepeatFits(ds, split, unlabeled_rows, cfg, seed).fit(spec)
 
 
-def run_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
-                 unlabeled_rows, cfg: ExperimentConfig, seed: int) -> float:
-    """Fit on the training side, return accuracy on the test side."""
-    fit = fit_pipeline(ds, spec, split, unlabeled_rows, cfg, seed)
+def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> float:
+    """Fit one cell through its repeat's shared fits, return its accuracy on
+    the test side of the repeat's split."""
+    fit = repeat.fit(spec)
     with _stage("evaluate"):
-        pred = fit.predict01(ds.features[split.test])
-        return accuracy(pred, ds.labels[split.test].astype(np.int64))
+        test = repeat.split.test
+        pred = fit.predict01(repeat.ds.features[test])
+        return accuracy(pred, repeat.ds.labels[test].astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -406,11 +454,25 @@ def _make_split(ds: Dataset, cfg: ExperimentConfig, seed: int) -> SplitIndices:
 
 
 def _repeat_worker(args) -> tuple[int, list[float]]:
-    ds, specs, cfg, r = args
-    seed = cfg.base_seed + r
-    split = _make_split(ds, cfg, seed)
-    unlabeled = ds.unlabeled_indices()
-    return r, [run_pipeline(ds, spec, split, unlabeled, cfg, seed) for spec in specs]
+    ds, specs, cfg, r, split = args
+    repeat = _RepeatFits(ds, split, ds.unlabeled_indices(), cfg, cfg.base_seed + r)
+    return r, [run_pipeline(repeat, spec) for spec in specs]
+
+
+def _checked_splits(ds: Dataset, specs, cfg: ExperimentConfig) -> list[SplitIndices]:
+    """Every repeat's split, after checking what would otherwise fail only
+    partway through the run: the SAE stack's widths and the fold count."""
+    if any(spec.uses_sae for spec in specs):
+        check_dims(ds.p, cfg.sae_dims)
+    splits = []
+    for r in range(cfg.repeats):
+        split = _make_split(ds, cfg, cfg.base_seed + r)
+        smaller = int(np.bincount(ds.labels[split.train], minlength=2).min())
+        if cfg.k > smaller:
+            raise ValueError(f"k={cfg.k} exceeds the {smaller} training rows of the "
+                             f"smaller class in repeat {r}")
+        splits.append(split)
+    return splits
 
 
 def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
@@ -418,12 +480,15 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
 
     Every spec sees the same split within a repeat (paired comparison);
     repeat r uses seed base_seed + r. With cfg.jobs > 1 the repeats run in
-    worker processes; results are identical for any jobs value.
+    worker processes; results are identical for any jobs value. Raises
+    ValueError before any fit if the SAE dims do not fit ds or some
+    repeat's smaller training class has fewer than cfg.k rows.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
-    tasks = [(ds, specs, cfg, r) for r in range(cfg.repeats)]
+    splits = _checked_splits(ds, specs, cfg)
+    tasks = [(ds, specs, cfg, r, split) for r, split in enumerate(splits)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_repeat_worker, tasks))
@@ -522,12 +587,18 @@ def read_runs_csv(path: str) -> ResultsTable:
 _CONFIG_FIELDS = get_type_hints(ExperimentConfig)
 
 
+def _float_text(x: float) -> str:
+    """The short ``g`` form where it reads back equal, else the exact repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def config_to_text(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
-            v = ",".join(f"{x:g}" if isinstance(x, float) else str(x) for x in v)
+            v = ",".join(_float_text(x) if isinstance(x, float) else str(x) for x in v)
         elif isinstance(v, bool):
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")

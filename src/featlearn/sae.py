@@ -178,6 +178,18 @@ def ae_encode(layer: AeLayer, X: np.ndarray) -> np.ndarray:
     return sigmoid(X @ layer.W.T + layer.b)
 
 
+def check_dims(width: int, dims) -> list[int]:
+    """``dims`` as ints; raises ValueError unless they are nonempty, strictly
+    decreasing and start below the input width."""
+    dims = [int(h) for h in dims]
+    if not dims:
+        raise ValueError("dims must be nonempty")
+    chain = [width] + dims
+    if any(b >= a for a, b in zip(chain, chain[1:])):
+        raise ValueError(f"hidden sizes must decrease strictly from the input width: {chain}")
+    return dims
+
+
 def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     """Greedy layerwise stack: layer k trains on layer k-1's encodings.
 
@@ -185,12 +197,7 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     Each layer gets its own seed derived from cfg.seed.
     """
     X = np.asarray(X, dtype=float)
-    dims = [int(h) for h in dims]
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    chain = [X.shape[1]] + dims
-    if any(b >= a for a, b in zip(chain, chain[1:])):
-        raise ValueError(f"hidden sizes must decrease strictly from the input width: {chain}")
+    dims = check_dims(X.shape[1], dims)
     layers = []
     cur = X
     for k, h in enumerate(dims):

@@ -50,3 +50,14 @@ def test_unknown_method_exits_1(data_csv, capsys):
 def test_missing_data_file_exits_2(tmp_path, capsys):
     assert main(["run", "--data", str(tmp_path / "absent.csv")]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [("sae_dims = 8,4", "decrease strictly"),
+                                           ("sae_dims = 4,2\nk = 17", "k=17 exceeds")])
+def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["experiment", "--data", data_csv, "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err

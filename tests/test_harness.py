@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, _derive,
-                               _fit_sae_stage, config_to_text, parse_config,
-                               run_experiment)
+                               _fit_sae_stage, _make_split, _RepeatFits, config_to_text,
+                               parse_config, run_experiment)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
+
+TINY_DATA = SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2, delta=1.0, rho=0.2, seed=0)
+TINY = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
 
 
 def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
@@ -79,13 +83,79 @@ class TestParseConfig:
                            ("pca_grid", int), ("ttest_grid", int)):
             assert all(type(v) is elem for v in getattr(parsed, name)), name
 
+    # more significant digits than the short form keeps
+    @pytest.mark.parametrize("grids", [{"l2_grid": (1.2345678e-4,)}, {"c_grid": (1234567.0,)}])
+    def test_round_trip_full_precision(self, grids):
+        cfg = ExperimentConfig(**grids)
+        assert parse_config(config_to_text(cfg)) == cfg
+
+
+def _sae_arrays(model):
+    arrays = [a for layer in model.layers for a in (layer.W, layer.b, layer.d_bias)]
+    return [a.tobytes() for a in arrays + [model.softmax_W, model.softmax_b]]
+
+
+class TestRepeatFits:
+    def test_test_rows_never_reach_a_fit(self):
+        ds = generate_synthetic(TINY_DATA)
+        cfg = replace(TINY, sae_learning_rate=0.5, sae_iterations=10, c_grid=(0.1, 10.0),
+                      n_lambdas=5, svm_epochs=100, svm_cv_epochs=30)
+        split = _make_split(ds, cfg, 0)
+        X = ds.features.copy()
+        X[split.test] = np.random.default_rng(1).normal(scale=10.0, size=(split.test.size, ds.p))
+        noisy = Dataset(X, ds.labels, ds.feature_names)
+        clean_fits = _RepeatFits(ds, split, ds.unlabeled_indices(), cfg, 0)
+        noisy_fits = _RepeatFits(noisy, split, noisy.unlabeled_indices(), cfg, 0)
+        for spec in PipelineSpec.table_cells():
+            clean, other = clean_fits.fit(spec), noisy_fits.fit(spec)
+            assert other.chosen == clean.chosen, spec
+            assert other.svm.w.tobytes() == clean.svm.w.tobytes(), spec
+            assert other.svm.bias == clean.svm.bias, spec
+            if spec.uses_sae:
+                assert _sae_arrays(other.method_map.sae) == _sae_arrays(clean.method_map.sae)
+
+    def test_shared_arrays_are_read_only(self):
+        ds = generate_synthetic(TINY_DATA)
+        fits = _RepeatFits(ds, _make_split(ds, TINY, 0), ds.unlabeled_indices(), TINY, 0)
+        _, Xtr, ytr01, folds = fits._train
+        Ftr = fits._method_stage(PipelineSpec("SAEF"))[2]
+        for shared in (Xtr, ytr01, folds[0], Ftr):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
 
 class TestRunExperiment:
     def test_jobs_do_not_change_results(self):
-        ds = generate_synthetic(SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2,
-                                              delta=1.0, rho=0.2, seed=0))
+        ds = generate_synthetic(TINY_DATA)
         specs = [PipelineSpec("LLF"), PipelineSpec("SEMI_SAEF"), PipelineSpec("LLF", "LASSO")]
-        cfg = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
-        serial = run_experiment(ds, specs, cfg)
-        pooled = run_experiment(ds, specs, replace(cfg, jobs=2))
+        serial = run_experiment(ds, specs, TINY)
+        pooled = run_experiment(ds, specs, replace(TINY, jobs=2))
         assert pooled.accuracies == serial.accuracies
+
+    @pytest.fixture
+    def no_fits(self, monkeypatch):
+        def fail(repeat, spec):
+            raise AssertionError(f"{spec} was fitted")
+        monkeypatch.setattr(harness, "run_pipeline", fail)
+
+    @pytest.mark.parametrize("dims", [(6, 2), (4, 4), (7,)])
+    def test_sae_dims_checked_before_any_fit(self, no_fits, dims):
+        ds = generate_synthetic(TINY_DATA)
+        specs = [PipelineSpec("LLF"), PipelineSpec("SAEF")]
+        with pytest.raises(ValueError, match="decrease strictly"):
+            run_experiment(ds, specs, replace(TINY, sae_dims=dims))
+
+    def test_sae_dims_unchecked_without_sae_cells(self):
+        ds = generate_synthetic(TINY_DATA)
+        run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, sae_dims=(60, 15)))
+
+    def test_k_checked_against_smaller_training_class_before_any_fit(self, no_fits):
+        # 20 labeled rows per class, 4 of each in the test split: 16 for training
+        ds = generate_synthetic(TINY_DATA)
+        with pytest.raises(ValueError, match="k=17 exceeds the 16 training rows"):
+            run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, k=17))
+
+    def test_k_equal_to_smaller_training_class_runs(self):
+        ds = generate_synthetic(replace(TINY_DATA, n1=10))
+        results = run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, k=8, repeats=1))
+        assert len(results.accuracies[("LLF", "NONE")]) == 1
