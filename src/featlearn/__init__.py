@@ -8,8 +8,8 @@ from .data import (CsvFormatError, Dataset, SplitIndices, StandardizationParams,
 from .harness import (ExperimentConfig, PipelineFit, PipelineSpec,
                       PipelineStageError, ResultsTable, fit_pipeline,
                       parse_config, render_table, run_experiment)
-from .lasso import (LassoFit, lambda_max, lambda_path, lasso_cv, lasso_fit,
-                    selected_features)
+from .lasso import (LassoFit, SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
+                    lasso_fit, lasso_path, selected_features)
 from .linalg import (ConvergenceError, SymEigen, sample_correlation,
                      sample_covariance, sym_eigen)
 from .pca import PcaModel, pca_fit, pca_transform, reconstruction_error

@@ -277,7 +277,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
 def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
     lambdas = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)
-    best_lam = lasso_cv(F, y_pm, folds_local, lambdas, tol=1e-6, max_iter=2000)
+    best_lam = lasso_cv(F, y_pm, folds_local, lambdas)
     fit = lasso_fit(F, y_pm - y_pm.mean(), best_lam)
     idx = selected_features(fit)
     if idx.size == 0:
@@ -453,10 +453,23 @@ def _make_split(ds: Dataset, cfg: ExperimentConfig, seed: int) -> SplitIndices:
     return random_split(ds, cfg.test_frac, seed)
 
 
-def _repeat_worker(args) -> tuple[int, list[float]]:
-    ds, specs, cfg, r, split = args
+def _run_repeat(ds: Dataset, task) -> tuple[int, list[float]]:
+    specs, cfg, r, split = task
     repeat = _RepeatFits(ds, split, ds.unlabeled_indices(), cfg, cfg.base_seed + r)
     return r, [run_pipeline(repeat, spec) for spec in specs]
+
+
+# a pool worker's dataset, sent once by _init_worker rather than with every task
+_worker_ds: Dataset | None = None
+
+
+def _init_worker(ds: Dataset) -> None:
+    global _worker_ds
+    _worker_ds = ds
+
+
+def _repeat_worker(task) -> tuple[int, list[float]]:
+    return _run_repeat(_worker_ds, task)
 
 
 def _checked_splits(ds: Dataset, specs, cfg: ExperimentConfig) -> list[SplitIndices]:
@@ -488,12 +501,13 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
     if not specs:
         raise ValueError("specs must be nonempty")
     splits = _checked_splits(ds, specs, cfg)
-    tasks = [(ds, specs, cfg, r, split) for r, split in enumerate(splits)]
+    tasks = [(specs, cfg, r, split) for r, split in enumerate(splits)]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                                 initargs=(ds,)) as pool:
             outcomes = list(pool.map(_repeat_worker, tasks))
     else:
-        outcomes = [_repeat_worker(t) for t in tasks]
+        outcomes = [_run_repeat(ds, t) for t in tasks]
     by_repeat = dict(outcomes)
     table: dict = {}
     for i, spec in enumerate(specs):

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,22 @@ class TestRunExperiment:
         serial = run_experiment(ds, specs, TINY)
         pooled = run_experiment(ds, specs, replace(TINY, jobs=2))
         assert pooled.accuracies == serial.accuracies
+
+    def test_tasks_leave_the_dataset_out(self, monkeypatch):
+        # a pool gets the dataset once per worker; each task holds the rest
+        ds = generate_synthetic(SyntheticSpec.adni_like(0))
+        sizes = []
+
+        def record(data, task):
+            assert data is ds
+            sizes.append(len(pickle.dumps(task)))
+            specs, _, r, _ = task
+            return r, [0.5] * len(specs)
+
+        monkeypatch.setattr(harness, "_run_repeat", record)
+        run_experiment(ds, PipelineSpec.table_cells(), ExperimentConfig(repeats=3))
+        assert len(sizes) == 3
+        assert max(sizes) < len(pickle.dumps(ds)) / 10
 
     @pytest.fixture
     def no_fits(self, monkeypatch):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from featlearn.data import Dataset, cv_masks, kfold
-from featlearn.lasso import (lambda_max, lambda_path, lasso_cv, lasso_fit,
-                             lasso_objective, selected_features)
+from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
+                             lasso_fit, lasso_objective, lasso_path, selected_features)
+from lasso_reference import coordinate_descent
 
 
 def _centered_problem(rng, n, p, signal=0):
@@ -69,16 +70,6 @@ class TestLassoFit:
         fit = lasso_fit(X, y, lam)
         assert abs(fit.objective - lasso_objective(X, y, fit.beta, lam)) < 1e-10
 
-    def test_objective_nonincreasing_per_sweep(self):
-        rng = np.random.default_rng(5)
-        X, y = _centered_problem(rng, 35, 10, signal=4)
-        lam = 0.1 * lambda_max(X, y)
-        prev = lasso_objective(X, y, np.zeros(10), lam)
-        for sweeps in range(1, 15):
-            fit = lasso_fit(X, y, lam, tol=0.0, max_iter=sweeps)
-            assert fit.objective <= prev + 1e-12 * (1 + abs(prev))
-            prev = fit.objective
-
     def test_label_flip_negates_beta_exactly(self):
         rng = np.random.default_rng(6)
         X, y = _centered_problem(rng, 30, 8, signal=2)
@@ -87,16 +78,127 @@ class TestLassoFit:
         b = lasso_fit(X, -y, lam)
         np.testing.assert_array_equal(a.beta, -b.beta)
 
-    def test_nonconvergence_flagged(self):
-        rng = np.random.default_rng(7)
-        X, y = _centered_problem(rng, 40, 10, signal=5)
-        fit = lasso_fit(X, y, 1e-6, tol=0.0, max_iter=3)
-        assert not fit.converged
-        assert fit.iterations_run == 3
-
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
+
+
+class TestCoordinateDescentReference:
+    def test_objective_nonincreasing_per_sweep(self):
+        rng = np.random.default_rng(5)
+        X, y = _centered_problem(rng, 35, 10, signal=4)
+        lam = 0.1 * lambda_max(X, y)
+        prev = lasso_objective(X, y, np.zeros(10), lam)
+        for sweeps in range(1, 15):
+            fit = coordinate_descent(X, y, lam, tol=0.0, max_iter=sweeps)
+            assert fit.objective <= prev + 1e-12 * (1 + abs(prev))
+            prev = fit.objective
+
+    def test_nonconvergence_flagged(self):
+        rng = np.random.default_rng(7)
+        X, y = _centered_problem(rng, 40, 10, signal=5)
+        fit = coordinate_descent(X, y, 1e-6, tol=0.0, max_iter=3)
+        assert not fit.converged
+        assert fit.iterations_run == 3
+
+
+class TestLassoPath:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_coordinate_descent(self, seed):
+        # coordinate descent stops on a coordinate step of 1e-12, not on the
+        # error; on these problems it stays within 2e-10 of the path
+        rng = np.random.default_rng(300 + seed)
+        p = 71 if seed == 0 else int(rng.integers(2, 72))
+        n = int(rng.integers(p + 10, 201))
+        X, y = _centered_problem(rng, n, p, signal=int(rng.integers(0, p + 1)))
+        lams = lambda_path(X, y, 20, 0.01)
+        path = lasso_path(X, y, lams)
+        beta = None
+        for i, lam in enumerate(lams):
+            fit = coordinate_descent(X, y, lam, tol=1e-12, max_iter=100000, beta0=beta)
+            beta = fit.beta
+            assert fit.converged
+            np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(np.abs(path[:, i]) > 1e-10, np.abs(beta) > 1e-10)
+
+    def test_columns_follow_lambda_order(self):
+        rng = np.random.default_rng(8)
+        X, y = _centered_problem(rng, 30, 6, signal=2)
+        lams = lambda_max(X, y) * np.array([0.3, 1.2, 0.05, 0.6])
+        path = lasso_path(X, y, lams)
+        for i, lam in enumerate(lams):
+            np.testing.assert_array_equal(path[:, i], lasso_path(X, y, [lam])[:, 0])
+        assert np.all(path[:, 1] == 0.0)
+
+    def test_tied_events_join_together(self):
+        # Hadamard columns: X^T X = n I exactly, and X_1^T y = -X_2^T y while
+        # X_3^T y = X_4^T y, so two pairs of columns join at the same lambdas
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        hadamard = np.kron(np.kron(h, h), h)
+        X = hadamard[:, 1:5]
+        y = X @ np.array([3.0, -3.0, 1.0, 1.0]) + 0.5 * hadamard[:, 6]
+        z = X.T @ y / X.shape[0]
+        np.testing.assert_array_equal(z, [3.0, -3.0, 1.0, 1.0])
+        lams = np.geomspace(lambda_max(X, y), 1e-3, 25)
+        path = lasso_path(X, y, lams)
+        expected = np.sign(z)[:, None] * np.maximum(np.abs(z)[:, None] - lams / 2.0, 0.0)
+        np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(path[0], -path[1])
+        np.testing.assert_array_equal(path[2], path[3])
+        assert lasso_fit(X, y, 0.5 * lams[0]).iterations_run == 1
+
+    def test_tie_among_correlated_columns_matches_reference(self):
+        # two columns reach the bound together at lambda = 0.75 and only one
+        # of them may enter; letting both in breaks the optimality conditions
+        X = np.array([[-1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        y = np.array([-1.0, 0.0, 1.0, 2.0])
+        lams = np.linspace(1.5, 0.01, 30)
+        path = lasso_path(X, y, lams)
+        for i, lam in enumerate(lams):
+            beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
+            np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
+
+    def test_column_parallel_to_its_bound_stays_out(self):
+        # columns 1 and 2 tie at lambda_max; once column 1 enters, column 2's
+        # correlation keeps exactly to the bound, and the walk must not let
+        # it in and out again at every step
+        X = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        y = np.array([2.0, -2.0, -1.0, 0.0])
+        lams = np.linspace(lambda_max(X, y), 0.01, 12)
+        path = lasso_path(X, y, lams)
+        assert np.all(path[2] == 0.0)
+        for i, lam in enumerate(lams):
+            beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
+            np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
+
+    def test_constant_column_stays_zero(self):
+        rng = np.random.default_rng(9)
+        X, y = _centered_problem(rng, 40, 6, signal=6)
+        X[:, 2] = 0.0
+        lams = np.append(lambda_path(X, y, 15, 0.001), 0.0)
+        path = lasso_path(X, y, lams)
+        assert np.all(path[2] == 0.0)
+        assert np.all(np.abs(path[[0, 1, 3, 4, 5], -1]) > 0.0)
+
+    @pytest.mark.parametrize("copy_of", [0, 3])
+    def test_duplicated_column_raises(self, copy_of):
+        rng = np.random.default_rng(10)
+        X, y = _centered_problem(rng, 40, 5, signal=5)
+        X = np.column_stack([X, X[:, copy_of]])
+        with pytest.raises(SingularActiveSetError):
+            lasso_path(X, y, lambda_path(X, y, 20, 0.01))
+        assert issubclass(SingularActiveSetError, ArithmeticError)
+
+    def test_more_columns_than_rows_raises_at_zero_lambda(self):
+        rng = np.random.default_rng(11)
+        X, y = _centered_problem(rng, 6, 10, signal=3)
+        with pytest.raises(SingularActiveSetError):
+            lasso_path(X, y, [0.0])
+
+    @pytest.mark.parametrize("lams", [[-0.1], [np.nan], [[0.1]]])
+    def test_bad_lambdas_rejected(self, lams):
+        with pytest.raises(ValueError):
+            lasso_path(np.eye(3), np.ones(3), lams)
 
 
 class TestLambdaPath:
@@ -190,7 +292,7 @@ class TestLassoCv:
             col_means = X[train].mean(axis=0)
             y_mean = y[train].mean()
             for i, lam in enumerate(lams):
-                beta = lasso_fit(X[train] - col_means, y[train] - y_mean, lam).beta
+                beta = coordinate_descent(X[train] - col_means, y[train] - y_mean, lam).beta
                 resid = y[val] - ((X[val] - col_means) @ beta + y_mean)
                 errors[i] += resid @ resid / val.size
         expected = lams[errors == errors.min()].max()
