@@ -17,7 +17,7 @@ from .sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError,
                   ae_encode, ae_train, fine_tune, sae_features, sae_predict,
                   sae_predict_proba, sae_pretrain, semi_pretrain_finetune,
                   sigmoid)
-from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
+from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
 from .ttest import TStats, optimal_m, select_top_m, ttest_cv, two_sample_t
 
 __version__ = "0.1.0"

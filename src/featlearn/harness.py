@@ -16,6 +16,10 @@ the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
 lasso), and the method features with their scaler once per method. Each cell fits only its own
 selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 
+Each SVM search trains one block per fold (``svm.svm_train_block``): the C
+search the whole C grid, the t-test and PCA searches every candidate m or r
+at C = 1. A block gives the same models as one fit per candidate.
+
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
 their output on every inner fold; the C search likewise reuses the selector
@@ -33,7 +37,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -44,7 +48,7 @@ from .lasso import lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features,
                   sae_predict, sae_pretrain, semi_pretrain_finetune)
-from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
+from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
 METHODS = ("LLF", "LLF_SAEF", "LLF_SEMI_SAEF", "SAEF", "SEMI_SAEF")
@@ -168,6 +172,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        if min(self.svm_epochs, self.svm_cv_epochs) < 1:
+            raise ValueError("svm_epochs and svm_cv_epochs must be >= 1")
+        if min(self.c_grid) <= 0:
+            raise ValueError("every C in c_grid must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,28 +234,24 @@ class PipelineFit:
         return self.selector_map.apply(self.feature_scaler.apply(self.method_map.apply(Xs)))
 
     def predict01(self, X_raw: np.ndarray) -> np.ndarray:
-        pred = svm_predict(self.svm, self.transform(X_raw))
-        return ((pred + 1) // 2).astype(np.int64)
+        return _predict01(self.svm, self.transform(X_raw))
 
 
 def _local_folds(train: np.ndarray, folds_global) -> list[np.ndarray]:
     return [np.searchsorted(train, fold) for fold in folds_global]
 
 
-def _cv_svm_trainer(cfg: ExperimentConfig):
-    """Fixed-C classifier used while tuning selector hyperparameters; the
-    final C is tuned afterwards on the selected features."""
+def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
+    """Fixed-C classifiers used while tuning selector hyperparameters, one
+    block over a fold's candidate matrices; the final C is tuned afterwards
+    on the selected features."""
+    models = svm_train_block(Xtrs, 2.0 * np.asarray(ytr01) - 1.0, [1.0] * len(Xtrs),
+                             tol=1e-6, max_epochs=max_epochs)
+    return [partial(_predict01, model) for model in models]
 
-    def trainer(Xtr, ytr01):
-        model = svm_train(Xtr, 2.0 * np.asarray(ytr01) - 1.0, C=1.0,
-                          tol=1e-6, max_epochs=cfg.svm_cv_epochs)
 
-        def predict(Xval):
-            return ((svm_predict(model, Xval) + 1) // 2).astype(np.int64)
-
-        return predict
-
-    return trainer
+def _predict01(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
+    return ((svm_predict(model, X) + 1) // 2).astype(np.int64)
 
 
 def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed: int):
@@ -290,7 +294,8 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     q = F.shape[1]
     grid = sorted({m for m in cfg.ttest_grid if 1 <= m <= q}) or [q]
-    m = ttest_cv(F, ytr01, folds_local, grid, _cv_svm_trainer(cfg))
+    m = ttest_cv(F, ytr01, folds_local, grid,
+                 partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs))
     stats = two_sample_t(Dataset.from_arrays(F, ytr01))
     idx = select_top_m(stats, m)
     return SelectorTransform(selector="TTEST", indices=idx), {"m": m}
@@ -302,14 +307,14 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     r_cap = min(min_train - 1, q)
     grid = sorted({r for r in cfg.pca_grid if 1 <= r <= r_cap}) or [r_cap]
     r_max = grid[-1]
-    trainer = _cv_svm_trainer(cfg)
     scores = np.zeros(len(grid))
     for train, val in cv_masks(n, folds_local):
         model = pca_fit(F[train], r_max)
         scores_tr = pca_transform(model, F[train])
         scores_val = pca_transform(model, F[val])
-        for i, r in enumerate(grid):
-            predict = trainer(scores_tr[:, :r], ytr01[train])
+        predicts = _cv_svm_predicts([scores_tr[:, :r] for r in grid], ytr01[train],
+                                    cfg.svm_cv_epochs)
+        for i, (r, predict) in enumerate(zip(grid, predicts)):
             scores[i] += float(np.mean(predict(scores_val[:, :r]) == ytr01[val]))
     r = grid[int(np.argmax(scores))]
     model = pca_fit(F, r)

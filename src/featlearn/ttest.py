@@ -84,8 +84,10 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
              classifier_trainer: Callable) -> int:
     """m maximizing mean validation accuracy of the downstream classifier.
 
-    ``classifier_trainer(X_train, y_train)`` must return a predict function;
-    the t ranking is recomputed inside each fold. Ties go to the smaller m.
+    ``classifier_trainer(X_trains, y_train)`` takes a fold's training rows
+    restricted to each candidate's columns, one matrix per candidate m in
+    ascending order, and returns one predict function per matrix. The t
+    ranking is recomputed inside each fold. Ties go to the smaller m.
     """
     candidate_ms = sorted(set(int(m) for m in candidate_ms))
     if not candidate_ms:
@@ -99,8 +101,8 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     for train, val in cv_masks(X.shape[0], folds):
         Xtr, ytr = X[train], labels[train]
         stats = two_sample_t(Dataset.from_arrays(Xtr, ytr))
-        for i, m in enumerate(candidate_ms):
-            cols = select_top_m(stats, m)
-            predict = classifier_trainer(Xtr[:, cols], ytr)
-            scores[i] += float(np.mean(predict(X[val][:, cols]) == labels[val]))
+        cols = [select_top_m(stats, m) for m in candidate_ms]
+        predicts = classifier_trainer([Xtr[:, c] for c in cols], ytr)
+        for i, (c, predict) in enumerate(zip(cols, predicts)):
+            scores[i] += float(np.mean(predict(X[val][:, c]) == labels[val]))
     return candidate_ms[int(np.argmax(scores))]

@@ -1,0 +1,79 @@
+"""The one-problem averaged-subgradient loop and the per-C search, kept as the
+reference for ``featlearn.svm``: ``svm_train_block`` must reproduce
+``averaged_subgradient`` bit for bit, model by model, and ``svm_cv`` must pick
+the C that ``per_c_cv`` picks.
+
+The objective and the schedule are the package's; see the ``svm`` module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from featlearn.data import cv_masks
+from featlearn.svm import (DEFAULT_MAX_EPOCHS, DEFAULT_TOL, LinearSvmModel, accuracy,
+                           svm_objective, svm_predict)
+
+
+def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
+                         max_epochs: int = DEFAULT_MAX_EPOCHS) -> LinearSvmModel:
+    """Train on +/-1 labels; converged when the per-epoch objective change
+    falls below tol * (1 + |objective|). The bias is unregularized."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n, q = X.shape
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if np.all(y == y[0]):
+        raise ValueError("both classes must be present")
+    if C <= 0:
+        raise ValueError("C must be > 0")
+    lam = 1.0 / (n * C)
+
+    w = np.zeros(q)
+    b = 0.0
+    w_avg = np.zeros(q)
+    b_avg = 0.0
+    best_obj = C * n  # objective at w = 0, b = 0
+    best_w, best_b = w.copy(), b
+    prev_obj = best_obj
+    converged = False
+    for t in range(1, max_epochs + 1):
+        margins = y * (X @ w + b)
+        obj = 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+        if not np.isfinite(obj):
+            raise ArithmeticError(f"objective non-finite at epoch {t}")
+        if obj < best_obj:
+            best_obj, best_w, best_b = obj, w.copy(), b
+        if abs(obj - prev_obj) < tol * (1.0 + abs(obj)) and t > 1:
+            converged = True
+            break
+        prev_obj = obj
+
+        viol = margins < 1.0
+        coef = np.where(viol, y, 0.0) / n
+        step = 1.0 / (lam * t)
+        w = (1.0 - 1.0 / t) * w + step * (coef @ X)
+        b = b + step * float(np.sum(coef))
+        w_avg += (w - w_avg) / t
+        b_avg += (b - b_avg) / t
+
+    avg_obj = svm_objective(X, y, w_avg, b_avg, C)
+    if avg_obj < best_obj:
+        return LinearSvmModel(w=w_avg, bias=float(b_avg), C=C, epochs=t, converged=converged)
+    return LinearSvmModel(w=best_w, bias=float(best_b), C=C, epochs=t, converged=converged)
+
+
+def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
+             max_epochs: int = DEFAULT_MAX_EPOCHS) -> float:
+    """C maximizing mean validation accuracy, one ``averaged_subgradient``
+    run per (fold, C); ties go to the smaller C."""
+    grid = sorted(float(c) for c in C_grid)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    scores = np.zeros(len(grid))
+    for train, val in cv_masks(X.shape[0], folds):
+        for i, C in enumerate(grid):
+            model = averaged_subgradient(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
+            scores[i] += accuracy(svm_predict(model, X[val]), y[val])
+    return grid[int(np.argmax(scores))]

@@ -52,8 +52,13 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, message", [("sae_dims = 8,4", "decrease strictly"),
-                                           ("sae_dims = 4,2\nk = 17", "k=17 exceeds")])
+@pytest.mark.parametrize("line, message", [
+    ("sae_dims = 8,4", "decrease strictly"),
+    ("sae_dims = 4,2\nk = 17", "k=17 exceeds"),
+    ("svm_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
+    ("svm_cv_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
+    ("c_grid = 1,0", "every C in c_grid must be > 0"),
+])
 def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n", encoding="utf-8")

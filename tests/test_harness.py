@@ -64,6 +64,18 @@ class TestFitSaeStage:
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"svm_epochs": 0}, "svm_epochs and svm_cv_epochs must be >= 1"),
+        ({"svm_cv_epochs": 0}, "svm_epochs and svm_cv_epochs must be >= 1"),
+        ({"c_grid": (0.1, 0.0)}, "every C in c_grid must be > 0"),
+        ({"c_grid": (-1.0,)}, "every C in c_grid must be > 0"),
+    ])
+    def test_bad_svm_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
+
 class TestParseConfig:
     def test_unknown_key_names_line(self):
         with pytest.raises(ValueError, match="config line 3: unknown key 'bogus'"):

@@ -164,16 +164,19 @@ class TestOptimalM:
 
 class TestTtestCv:
     @staticmethod
-    def _nearest_mean_trainer(Xtr, ytr):
-        mu0 = Xtr[ytr == 0].mean(axis=0)
-        mu1 = Xtr[ytr == 1].mean(axis=0)
+    def _nearest_mean_trainer(Xtrs, ytr):
+        def fit(Xtr):
+            mu0 = Xtr[ytr == 0].mean(axis=0)
+            mu1 = Xtr[ytr == 1].mean(axis=0)
 
-        def predict(Xval):
-            d0 = ((Xval - mu0) ** 2).sum(axis=1)
-            d1 = ((Xval - mu1) ** 2).sum(axis=1)
-            return (d1 < d0).astype(int)
+            def predict(Xval):
+                d0 = ((Xval - mu0) ** 2).sum(axis=1)
+                d1 = ((Xval - mu1) ** 2).sum(axis=1)
+                return (d1 < d0).astype(int)
 
-        return predict
+            return predict
+
+        return [fit(Xtr) for Xtr in Xtrs]
 
     def _folds(self, labels, k=5, seed=0):
         ds = Dataset.from_arrays(np.zeros((len(labels), 1)), labels)
@@ -213,10 +216,23 @@ class TestTtestCv:
         X = rng.normal(size=(20, 5))
         labels = np.array([0, 1] * 10)
 
-        def constant_trainer(Xtr, ytr):
-            return lambda Xval: np.zeros(Xval.shape[0], dtype=int)
+        def constant_trainer(Xtrs, ytr):
+            return [lambda Xval: np.zeros(Xval.shape[0], dtype=int) for _ in Xtrs]
 
         assert ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer) == 2
+
+    def test_one_trainer_call_per_fold_with_every_candidate(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 6))
+        labels = np.array([0, 1] * 10)
+        calls = []
+
+        def recording_trainer(Xtrs, ytr):
+            calls.append([Xtr.shape for Xtr in Xtrs])
+            return self._nearest_mean_trainer(Xtrs, ytr)
+
+        ttest_cv(X, labels, self._folds(labels, k=5), [5, 1, 3], recording_trainer)
+        assert calls == [[(16, 1), (16, 3), (16, 5)]] * 5
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
