@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the oracle verification suites",
                          description="gradients: finite-difference checks of the auto-encoder "
-                                     "losses; oracles: lasso KKT/closed forms, optimal-m literal "
-                                     "re-evaluation, PCA spectral identities, SVM grid search.")
+                                     "losses; oracles: lasso KKT/closed forms, PCA spectral "
+                                     "identities, SVM grid search. Exits 2 if a check fails.")
     ver.add_argument("--suite", choices=["gradients", "oracles", "all"], default="all")
     return parser
 

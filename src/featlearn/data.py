@@ -23,6 +23,11 @@ class CsvFormatError(ValueError):
     offending line and column."""
 
 
+def derive_seed(seed: int, *tags: int) -> int:
+    """An independent sub-stream seed for each tag sequence under ``seed``."""
+    return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -293,21 +298,21 @@ def random_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
     return SplitIndices(train, test)
 
 
-def kfold(indices, ds: Dataset, k: int, seed: int) -> list[np.ndarray]:
-    """Partition labeled row indices into k class-stratified folds.
+def kfold(labels, k: int, seed: int) -> list[np.ndarray]:
+    """Partition the positions 0..len(labels)-1 into k class-stratified
+    folds; every label must be 0 or 1.
 
     Fold sizes differ by at most one per class; deterministic given seed.
     """
-    indices = np.asarray(indices, dtype=np.intp)
+    labels = np.asarray(labels)
     if k < 2:
         raise ValueError("k must be >= 2")
-    labels = ds.labels[indices]
-    if np.any(labels == UNLABELED):
-        raise ValueError("kfold requires labeled rows only")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("kfold requires labeled rows only (labels 0 and 1)")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in (0, 1):
-        members = indices[labels == cls]
+        members = np.flatnonzero(labels == cls)
         if members.size < k:
             raise ValueError(f"k={k} exceeds class {cls} count {members.size}")
         perm = rng.permutation(members)

@@ -43,8 +43,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, cv_masks,
-                   kfold, random_split, standardize_fit, stratified_split)
-from .lasso import lambda_path, lasso_cv, lasso_fit, selected_features
+                   derive_seed, kfold, random_split, standardize_fit, stratified_split)
+from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features,
                   sae_predict, sae_pretrain, semi_pretrain_finetune)
@@ -95,10 +95,6 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
-
-
-def _derive(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -176,6 +172,15 @@ class ExperimentConfig:
             raise ValueError("svm_epochs and svm_cv_epochs must be >= 1")
         if min(self.c_grid) <= 0:
             raise ValueError("every C in c_grid must be > 0")
+        if min(self.pca_grid + self.ttest_grid) < 1:
+            raise ValueError("every pca_grid and ttest_grid value must be >= 1")
+        check_lambda_grid(self.n_lambdas, self.lambda_ratio)
+        # the input width is not known here, so any width above the first
+        # hidden size lets check_dims check the rest
+        check_dims(self.sae_dims[0] + 1, self.sae_dims)
+        for l2 in self.l2_grid:
+            TrainConfig(learning_rate=self.sae_learning_rate,
+                        iterations=self.sae_iterations, l2=l2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +242,6 @@ class PipelineFit:
         return _predict01(self.svm, self.transform(X_raw))
 
 
-def _local_folds(train: np.ndarray, folds_global) -> list[np.ndarray]:
-    return [np.searchsorted(train, fold) for fold in folds_global]
-
-
 def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
     """Fixed-C classifiers used while tuning selector hyperparameters, one
     block over a fold's candidate matrices; the final C is tuned afterwards
@@ -264,7 +265,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     grid = sorted(cfg.l2_grid)
     scores = np.zeros(len(grid))
     for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
-        fold_seed = _derive(seed, _TAG_SAE, f)
+        fold_seed = derive_seed(seed, _TAG_SAE, f)
         layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims,
                               TrainConfig(seed=fold_seed, **base))
         for i, l2 in enumerate(grid):
@@ -274,7 +275,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     best_l2 = grid[int(np.argmax(scores))]
     final = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
-        TrainConfig(l2=best_l2, seed=_derive(seed, _TAG_SAE, len(folds_local)), **base))
+        TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds_local)), **base))
     return final, best_l2
 
 
@@ -293,10 +294,10 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     q = F.shape[1]
-    grid = sorted({m for m in cfg.ttest_grid if 1 <= m <= q}) or [q]
+    grid = sorted({m for m in cfg.ttest_grid if m <= q}) or [q]
     m = ttest_cv(F, ytr01, folds_local, grid,
                  partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs))
-    stats = two_sample_t(Dataset.from_arrays(F, ytr01))
+    stats = two_sample_t(F, ytr01)
     idx = select_top_m(stats, m)
     return SelectorTransform(selector="TTEST", indices=idx), {"m": m}
 
@@ -305,7 +306,7 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     n, q = F.shape
     min_train = min(n - len(val) for val in folds_local)
     r_cap = min(min_train - 1, q)
-    grid = sorted({r for r in cfg.pca_grid if 1 <= r <= r_cap}) or [r_cap]
+    grid = sorted({r for r in cfg.pca_grid if r <= r_cap}) or [r_cap]
     r_max = grid[-1]
     scores = np.zeros(len(grid))
     for train, val in cv_masks(n, folds_local):
@@ -350,8 +351,8 @@ class _RepeatFits:
             Xtr = _readonly(params.apply(ds.features[train]))
             ytr01 = _readonly(ds.labels[train].astype(np.int64))
         with _stage("folds"):
-            folds_global = kfold(train, ds, self.cfg.k, _derive(self.seed, _TAG_FOLDS))
-            folds_local = tuple(_readonly(f) for f in _local_folds(train, folds_global))
+            folds_local = tuple(_readonly(f) for f in
+                                kfold(ytr01, self.cfg.k, derive_seed(self.seed, _TAG_FOLDS)))
         return params, Xtr, ytr01, folds_local
 
     def _sae_stage(self, semi: bool) -> tuple[SaeModel, float]:
@@ -497,18 +498,21 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
     """Repeat the split/fit/evaluate protocol cfg.repeats times.
 
     Every spec sees the same split within a repeat (paired comparison);
-    repeat r uses seed base_seed + r. With cfg.jobs > 1 the repeats run in
-    worker processes; results are identical for any jobs value. Raises
-    ValueError before any fit if the SAE dims do not fit ds or some
-    repeat's smaller training class has fewer than cfg.k rows.
+    repeat r uses seed base_seed + r. The repeats run in min(cfg.jobs,
+    cfg.repeats) worker processes when that is more than one; results are
+    identical for any jobs value. Raises ValueError before any fit if the
+    SAE dims do not fit ds or some repeat's smaller training class has
+    fewer than cfg.k rows.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
     splits = _checked_splits(ds, specs, cfg)
     tasks = [(specs, cfg, r, split) for r, split in enumerate(splits)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+    # a fork-based pool starts all its workers on the first submit
+    workers = min(cfg.jobs, cfg.repeats)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
             outcomes = list(pool.map(_repeat_worker, tasks))
     else:

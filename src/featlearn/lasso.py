@@ -215,12 +215,17 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return 2.0 * best / n
 
 
-def lambda_path(X: np.ndarray, y: np.ndarray, n_lambdas: int, ratio: float) -> np.ndarray:
-    """Log-spaced descending grid from lambda_max down to ratio*lambda_max."""
+def check_lambda_grid(n_lambdas: int, ratio: float) -> None:
+    """Raises ValueError unless lambda_path accepts these grid settings."""
     if n_lambdas < 2:
         raise ValueError("n_lambdas must be >= 2")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
+
+
+def lambda_path(X: np.ndarray, y: np.ndarray, n_lambdas: int, ratio: float) -> np.ndarray:
+    """Log-spaced descending grid from lambda_max down to ratio*lambda_max."""
+    check_lambda_grid(n_lambdas, ratio)
     lmax = lambda_max(X, y)
     if lmax == 0.0:
         return np.array([0.0])

@@ -1,8 +1,6 @@
-"""Dense symmetric linear algebra used by the PCA and t-test screening stages.
-
-Covariance/correlation matrices and a full symmetric eigendecomposition via
-cyclic Jacobi rotations.
-Sized for dense problems up to a few hundred features.
+"""Dense symmetric linear algebra used by the PCA stage: the sample
+covariance matrix and a full symmetric eigendecomposition via cyclic Jacobi
+rotations. Sized for dense problems up to a few hundred features.
 """
 
 from __future__ import annotations
@@ -43,19 +41,6 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def sample_correlation(X: np.ndarray) -> np.ndarray:
-    """Correlation R = D^{-1/2} S D^{-1/2} with D = diag(S); unit diagonal."""
-    S = sample_covariance(X)
-    d = np.diag(S)
-    if np.any(d <= 0.0):
-        j = int(np.argmax(d <= 0.0))
-        raise ValueError(f"constant column {j}: zero variance")
-    inv_sd = 1.0 / np.sqrt(d)
-    R = S * np.outer(inv_sd, inv_sd)
-    np.fill_diagonal(R, 1.0)
-    return (R + R.T) / 2.0
-
-
 @lru_cache(maxsize=64)
 def _round_robin(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Tournament schedule: p-1 rounds of disjoint index pairs covering all
@@ -89,13 +74,13 @@ def _off_frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0)))
 
 
-def sym_eigen(M: np.ndarray, tol: float | None = None) -> SymEigen:
+def sym_eigen(M: np.ndarray) -> SymEigen:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps (round-robin orderings of all index pairs) run until the
-    off-diagonal Frobenius norm drops below ``tol``; rotations with
-    |a_kl| <= tol/p are skipped, which cannot leave more than ``tol`` of
-    off-diagonal mass behind. ``tol`` defaults to 1e-11 * max(1, |M|_F).
+    off-diagonal Frobenius norm drops below tol = 1e-11 * max(1, |M|_F);
+    rotations with |a_kl| <= tol/p are skipped, which cannot leave more than
+    tol of off-diagonal mass behind.
 
     Raises ConvergenceError after 50 sweeps, which does not happen for
     symmetric input at reachable tolerances.
@@ -104,8 +89,7 @@ def sym_eigen(M: np.ndarray, tol: float | None = None) -> SymEigen:
     p = A.shape[0]
     if p == 0:
         raise ValueError("sym_eigen requires p >= 1")
-    if tol is None:
-        tol = 1e-11 * max(1.0, float(np.linalg.norm(A)))
+    tol = 1e-11 * max(1.0, float(np.linalg.norm(A)))
     if p == 1:
         return SymEigen(A[0].copy(), np.ones((1, 1)))
 

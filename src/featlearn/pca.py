@@ -1,5 +1,5 @@
-"""PCA via covariance eigendecomposition: fitting, projection and
-reconstruction error. Components are ordered by variance, descending."""
+"""PCA via covariance eigendecomposition: fitting and projection.
+Components are ordered by variance, descending."""
 
 from __future__ import annotations
 
@@ -37,11 +37,3 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.mean.shape[0]:
         raise ValueError(f"expected {model.mean.shape[0]} columns, got {X.shape[1]}")
     return (X - model.mean) @ model.components
-
-
-def reconstruction_error(model: PcaModel, X: np.ndarray) -> float:
-    """(1/n) sum_i |(x_i - mean) - V V^T (x_i - mean)|^2."""
-    X = np.asarray(X, dtype=float)
-    centered = X - model.mean
-    resid = centered - pca_transform(model, X) @ model.components.T
-    return float(np.sum(resid * resid)) / X.shape[0]

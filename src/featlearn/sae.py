@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import derive_seed
+
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
 _SEED_LAYER_BASE = 100
@@ -111,10 +113,6 @@ class TrainConfig:
             raise ValueError("seed must be unsigned")
 
 
-def _derive_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
-
-
 def _init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     lim = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-lim, lim, size=(rows, cols))
@@ -179,14 +177,16 @@ def ae_encode(layer: AeLayer, X: np.ndarray) -> np.ndarray:
 
 
 def check_dims(width: int, dims) -> list[int]:
-    """``dims`` as ints; raises ValueError unless they are nonempty, strictly
-    decreasing and start below the input width."""
+    """``dims`` as ints; raises ValueError unless they are nonempty, at
+    least 1, strictly decreasing and start below the input width."""
     dims = [int(h) for h in dims]
     if not dims:
         raise ValueError("dims must be nonempty")
     chain = [width] + dims
     if any(b >= a for a, b in zip(chain, chain[1:])):
         raise ValueError(f"hidden sizes must decrease strictly from the input width: {chain}")
+    if dims[-1] < 1:
+        raise ValueError(f"hidden sizes must be >= 1: {dims}")
     return dims
 
 
@@ -201,7 +201,7 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     layers = []
     cur = X
     for k, h in enumerate(dims):
-        layer = ae_train(cur, h, replace(cfg, seed=_derive_seed(cfg.seed, _SEED_LAYER_BASE + k)))
+        layer = ae_train(cur, h, replace(cfg, seed=derive_seed(cfg.seed, _SEED_LAYER_BASE + k)))
         layers.append(layer)
         cur = ae_encode(layer, cur)
     return layers
@@ -261,7 +261,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
         raise ValueError("layer dimensions do not chain with the input")
     Ws = [np.array(layer.W) for layer in layers]
     bs = [np.array(layer.b) for layer in layers]
-    rng = np.random.default_rng(_derive_seed(cfg.seed, _SEED_HEAD))
+    rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_HEAD))
     h_top = layers[-1].h
     Wh = _init_matrix(rng, 2, h_top)
     bh = np.zeros(2)
@@ -289,15 +289,12 @@ def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:
     return cur
 
 
-def sae_predict_proba(model: SaeModel, X: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities, one (p0, p1) row per sample."""
-    Z = sae_features(model, X) @ model.softmax_W.T + model.softmax_b
-    return np.exp(_log_softmax(Z))
-
-
 def sae_predict(model: SaeModel, X: np.ndarray) -> np.ndarray:
-    """Argmax class per row; exact ties go to class 0."""
-    P = sae_predict_proba(model, X)
+    """Argmax of the softmax class probabilities per row; exact ties go to
+    class 0. The probabilities are compared, not the logits: rounding can
+    tie them where the logits differ."""
+    Z = sae_features(model, X) @ model.softmax_W.T + model.softmax_b
+    P = np.exp(_log_softmax(Z))
     return (P[:, 1] > P[:, 0]).astype(np.int64)
 
 

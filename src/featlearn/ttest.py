@@ -1,5 +1,5 @@
-"""Two-sample t statistics per feature, top-m screening, a closed-form
-optimal feature count, and cross-validated choice of m."""
+"""Two-sample t statistics per feature, top-m screening, and
+cross-validated choice of m."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, cv_masks
-from .linalg import sample_correlation
+from .data import cv_masks
 
 
 @dataclass(frozen=True)
@@ -21,11 +20,14 @@ class TStats:
     order: np.ndarray
 
 
-def two_sample_t(ds: Dataset) -> TStats:
+def two_sample_t(X: np.ndarray, labels) -> TStats:
     """Welch statistic T_j = (mean0_j - mean1_j) / sqrt(s0_j^2/n0 + s1_j^2/n1)
-    with per-class variances using denominator n_k - 1."""
-    X0 = ds.features[ds.labels == 0]
-    X1 = ds.features[ds.labels == 1]
+    over the rows labeled 0 and 1, with per-class variances using
+    denominator n_k - 1."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    X0 = X[labels == 0]
+    X1 = X[labels == 1]
     n0, n1 = X0.shape[0], X1.shape[0]
     if n0 < 2 or n1 < 2:
         raise ValueError(f"need >= 2 rows per class, got n0={n0}, n1={n1}")
@@ -34,8 +36,7 @@ def two_sample_t(ds: Dataset) -> TStats:
     denom_sq = var0 / n0 + var1 / n1
     if np.any(denom_sq == 0.0):
         j = int(np.argmax(denom_sq == 0.0))
-        raise ValueError(f"feature {ds.feature_names[j]!r} (index {j}) has zero "
-                         f"variance in both classes")
+        raise ValueError(f"feature {j} has zero variance in both classes")
     t = (X0.mean(axis=0) - X1.mean(axis=0)) / np.sqrt(denom_sq)
     order = np.argsort(-t * t, kind="stable")
     return TStats(t=t, order=order)
@@ -47,37 +48,6 @@ def select_top_m(stats: TStats, m: int) -> np.ndarray:
     if not 1 <= m <= p:
         raise ValueError(f"m must lie in 1..{p}, got {m}")
     return np.sort(stats.order[:m])
-
-
-def optimal_m(stats: TStats, X_train: np.ndarray, n0: int, n1: int) -> int:
-    """Feature count maximizing, over m = 1..p,
-
-        (1 / lam_max^m) * n * [sum_{j<=m} T^2_(j) + m (n0-n1)/n]^2
-                        / (m n0 n1 + n0 n1 sum_{j<=m} T^2_(j))
-
-    where T^2_(j) are the ordered squared statistics and lam_max^m is the
-    largest eigenvalue of the correlation matrix of the m top-ranked
-    features (1 for m = 1). Ties go to the smallest m.
-    """
-    X_train = np.asarray(X_train, dtype=float)
-    n = n0 + n1
-    if n < 4:
-        raise ValueError("optimal_m needs n0 + n1 >= 4")
-    p = stats.t.shape[0]
-    t2_sorted = (stats.t ** 2)[stats.order]
-    cum_t2 = np.cumsum(t2_sorted)
-    best_m, best_score = 1, -np.inf
-    for m in range(1, p + 1):
-        if m == 1:
-            lam = 1.0
-        else:
-            R = sample_correlation(X_train[:, stats.order[:m]])
-            lam = float(np.linalg.eigvalsh(R)[-1])
-        s = cum_t2[m - 1]
-        score = (n * (s + m * (n0 - n1) / n) ** 2) / (lam * (m * n0 * n1 + n0 * n1 * s))
-        if score > best_score:
-            best_m, best_score = m, score
-    return best_m
 
 
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[int],
@@ -100,7 +70,7 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     scores = np.zeros(len(candidate_ms))
     for train, val in cv_masks(X.shape[0], folds):
         Xtr, ytr = X[train], labels[train]
-        stats = two_sample_t(Dataset.from_arrays(Xtr, ytr))
+        stats = two_sample_t(Xtr, ytr)
         cols = [select_top_m(stats, m) for m in candidate_ms]
         predicts = classifier_trainer([Xtr[:, c] for c in cols], ytr)
         for i, (c, predict) in enumerate(zip(cols, predicts)):

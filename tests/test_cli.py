@@ -1,5 +1,6 @@
 import pytest
 
+from featlearn import verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
 
 # CLI spelling -> PipelineSpec name, written out so that a change of spelling shows
@@ -58,6 +59,14 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("svm_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
     ("svm_cv_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
     ("c_grid = 1,0", "every C in c_grid must be > 0"),
+    ("n_lambdas = 1", "n_lambdas must be >= 2"),
+    ("lambda_ratio = 1.5", "ratio must lie in (0, 1)"),
+    ("sae_learning_rate = 0", "learning_rate must be > 0"),
+    ("sae_iterations = 0", "iterations must be >= 1"),
+    ("l2_grid = 0.001,-0.0001", "l2 must be >= 0"),
+    ("pca_grid = 0", "every pca_grid and ttest_grid value must be >= 1"),
+    ("ttest_grid = -3", "every pca_grid and ttest_grid value must be >= 1"),
+    ("sae_dims = 4,0", "hidden sizes must be >= 1"),
 ])
 def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
@@ -66,3 +75,22 @@ def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, li
     assert main(["experiment", "--data", data_csv, "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_prints_one_pass_line_per_check(capsys):
+    assert main(["verify", "--suite", "gradients"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "PASS reconstruction-gradients", "PASS fine-tune-gradients"]
+    assert lines[-1] == "suite 'gradients': all 2 checks passed"
+
+
+def test_verify_failing_check_exits_2(monkeypatch, capsys):
+    def failing():
+        return verify.CheckResult("always-fails", False, 1.0, "stub")
+
+    monkeypatch.setitem(verify.SUITES, "gradients", (failing,))
+    assert main(["verify", "--suite", "gradients"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL always-fails: ")
+    assert "FAILED checks: always-fails" in err

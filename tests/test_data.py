@@ -174,7 +174,7 @@ class TestSplits:
 class TestKfold:
     def test_exact_division(self):
         ds = _toy(n0=10, n1=10)
-        folds = kfold(np.arange(20), ds, k=10, seed=0)
+        folds = kfold(ds.labels, k=10, seed=0)
         for fold in folds:
             labels = ds.labels[fold]
             assert int(np.sum(labels == 0)) == 1
@@ -182,10 +182,9 @@ class TestKfold:
 
     def test_partition_property(self):
         ds = _toy(n0=17, n1=23)
-        indices = np.arange(40)
-        folds = kfold(indices, ds, k=7, seed=1)
+        folds = kfold(ds.labels, k=7, seed=1)
         merged = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(merged, indices)
+        np.testing.assert_array_equal(merged, np.arange(40))
         sizes = {}
         for fold in folds:
             for cls in (0, 1):
@@ -195,26 +194,26 @@ class TestKfold:
 
     def test_deterministic(self):
         ds = _toy(n0=12, n1=12)
-        a = kfold(np.arange(24), ds, 4, seed=9)
-        b = kfold(np.arange(24), ds, 4, seed=9)
+        a = kfold(ds.labels, 4, seed=9)
+        b = kfold(ds.labels, 4, seed=9)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
     def test_k_exceeds_class_count(self):
         ds = _toy(n0=3, n1=10)
         with pytest.raises(ValueError, match="exceeds class 0"):
-            kfold(np.arange(13), ds, k=5, seed=0)
+            kfold(ds.labels, k=5, seed=0)
 
     def test_unlabeled_rejected(self):
         ds = _toy(n0=4, n1=4, n_unl=2)
         with pytest.raises(ValueError, match="labeled"):
-            kfold(np.arange(10), ds, k=2, seed=0)
+            kfold(ds.labels, k=2, seed=0)
 
 
 class TestCvMasks:
     def test_masks_complement_folds_in_fold_order(self):
         ds = _toy(n0=9, n1=11)
-        folds = kfold(np.arange(20), ds, k=4, seed=3)
+        folds = kfold(ds.labels, k=4, seed=3)
         pairs = list(cv_masks(20, folds))
         assert len(pairs) == len(folds)
         for (train, val), fold in zip(pairs, folds):
@@ -223,7 +222,7 @@ class TestCvMasks:
 
     def test_every_row_validates_exactly_once(self):
         ds = _toy(n0=10, n1=10)
-        folds = kfold(np.arange(20), ds, k=5, seed=0)
+        folds = kfold(ds.labels, k=5, seed=0)
         held_out = sum((~train).astype(int) for train, _ in cv_masks(20, folds))
         np.testing.assert_array_equal(held_out, np.ones(20, dtype=int))
 
@@ -253,7 +252,7 @@ class TestGenerateSynthetic:
         hits = 0
         for seed in range(100):
             ds = generate_synthetic(SyntheticSpec(500, 500, 0, 56, 5, 1.0, 0.0, seed=seed))
-            stats = two_sample_t(ds)
+            stats = two_sample_t(ds.features, ds.labels)
             if set(stats.order[:5].tolist()) == {0, 1, 2, 3, 4}:
                 hits += 1
         assert hits >= 95

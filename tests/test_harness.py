@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from featlearn import harness
-from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, kfold
-from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, _derive,
-                               _fit_sae_stage, _make_split, _RepeatFits, config_to_text,
-                               parse_config, run_experiment)
+from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
+from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, _fit_sae_stage,
+                               _make_split, _RepeatFits, config_to_text, parse_config,
+                               run_experiment)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 
 TINY_DATA = SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2, delta=1.0, rho=0.2, seed=0)
@@ -29,13 +29,13 @@ def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
             mask[val] = False
             model = semi_pretrain_finetune(
                 Xtr[mask], ytr01[mask], X_extra, cfg.sae_dims,
-                TrainConfig(l2=l2, seed=_derive(seed, _TAG_SAE, f), **base))
+                TrainConfig(l2=l2, seed=derive_seed(seed, _TAG_SAE, f), **base))
             score += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
         if score > best_acc:
             best_l2, best_acc = l2, score
     final = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
-        TrainConfig(l2=best_l2, seed=_derive(seed, _TAG_SAE, len(folds)), **base))
+        TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds)), **base))
     return final, best_l2
 
 
@@ -51,7 +51,7 @@ class TestFitSaeStage:
         X = rng.normal(size=(n, p))
         X[y == 1, :2] += 1.0
         X_extra = rng.normal(size=(10, p)) if semi else np.zeros((0, p))
-        folds = kfold(np.arange(n), Dataset.from_arrays(X, y), 3, seed)
+        folds = kfold(y, 3, seed)
         cfg = ExperimentConfig(k=3, sae_dims=(4, 2), sae_learning_rate=0.5,
                                sae_iterations=30, l2_grid=(0.3, 0.0, 0.03))
         got, got_l2 = _fit_sae_stage(X, y, X_extra, folds, cfg, seed)
@@ -72,6 +72,20 @@ class TestExperimentConfig:
         ({"c_grid": (-1.0,)}, "every C in c_grid must be > 0"),
     ])
     def test_bad_svm_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_lambdas": 1}, "n_lambdas must be >= 2"),
+        ({"lambda_ratio": 1.5}, r"ratio must lie in \(0, 1\)"),
+        ({"sae_learning_rate": 0.0}, "learning_rate must be > 0"),
+        ({"sae_iterations": 0}, "iterations must be >= 1"),
+        ({"l2_grid": (1e-3, -1e-4)}, "l2 must be >= 0"),
+        ({"pca_grid": (0,)}, "every pca_grid and ttest_grid value must be >= 1"),
+        ({"ttest_grid": (-3,)}, "every pca_grid and ttest_grid value must be >= 1"),
+        ({"sae_dims": (0,)}, "hidden sizes must be >= 1"),
+    ])
+    def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
 
@@ -160,6 +174,37 @@ class TestRunExperiment:
         run_experiment(ds, PipelineSpec.table_cells(), ExperimentConfig(repeats=3))
         assert len(sizes) == 3
         assert max(sizes) < len(pickle.dumps(ds)) / 10
+
+    # CPython forks all of a pool's workers on its first submit, and each
+    # worker gets the dataset, so a worker without a repeat costs memory
+    @pytest.mark.parametrize("jobs, repeats, workers", [(8, 3, [3]), (2, 3, [2]), (8, 1, [])])
+    def test_pool_has_at_most_one_worker_per_repeat(self, monkeypatch, jobs, repeats, workers):
+        pools = []
+
+        class RecordingPool:
+            """Records its worker count and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_worker_ds", None)
+        monkeypatch.setattr(harness, "_run_repeat",
+                            lambda ds, task: (task[2], [0.5] * len(task[0])))
+        results = run_experiment(generate_synthetic(TINY_DATA), [PipelineSpec("LLF")],
+                                 replace(TINY, jobs=jobs, repeats=repeats))
+        assert pools == workers
+        assert results.accuracies[("LLF", "NONE")] == (0.5,) * repeats
 
     @pytest.fixture
     def no_fits(self, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset, cv_masks, kfold
+from featlearn.data import cv_masks, kfold
 from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                              lasso_fit, lasso_objective, lasso_path, selected_features)
 from lasso_reference import coordinate_descent
@@ -249,9 +249,7 @@ class TestSelectedFeatures:
 
 class TestLassoCv:
     def _folds(self, n, k=5, seed=0):
-        labels = np.array([0, 1] * (n // 2))
-        ds = Dataset.from_arrays(np.zeros((n, 1)), labels)
-        return kfold(np.arange(n), ds, k, seed)
+        return kfold(np.array([0, 1] * (n // 2)), k, seed)
 
     def test_single_lambda(self):
         rng = np.random.default_rng(0)

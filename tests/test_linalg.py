@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.linalg import sample_correlation, sample_covariance, sym_eigen
+from featlearn.linalg import sample_covariance, sym_eigen
 
 
 class TestSampleCovariance:
@@ -30,35 +30,6 @@ class TestSampleCovariance:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             sample_covariance(np.ones((1, 3)))
-
-
-class TestSampleCorrelation:
-    def test_unit_diagonal(self):
-        rng = np.random.default_rng(1)
-        R = sample_correlation(rng.normal(size=(20, 6)))
-        np.testing.assert_allclose(np.diag(R), 1.0, atol=1e-12)
-        assert np.max(np.abs(R)) <= 1.0 + 1e-12
-
-    def test_perfectly_correlated_columns(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=15)
-        R = sample_correlation(np.column_stack([x, 3.0 * x + 1.0]))
-        np.testing.assert_allclose(R[0, 1], 1.0, atol=1e-10)
-
-    def test_matches_pairwise_pearson(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(5, 3))
-        R = sample_correlation(X)
-        for i in range(3):
-            for j in range(3):
-                xi, xj = X[:, i] - X[:, i].mean(), X[:, j] - X[:, j].mean()
-                expected = (xi @ xj) / np.sqrt((xi @ xi) * (xj @ xj))
-                assert abs(R[i, j] - expected) < 1e-12
-
-    def test_constant_column_rejected(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(ValueError, match="constant column"):
-            sample_correlation(X)
 
 
 class TestSymEigen:

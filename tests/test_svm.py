@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset, SyntheticSpec, cv_masks, generate_synthetic, kfold
+from featlearn.data import SyntheticSpec, cv_masks, generate_synthetic, kfold
 from featlearn.harness import ExperimentConfig
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import LinearSvmModel, svm_cv, svm_predict, svm_train, svm_train_block
@@ -38,7 +38,7 @@ class TestSvmTrainBlock:
     @pytest.mark.parametrize("seed", range(3))
     def test_ttest_column_subsets(self, seed):
         X, y, labels = _problem(seed)
-        stats = two_sample_t(Dataset.from_arrays(X, labels))
+        stats = two_sample_t(X, labels)
         Xs = [X[:, select_top_m(stats, m)] for m in ExperimentConfig().ttest_grid]
         _assert_matches_reference(Xs, y, [1.0] * len(Xs), 1e-6, 150)
 
@@ -88,7 +88,7 @@ class TestSvmCv:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-5.0, 0.5, size=(10, 2)), rng.normal(5.0, 0.5, size=(10, 2))])
         y = np.array([-1.0] * 10 + [1.0] * 10)
-        folds = kfold(np.arange(20), Dataset.from_arrays(X, (y > 0).astype(int)), 5, seed=0)
+        folds = kfold((y > 0).astype(int), 5, seed=0)
         grid = [10.0, 0.1, 1.0]
         for train, val in cv_masks(20, folds):
             for C in grid:
@@ -99,7 +99,7 @@ class TestSvmCv:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_c_reference(self, seed):
         X, y, labels = _problem(seed, 30, 36, 12)
-        folds = kfold(np.arange(len(y)), Dataset.from_arrays(X, labels), 5, seed=seed)
+        folds = kfold(labels, 5, seed=seed)
         grid = ExperimentConfig().c_grid
         assert svm_cv(X, y, folds, grid, 1e-6, 150) == per_c_cv(X, y, folds, grid, 1e-6, 150)
 

@@ -1,83 +1,74 @@
 import numpy as np
 import pytest
 
-from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, kfold
-from featlearn.ttest import optimal_m, select_top_m, ttest_cv, two_sample_t
+from featlearn.data import SyntheticSpec, generate_synthetic, kfold
+from featlearn.ttest import select_top_m, ttest_cv, two_sample_t
 
 
-def _ds(x0, x1):
+def _t(x0, x1):
+    """two_sample_t over the rows of x0 (class 0) stacked on those of x1."""
     x0, x1 = np.atleast_2d(np.asarray(x0, float).T).T, np.atleast_2d(np.asarray(x1, float).T).T
-    X = np.vstack([x0, x1])
     labels = [0] * x0.shape[0] + [1] * x1.shape[0]
-    return Dataset.from_arrays(X, labels)
+    return two_sample_t(np.vstack([x0, x1]), labels)
 
 
 class TestTwoSampleT:
     def test_hand_value(self):
         # class0 {0,2}, class1 {1,3}: T = (1-2)/sqrt(2/2 + 2/2) = -1/sqrt(2)
-        ds = _ds([[0.0], [2.0]], [[1.0], [3.0]])
-        stats = two_sample_t(ds)
+        stats = _t([[0.0], [2.0]], [[1.0], [3.0]])
         assert stats.t[0] == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_matches_welch_reference(self):
         from scipy import stats as sps
         rng = np.random.default_rng(0)
         x0, x1 = rng.normal(size=(12, 6)), rng.normal(0.5, 2.0, size=(17, 6))
-        got = two_sample_t(_ds(x0, x1)).t
+        got = _t(x0, x1).t
         expected = sps.ttest_ind(x0, x1, equal_var=False, axis=0).statistic
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_identical_classes_zero(self):
         x = np.random.default_rng(1).normal(size=(8, 3))
-        stats = two_sample_t(_ds(x, x))
+        stats = _t(x, x)
         np.testing.assert_array_equal(stats.t, np.zeros(3))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        base = two_sample_t(_ds(x0, x1)).t
-        scaled = two_sample_t(_ds(x0 * 7.0, x1 * 7.0)).t
+        base = _t(x0, x1).t
+        scaled = _t(x0 * 7.0, x1 * 7.0).t
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_location_invariance(self):
         rng = np.random.default_rng(3)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        base = two_sample_t(_ds(x0, x1)).t
-        shifted = two_sample_t(_ds(x0 + 5.0, x1 + 5.0)).t
+        base = _t(x0, x1).t
+        shifted = _t(x0 + 5.0, x1 + 5.0).t
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_antisymmetry_under_label_swap(self):
         rng = np.random.default_rng(4)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        np.testing.assert_array_equal(two_sample_t(_ds(x0, x1)).t,
-                                      -two_sample_t(_ds(x1, x0)).t)
+        np.testing.assert_array_equal(_t(x0, x1).t, -_t(x1, x0).t)
 
     def test_order_sorts_t_squared(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(20, 5))
         x1 = rng.normal(size=(20, 5)) + np.array([0.0, 2.0, -1.0, 0.5, 0.0])
-        stats = two_sample_t(_ds(x0, x1))
+        stats = _t(x0, x1)
         t2 = stats.t[stats.order] ** 2
         assert np.all(np.diff(t2) <= 0)
 
     def test_both_variances_zero_named(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
-        ds = Dataset.from_arrays(X, [0, 0, 1, 1])
-        with pytest.raises(ValueError, match="'f0'"):
-            two_sample_t(ds)
+        with pytest.raises(ValueError, match="feature 0 has zero variance"):
+            two_sample_t(X, [0, 0, 1, 1])
 
     def test_small_class_rejected(self):
-        ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [0, 1, 1])
         with pytest.raises(ValueError, match="n0=1"):
-            two_sample_t(ds)
+            two_sample_t([[1.0], [2.0], [3.0]], [0, 1, 1])
 
 
 class TestSelectTopM:
-    def _stats(self):
-        ds = _ds(np.zeros((5, 3)) + np.random.default_rng(0).normal(size=(5, 3)),
-                 np.array([[3.0, -1.0, 2.0]]) + np.random.default_rng(1).normal(size=(6, 3)) * 0.1)
-        return two_sample_t(ds)
-
     def test_m_equals_p(self):
         from featlearn.ttest import TStats
         stats = TStats(t=np.array([3.0, -1.0, 2.0]), order=np.array([0, 2, 1]))
@@ -101,65 +92,11 @@ class TestSelectTopM:
         x0 = rng.normal(size=(30, 6))
         x1 = rng.normal(size=(30, 6))
         x1[:, [1, 4]] += 3.0  # two strong features
-        ds = _ds(x0, x1)
-        base = select_top_m(two_sample_t(ds), 2)
+        base = select_top_m(_t(x0, x1), 2)
         perm = np.array([0, 1, 5, 3, 4, 2])  # swaps only unselected columns
-        ds_perm = _ds(x0[:, perm], x1[:, perm])
-        got = select_top_m(two_sample_t(ds_perm), 2)
+        got = select_top_m(_t(x0[:, perm], x1[:, perm]), 2)
         expected = np.sort([int(np.argmax(perm == j)) for j in base])
         np.testing.assert_array_equal(got, expected)
-
-
-class TestOptimalM:
-    def test_single_feature(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(12, 1))
-        labels = [0] * 6 + [1] * 6
-        stats = two_sample_t(Dataset.from_arrays(X, labels))
-        assert optimal_m(stats, X, 6, 6) == 1
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_literal_reevaluation(self, seed):
-        rng = np.random.default_rng(seed)
-        n, p, n0 = 30, 8, 15
-        X = rng.normal(size=(n, p))
-        labels = np.array([0] * n0 + [1] * (n - n0))
-        X[labels == 1, :3] += 0.8
-        stats = two_sample_t(Dataset.from_arrays(X, labels))
-        got = optimal_m(stats, X, n0, n - n0)
-
-        t = stats.t
-        order = np.argsort(-t * t, kind="stable")
-        t2 = (t * t)[order]
-        n1 = n - n0
-        scores = []
-        for m in range(1, p + 1):
-            lam = 1.0 if m == 1 else float(np.linalg.eigvalsh(np.corrcoef(X[:, order[:m]].T))[-1])
-            s = float(np.sum(t2[:m]))
-            scores.append((n * (s + m * (n0 - n1) / n) ** 2) / (lam * (m * n0 * n1 + n0 * n1 * s)))
-        assert got == 1 + int(np.argmax(scores))
-
-    def test_sparse_signal_lands_near_support_size(self):
-        hits = 0
-        for seed in range(100):
-            ds = generate_synthetic(SyntheticSpec(100, 100, 0, 56, 5, 1.0, 0.0, seed=seed))
-            stats = two_sample_t(ds)
-            m = optimal_m(stats, ds.features, 100, 100)
-            if 3 <= m <= 15:
-                hits += 1
-        assert hits >= 90
-
-    def test_invariant_to_noise_column_order(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(40, 8))
-        labels = np.array([0] * 20 + [1] * 20)
-        X[labels == 1, :2] += 1.5
-        stats = two_sample_t(Dataset.from_arrays(X, labels))
-        m_base = optimal_m(stats, X, 20, 20)
-        perm = np.array([0, 1, 6, 5, 4, 3, 2, 7])  # reorder noise columns only
-        Xp = X[:, perm]
-        stats_p = two_sample_t(Dataset.from_arrays(Xp, labels))
-        assert optimal_m(stats_p, Xp, 20, 20) == m_base
 
 
 class TestTtestCv:
@@ -179,8 +116,7 @@ class TestTtestCv:
         return [fit(Xtr) for Xtr in Xtrs]
 
     def _folds(self, labels, k=5, seed=0):
-        ds = Dataset.from_arrays(np.zeros((len(labels), 1)), labels)
-        return kfold(np.arange(len(labels)), ds, k, seed)
+        return kfold(labels, k, seed)
 
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
