@@ -13,8 +13,8 @@ from .lasso import (LassoFit, SingularActiveSetError, lambda_max, lambda_path, l
 from .linalg import ConvergenceError, SymEigen, sample_covariance, sym_eigen
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError,
-                  ae_encode, ae_train, fine_tune, sae_features, sae_predict,
-                  sae_pretrain, semi_pretrain_finetune, sigmoid)
+                  ae_encode, ae_train, fine_tune, fine_tune_block, sae_features,
+                  sae_predict, sae_pretrain, semi_pretrain_finetune, sigmoid)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
 from .ttest import TStats, select_top_m, ttest_cv, two_sample_t
 

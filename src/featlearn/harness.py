@@ -18,7 +18,9 @@ selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 
 Each SVM search trains one block per fold (``svm.svm_train_block``): the C
 search the whole C grid, the t-test and PCA searches every candidate m or r
-at C = 1. A block gives the same models as one fit per candidate.
+at C = 1. The SAE's L2 search likewise pretrains each fold's stack once and
+fine-tunes the fold's whole L2 grid as one block (``sae.fine_tune_block``).
+A block gives the same models as one fit per candidate.
 
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
@@ -46,7 +48,7 @@ from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, cv_m
                    derive_seed, kfold, random_split, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
-from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features,
+from .sae import (SaeModel, TrainConfig, check_dims, fine_tune_block, sae_features,
                   sae_predict, sae_pretrain, semi_pretrain_finetune)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
 from .ttest import select_top_m, ttest_cv, two_sample_t
@@ -260,17 +262,15 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     validation accuracy, then train the final stack on all training rows.
 
     Pretraining never reads l2, so each fold's stack is pretrained once and
-    fine-tuned once per L2, all from the fold's seed."""
+    its whole L2 grid fine-tuned as one block, all from the fold's seed."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
     grid = sorted(cfg.l2_grid)
     scores = np.zeros(len(grid))
     for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
-        fold_seed = derive_seed(seed, _TAG_SAE, f)
-        layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims,
-                              TrainConfig(seed=fold_seed, **base))
-        for i, l2 in enumerate(grid):
-            model = fine_tune(layers, Xtr[train], ytr01[train],
-                              TrainConfig(l2=l2, seed=fold_seed, **base))
+        fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
+        layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
+        models = fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, grid)
+        for i, model in enumerate(models):
             scores[i] += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
     best_l2 = grid[int(np.argmax(scores))]
     final = semi_pretrain_finetune(

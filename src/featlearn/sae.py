@@ -6,10 +6,21 @@ Encoder: h = sigmoid(b + W x); decoder: xhat = d_bias + W^T h (weights tied).
 Training is full-batch gradient descent; gradients are per-sample averages
 so that the default learning rate is stable regardless of sample count.
 All training is a pure function of (inputs, cfg.seed).
+
+Three things make training cheap without changing a bit of its results.
+``sigmoid`` divides max(e, [x >= 0]) by 1 + e, with e = exp(-|x|): the
+numerator is 1 where x >= 0 and e elsewhere, the same IEEE division as the
+two-sided form, with no choice per element. Each training call writes its
+row-sized arrays into buffers made once per call (``_Work``), with the same
+operations in the same operand order. ``fine_tune_block`` trains the L2
+values of one search as a stack: a stacked ``np.matmul`` makes the same
+BLAS call per slice as the 2-D product, and every other step is elementwise
+or reduces within a slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,10 +36,14 @@ class TrainingDivergedError(RuntimeError):
     """The training loss became non-finite."""
 
 
-def sigmoid(x):
-    """1 / (1 + exp(-x)), overflow-safe across the full float range."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)), overflow-safe across the full float range and
+    branch-free (see the module docstring); ``out`` may be ``x`` itself."""
+    pos = np.greater_equal(x, 0.0)
+    e = np.abs(x, out=out)
+    np.exp(np.negative(e, out=e), out=e)
+    den = 1.0 + e
+    return np.divide(np.maximum(e, pos, out=e), den, out=e)
 
 
 @dataclass(frozen=True)
@@ -118,20 +133,39 @@ def _init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(rows, cols))
 
 
-def _ae_value_and_grads(W, b, d_bias, X):
+class _Work(dict):
+    """Arrays that one training call reuses on every iteration, made on first
+    request by name; a helper writes every element of one before reading it."""
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        if name not in self or self[name].shape != shape:
+            self[name] = np.empty(shape)
+        return self[name]
+
+
+def _ae_forward(W, b, d_bias, X, work: _Work):
+    """Mean squared reconstruction error, the encodings and the residual."""
+    A = np.matmul(X, W.T, out=work("A", (X.shape[0], W.shape[0])))
+    A += b
+    H = sigmoid(A, out=work("H", A.shape))
+    E = np.matmul(H, W, out=work("E", X.shape))
+    E += d_bias
+    E -= X
+    return float(np.sum(np.multiply(E, E, out=work("S", X.shape)))) / X.shape[0], H, E
+
+
+def _ae_value_and_grads(W, b, d_bias, X, work: _Work):
     """Mean squared reconstruction error and its gradients.
 
     The tied weight collects both contributions: decoder outer(h, 2e) and
     encoder outer(delta_a, x).
     """
     n = X.shape[0]
-    A = X @ W.T + b
-    H = sigmoid(A)
-    E = (H @ W + d_bias) - X
-    loss = float(np.sum(E * E)) / n
-    E2 = 2.0 * E
-    dH = E2 @ W.T
-    dA = dH * (H * (1.0 - H))
+    loss, H, E2 = _ae_forward(W, b, d_bias, X, work)
+    E2 *= 2.0
+    dA = np.matmul(E2, W.T, out=work("A", H.shape))
+    T = work("T", H.shape)
+    dA *= np.multiply(H, np.subtract(1.0, H, out=T), out=T)
     gW = (H.T @ E2 + dA.T @ X) / n
     gb = dA.sum(axis=0) / n
     gd = E2.sum(axis=0) / n
@@ -157,14 +191,15 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     b = np.zeros(h)
     d_bias = np.zeros(d)
     lr = cfg.learning_rate
+    work = _Work()
     for it in range(cfg.iterations):
-        loss, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X)
-        if not np.isfinite(loss):
+        loss, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, work)
+        if not math.isfinite(loss):
             raise TrainingDivergedError(f"reconstruction loss non-finite at iteration {it}")
         W -= lr * gW
         b -= lr * gb
         d_bias -= lr * gd
-    if not np.isfinite(_ae_value_and_grads(W, b, d_bias, X)[0]):
+    if not math.isfinite(_ae_forward(W, b, d_bias, X, work)[0]):
         raise TrainingDivergedError(f"reconstruction loss non-finite after iteration {cfg.iterations}")
     return AeLayer(W=W, b=b, d_bias=d_bias)
 
@@ -208,41 +243,47 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
 
 
 def _log_softmax(Z):
-    m = Z.max(axis=1, keepdims=True)
-    return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
+    m = Z.max(axis=-1, keepdims=True)
+    return Z - (m + np.log(np.exp(Z - m).sum(axis=-1, keepdims=True)))
 
 
-def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2):
-    """Mean cross-entropy + (l2/2) * sum of squared weight-matrix norms
-    (biases unpenalized), with gradients for every encoder parameter and
-    the head."""
+def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
+    """Per stack slice i: mean cross-entropy + (l2[i]/2) * sum of squared
+    weight-matrix norms (biases unpenalized), with gradients for every
+    encoder parameter and the head.
+
+    Every parameter has a leading axis of one slice per L2 value: Ws[k] is
+    (L, h, d), bs[k] (L, 1, h), Wh (L, 2, h_top), bh (L, 1, 2) and l2 is
+    (L, 1, 1). Returns the L losses as a list. The input gradient of the
+    first layer is never formed.
+    """
     n = X.shape[0]
     Hs = [X]
-    for W, b in zip(Ws, bs):
-        Hs.append(sigmoid(Hs[-1] @ W.T + b))
-    Z = Hs[-1] @ Wh.T + bh
-    logP = _log_softmax(Z)
-    ce = -float(np.sum(logP[np.arange(n), y])) / n
-    penalty = 0.5 * l2 * (sum(float(np.sum(W * W)) for W in Ws) + float(np.sum(Wh * Wh)))
-    loss = ce + penalty
+    for k, (W, b) in enumerate(zip(Ws, bs)):
+        A = np.matmul(Hs[-1], W.transpose(0, 2, 1), out=work(f"H{k}", (len(l2), n, W.shape[1])))
+        A += b
+        Hs.append(sigmoid(A, out=A))
+    logP = _log_softmax(np.matmul(Hs[-1], Wh.transpose(0, 2, 1)) + bh)
+    rows = np.arange(n)
+    losses = [-float(np.sum(logP[i][rows, y])) / n + 0.5 * lam * (
+        sum(float(np.sum(W[i] * W[i])) for W in Ws) + float(np.sum(Wh[i] * Wh[i])))
+        for i, lam in enumerate(l2.ravel().tolist())]
 
-    P = np.exp(logP)
-    G = P.copy()
-    G[np.arange(n), y] -= 1.0
+    G = np.exp(logP)
+    G[:, rows, y] -= 1.0
     G /= n
-    gWh = G.T @ Hs[-1] + l2 * Wh
-    gbh = G.sum(axis=0)
-    dH = G @ Wh
-    gWs, gbs = [], []
+    gWh = np.matmul(G.transpose(0, 2, 1), Hs[-1]) + l2 * Wh
+    gbh = G.sum(axis=1, keepdims=True)
+    dH = np.matmul(G, Wh, out=work(f"D{len(Ws) - 1}", Hs[-1].shape))
+    gWs, gbs = [None] * len(Ws), [None] * len(Ws)
     for idx in range(len(Ws) - 1, -1, -1):
-        H = Hs[idx + 1]
-        dA = dH * (H * (1.0 - H))
-        gWs.append(dA.T @ Hs[idx] + l2 * Ws[idx])
-        gbs.append(dA.sum(axis=0))
-        dH = dA @ Ws[idx]
-    gWs.reverse()
-    gbs.reverse()
-    return loss, gWs, gbs, gWh, gbh
+        H, T = Hs[idx + 1], work(f"T{idx}", Hs[idx + 1].shape)
+        dH *= np.multiply(H, np.subtract(1.0, H, out=T), out=T)
+        gWs[idx] = np.matmul(dH.transpose(0, 2, 1), Hs[idx]) + l2 * Ws[idx]
+        gbs[idx] = dH.sum(axis=1, keepdims=True)
+        if idx:
+            dH = np.matmul(dH, Ws[idx], out=work(f"D{idx - 1}", Hs[idx].shape))
+    return losses, gWs, gbs, gWh, gbh
 
 
 def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
@@ -252,6 +293,18 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
     Updates every encoder W and b and the head; decoder biases take no part
     and are carried over unchanged. The loss is mean cross-entropy plus
     (cfg.l2 / 2) times the squared Frobenius norms of all weight matrices.
+    This is the one-L2 use of ``fine_tune_block``.
+    """
+    return fine_tune_block(layers, X, labels, cfg, [cfg.l2])[0]
+
+
+def fine_tune_block(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeModel]:
+    """``fine_tune`` once per value in l2s, all from the same layers and the
+    same head seed, trained in lockstep as one stack; cfg.l2 is not read.
+    Model i is bit-equal to ``fine_tune`` with l2 = l2s[i].
+
+    Raises TrainingDivergedError at the first iteration where the loss of
+    any L2 value is non-finite, even if the others would have trained.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
@@ -259,26 +312,27 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
         raise ValueError("labels must be one 0/1 value per row")
     if not layers or layers[0].d != X.shape[1]:
         raise ValueError("layer dimensions do not chain with the input")
-    Ws = [np.array(layer.W) for layer in layers]
-    bs = [np.array(layer.b) for layer in layers]
+    l2 = np.array(l2s, dtype=float).reshape(-1, 1, 1)
+    if l2.size == 0 or not np.all(l2 >= 0):
+        raise ValueError("l2s must be nonempty and every l2 must be >= 0")
+    stack = len(l2)
+    Ws = [np.repeat(layer.W[None], stack, axis=0) for layer in layers]
+    bs = [np.repeat(layer.b[None, None], stack, axis=0) for layer in layers]
     rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_HEAD))
-    h_top = layers[-1].h
-    Wh = _init_matrix(rng, 2, h_top)
-    bh = np.zeros(2)
+    Wh = np.repeat(_init_matrix(rng, 2, layers[-1].h)[None], stack, axis=0)
+    bh = np.zeros((stack, 1, 2))
     lr = cfg.learning_rate
+    work = _Work()
     for it in range(cfg.iterations):
-        loss, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, cfg.l2)
-        if not np.isfinite(loss):
+        losses, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
+        if not all(map(math.isfinite, losses)):
             raise TrainingDivergedError(f"fine-tuning loss non-finite at iteration {it}")
-        for W, gW, b_, gb in zip(Ws, gWs, bs, gbs):
-            W -= lr * gW
-            b_ -= lr * gb
-        Wh -= lr * gWh
-        bh -= lr * gbh
-    new_layers = tuple(
-        AeLayer(W=W, b=b_, d_bias=layer.d_bias)
-        for W, b_, layer in zip(Ws, bs, layers))
-    return SaeModel(layers=new_layers, softmax_W=Wh, softmax_b=bh)
+        for param, grad in zip(Ws + bs + [Wh, bh], gWs + gbs + [gWh, gbh]):
+            param -= lr * grad
+    return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0], d_bias=layer.d_bias)
+                                  for W, b, layer in zip(Ws, bs, layers)),
+                     softmax_W=Wh[i], softmax_b=bh[i, 0])
+            for i in range(stack)]
 
 
 def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .lasso import lambda_max, lasso_fit
 from .pca import pca_fit
-from .sae import _ae_value_and_grads, _ft_value_and_grads, _init_matrix
+from .sae import _Work, _ae_value_and_grads, _ft_value_and_grads, _init_matrix
 from .svm import svm_objective, svm_predict, svm_train
 
 FD_STEP = 1e-5
@@ -48,7 +48,8 @@ def _central_diff(loss_of_vec, vec: np.ndarray) -> np.ndarray:
 
 
 def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckResult:
-    """Analytic tied-weight reconstruction gradients vs finite differences."""
+    """Analytic tied-weight reconstruction gradients vs finite differences,
+    each instance's evaluations reusing one ``_Work``, as ``ae_train`` does."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
@@ -60,6 +61,7 @@ def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckR
         b = rng.normal(scale=0.1, size=h)
         d_bias = rng.normal(scale=0.1, size=d)
         sizes = (W.size, b.size, d_bias.size)
+        work = _Work()
 
         def unpack(vec):
             w_end, b_end = sizes[0], sizes[0] + sizes[1]
@@ -67,10 +69,10 @@ def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckR
 
         def loss_of(vec):
             Wv, bv, dv = unpack(vec)
-            return _ae_value_and_grads(Wv, bv, dv, X)[0]
+            return _ae_value_and_grads(Wv, bv, dv, X, work)[0]
 
         vec = np.concatenate([W.ravel(), b, d_bias])
-        _, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X)
+        _, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, work)
         analytic = np.concatenate([gW.ravel(), gb, gd])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("reconstruction-gradients", worst < GRAD_RTOL, worst,
@@ -79,9 +81,12 @@ def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckR
 
 def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult:
     """Analytic backprop gradients of the cross-entropy + L2 loss vs finite
-    differences, through stacks of one or two encoder layers."""
+    differences, through stacks of one or two encoder layers. Each instance
+    is a lockstep block of two L2 values with their own weights, and the sum
+    of their losses is differentiated, so mixing the slices would fail."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    stack = 2
     for _ in range(instances):
         d = int(rng.integers(4, 7))
         dims = [int(rng.integers(2, d))]
@@ -92,37 +97,28 @@ def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult
         y = rng.integers(0, 2, size=n)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        l2 = float(rng.choice([0.0, 1e-3, 1e-2]))
+        l2 = rng.choice([0.0, 1e-3, 1e-2], size=(stack, 1, 1))
         chain = [d] + dims
-        Ws = [_init_matrix(rng, ho, hi) for hi, ho in zip(chain, chain[1:])]
-        bs = [rng.normal(scale=0.1, size=ho) for ho in dims]
-        Wh = _init_matrix(rng, 2, dims[-1])
-        bh = rng.normal(scale=0.1, size=2)
-        shapes = [w.shape for w in Ws]
-
-        def unpack(vec):
-            pos = 0
-            ws, bs_ = [], []
-            for (ho, hi) in shapes:
-                ws.append(vec[pos:pos + ho * hi].reshape(ho, hi))
-                pos += ho * hi
-            for ho, _ in shapes:
-                bs_.append(vec[pos:pos + ho])
-                pos += ho
-            wh = vec[pos:pos + 2 * dims[-1]].reshape(2, dims[-1])
-            pos += 2 * dims[-1]
-            return ws, bs_, wh, vec[pos:]
+        Ws = [np.stack([_init_matrix(rng, ho, hi) for _ in range(stack)])
+              for hi, ho in zip(chain, chain[1:])]
+        bs = [rng.normal(scale=0.1, size=(stack, 1, ho)) for ho in dims]
+        Wh = np.stack([_init_matrix(rng, 2, dims[-1]) for _ in range(stack)])
+        bh = rng.normal(scale=0.1, size=(stack, 1, 2))
+        shapes = [w.shape for w in Ws] + [b.shape for b in bs] + [Wh.shape, bh.shape]
+        work = _Work()
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])
 
         def loss_of(vec):
-            ws, bs_, wh, bh_ = unpack(vec)
-            return _ft_value_and_grads(ws, bs_, wh, bh_, X, y, l2)[0]
+            p = [part.reshape(s) for part, s in zip(np.split(vec, ends[:-1]), shapes)]
+            return sum(_ft_value_and_grads(p[:len(dims)], p[len(dims):-2], *p[-2:], X, y, l2,
+                                           work)[0])
 
-        vec = np.concatenate([w.ravel() for w in Ws] + bs + [Wh.ravel(), bh])
-        _, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2)
-        analytic = np.concatenate([g.ravel() for g in gWs] + gbs + [gWh.ravel(), gbh])
+        vec = np.concatenate([a.ravel() for a in Ws + bs + [Wh, bh]])
+        _, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
+        analytic = np.concatenate([g.ravel() for g in gWs + gbs + [gWh, gbh]])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("fine-tune-gradients", worst < GRAD_RTOL, worst,
-                       f"{instances} random instances, fd step {FD_STEP:g}")
+                       f"{instances} random stacks of {stack} L2 values, fd step {FD_STEP:g}")
 
 
 def check_lasso_lambda_max(instances: int = 100, seed: int = 3) -> CheckResult:
