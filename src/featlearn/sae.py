@@ -138,7 +138,7 @@ class _Work(dict):
     request by name; a helper writes every element of one before reading it."""
 
     def __call__(self, name: str, shape: tuple) -> np.ndarray:
-        if name not in self or self[name].shape != shape:
+        if name not in self:
             self[name] = np.empty(shape)
         return self[name]
 

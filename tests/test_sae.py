@@ -105,7 +105,7 @@ class TestFineTuneBlock:
         X, labels = _labeled()
         cfg = TrainConfig(iterations=5)
         layers = sae_pretrain(X, (4, 2), cfg)
-        fine_tune(layers, X, labels, replace(cfg, l2=1e-4))
+        fine_tune(layers, X, labels, replace(cfg, l2=1e-4))  # trains on its own
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 0"):
             fine_tune_block(layers, X, labels, cfg, [1e-4, 1e308])
