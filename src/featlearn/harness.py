@@ -269,8 +269,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
         fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
         layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
-        models = fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, grid)
-        for i, model in enumerate(models):
+        for i, model in enumerate(fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, grid)):
             scores[i] += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
     best_l2 = grid[int(np.argmax(scores))]
     final = semi_pretrain_finetune(

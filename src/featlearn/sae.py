@@ -39,8 +39,9 @@ class TrainingDivergedError(RuntimeError):
 def sigmoid(x, out=None):
     """1 / (1 + exp(-x)), overflow-safe across the full float range and
     branch-free (see the module docstring); ``out`` may be ``x`` itself."""
+    x = np.asarray(x, dtype=float)
     pos = np.greater_equal(x, 0.0)
-    e = np.abs(x, out=out)
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
     np.exp(np.negative(e, out=e), out=e)
     den = 1.0 + e
     return np.divide(np.maximum(e, pos, out=e), den, out=e)

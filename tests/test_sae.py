@@ -41,6 +41,11 @@ class TestSigmoid:
         assert sigmoid(x, out=out) is out and out.tobytes() == want
         assert sigmoid(x, out=x) is x and x.tobytes() == want
 
+    @pytest.mark.parametrize("x", [np.array([0, 1, -2]), 3, -800, [0.5, -1.0]])
+    def test_integer_scalar_and_list_input(self, x):
+        got = sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.tobytes() == _masked_sigmoid(x).tobytes()
+
     def test_bit_equal_to_masked_form_at_extremes(self):
         tiny = np.finfo(float).smallest_subnormal
         x = np.array([np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, tiny, -tiny,
