@@ -2,9 +2,9 @@
 runs, full experiments, verification suites, and report rendering.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every subcommand is
-deterministic given its flags; all randomness flows from --seed, with
-internal stage seeds derived by fixed offsets (split/fold/SAE streams are
-sub-seeds 1, 2, and 3 of the per-repeat seed).
+deterministic given its flags; all randomness flows from --seed. The split
+uses the per-repeat seed itself; the fold and SAE streams are sub-seeds of
+it, tagged 2 and 3.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ _ALLOWED = {
 }
 
 # Sub-stream tags for deriving stage seeds from the per-repeat seed
-_TAG_SPLIT = 1
 _TAG_FOLDS = 2
 _TAG_SAE = 3
 
@@ -162,6 +161,8 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError("test_frac must lie in (0, 1)")
         if self.jobs < 1:

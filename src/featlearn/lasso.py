@@ -106,6 +106,12 @@ def _next_segment(gram, corr0, keep, keep_signs, tied, tied_signs, natural):
     raise SingularActiveSetError(f"no consistent active set among tied columns {sorted(tied)}")
 
 
+def _correlations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(2/n) X^T y, one contiguous column dot product at a time."""
+    n = X.shape[0]
+    return np.array([2.0 * float(np.ascontiguousarray(col) @ y) / n for col in X.T])
+
+
 def _walk(X: np.ndarray, y: np.ndarray, lambdas) -> tuple[np.ndarray, int]:
     """The homotopy behind lasso_path; also returns the segments walked.
 
@@ -122,8 +128,7 @@ def _walk(X: np.ndarray, y: np.ndarray, lambdas) -> tuple[np.ndarray, int]:
         raise ValueError("lambdas must be a list of values >= 0")
     n, p = X.shape
     betas = np.zeros((p, lambdas.size))
-    # the dot products of lambda_max, so lam0 equals it bit for bit
-    corr0 = np.array([2.0 * float(np.ascontiguousarray(X[:, j]) @ y) / n for j in range(p)])
+    corr0 = _correlations(X, y)  # so lam0 equals lambda_max bit for bit
     lam = float(np.max(np.abs(corr0), initial=0.0))
     pending = [int(pos) for pos in np.argsort(-lambdas, kind="stable") if lambdas[pos] < lam]
     if not pending:
@@ -166,8 +171,9 @@ def _walk(X: np.ndarray, y: np.ndarray, lambdas) -> tuple[np.ndarray, int]:
         if not pending:
             return betas, segments
         leaving = t_drop <= step + tie
-        up = np.flatnonzero(t_up <= step + tie)
-        down = np.setdiff1d(np.flatnonzero(t_down <= step + tie), up)
+        at_up = t_up <= step + tie
+        up = np.flatnonzero(at_up)
+        down = np.flatnonzero((t_down <= step + tie) & ~at_up)
         keep = [j for j, out in zip(active, leaving) if not out]
         keep_signs = signs[~leaving]
         tied = np.concatenate([np.array(active)[leaving], up, down]).astype(int)
@@ -199,20 +205,10 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest lambda with an all-zero solution: (2/n) max_j |X_j^T y|.
-
-    lasso_path starts from the same per-column dot products, so it returns
-    exact zeros at lambda_max(X, y).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    best = 0.0
-    for j in range(X.shape[1]):
-        v = abs(float(np.ascontiguousarray(X[:, j]) @ y))
-        if v > best:
-            best = v
-    return 2.0 * best / n
+    """Smallest lambda with an all-zero solution: (2/n) max_j |X_j^T y|, the
+    largest |correlation| that lasso_path starts from, so its zeros are exact."""
+    corr = _correlations(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+    return float(np.max(np.abs(corr), initial=0.0))
 
 
 def check_lambda_grid(n_lambdas: int, ratio: float) -> None:

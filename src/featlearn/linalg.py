@@ -61,17 +61,24 @@ def _round_robin(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _check_symmetric(M: np.ndarray, op: str) -> np.ndarray:
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{op} requires a square matrix, got shape {A.shape}")
+        raise ValueError(f"sym_eigen requires a square matrix, got shape {A.shape}")
     if A.shape[0] >= 1 and np.max(np.abs(A - A.T), initial=0.0) >= _SYM_ATOL:
-        raise ValueError(f"{op} requires a symmetric matrix (|M - M^T| >= {_SYM_ATOL})")
+        raise ValueError(f"sym_eigen requires a symmetric matrix (|M - M^T| >= {_SYM_ATOL})")
     return A
 
 
 def _off_frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0)))
+
+
+def _rotate(M: np.ndarray, ks, ls, c, s) -> None:
+    """Columns ks, ls of M become c M_k - s M_l and s M_k + c M_l, pair by pair."""
+    Mk, Ml = M[:, ks], M[:, ls]
+    M[:, ks] = c * Mk - s * Ml
+    M[:, ls] = s * Mk + c * Ml
 
 
 def sym_eigen(M: np.ndarray) -> SymEigen:
@@ -80,20 +87,20 @@ def sym_eigen(M: np.ndarray) -> SymEigen:
     Sweeps (round-robin orderings of all index pairs) run until the
     off-diagonal Frobenius norm drops below tol = 1e-11 * max(1, |M|_F);
     rotations with |a_kl| <= tol/p are skipped, which cannot leave more than
-    tol of off-diagonal mass behind.
+    tol of off-diagonal mass behind. A and its eigenvector estimate V are the
+    halves of one 2p x p array: one column rotation moves both, and one on A.T
+    rotates A's rows.
 
     Raises ConvergenceError after 50 sweeps, which does not happen for
     symmetric input at reachable tolerances.
     """
-    A = _check_symmetric(M, "sym_eigen").copy()
+    A = _check_symmetric(M)
     p = A.shape[0]
     if p == 0:
         raise ValueError("sym_eigen requires p >= 1")
+    AV = np.vstack([A, np.eye(p)])
+    A, V = AV[:p], AV[p:]
     tol = 1e-11 * max(1.0, float(np.linalg.norm(A)))
-    if p == 1:
-        return SymEigen(A[0].copy(), np.ones((1, 1)))
-
-    V = np.eye(p)
     thresh = tol / p
     for _ in range(_MAX_SWEEPS):
         if _off_frobenius(A) < tol:
@@ -111,17 +118,10 @@ def sym_eigen(M: np.ndarray) -> SymEigen:
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            # A <- J^T A J with J block-rotations on the disjoint pairs
-            Ak, Al = A[:, ks_a].copy(), A[:, ls_a].copy()
-            A[:, ks_a] = c * Ak - s * Al
-            A[:, ls_a] = s * Ak + c * Al
-            Rk, Rl = A[ks_a, :].copy(), A[ls_a, :].copy()
-            A[ks_a, :] = c[:, None] * Rk - s[:, None] * Rl
-            A[ls_a, :] = s[:, None] * Rk + c[:, None] * Rl
-            Vk, Vl = V[:, ks_a].copy(), V[:, ls_a].copy()
-            V[:, ks_a] = c * Vk - s * Vl
-            V[:, ls_a] = s * Vk + c * Vl
-        A = (A + A.T) / 2.0
+            # A <- J^T A J and V <- V J, J block-rotations on the disjoint pairs
+            _rotate(AV, ks_a, ls_a, c, s)
+            _rotate(A.T, ks_a, ls_a, c, s)
+        A[...] = (A + A.T) / 2.0
         if not rotated:
             break
     else:

@@ -1,5 +1,6 @@
 """Cyclic coordinate descent for the lasso, kept as an independent reference
 for ``featlearn.lasso``: it shares no solver code with the homotopy path.
+Also the running-maximum loop that ``lambda_max`` must equal bit for bit.
 
 The objective is |y - X b|^2 / n + lambda |b|_1, the same as the package's.
 """
@@ -20,6 +21,19 @@ def _soft_threshold(z: float, t: float) -> float:
     if z < -t:
         return z + t
     return 0.0
+
+
+def running_max_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
+    """(2/n) max_j |X_j^T y|, the maximum taken over the raw dot products."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    best = 0.0
+    for j in range(X.shape[1]):
+        v = abs(float(np.ascontiguousarray(X[:, j]) @ y))
+        if v > best:
+            best = v
+    return 2.0 * best / n
 
 
 def coordinate_descent(X: np.ndarray, y: np.ndarray, lam: float,

@@ -67,6 +67,7 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("pca_grid = 0", "every pca_grid and ttest_grid value must be >= 1"),
     ("ttest_grid = -3", "every pca_grid and ttest_grid value must be >= 1"),
     ("sae_dims = 4,0", "hidden sizes must be >= 1"),
+    ("base_seed = -1", "base_seed must be >= 0"),
 ])
 def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
@@ -75,6 +76,15 @@ def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, li
     assert main(["experiment", "--data", data_csv, "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_before_any_fit(data_csv, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["run", "--data", data_csv, "--seed", "-1", *TINY]) == 2
+    assert "featlearn run: error: base_seed must be >= 0" in capsys.readouterr().err
+    assert main(["experiment", "--data", data_csv, "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "featlearn experiment: error: base_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_prints_one_pass_line_per_check(capsys):

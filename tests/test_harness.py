@@ -84,6 +84,7 @@ class TestExperimentConfig:
         ({"pca_grid": (0,)}, "every pca_grid and ttest_grid value must be >= 1"),
         ({"ttest_grid": (-3,)}, "every pca_grid and ttest_grid value must be >= 1"),
         ({"sae_dims": (0,)}, "hidden sizes must be >= 1"),
+        ({"base_seed": -1}, "base_seed must be >= 0"),
     ])
     def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -4,7 +4,7 @@ import pytest
 from featlearn.data import cv_masks, kfold
 from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                              lasso_fit, lasso_objective, lasso_path, selected_features)
-from lasso_reference import coordinate_descent
+from lasso_reference import coordinate_descent, running_max_lambda_max
 
 
 def _centered_problem(rng, n, p, signal=0):
@@ -100,6 +100,42 @@ class TestCoordinateDescentReference:
         fit = coordinate_descent(X, y, 1e-6, tol=0.0, max_iter=3)
         assert not fit.converged
         assert fit.iterations_run == 3
+
+
+class TestLambdaMaxMatchesReference:
+    """lambda_max, the maximum of the path's starting correlations, equals
+    the running maximum over raw dot products bit for bit."""
+
+    @staticmethod
+    def _same(X, y):
+        got, want = lambda_max(X, y), running_max_lambda_max(X, y)
+        assert isinstance(got, float)
+        assert got.hex() == want.hex()
+        return got
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_problems(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 80))
+        X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        self._same(X, rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(13, 5))
+        X[:, [0, 3]] = 0.0
+        y = rng.normal(size=13)
+        assert self._same(X, y) > 0.0
+        assert self._same(np.zeros((13, 5)), y) == 0.0
+        assert self._same(np.zeros((13, 0)), y) == 0.0
+
+    def test_maximum_at_a_negative_correlation(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(31, 6))
+        y = -3.0 * X[:, 4] + 0.1 * rng.normal(size=31)
+        corr = X.T @ y
+        assert np.argmax(np.abs(corr)) == 4 and corr[4] < 0.0
+        assert self._same(X, y) == 2.0 * abs(float(np.ascontiguousarray(X[:, 4]) @ y)) / 31
 
 
 class TestLassoPath:

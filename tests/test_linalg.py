@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from featlearn.data import (SyntheticSpec, cv_masks, generate_synthetic, kfold,
+                            standardize_fit, stratified_split)
 from featlearn.linalg import sample_covariance, sym_eigen
+from linalg_reference import three_rotation_jacobi
 
 
 class TestSampleCovariance:
@@ -83,3 +86,48 @@ class TestSymEigen:
         for j in range(7):
             col = a.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+
+def _assert_same_bytes(M):
+    got, want = sym_eigen(M), three_rotation_jacobi(M)
+    for a, b in ((got.eigenvalues, want.eigenvalues), (got.eigenvectors, want.eigenvectors)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSymEigenMatchesReference:
+    """sym_eigen's one stacked rotation reproduces the three-rotation loop."""
+
+    @pytest.mark.parametrize("p", range(1, 72))
+    def test_random_covariances(self, p):
+        rng = np.random.default_rng(p)
+        for n in (p + 1 + p // 2, max(2, p // 2)):  # above and below p
+            _assert_same_bytes(sample_covariance(rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, p)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adni_like_fold_covariances(self, seed):
+        ds = generate_synthetic(SyntheticSpec.adni_like(seed))
+        split = stratified_split(ds, 0.2, seed)
+        X = standardize_fit(ds, split.train).apply(ds.features[split.train])
+        folds = kfold(ds.labels[split.train], 10, seed)
+        for train, _ in list(cv_masks(X.shape[0], folds))[:2]:
+            assert X[train].shape[1] == 56
+            _assert_same_bytes(sample_covariance(X[train]))
+
+    def test_diagonal_input_is_not_rotated(self):
+        M = np.diag([0.5, 3.0, -1.0, 2.0])
+        _assert_same_bytes(M)
+        eig = sym_eigen(M)
+        np.testing.assert_array_equal(eig.eigenvalues, [3.0, 2.0, 0.5, -1.0])
+        np.testing.assert_array_equal(eig.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_repeated_eigenvalues(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(9, 9)))
+        M = Q @ np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.0]) @ Q.T
+        _assert_same_bytes((M + M.T) / 2.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_outputs_read_only(self, p):
+        eig = sym_eigen(np.eye(p) * 2.0)
+        assert not eig.eigenvalues.flags.writeable
+        assert not eig.eigenvectors.flags.writeable
