@@ -16,11 +16,18 @@ the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
 lasso), and the method features with their scaler once per method. Each cell fits only its own
 selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 
-Each SVM search trains one block per fold (``svm.svm_train_block``): the C
-search the whole C grid, the t-test and PCA searches every candidate m or r
-at C = 1. The SAE's L2 search likewise pretrains each fold's stack once and
-fine-tunes the fold's whole L2 grid as one block (``sae.fine_tune_block``).
-A block gives the same models as one fit per candidate.
+The SVM searches train their candidates in lockstep blocks
+(``svm.svm_train_block``), which give the same models as one fit per
+candidate. The C search trains all folds' C grids as one block, a fold's
+candidates sharing its training rows. The PCA search trains every
+(fold, r) at C = 1 as one block: the folds with equal training row counts
+share one stack of scores, and each r trains on its first r columns. The
+t-test search trains one block per fold. Its candidates are different
+column subsets, so they share no operand and each keeps its own matrix
+products; one block across folds would only hold every fold's column
+copies at once (about 2.8 MB at the default config). The SAE's L2 search
+likewise pretrains each fold's stack once and fine-tunes the fold's whole
+L2 grid as one block (``sae.fine_tune_block``).
 
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
@@ -246,11 +253,11 @@ class PipelineFit:
 
 
 def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
-    """Fixed-C classifiers used while tuning selector hyperparameters, one
-    block over a fold's candidate matrices; the final C is tuned afterwards
-    on the selected features."""
-    models = svm_train_block(Xtrs, 2.0 * np.asarray(ytr01) - 1.0, [1.0] * len(Xtrs),
-                             tol=1e-6, max_epochs=max_epochs)
+    """Fixed-C classifiers used while tuning the t-test's m, one block over
+    a fold's candidate matrices; the final C is tuned afterwards on the
+    selected features."""
+    y_pm = 2.0 * np.asarray(ytr01) - 1.0
+    models = svm_train_block([(X, y_pm, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
     return [partial(_predict01, model) for model in models]
 
 
@@ -303,20 +310,39 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
 
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
+    """Choose r by k-fold CV of a C = 1 SVM on each fold's top-r PCA scores.
+
+    Every (fold, r) problem trains in one block. The folds with equal
+    training row counts share one stack of scores, and each r trains on
+    the stack's first r columns, so no fold's scores are held twice."""
     n, q = F.shape
     min_train = min(n - len(val) for val in folds_local)
     r_cap = min(min_train - 1, q)
     grid = sorted({r for r in cfg.pca_grid if r <= r_cap}) or [r_cap]
     r_max = grid[-1]
+    y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
+    masks = list(cv_masks(n, folds_local))
+    by_rows: dict = {}
+    for f, (_, val) in enumerate(masks):
+        by_rows.setdefault(n - len(val), []).append(f)
+    groups, owners, scores_val = [], [], [None] * len(masks)
+    for rows, fs in by_rows.items():
+        S, Y = np.empty((len(fs), rows, r_max)), np.empty((len(fs), rows))
+        for s, f in enumerate(fs):
+            train, val = masks[f]
+            model = pca_fit(F[train], r_max)
+            S[s], Y[s] = pca_transform(model, F[train]), y_pm[train]
+            scores_val[f] = pca_transform(model, F[val])
+        for i, r in enumerate(grid):
+            groups.append((S[:, :, :r], Y, [1.0] * len(fs)))
+            owners += [(f, i) for f in fs]
+    models = dict(zip(owners, svm_train_block(groups, tol=1e-6,
+                                              max_epochs=cfg.svm_cv_epochs)))
     scores = np.zeros(len(grid))
-    for train, val in cv_masks(n, folds_local):
-        model = pca_fit(F[train], r_max)
-        scores_tr = pca_transform(model, F[train])
-        scores_val = pca_transform(model, F[val])
-        predicts = _cv_svm_predicts([scores_tr[:, :r] for r in grid], ytr01[train],
-                                    cfg.svm_cv_epochs)
-        for i, (r, predict) in enumerate(zip(grid, predicts)):
-            scores[i] += float(np.mean(predict(scores_val[:, :r]) == ytr01[val]))
+    for f, (_, val) in enumerate(masks):
+        for i, r in enumerate(grid):
+            pred = _predict01(models[f, i], scores_val[f][:, :r])
+            scores[i] += float(np.mean(pred == ytr01[val]))
     r = grid[int(np.argmax(scores))]
     model = pca_fit(F, r)
     return SelectorTransform(selector="PCA", pca=model), {"r": r}
@@ -591,17 +617,23 @@ def write_runs_csv(results: ResultsTable, path: str) -> None:
 
 
 def read_runs_csv(path: str) -> ResultsTable:
-    """Rebuild a ResultsTable from write_runs_csv output."""
+    """Rebuild a ResultsTable from write_runs_csv output. Blank lines are
+    skipped; a malformed row raises ValueError naming ``path:line``."""
     per_cell: dict = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "method,selector,repeat,accuracy":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            method, selector, rep, acc = line.strip().split(",")
-            if rep in ("mean", "std"):
+            raise ValueError(f"{path}:1: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
                 continue
-            per_cell.setdefault((method, selector), {})[int(rep)] = float(acc)
+            try:
+                method, selector, rep, acc = line.split(",")
+                if rep not in ("mean", "std"):
+                    per_cell.setdefault((method, selector), {})[int(rep)] = float(acc)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
     table = {key: tuple(v[r] for r in sorted(v)) for key, v in per_cell.items()}
     return ResultsTable(accuracies=table)
 

@@ -7,11 +7,26 @@ Full-batch steps of size 1/(lambda_eff * t) with lambda_eff = 1/(nC); the
 averaged iterate and the best objective seen are both tracked and the
 better one is returned, so the result never scores worse than w = 0.
 
-``svm_train_block`` trains problems that share rows and labels in one epoch
-loop, and model j is bit-equal to training (Xs[j], Cs[j]) alone: it gets the
-same matrix-vector products on the same operands (one block-wide matrix
-product would round differently), the other steps are elementwise, and a row
-sum of a C-contiguous block equals the 1-D sum of that row.
+``svm_train_block`` trains many problems in one epoch loop, and each model
+is bit-equal to training its problem alone. These rules keep it so:
+
+- Each group of problems that share a shape computes its margins, its w.w
+  and its gradient with one stacked ``np.matmul``, which makes the same gemv
+  or dot call per slice as the 2-D product on that problem alone (a group
+  of one problem makes that 2-D product itself). No block-wide matrix
+  product (gemm): it rounds differently.
+- Each w.w runs over the problem's own q: a dot product over a zero-padded
+  w rounds differently.
+- Rows are padded to the longest problem for the elementwise steps, with
+  zero labels on the padding. The hinge and bias-gradient sums reduce each
+  problem's exact-length row, one reduction per row count, because a sum
+  over the padding is blocked differently.
+- A problem that converges leaves the block without changing the layout of
+  any live operand: each stays a basic slice of the matrix or stack its
+  group was given.
+
+The other steps are elementwise, so each problem's row gets what its own
+vector would.
 """
 
 from __future__ import annotations
@@ -46,76 +61,179 @@ def svm_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: f
 def svm_train(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
               max_epochs: int = DEFAULT_MAX_EPOCHS) -> LinearSvmModel:
     """Train one problem; see ``svm_train_block``."""
-    return svm_train_block([X], labels, [C], tol=tol, max_epochs=max_epochs)[0]
+    return svm_train_block([(X, labels, [C])], tol=tol, max_epochs=max_epochs)[0]
 
 
-def svm_train_block(Xs, labels, Cs, tol: float = DEFAULT_TOL,
+def _kept_pieces(segments, keep: list[int]) -> list:
+    """The pieces over the kept block rows, renumbered. Each run of
+    consecutive kept rows is a basic slice of its segment's operand, so no
+    live operand changes its layout."""
+    new_row = {old: i for i, old in enumerate(keep)}
+    pieces = []
+    for X, a, b, _, _ in segments:
+        start = None
+        for r in range(a, b + 1):
+            if r < b and r in new_row:
+                start = r if start is None else start
+            elif start is not None:
+                pieces.append((X[start - a:r - a], new_row[start]))
+                start = None
+    return pieces
+
+
+def svm_train_block(groups, tol: float = DEFAULT_TOL,
                     max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
-    """Train one model per (Xs[j], Cs[j]) on the same +/-1 labels. A model
-    has converged, and leaves the block, when its per-epoch objective change
-    falls below tol * (1 + |objective|). The bias is unregularized."""
-    Xs = [np.asarray(X, dtype=float) for X in Xs]
-    y = np.asarray(labels, dtype=float)
-    n = y.shape[0]
-    if not Xs or len(Cs) != len(Xs):
-        raise ValueError(f"need one C per problem, got {len(Xs)} problems, {len(Cs)} C values")
+    """Train one model per problem in one epoch loop and return them in
+    group order, each group's in Cs order.
+
+    A group ``(X, labels, Cs)`` holds one problem per C. X is one (n, q)
+    matrix that all of them train on, or an (m, n, q) stack whose slice i is
+    problem i's; labels are one +/-1 vector of length n or an (m, n) stack.
+    Groups may differ in n and q. A model has converged, and leaves the
+    block, when its per-epoch objective change falls below
+    tol * (1 + |objective|). The bias is unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    if any(X.ndim != 2 or X.shape[0] != n for X in Xs):
-        raise ValueError(f"every problem must have {n} rows, one per label")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    if n == 0 or np.all(y == y[0]):
-        raise ValueError("both classes must be present")
-    if min(Cs) <= 0:
-        raise ValueError("C must be > 0")
+    problems = []  # (X, y, C) per problem, in group order
+    stacks = []  # (X stack, first problem) per group
+    for X, labels, Cs in groups:
+        X, Y, m = np.asarray(X, dtype=float), np.asarray(labels, dtype=float), len(Cs)
+        if X.ndim not in (2, 3) or Y.ndim not in (1, 2):
+            raise ValueError(f"need an (n, q) or (m, n, q) X and (n,) or (m, n) labels, "
+                             f"got {X.ndim}-D and {Y.ndim}-D")
+        if (X.ndim == 3 and len(X) != m) or (Y.ndim == 2 and len(Y) != m):
+            raise ValueError(f"need one C per problem, got X {X.shape}, labels {Y.shape} "
+                             f"and {m} C values")
+        if Y.shape[-1] != X.shape[-2]:
+            raise ValueError(f"every problem must have {Y.shape[-1]} rows, one per label, "
+                             f"got {X.shape[-2]}")
+        X, Y = np.broadcast_to(X, (m,) + X.shape[-2:]), np.broadcast_to(Y, (m, Y.shape[-1]))
+        if not np.all(np.isin(Y, (-1.0, 1.0))):
+            raise ValueError("labels must be -1 or +1")
+        if np.any(np.all(Y == Y[:, :1], axis=1)):
+            raise ValueError("both classes must be present")
+        if min(Cs, default=1.0) <= 0:
+            raise ValueError("C must be > 0")
+        if m:
+            stacks.append((X, len(problems)))
+        problems.extend((X[i], Y[i], float(C)) for i, C in enumerate(Cs))
+    if not problems:
+        raise ValueError("need at least one problem")
 
-    qs = [X.shape[1] for X in Xs]
-    Wb = np.zeros((len(Xs), max(qs) + 1))  # a row: w, zero padding, the bias last
-    Wb_avg, grad, margins = np.zeros_like(Wb), np.zeros_like(Wb), np.empty((len(Xs), n))
-    lams = np.array([[1.0 / (n * C)] for C in Cs])
-    best = [(C * n, np.zeros(q), 0.0) for C, q in zip(Cs, qs)]  # objective at w = 0, b = 0
-    prev_obj = [C * n for C in Cs]
-    models: list = [None] * len(Xs)
-    live = list(range(len(Xs)))  # the problem in each row of the block
+    # Block rows run through the groups by row count, so that equal-n rows
+    # are adjacent and each length's row sums are one reduction.
+    stacks.sort(key=lambda s: s[0].shape[1])
+    live, pieces = [], []  # the problem in each block row; operands
+    for X, first in stacks:
+        pieces.append((X, len(live)))
+        live.extend(range(first, first + len(X)))
+    ns = [problems[j][0].shape[0] for j in live]
+    P, n_max = len(live), max(ns)
+    Wb = np.zeros((P, max(X.shape[1] for X, _, _ in problems) + 1))  # w, padding, bias last
+    Wb_avg, grad, best_Wb = np.zeros_like(Wb), np.zeros_like(Wb), np.zeros_like(Wb)
+    Y = np.zeros((P, n_max))  # labels, zero on the padding so it adds nothing to a gradient
+    for i, j in enumerate(live):
+        Y[i, :ns[i]] = problems[j][1]
+    Yn = Y / np.array(ns, dtype=float)[:, None]
+    lams = np.array([[1.0 / (n * problems[j][2])] for n, j in zip(ns, live)])
+    margins, work = np.zeros((P, n_max)), np.empty((P, n_max))  # work: hinge terms, then y/n
+    hinge, ww = np.empty(P), np.empty(P)
+    best_obj = [C * X.shape[0] for X, _, C in problems]  # objective at w = 0, b = 0
+    prev_obj = list(best_obj)
+    models: list = [None] * len(problems)
 
     def retire(i: int, t: int, converged: bool) -> None:
         j = live[i]
-        w_avg, b_avg = Wb_avg[i, :qs[j]].copy(), float(Wb_avg[i, -1])
-        best_obj, best_w, best_b = best[j]
-        if svm_objective(Xs[j], y, w_avg, b_avg, Cs[j]) < best_obj:
-            best_w, best_b = w_avg, b_avg
-        models[j] = LinearSvmModel(w=best_w, bias=best_b, C=Cs[j], epochs=t, converged=converged)
+        X, y, C = problems[j]
+        q = X.shape[1]
+        w_avg, b_avg = Wb_avg[i, :q].copy(), float(Wb_avg[i, -1])
+        w, b = best_Wb[i, :q].copy(), float(best_Wb[i, -1])
+        if svm_objective(X, y, w_avg, b_avg, C) < best_obj[j]:
+            w, b = w_avg, b_avg
+        models[j] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
 
+    def products(pieces):
+        """For (X, a) pieces, whose X slices train block rows a, a+1, ...:
+        the (X, a, b, n, q) segments; (A, B, out) for each matrix product of
+        an epoch, the margins and gradients per segment and the w.w per run
+        of equal q; and per run of equal n, the work rows whose sums are the
+        hinge and then the bias gradient, with both outputs. A one-problem
+        segment or run takes the 2-D or 1-D form, the same BLAS call with
+        less dispatch."""
+        segments = [(X, a, a + len(X), *X.shape[1:]) for X, a in pieces]
+        n_runs, q_runs = [], []
+        for _, a, b, n, q in segments:
+            for runs, size in ((n_runs, n), (q_runs, q)):
+                if runs and runs[-1][2] == size:
+                    runs[-1][1] = b
+                else:
+                    runs.append([a, b, size])
+        margin, dot, gradient, sums = [], [], [], []
+        for X, a, b, n, q in segments:
+            if b - a == 1:
+                margin.append((X[0], Wb[a, :q], margins[a, :n]))
+                gradient.append((work[a, :n], X[0], grad[a, :q]))
+            else:
+                margin.append((X, Wb[a:b, :q, None], margins[a:b, :n, None]))
+                gradient.append((work[a:b, None, :n], X, grad[a:b, None, :q]))
+        for a, b, q in q_runs:
+            if b - a == 1:
+                dot.append((Wb[a, :q], Wb[a, :q], ww[a, ...]))
+            else:
+                dot.append((Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]))
+        for a, b, n in n_runs:
+            sums.append((work[a:b, :n], hinge[a:b], grad[a:b, -1]))
+        return segments, margin, dot, gradient, sums
+
+    segments, margin, dot, gradient, sums = products(pieces)
     for t in range(1, max_epochs + 1):
-        for i, j in enumerate(live):
-            np.matmul(Xs[j], Wb[i, :qs[j]], out=margins[i])
+        for A, B, out in margin:
+            np.matmul(A, B, out=out)
         margins += Wb[:, -1:]
-        margins *= y
-        hinge = np.add.reduce(np.maximum(0.0, 1.0 - margins), axis=1).tolist()
-        keep = []
-        for i, j in enumerate(live):
-            w = Wb[i, :qs[j]]
-            obj = 0.5 * float(w @ w) + Cs[j] * hinge[i]
+        margins *= Y
+        np.maximum(0.0, np.subtract(1.0, margins, out=work), out=work)
+        for A, out, _ in sums:
+            np.add.reduce(A, axis=1, out=out)
+        for A, B, out in dot:
+            np.matmul(A, B, out=out)
+        keep, done, better = [], [], []
+        for i, (j, w2, h) in enumerate(zip(live, ww.tolist(), hinge.tolist())):
+            obj = 0.5 * w2 + problems[j][2] * h
             if not math.isfinite(obj):
                 raise ArithmeticError(f"objective non-finite at epoch {t}")
-            if obj < best[j][0]:
-                best[j] = (obj, w.copy(), float(Wb[i, -1]))
+            if obj < best_obj[j]:
+                best_obj[j] = obj
+                better.append(i)
             if abs(obj - prev_obj[j]) < tol * (1.0 + abs(obj)) and t > 1:
-                retire(i, t, converged=True)
+                done.append(i)
             else:
                 keep.append(i)
                 prev_obj[j] = obj
-        if not keep:
-            return models
-        if len(keep) < len(live):
+        if len(better) == len(live):
+            best_Wb[:] = Wb  # the common case, and far cheaper than a gather
+        elif better:
+            best_Wb[better] = Wb[better]
+        if done:
+            for i in done:
+                retire(i, t, converged=True)
+            if not keep:
+                return models
             live = [live[i] for i in keep]
-            Wb, Wb_avg, grad, lams, margins = (a[keep] for a in (Wb, Wb_avg, grad, lams, margins))
+            # gathered in place: keep ascends, so no row is overwritten before it is read
+            Wb, Wb_avg, grad, best_Wb, lams, margins, Y, Yn, hinge, ww = (
+                np.take(a, keep, axis=0, out=a[:len(keep)])
+                for a in (Wb, Wb_avg, grad, best_Wb, lams, margins, Y, Yn, hinge, ww))
+            work = work[:len(keep)]
+            segments, margin, dot, gradient, sums = products(_kept_pieces(segments, keep))
 
-        coef = np.where(margins < 1.0, y, 0.0) / n
-        for i, j in enumerate(live):
-            np.matmul(coef[i], Xs[j], out=grad[i, :qs[j]])
-        np.add.reduce(coef, axis=1, out=grad[:, -1])
+        # y/n where the margin is below 1, else 0; adding 0.0 turns the -0.0
+        # of a masked -1/n into the +0.0 that the one-problem loop has
+        np.multiply(Yn, margins < 1.0, out=work)
+        work += 0.0
+        for A, B, out in gradient:
+            np.matmul(A, B, out=out)
+        for A, _, out in sums:
+            np.add.reduce(A, axis=1, out=out)
         grad *= 1.0 / (lams * t)  # step sizes
         Wb[:, :-1] *= 1.0 - 1.0 / t
         Wb += grad
@@ -144,16 +262,19 @@ def accuracy(pred, truth) -> float:
 
 def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
            max_epochs: int = DEFAULT_MAX_EPOCHS) -> float:
-    """C maximizing mean validation accuracy, each fold training the whole
-    grid as one block; ties go to the smaller C."""
+    """C maximizing mean validation accuracy; ties go to the smaller C.
+
+    Every fold's whole C grid trains in one block: a fold's candidates share
+    its training rows as one operand, and the folds may differ in row count."""
     grid = sorted(float(c) for c in C_grid)
     if not grid:
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=float)
+    masks = list(cv_masks(X.shape[0], folds))
+    models = svm_train_block([(X[train], y[train], grid) for train, _ in masks], tol, max_epochs)
     scores = np.zeros(len(grid))
-    for train, val in cv_masks(X.shape[0], folds):
-        models = svm_train_block([X[train]] * len(grid), y[train], grid, tol, max_epochs)
-        for i, model in enumerate(models):
+    for f, (_, val) in enumerate(masks):
+        for i, model in enumerate(models[f * len(grid):(f + 1) * len(grid)]):
             scores[i] += accuracy(svm_predict(model, X[val]), y[val])
     return grid[int(np.argmax(scores))]

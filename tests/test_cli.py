@@ -2,6 +2,7 @@ import pytest
 
 from featlearn import verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
+from featlearn.harness import ResultsTable, write_runs_csv
 
 # CLI spelling -> PipelineSpec name, written out so that a change of spelling shows
 METHODS = {
@@ -104,3 +105,24 @@ def test_verify_failing_check_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("FAIL always-fails: ")
     assert "FAILED checks: always-fails" in err
+
+
+@pytest.mark.parametrize("fmt, means_line", [("text", "No FS"), ("csv", "No FS,80.0,,,,")])
+def test_report_renders_a_results_csv_with_a_trailing_blank_line(tmp_path, capsys, fmt,
+                                                                  means_line):
+    path = tmp_path / "results.csv"
+    write_runs_csv(ResultsTable(accuracies={("LLF", "NONE"): (0.75, 0.85)}), str(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert main(["report", "--results", str(path), "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = next(line for line in lines if line.startswith(means_line))
+    assert "80.0" in row
+
+
+def test_report_names_the_malformed_line(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    path.write_text("method,selector,repeat,accuracy\nLLF,NONE,0,abc\n")
+    assert main(["report", "--results", str(path)]) == 2
+    assert f"featlearn report: error: {path}:2: malformed row 'LLF,NONE,0,abc'" in (
+        capsys.readouterr().err)

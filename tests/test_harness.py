@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 
 from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
-from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, _fit_sae_stage,
-                               _make_split, _RepeatFits, config_to_text, parse_config,
-                               run_experiment)
+from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, ResultsTable,
+                               _fit_pca_selector, _fit_sae_stage, _make_split, _RepeatFits,
+                               config_to_text, parse_config, read_runs_csv, run_experiment,
+                               write_runs_csv)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
+from harness_reference import per_fold_pca_search
 
 TINY_DATA = SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2, delta=1.0, rho=0.2, seed=0)
 TINY = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
@@ -62,6 +65,23 @@ class TestFitSaeStage:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert got.softmax_W.tobytes() == want.softmax_W.tobytes()
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
+
+
+class TestFitPcaSelector:
+    # The LLF features of an adni-like repeat. At k=10 the folds train on
+    # 231, 232 and 233 rows, so each row count stacks several folds' scores;
+    # at k=3 on 171, 172 and 173, one fold each. Over these seeds the
+    # reference chooses r = 40, 30, 30 and 5.
+    @pytest.mark.parametrize("seed, k", [(0, 10), (1, 10), (2, 3), (3, 3)])
+    def test_matches_per_fold_reference(self, seed, k):
+        ds = generate_synthetic(SyntheticSpec.adni_like(seed))
+        cfg = ExperimentConfig(k=k)
+        repeat = _RepeatFits(ds, _make_split(ds, cfg, seed), [], cfg, seed)
+        _, _, ytr01, folds = repeat._train
+        F = repeat._method_stage(PipelineSpec("LLF"))[2]
+        _, chosen = _fit_pca_selector(F, ytr01, folds, cfg)
+        assert chosen["r"] == per_fold_pca_search(F, ytr01, folds, cfg.pca_grid,
+                                                  cfg.svm_cv_epochs)
 
 
 class TestExperimentConfig:
@@ -150,6 +170,45 @@ class TestRepeatFits:
         for shared in (Xtr, ytr01, folds[0], Ftr):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
+
+
+# accuracies whose shortest decimal forms need all 17 significant digits
+RUNS = {("LLF", "NONE"): (1 / 3, 0.1 + 0.2, 2 / 7), ("LLF", "PCA"): (0.5, 1.0, 0.0)}
+RUNS_HEADER = "method,selector,repeat,accuracy\n"
+
+
+class TestRunsCsv:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        path = str(tmp_path / "results.csv")
+        write_runs_csv(ResultsTable(accuracies=RUNS), path)
+        got = read_runs_csv(path).accuracies
+        assert list(got) == list(RUNS)
+        for key, accs in RUNS.items():
+            assert np.array(got[key]).tobytes() == np.array(accs).tobytes()
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(RUNS_HEADER + "LLF,NONE,0,0.5\n\nLLF,NONE,1,0.75\nLLF,NONE,mean,0.625\n\n")
+        assert read_runs_csv(str(path)).accuracies == {("LLF", "NONE"): (0.5, 0.75)}
+
+    @pytest.mark.parametrize("row, cause", [
+        ("LLF,NONE,1", "not enough values to unpack"),
+        ("LLF,NONE,1,0.5,7", "too many values to unpack"),
+        ("LLF,NONE,1,abc", "could not convert string to float: 'abc'"),
+        ("LLF,NONE,one,0.5", "invalid literal for int"),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, cause):
+        path = tmp_path / "results.csv"
+        path.write_text(RUNS_HEADER + "LLF,NONE,0,0.5\n\n" + row + "\n")
+        message = rf"{re.escape(str(path))}:4: malformed row '{row}': {cause}"
+        with pytest.raises(ValueError, match=message):
+            read_runs_csv(str(path))
+
+    def test_bad_header_names_path(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("method,accuracy\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: unexpected header"):
+            read_runs_csv(str(path))
 
 
 class TestRunExperiment:
