@@ -618,8 +618,11 @@ def write_runs_csv(results: ResultsTable, path: str) -> None:
 
 def read_runs_csv(path: str) -> ResultsTable:
     """Rebuild a ResultsTable from write_runs_csv output. Blank lines are
-    skipped; a malformed row raises ValueError naming ``path:line``."""
-    per_cell: dict = {}
+    skipped. Each of these raises ValueError naming ``path:line``: a
+    malformed row, a cell that PipelineSpec rejects, a second row for one
+    (method, selector, repeat), a cell of R rows whose repeats are not
+    0..R-1, and a cell with another repeat count than the first cell."""
+    per_cell: dict = {}  # (method, selector) -> {repeat: (accuracy, line)}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "method,selector,repeat,accuracy":
@@ -630,11 +633,30 @@ def read_runs_csv(path: str) -> ResultsTable:
                 continue
             try:
                 method, selector, rep, acc = line.split(",")
-                if rep not in ("mean", "std"):
-                    per_cell.setdefault((method, selector), {})[int(rep)] = float(acc)
+                PipelineSpec(method, selector)
+                if rep in ("mean", "std"):
+                    continue
+                rep, acc = int(rep), float(acc)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
-    table = {key: tuple(v[r] for r in sorted(v)) for key, v in per_cell.items()}
+            runs = per_cell.setdefault((method, selector), {})
+            if rep in runs:
+                raise ValueError(f"{path}:{lineno}: repeat {rep} of cell {method},{selector} "
+                                 f"is already on line {runs[rep][1]}")
+            runs[rep] = (acc, lineno)
+    cells = list(per_cell.items())
+    for (method, selector), runs in cells:
+        R = len(runs)
+        for rep, (_, lineno) in runs.items():
+            if not 0 <= rep < R:
+                raise ValueError(f"{path}:{lineno}: cell {method},{selector} has repeat {rep}, "
+                                 f"but a cell of {R} rows must number them 0..{R - 1}")
+        (m0, s0), first = cells[0]
+        if R != len(first):
+            lineno = min(line for _, line in runs.values())
+            raise ValueError(f"{path}:{lineno}: cell {method},{selector} has {R} repeats, "
+                             f"but cell {m0},{s0} has {len(first)}")
+    table = {key: tuple(runs[r][0] for r in range(len(runs))) for key, runs in per_cell.items()}
     return ResultsTable(accuracies=table)
 
 

@@ -12,18 +12,17 @@ is bit-equal to training its problem alone. These rules keep it so:
 
 - Each group of problems that share a shape computes its margins, its w.w
   and its gradient with one stacked ``np.matmul``, which makes the same gemv
-  or dot call per slice as the 2-D product on that problem alone (a group
-  of one problem makes that 2-D product itself). No block-wide matrix
-  product (gemm): it rounds differently.
+  or dot call per slice as the 2-D product on that problem alone. No
+  block-wide matrix product (gemm): it rounds differently.
 - Each w.w runs over the problem's own q: a dot product over a zero-padded
   w rounds differently.
 - Rows are padded to the longest problem for the elementwise steps, with
   zero labels on the padding. The hinge and bias-gradient sums reduce each
   problem's exact-length row, one reduction per row count, because a sum
   over the padding is blocked differently.
-- A problem that converges leaves the block without changing the layout of
-  any live operand: each stays a basic slice of the matrix or stack its
-  group was given.
+- A problem that converges keeps its block row: its model is built at that
+  epoch, and its row still runs through the products and the updates but
+  is no longer scored. So every operand keeps one layout for the whole call.
 
 The other steps are elementwise, so each problem's row gets what its own
 vector would.
@@ -64,23 +63,6 @@ def svm_train(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
     return svm_train_block([(X, labels, [C])], tol=tol, max_epochs=max_epochs)[0]
 
 
-def _kept_pieces(segments, keep: list[int]) -> list:
-    """The pieces over the kept block rows, renumbered. Each run of
-    consecutive kept rows is a basic slice of its segment's operand, so no
-    live operand changes its layout."""
-    new_row = {old: i for i, old in enumerate(keep)}
-    pieces = []
-    for X, a, b, _, _ in segments:
-        start = None
-        for r in range(a, b + 1):
-            if r < b and r in new_row:
-                start = r if start is None else start
-            elif start is not None:
-                pieces.append((X[start - a:r - a], new_row[start]))
-                start = None
-    return pieces
-
-
 def svm_train_block(groups, tol: float = DEFAULT_TOL,
                     max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
     """Train one model per problem in one epoch loop and return them in
@@ -89,9 +71,10 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
     A group ``(X, labels, Cs)`` holds one problem per C. X is one (n, q)
     matrix that all of them train on, or an (m, n, q) stack whose slice i is
     problem i's; labels are one +/-1 vector of length n or an (m, n) stack.
-    Groups may differ in n and q. A model has converged, and leaves the
-    block, when its per-epoch objective change falls below
-    tol * (1 + |objective|). The bias is unregularized."""
+    Groups may differ in n and q. A model has converged when its per-epoch
+    objective change falls below tol * (1 + |objective|); it is built then,
+    and the block returns when the last one has converged or at max_epochs.
+    The bias is unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     problems = []  # (X, y, C) per problem, in group order
@@ -123,27 +106,43 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
     # Block rows run through the groups by row count, so that equal-n rows
     # are adjacent and each length's row sums are one reduction.
     stacks.sort(key=lambda s: s[0].shape[1])
-    live, pieces = [], []  # the problem in each block row; operands
+    order, segments = [], []  # the problem in each block row; (X, a, b, n, q) per group
     for X, first in stacks:
-        pieces.append((X, len(live)))
-        live.extend(range(first, first + len(X)))
-    ns = [problems[j][0].shape[0] for j in live]
-    P, n_max = len(live), max(ns)
+        segments.append((X, len(order), len(order) + len(X), *X.shape[1:]))
+        order.extend(range(first, first + len(X)))
+    ns = [problems[j][0].shape[0] for j in order]
+    P, n_max = len(order), max(ns)
     Wb = np.zeros((P, max(X.shape[1] for X, _, _ in problems) + 1))  # w, padding, bias last
     Wb_avg, grad, best_Wb = np.zeros_like(Wb), np.zeros_like(Wb), np.zeros_like(Wb)
     Y = np.zeros((P, n_max))  # labels, zero on the padding so it adds nothing to a gradient
-    for i, j in enumerate(live):
+    for i, j in enumerate(order):
         Y[i, :ns[i]] = problems[j][1]
     Yn = Y / np.array(ns, dtype=float)[:, None]
-    lams = np.array([[1.0 / (n * problems[j][2])] for n, j in zip(ns, live)])
+    lams = np.array([[1.0 / (n * problems[j][2])] for n, j in zip(ns, order)])
     margins, work = np.zeros((P, n_max)), np.empty((P, n_max))  # work: hinge terms, then y/n
     hinge, ww = np.empty(P), np.empty(P)
     best_obj = [C * X.shape[0] for X, _, C in problems]  # objective at w = 0, b = 0
     prev_obj = list(best_obj)
     models: list = [None] * len(problems)
 
+    # (A, B, out) for each matrix product of an epoch: the margins and
+    # gradients per group and the w.w per run of equal q; and per run of
+    # equal n, the work rows whose sums are the hinge and then the bias
+    # gradient, with both outputs
+    n_runs, q_runs = [], []
+    for _, a, b, n, q in segments:
+        for runs, size in ((n_runs, n), (q_runs, q)):
+            if runs and runs[-1][2] == size:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b, size])
+    margin = [(X, Wb[a:b, :q, None], margins[a:b, :n, None]) for X, a, b, n, q in segments]
+    gradient = [(work[a:b, None, :n], X, grad[a:b, None, :q]) for X, a, b, n, q in segments]
+    dot = [(Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]) for a, b, q in q_runs]
+    sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
+
     def retire(i: int, t: int, converged: bool) -> None:
-        j = live[i]
+        j = order[i]
         X, y, C = problems[j]
         q = X.shape[1]
         w_avg, b_avg = Wb_avg[i, :q].copy(), float(Wb_avg[i, -1])
@@ -152,40 +151,7 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
             w, b = w_avg, b_avg
         models[j] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
 
-    def products(pieces):
-        """For (X, a) pieces, whose X slices train block rows a, a+1, ...:
-        the (X, a, b, n, q) segments; (A, B, out) for each matrix product of
-        an epoch, the margins and gradients per segment and the w.w per run
-        of equal q; and per run of equal n, the work rows whose sums are the
-        hinge and then the bias gradient, with both outputs. A one-problem
-        segment or run takes the 2-D or 1-D form, the same BLAS call with
-        less dispatch."""
-        segments = [(X, a, a + len(X), *X.shape[1:]) for X, a in pieces]
-        n_runs, q_runs = [], []
-        for _, a, b, n, q in segments:
-            for runs, size in ((n_runs, n), (q_runs, q)):
-                if runs and runs[-1][2] == size:
-                    runs[-1][1] = b
-                else:
-                    runs.append([a, b, size])
-        margin, dot, gradient, sums = [], [], [], []
-        for X, a, b, n, q in segments:
-            if b - a == 1:
-                margin.append((X[0], Wb[a, :q], margins[a, :n]))
-                gradient.append((work[a, :n], X[0], grad[a, :q]))
-            else:
-                margin.append((X, Wb[a:b, :q, None], margins[a:b, :n, None]))
-                gradient.append((work[a:b, None, :n], X, grad[a:b, None, :q]))
-        for a, b, q in q_runs:
-            if b - a == 1:
-                dot.append((Wb[a, :q], Wb[a, :q], ww[a, ...]))
-            else:
-                dot.append((Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]))
-        for a, b, n in n_runs:
-            sums.append((work[a:b, :n], hinge[a:b], grad[a:b, -1]))
-        return segments, margin, dot, gradient, sums
-
-    segments, margin, dot, gradient, sums = products(pieces)
+    live = list(range(P))  # the block rows not yet converged
     for t in range(1, max_epochs + 1):
         for A, B, out in margin:
             np.matmul(A, B, out=out)
@@ -196,9 +162,11 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
             np.add.reduce(A, axis=1, out=out)
         for A, B, out in dot:
             np.matmul(A, B, out=out)
-        keep, done, better = [], [], []
-        for i, (j, w2, h) in enumerate(zip(live, ww.tolist(), hinge.tolist())):
-            obj = 0.5 * w2 + problems[j][2] * h
+        w2, h = ww.tolist(), hinge.tolist()
+        done, better = [], []
+        for i in live:
+            j = order[i]
+            obj = 0.5 * w2[i] + problems[j][2] * h[i]
             if not math.isfinite(obj):
                 raise ArithmeticError(f"objective non-finite at epoch {t}")
             if obj < best_obj[j]:
@@ -207,24 +175,17 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
             if abs(obj - prev_obj[j]) < tol * (1.0 + abs(obj)) and t > 1:
                 done.append(i)
             else:
-                keep.append(i)
                 prev_obj[j] = obj
         if len(better) == len(live):
-            best_Wb[:] = Wb  # the common case, and far cheaper than a gather
+            best_Wb[:] = Wb  # the common case; a converged row's best_Wb is no longer read
         elif better:
             best_Wb[better] = Wb[better]
         if done:
             for i in done:
                 retire(i, t, converged=True)
-            if not keep:
+            live = [i for i in live if i not in done]
+            if not live:
                 return models
-            live = [live[i] for i in keep]
-            # gathered in place: keep ascends, so no row is overwritten before it is read
-            Wb, Wb_avg, grad, best_Wb, lams, margins, Y, Yn, hinge, ww = (
-                np.take(a, keep, axis=0, out=a[:len(keep)])
-                for a in (Wb, Wb_avg, grad, best_Wb, lams, margins, Y, Yn, hinge, ww))
-            work = work[:len(keep)]
-            segments, margin, dot, gradient, sums = products(_kept_pieces(segments, keep))
 
         # y/n where the margin is below 1, else 0; adding 0.0 turns the -0.0
         # of a masked -1/n into the +0.0 that the one-problem loop has
@@ -239,7 +200,7 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
         Wb += grad
         Wb_avg += (Wb - Wb_avg) / t
 
-    for i in range(len(live)):
+    for i in live:
         retire(i, max_epochs, converged=False)
     return models
 

@@ -3,6 +3,7 @@ import pytest
 from featlearn import verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
 from featlearn.harness import ResultsTable, write_runs_csv
+from test_harness import BAD_RUNS, RUNS_HEADER
 
 # CLI spelling -> PipelineSpec name, written out so that a change of spelling shows
 METHODS = {
@@ -126,3 +127,13 @@ def test_report_names_the_malformed_line(tmp_path, capsys):
     assert main(["report", "--results", str(path)]) == 2
     assert f"featlearn report: error: {path}:2: malformed row 'LLF,NONE,0,abc'" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("rows, line, message", BAD_RUNS.values(), ids=BAD_RUNS)
+def test_report_refuses_inconsistent_results(tmp_path, capsys, rows, line, message):
+    path = tmp_path / "results.csv"
+    path.write_text(RUNS_HEADER + rows)
+    assert main(["report", "--results", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"featlearn report: error: {path}:{line}: ") and message in err

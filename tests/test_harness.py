@@ -175,6 +175,26 @@ class TestRepeatFits:
 # accuracies whose shortest decimal forms need all 17 significant digits
 RUNS = {("LLF", "NONE"): (1 / 3, 0.1 + 0.2, 2 / 7), ("LLF", "PCA"): (0.5, 1.0, 0.0)}
 RUNS_HEADER = "method,selector,repeat,accuracy\n"
+# Results that write_runs_csv cannot have written: the rows after the
+# header, the line of the first fault, and what its message says
+BAD_RUNS = {
+    "duplicate-unknown-and-lone": (
+        "LLF,NONE,0,0.5\nLLF,NONE,0,0.9\nBOGUS,NONE,0,0.7\nLLF,TTEST,2,0.6\n", 3,
+        "repeat 0 of cell LLF,NONE is already on line 2"),
+    "unknown-method": ("LLF,NONE,0,0.5\nBOGUS,NONE,0,0.7\n", 3, "unknown method 'BOGUS'"),
+    "unknown-method-in-a-summary": ("LLF,NONE,0,0.5\nBOGUS,NONE,mean,0.7\n", 3,
+                                    "unknown method 'BOGUS'"),
+    "unknown-selector": ("LLF,RANDOM,0,0.5\n", 2, "unknown selector 'RANDOM'"),
+    "undefined-cell": ("LLF,NONE,0,0.5\nSAEF,TTEST,0,0.6\n", 3,
+                       "selector 'TTEST' is not defined for method 'SAEF'"),
+    "repeat-gap": ("LLF,NONE,0,0.5\nLLF,NONE,2,0.6\n", 3,
+                   "cell LLF,NONE has repeat 2, but a cell of 2 rows must number them 0..1"),
+    "lone-repeat": ("LLF,NONE,0,0.5\nLLF,TTEST,2,0.6\n", 3,
+                    "cell LLF,TTEST has repeat 2, but a cell of 1 rows must number them 0..0"),
+    "negative-repeat": ("LLF,NONE,-1,0.5\n", 2, "has repeat -1"),
+    "count-mismatch": ("LLF,NONE,0,0.5\nLLF,NONE,1,0.6\nLLF,PCA,0,0.7\n", 4,
+                       "cell LLF,PCA has 1 repeats, but cell LLF,NONE has 2"),
+}
 
 
 class TestRunsCsv:
@@ -202,6 +222,14 @@ class TestRunsCsv:
         path.write_text(RUNS_HEADER + "LLF,NONE,0,0.5\n\n" + row + "\n")
         message = rf"{re.escape(str(path))}:4: malformed row '{row}': {cause}"
         with pytest.raises(ValueError, match=message):
+            read_runs_csv(str(path))
+
+    @pytest.mark.parametrize("rows, line, message", BAD_RUNS.values(), ids=BAD_RUNS)
+    def test_inconsistent_results_name_path_and_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "results.csv"
+        path.write_text(RUNS_HEADER + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*"
+                           + re.escape(message)):
             read_runs_csv(str(path))
 
     def test_bad_header_names_path(self, tmp_path):

@@ -106,10 +106,15 @@ class TestSvmTrainBlock:
             groups += [(S[:, :, :r], Y, [1.0] * len(S)) for r in ExperimentConfig().pca_grid]
         _assert_matches_reference(groups, 1e-6, 150)
 
-    def test_retiring_keeps_every_live_operand_layout(self, monkeypatch):
-        """The middle problem of a stack retires early; the two live ones run
-        to the cap, each matrix product still reading the stack's own
-        memory with its strides."""
+    @pytest.mark.parametrize("Cs, converged", [
+        ([1.0, 0.01, 1.0], [False, True, False]),
+        ([0.01, 0.02, 0.1], [True, True, True]),  # each at its own epoch
+    ], ids=["middle-retires-early", "all-converge-before-the-cap"])
+    def test_retiring_keeps_every_operand_layout(self, monkeypatch, Cs, converged):
+        """Problems of one stack retire at different epochs. Each model is
+        still the reference's, every matrix product reads the stack's own
+        view for the whole run, and the block runs until its last problem
+        converges or the cap."""
         X, y, folds = _adni_folds(2, 3)
         trains = [train for train, _ in cv_masks(len(y), folds)]
         n = int(trains[0].sum())
@@ -117,14 +122,14 @@ class TestSvmTrainBlock:
         S, Y = _pca_stack(X, y, trains, 30)
         recording = _RecordingNumpy()
         monkeypatch.setattr(svm, "np", recording)
-        models = _assert_matches_reference([(S[:, :, :20], Y, [1.0, 0.01, 1.0])], 1e-6, 150)
-        assert [(m.converged, m.epochs < 150) for m in models] == [
-            (False, False), (True, True), (False, False)]
+        models = _assert_matches_reference([(S[:, :, :20], Y, Cs)], 1e-6, 150)
+        assert [(m.converged, m.epochs < 150) for m in models] == [(c, c) for c in converged]
         operands = [op for pair in recording.matmul_operands for op in pair
                     if np.shares_memory(op, S)]
-        # the stack, then each run of one slice as that slice's 2-D matrix
-        assert {op.shape for op in operands} == {(3, n, 20), (n, 20)}
-        assert all(op.strides[-2:] == S.strides[1:] for op in operands)
+        assert {(op.shape, op.strides) for op in operands} == {((3, n, 20), S.strides)}
+        # each epoch run makes one margin product, with the stack as its first operand
+        epochs_run = sum(np.shares_memory(a, S) for a, _ in recording.matmul_operands)
+        assert epochs_run == max(m.epochs for m in models)
 
     def test_each_w_dot_w_runs_over_its_own_width(self, monkeypatch):
         """A dot product over a zero-padded w rounds differently, and an
