@@ -10,8 +10,8 @@ from .harness import (ExperimentConfig, PipelineFit, PipelineSpec,
                       parse_config, render_table, run_experiment)
 from .lasso import (LassoFit, SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                     lasso_fit, lasso_path, selected_features)
-from .linalg import ConvergenceError, SymEigen, sample_covariance, sym_eigen
-from .pca import PcaModel, pca_fit, pca_transform
+from .linalg import ConvergenceError, SymEigen, sample_covariance, sym_eigen, sym_eigen_block
+from .pca import PcaModel, pca_fit, pca_fit_block, pca_transform
 from .sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError,
                   ae_encode, ae_train, fine_tune, fine_tune_block, sae_features,
                   sae_predict, sae_pretrain, semi_pretrain_finetune, sigmoid)

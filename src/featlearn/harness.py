@@ -19,15 +19,19 @@ selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 The SVM searches train their candidates in lockstep blocks
 (``svm.svm_train_block``), which give the same models as one fit per
 candidate. The C search trains all folds' C grids as one block, a fold's
-candidates sharing its training rows. The PCA search trains every
-(fold, r) at C = 1 as one block: the folds with equal training row counts
-share one stack of scores, and each r trains on its first r columns. The
-t-test search trains one block per fold. Its candidates are different
-column subsets, so they share no operand and each keeps its own matrix
-products; one block across folds would only hold every fold's column
-copies at once (about 2.8 MB at the default config). The SAE's L2 search
-likewise pretrains each fold's stack once and fine-tunes the fold's whole
-L2 grid as one block (``sae.fine_tune_block``).
+candidates sharing its training rows. The PCA search fits its k fold
+PCAs at the largest r with one ``pca.pca_fit_block``, whose covariances
+share one round-robin Jacobi loop (``linalg.sym_eigen_block``), bit for bit
+as k ``pca_fit`` calls; the final fit on all training rows is a
+``pca_fit`` of its own. It then trains every (fold, r) at C = 1 as one SVM
+block: the folds with equal training row counts share one stack of
+scores, and each r trains on its first r columns. The t-test search
+trains one block per fold. Its candidates are different column subsets,
+so they share no operand and each keeps its own matrix products; one block
+across folds would only hold every fold's column copies at once (about
+2.8 MB at the default config). The SAE's L2 search likewise pretrains each
+fold's stack once and fine-tunes the fold's whole L2 grid as one block
+(``sae.fine_tune_block``).
 
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
@@ -54,7 +58,7 @@ import numpy as np
 from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, cv_masks,
                    derive_seed, kfold, random_split, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
-from .pca import PcaModel, pca_fit, pca_transform
+from .pca import PcaModel, pca_fit, pca_fit_block, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune_block, sae_features,
                   sae_predict, sae_pretrain, semi_pretrain_finetune)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
@@ -312,9 +316,12 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     """Choose r by k-fold CV of a C = 1 SVM on each fold's top-r PCA scores.
 
-    Every (fold, r) problem trains in one block. The folds with equal
-    training row counts share one stack of scores, and each r trains on
-    the stack's first r columns, so no fold's scores are held twice."""
+    The k fold PCAs are fitted at the largest r in one ``pca_fit_block``,
+    and every (fold, r) problem trains in one SVM block. The folds with
+    equal training row counts share one stack of scores, and each r trains
+    on the stack's first r columns, so no fold's scores are held twice. The
+    final fit on all training rows stays a ``pca_fit`` call of its own,
+    which is the call that perfbench's tracer records for the PCA cell."""
     n, q = F.shape
     min_train = min(n - len(val) for val in folds_local)
     r_cap = min(min_train - 1, q)
@@ -322,6 +329,7 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     r_max = grid[-1]
     y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
     masks = list(cv_masks(n, folds_local))
+    pcas = pca_fit_block((F[train] for train, _ in masks), r_max)
     by_rows: dict = {}
     for f, (_, val) in enumerate(masks):
         by_rows.setdefault(n - len(val), []).append(f)
@@ -330,9 +338,8 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
         S, Y = np.empty((len(fs), rows, r_max)), np.empty((len(fs), rows))
         for s, f in enumerate(fs):
             train, val = masks[f]
-            model = pca_fit(F[train], r_max)
-            S[s], Y[s] = pca_transform(model, F[train]), y_pm[train]
-            scores_val[f] = pca_transform(model, F[val])
+            S[s], Y[s] = pca_transform(pcas[f], F[train]), y_pm[train]
+            scores_val[f] = pca_transform(pcas[f], F[val])
         for i, r in enumerate(grid):
             groups.append((S[:, :, :r], Y, [1.0] * len(fs)))
             owners += [(f, i) for f in fs]

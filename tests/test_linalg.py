@@ -3,7 +3,8 @@ import pytest
 
 from featlearn.data import (SyntheticSpec, cv_masks, generate_synthetic, kfold,
                             standardize_fit, stratified_split)
-from featlearn.linalg import sample_covariance, sym_eigen
+from featlearn import linalg
+from featlearn.linalg import ConvergenceError, sample_covariance, sym_eigen, sym_eigen_block
 from linalg_reference import three_rotation_jacobi
 
 
@@ -131,3 +132,109 @@ class TestSymEigenMatchesReference:
         eig = sym_eigen(np.eye(p) * 2.0)
         assert not eig.eigenvalues.flags.writeable
         assert not eig.eigenvectors.flags.writeable
+
+
+def _adni_like_fold_covariance(seed=0):
+    ds = generate_synthetic(SyntheticSpec.adni_like(seed))
+    split = stratified_split(ds, 0.2, seed)
+    X = standardize_fit(ds, split.train).apply(ds.features[split.train])
+    train, _ = next(cv_masks(X.shape[0], kfold(ds.labels[split.train], 10, seed)))
+    return sample_covariance(X[train])
+
+
+def _repeated_eigenvalues(p, seed=7):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))
+    M = Q @ np.diag(np.repeat([2.0, 1.0, 0.5, 0.0], -(-p // 4))[:p]) @ Q.T
+    return (M + M.T) / 2.0
+
+
+def _with_negative_zero_row(M):
+    """M with row and column 0 set to -0.0: the pairs (0, j) stay inactive
+    while the rest rotates, and the eigenvalue -0.0 must keep its sign."""
+    M = M.copy()
+    M[0, :] = M[:, 0] = -0.0
+    return M
+
+
+def _mixed_stack(p):
+    rng = np.random.default_rng(p)
+    cov = sample_covariance(rng.normal(size=(p + 3, p)) * rng.uniform(0.5, 3.0, p))
+    # the last member's tolerance and threshold are 1e4 times the first's
+    return [cov, np.diag(rng.uniform(-2.0, 2.0, p)), _repeated_eigenvalues(p),
+            _with_negative_zero_row(cov), cov * 1e4]
+
+
+class TestSymEigenBlock:
+    """Each member of a block is byte-equal to the one-matrix reference."""
+
+    @staticmethod
+    def _assert_block_matches(Ms):
+        for M, got in zip(Ms, sym_eigen_block(Ms), strict=True):
+            want = three_rotation_jacobi(M)
+            for a, b in ((got.eigenvalues, want.eigenvalues),
+                         (got.eigenvectors, want.eigenvectors)):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            if M.shape[0] > 1:
+                assert got.eigenvectors.strides == want.eigenvectors.strides
+
+    @pytest.mark.parametrize("p", [2, 3, 9, 12])
+    def test_mixed_stack(self, p):
+        self._assert_block_matches(_mixed_stack(p))
+
+    def test_adni_like_mixed_stack(self):
+        cov = _adni_like_fold_covariance()
+        p = cov.shape[0]
+        Ms = [np.diag(np.diag(cov)), cov, _repeated_eigenvalues(p),
+              _with_negative_zero_row(cov), _adni_like_fold_covariance(1)]
+        self._assert_block_matches(Ms)
+
+    def test_one_by_one_matrices(self):
+        self._assert_block_matches([np.array([[3.0]]), np.array([[-0.0]]), np.array([[-2.5]])])
+
+    def test_outputs_read_only(self):
+        for eig in sym_eigen_block(_mixed_stack(5)):
+            assert not eig.eigenvalues.flags.writeable
+            assert not eig.eigenvectors.flags.writeable
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            sym_eigen_block([])
+
+    def test_mixed_sizes_name_the_matrix(self):
+        with pytest.raises(ValueError, match="matrix 2 is 3 x 3, but matrix 0 is 2 x 2"):
+            sym_eigen_block([np.eye(2), np.eye(2), np.eye(3)])
+
+    def test_non_square_member_names_the_matrix(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\) for matrix 1"):
+            sym_eigen_block([np.eye(2), np.ones((2, 3))])
+
+    def test_asymmetric_member_names_the_matrix(self):
+        with pytest.raises(ValueError, match="symmetric.*matrix 1"):
+            sym_eigen_block([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_names_the_matrix(self, bad):
+        M = np.eye(3)
+        M[1, 2] = M[2, 1] = bad
+        with pytest.raises(ValueError, match="matrix 2 has a non-finite entry"):
+            sym_eigen_block([np.eye(3), np.eye(3), M])
+
+    def test_convergence_error_names_the_matrix(self, monkeypatch):
+        # the diagonal member stops before its first sweep; the others need
+        # more than one
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        Ms = _mixed_stack(9)
+        with pytest.raises(ConvergenceError, match="for matrix 1"):
+            sym_eigen_block([Ms[1], Ms[0], Ms[2]])
+        sym_eigen_block([Ms[1]])
+
+
+class TestSymEigenRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejected_before_any_sweep(self, bad, where):
+        M = np.array([[2.0, 0.5], [0.5, 1.0]])
+        M[where] = M[where[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigen(M)

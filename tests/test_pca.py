@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from featlearn.data import (SyntheticSpec, cv_masks, generate_synthetic, kfold,
+                            standardize_fit, stratified_split)
 from featlearn.linalg import sample_covariance, sym_eigen
-from featlearn.pca import pca_fit, pca_transform
+from featlearn.pca import PcaModel, pca_fit, pca_fit_block, pca_transform
 
 
 class TestPcaFit:
@@ -129,3 +131,59 @@ class TestVarianceBudget:
         model = pca_fit(X, 6)
         S = sample_covariance(X)
         assert abs(model.variances.sum() - np.trace(S)) < 1e-8
+
+
+def _assert_same_model(got, want):
+    for name in ("mean", "components", "variances"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.strides == b.strides, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestPcaFitBlock:
+    def test_adni_like_folds_match_pca_fit(self):
+        """The PCA search's block: fold training rows plus all training rows,
+        at the largest r; each member, and the last member cut to a smaller
+        r, is pca_fit's model, and so are its scores."""
+        ds = generate_synthetic(SyntheticSpec.adni_like(0))
+        split = stratified_split(ds, 0.2, 0)
+        F = standardize_fit(ds, split.train).apply(ds.features[split.train])
+        masks = list(cv_masks(F.shape[0], kfold(ds.labels[split.train], 3, 0)))
+        Xs = [F[train] for train, _ in masks] + [F]
+        block = pca_fit_block(Xs, 40)
+        for X, model in zip(Xs, block, strict=True):
+            want = pca_fit(X, 40)
+            _assert_same_model(model, want)
+            assert pca_transform(model, F).tobytes() == pca_transform(want, F).tobytes()
+        final = block[-1]
+        for r in (5, 30):
+            cut = PcaModel(final.mean, final.components[:, :r], final.variances[:r])
+            want = pca_fit(F, r)
+            _assert_same_model(cut, want)
+            assert pca_transform(cut, F).tobytes() == pca_transform(want, F).tobytes()
+
+    def test_r_out_of_range_names_the_matrix(self):
+        rng = np.random.default_rng(13)
+        with pytest.raises(ValueError, match=r"min\(n-1, p\) = 3, got 4 \(matrix 1\)"):
+            pca_fit_block([rng.normal(size=(9, 6)), rng.normal(size=(4, 6))], 4)
+
+    def test_mixed_widths_rejected(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="matrix 1 is 3 x 3, but matrix 0 is 4 x 4"):
+            pca_fit_block([rng.normal(size=(9, 4)), rng.normal(size=(9, 3))], 2)
+
+
+class TestPcaFitRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        X = np.random.default_rng(15).normal(size=(10, 3))
+        X[4, 1] = bad
+        with pytest.raises(ValueError, match="matrix 0 has a non-finite entry"):
+            pca_fit(X, 2)
+
+    def test_block_names_the_matrix(self):
+        rng = np.random.default_rng(16)
+        Xs = [rng.normal(size=(10, 3)) for _ in range(3)]
+        Xs[2][0, 0] = np.nan
+        with pytest.raises(ValueError, match="matrix 2 has a non-finite entry"):
+            pca_fit_block(Xs, 2)
