@@ -1,10 +1,13 @@
-"""Command-line front door: synthetic data generation, single pipeline
-runs, full experiments, verification suites, and report rendering.
+"""Command-line front door: synthetic data generation, full experiments,
+one cell of an experiment's repeat 0, verification suites, and report
+rendering. ``run`` and ``experiment`` build one config the same way (the
+--config file over the defaults, then --seed), and ``run`` fits its cell
+as repeat 0 of ``experiment`` does, after the same checks.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every subcommand is
-deterministic given its flags; all randomness flows from --seed. The split
-uses the per-repeat seed itself; the fold and SAE streams are sub-seeds of
-it, tagged 2 and 3.
+deterministic given its flags and config; all randomness flows from the
+seed. The split uses the per-repeat seed itself; the fold and SAE streams
+are sub-seeds of it, tagged 2 and 3.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import sys
 from dataclasses import replace
 
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec,
-                      _make_split, fit_pipeline, parse_config, read_runs_csv,
-                      render_table, run_experiment, write_runs_csv)
-from .svm import accuracy
+from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec, fit_pipeline,
+                      parse_config, read_runs_csv, render_table, run_experiment,
+                      write_runs_csv)
 from .verify import run_suite
 
 # CLI spelling -> harness name: the table labels, lower-cased
@@ -65,41 +67,30 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rho", type=float, default=preset.rho,
                      help="equicorrelation in [0,1) (default %(default)s)")
 
-    run = sub.add_parser("run", help="run one pipeline on one split",
-                         description="Single train/test split, one (method, selector) pipeline; "
-                                     "prints the test accuracy and the CV-chosen hyperparameters. "
-                                     f"SAE defaults: structure {dims}, learning rate "
-                                     f"{defaults.sae_learning_rate:g}, "
-                                     f"{defaults.sae_iterations} iterations.")
-    run.add_argument("--data", required=True, help="input CSV path")
-    run.add_argument("--label-column", default="label")
+    # the data and config arguments that run and experiment share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--data", required=True, help="input CSV path")
+    common.add_argument("--label-column", default="label")
+    common.add_argument("--config", help="key = value config file overriding the defaults")
+    common.add_argument("--seed", type=int, help="override base_seed")
+
+    run = sub.add_parser("run", parents=[common], help="run one cell of repeat 0 of 'experiment'",
+                         description="Repeat 0 of 'experiment' for one (method, selector) cell: "
+                                     "it reads the same config and --seed, makes the same split "
+                                     "and checks, and prints the cell's test accuracy and the "
+                                     "CV-chosen hyperparameters.")
     run.add_argument("--method", choices=sorted(_METHOD_NAMES), default="llf")
     run.add_argument("--selector", choices=sorted(_SELECTOR_NAMES), default="none")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--test-frac", type=float, default=defaults.test_frac,
-                     help="test fraction (default %(default)s)")
-    run.add_argument("--k", type=int, default=defaults.k, help="CV folds (default %(default)s)")
-    run.add_argument("--no-stratify", action="store_true",
-                     help="split without class stratification")
-    run.add_argument("--sae-dims", default=",".join(map(str, defaults.sae_dims)),
-                     help="comma-separated hidden sizes (default %(default)s)")
-    run.add_argument("--sae-iterations", type=int, default=defaults.sae_iterations,
-                     help="gradient steps per SAE training (default %(default)s)")
-    run.add_argument("--sae-lr", type=float, default=defaults.sae_learning_rate,
-                     help="SAE learning rate (default %(default)s)")
 
-    exp = sub.add_parser("experiment", help="run the full repeated-split comparison",
+    exp = sub.add_parser("experiment", parents=[common],
+                         help="run the full repeated-split comparison",
                          description="All populated (method, selector) cells over repeated "
                                      "paired splits; writes per-repeat CSV plus rendered tables. "
                                      f"Defaults: {defaults.repeats} repeats, "
                                      f"{defaults.test_frac:.0%} test split, {defaults.k}-fold CV, "
                                      f"SAE {dims} at lr {defaults.sae_learning_rate:g} for "
                                      f"{defaults.sae_iterations} iterations.")
-    exp.add_argument("--data", required=True, help="input CSV path")
-    exp.add_argument("--label-column", default="label")
-    exp.add_argument("--config", help="key = value config file overriding the defaults")
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--seed", type=int, help="override base_seed")
     exp.add_argument("--repeats", type=int, help="override repeat count")
     exp.add_argument("--jobs", type=int, help="worker processes (results identical for any value)")
 
@@ -133,18 +124,23 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _config(args) -> ExperimentConfig:
+    """The --config file over the defaults, then the command's overrides."""
+    cfg = ExperimentConfig()
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    overrides = {"base_seed": args.seed, "repeats": getattr(args, "repeats", None),
+                 "jobs": getattr(args, "jobs", None)}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+
+
 def _cmd_run(args) -> int:
+    cfg = _config(args)
     ds = load_csv(args.data, args.label_column)
-    dims = tuple(int(v) for v in args.sae_dims.split(",") if v.strip())
-    cfg = ExperimentConfig(repeats=1, test_frac=args.test_frac, k=args.k,
-                           base_seed=args.seed, stratify=not args.no_stratify,
-                           sae_dims=dims, sae_learning_rate=args.sae_lr,
-                           sae_iterations=args.sae_iterations)
     spec = PipelineSpec(method=_METHOD_NAMES[args.method],
                         selector=_SELECTOR_NAMES[args.selector])
-    split = _make_split(ds, cfg, args.seed)
-    fit = fit_pipeline(ds, spec, split, ds.unlabeled_indices(), cfg, args.seed)
-    acc = accuracy(fit.predict01(ds.features[split.test]), ds.labels[split.test])
+    fit, acc = fit_pipeline(ds, spec, cfg)
     print(f"method={args.method} selector={args.selector} accuracy={acc:.4f}")
     for key, value in fit.chosen.items():
         print(f"  chosen {key} = {value:g}" if isinstance(value, float) else f"  chosen {key} = {value}")
@@ -152,19 +148,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig()
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = _config(args)
     ds = load_csv(args.data, args.label_column)
     os.makedirs(args.out, exist_ok=True)
     results = run_experiment(ds, PipelineSpec.table_cells(), cfg)

@@ -178,12 +178,13 @@ class SyntheticSpec:
 def load_csv(path: str, label_column: str = "label") -> Dataset:
     """Read a UTF-8, comma-separated, headered file into a Dataset.
 
-    The label column must contain 0, 1, or -1 (-1 = unlabeled); every other
-    column must be numeric. Errors name the offending line and column.
+    A leading byte-order mark and blank lines are skipped. The label column
+    must contain 0, 1, or -1 (-1 = unlabeled); every other column must be
+    numeric and finite. Errors name the offending line and column.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -197,6 +198,8 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
         rows, labels = [], []
         for lineno, rec in enumerate(reader, start=2):
+            if len(rec) < 2 and not "".join(rec).strip():
+                continue  # a blank line: a row has a feature cell and a label cell
             if len(rec) != len(header):
                 raise CsvFormatError(
                     f"{path}:{lineno}: ragged row, {len(rec)} cells but {len(header)} header columns")
@@ -212,10 +215,14 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                     continue
                 colname = header[i]
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}:{lineno}: non-numeric cell {cell!r} in column {colname!r}") from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}:{lineno}: non-finite cell {cell!r} in column {colname!r}")
+                vals.append(value)
             rows.append(vals)
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")

@@ -365,13 +365,11 @@ class _RepeatFits:
     own selector and SVM. Shared arrays are read-only, so a cell that wrote
     into one would raise instead of changing what the next cell sees."""
 
-    def __init__(self, ds: Dataset, split: SplitIndices, unlabeled_rows,
-                 cfg: ExperimentConfig, seed: int):
+    def __init__(self, ds: Dataset, split: SplitIndices, cfg: ExperimentConfig, r: int):
         self.ds = ds
         self.split = split
-        self.unlabeled_rows = np.asarray(unlabeled_rows, dtype=np.intp)
         self.cfg = cfg
-        self.seed = seed
+        self.seed = cfg.base_seed + r
         self._sae: dict = {}
         self._methods: dict = {}
 
@@ -392,7 +390,7 @@ class _RepeatFits:
         if semi not in self._sae:
             params, Xtr, ytr01, folds_local = self._train
             if semi:
-                X_extra = params.apply(self.ds.features[self.unlabeled_rows])
+                X_extra = params.apply(self.ds.features[self.ds.unlabeled_indices()])
             else:
                 X_extra = np.zeros((0, self.ds.p))
             self._sae[semi] = _fit_sae_stage(Xtr, ytr01, X_extra, folds_local,
@@ -442,20 +440,29 @@ class _RepeatFits:
                            chosen=chosen)
 
 
-def fit_pipeline(ds: Dataset, spec: PipelineSpec, split: SplitIndices,
-                 unlabeled_rows, cfg: ExperimentConfig, seed: int) -> PipelineFit:
-    """Fit one pipeline on the training side of ``split``.
+def fit_pipeline(ds: Dataset, spec: PipelineSpec, cfg: ExperimentConfig,
+                 r: int = 0) -> tuple[PipelineFit, float]:
+    """Fit one cell as repeat ``r`` of ``run_experiment`` fits it, and return
+    the fit with its test accuracy, which equals that cell's repeat-``r``
+    accuracy in the experiment's results.
 
-    Test rows are never consulted; unlabeled rows feed SAE pretraining only
-    when the method is semi-supervised.
+    The split, its up-front checks, the unlabeled rows and the seed
+    ``cfg.base_seed + r`` are the repeat's own. Test rows are touched only
+    by the final evaluation; unlabeled rows feed SAE pretraining only when
+    the method is semi-supervised.
     """
-    return _RepeatFits(ds, split, unlabeled_rows, cfg, seed).fit(spec)
+    repeat = _RepeatFits(ds, _checked_split(ds, [spec], cfg, r), cfg, r)
+    fit = repeat.fit(spec)
+    return fit, _evaluate(repeat, fit)
 
 
 def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> float:
     """Fit one cell through its repeat's shared fits, return its accuracy on
     the test side of the repeat's split."""
-    fit = repeat.fit(spec)
+    return _evaluate(repeat, repeat.fit(spec))
+
+
+def _evaluate(repeat: _RepeatFits, fit: PipelineFit) -> float:
     with _stage("evaluate"):
         test = repeat.split.test
         pred = fit.predict01(repeat.ds.features[test])
@@ -486,15 +493,9 @@ class ResultsTable:
         return out
 
 
-def _make_split(ds: Dataset, cfg: ExperimentConfig, seed: int) -> SplitIndices:
-    if cfg.stratify:
-        return stratified_split(ds, cfg.test_frac, seed)
-    return random_split(ds, cfg.test_frac, seed)
-
-
 def _run_repeat(ds: Dataset, task) -> tuple[int, list[float]]:
     specs, cfg, r, split = task
-    repeat = _RepeatFits(ds, split, ds.unlabeled_indices(), cfg, cfg.base_seed + r)
+    repeat = _RepeatFits(ds, split, cfg, r)
     return r, [run_pipeline(repeat, spec) for spec in specs]
 
 
@@ -511,20 +512,18 @@ def _repeat_worker(task) -> tuple[int, list[float]]:
     return _run_repeat(_worker_ds, task)
 
 
-def _checked_splits(ds: Dataset, specs, cfg: ExperimentConfig) -> list[SplitIndices]:
-    """Every repeat's split, after checking what would otherwise fail only
+def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIndices:
+    """Repeat r's split, after checking what would otherwise fail only
     partway through the run: the SAE stack's widths and the fold count."""
     if any(spec.uses_sae for spec in specs):
         check_dims(ds.p, cfg.sae_dims)
-    splits = []
-    for r in range(cfg.repeats):
-        split = _make_split(ds, cfg, cfg.base_seed + r)
-        smaller = int(np.bincount(ds.labels[split.train], minlength=2).min())
-        if cfg.k > smaller:
-            raise ValueError(f"k={cfg.k} exceeds the {smaller} training rows of the "
-                             f"smaller class in repeat {r}")
-        splits.append(split)
-    return splits
+    make_split = stratified_split if cfg.stratify else random_split
+    split = make_split(ds, cfg.test_frac, cfg.base_seed + r)
+    smaller = int(np.bincount(ds.labels[split.train], minlength=2).min())
+    if cfg.k > smaller:
+        raise ValueError(f"k={cfg.k} exceeds the {smaller} training rows of the "
+                         f"smaller class in repeat {r}")
+    return split
 
 
 def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
@@ -540,8 +539,7 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
-    splits = _checked_splits(ds, specs, cfg)
-    tasks = [(specs, cfg, r, split) for r, split in enumerate(splits)]
+    tasks = [(specs, cfg, r, _checked_split(ds, specs, cfg, r)) for r in range(cfg.repeats)]
     # a fork-based pool starts all its workers on the first submit
     workers = min(cfg.jobs, cfg.repeats)
     if workers > 1:
@@ -691,9 +689,11 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Flat key = value format; '#' starts a comment, lists are
-    comma-separated. Unknown keys are rejected."""
+    comma-separated. Unknown keys, keys set twice and values that do not
+    convert are rejected with their line."""
     cfg = base or ExperimentConfig()
     updates: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -703,14 +703,20 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"config line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         kind = _CONFIG_FIELDS[key]
-        if kind is bool:
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"config line {lineno}: {key} must be true or false")
-            updates[key] = value.lower() == "true"
-        elif get_args(kind):  # tuple[elem, ...]
-            elem = get_args(kind)[0]
-            updates[key] = tuple(elem(p.strip()) for p in value.split(",") if p.strip())
-        else:
-            updates[key] = kind(value)
+        try:
+            if kind is bool:
+                if value.lower() not in ("true", "false"):
+                    raise ValueError("must be true or false")
+                updates[key] = value.lower() == "true"
+            elif get_args(kind):  # tuple[elem, ...]
+                elem = get_args(kind)[0]
+                updates[key] = tuple(elem(p.strip()) for p in value.split(",") if p.strip())
+            else:
+                updates[key] = kind(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return replace(cfg, **updates)

@@ -1,6 +1,6 @@
 import pytest
 
-from featlearn import verify
+from featlearn import harness, verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
 from featlearn.harness import ResultsTable, write_runs_csv
 from test_harness import BAD_RUNS, RUNS_HEADER
@@ -15,7 +15,6 @@ METHODS = {
 }
 SELECTORS = {"none": "NONE", "lasso": "LASSO", "ttest": "TTEST", "pca": "PCA"}
 
-TINY = ["--k", "3", "--sae-dims", "4,2", "--sae-iterations", "5"]
 
 
 @pytest.fixture
@@ -26,16 +25,24 @@ def data_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def tiny(tmp_path):
+    """``--config`` and a config file with few folds and a small, short SAE."""
+    path = tmp_path / "tiny.cfg"
+    path.write_text("k = 3\nsae_dims = 4,2\nsae_iterations = 5\n", encoding="utf-8")
+    return ["--config", str(path)]
+
+
 def test_name_tables():
     assert _METHOD_NAMES == METHODS
     assert _SELECTOR_NAMES == SELECTORS
 
 
 @pytest.mark.parametrize("method, selector", [("llf", "lasso"), ("semi-saef", "none")])
-def test_gen_data_then_run(data_csv, capsys, method, selector):
+def test_gen_data_then_run(data_csv, tiny, capsys, method, selector):
     capsys.readouterr()
     assert main(["run", "--data", data_csv, "--method", method, "--selector", selector,
-                 *TINY]) == 0
+                 *tiny]) == 0
     out = capsys.readouterr().out
     assert out.startswith(f"method={method} selector={selector} accuracy=")
     assert "  chosen C = " in out
@@ -70,19 +77,43 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("ttest_grid = -3", "every pca_grid and ttest_grid value must be >= 1"),
     ("sae_dims = 4,0", "hidden sizes must be >= 1"),
     ("base_seed = -1", "base_seed must be >= 0"),
+    ("k = 3.5", "config line 1: k: invalid literal for int() with base 10: '3.5'"),
+    ("k = 3\nk = 5", "config line 2: k is already set on line 1"),
 ])
-def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, line, message):
+def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, monkeypatch,
+                                                   line, message):
+    # main does not catch the AssertionError, so a fit fails the test
+    def fail(repeat, spec):
+        raise AssertionError(f"{spec} was fitted")
+
+    monkeypatch.setattr(harness._RepeatFits, "fit", fail)
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["experiment", "--data", data_csv, "--config", str(config),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    common = ["--data", data_csv, "--config", str(config)]
+    # run fits an SAE cell, so the SAE width check applies to it too
+    for argv in (["experiment", *common, "--out", str(tmp_path / "out")],
+                 ["run", *common, "--method", "saef"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err, argv[0]
 
 
-def test_negative_seed_rejected_before_any_fit(data_csv, tmp_path, capsys):
+def test_run_is_repeat_0_of_experiment(data_csv, tiny, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["experiment", "--data", data_csv, *tiny, "--seed", "2", "--repeats", "1",
+                 "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["run", "--data", data_csv, "--seed", "-1", *TINY]) == 2
+    assert main(["run", "--data", data_csv, *tiny, "--seed", "2",
+                 "--method", "llf", "--selector", "pca"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0].rsplit("accuracy=", 1)[1]
+    row = next(line for line in (out / "results.csv").read_text().splitlines()
+               if line.startswith("LLF,PCA,0,"))
+    assert printed == f"{float(row.rsplit(',', 1)[1]):.4f}"
+
+
+def test_negative_seed_rejected_before_any_fit(data_csv, tiny, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["run", "--data", data_csv, "--seed", "-1", *tiny]) == 2
     assert "featlearn run: error: base_seed must be >= 0" in capsys.readouterr().err
     assert main(["experiment", "--data", data_csv, "--seed", "-1",
                  "--out", str(tmp_path / "out")]) == 2

@@ -64,6 +64,33 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=r":3: ragged"):
             load_csv(str(path))
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,b,label\n1,2,0\n\n3,4,1\n  \n")
+        ds = load_csv(str(path))
+        np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+        path.write_text("a,b,label\n\n\n")
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,label,b\n1,0,2\n3,1,{cell}\n")
+        with pytest.raises(CsvFormatError,
+                           match=rf"bad.csv:3: non-finite cell '{cell}' in column 'b'"):
+            load_csv(str(path))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("label,a\n0,1.5\n1,2.5\n".encode("utf-8-sig"))
+        ds = load_csv(str(path))
+        assert ds.feature_names == ("a",)
+        np.testing.assert_array_equal(ds.features, [[1.5], [2.5]])
+        save_csv(ds, str(path))
+        assert path.read_bytes().startswith(b"a,label\r\n")
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/nope.csv")

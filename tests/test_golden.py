@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from featlearn.data import SyntheticSpec, generate_synthetic
-from featlearn.harness import (ExperimentConfig, PipelineSpec, _make_split,
-                               _RepeatFits, fit_pipeline, run_experiment)
-from featlearn.svm import accuracy
+from featlearn.harness import (ExperimentConfig, PipelineSpec, _RepeatFits, fit_pipeline,
+                               run_experiment)
 
 GOLDEN = Path(__file__).with_name("golden_small.json")
 DATA_SEED = 0
@@ -89,10 +88,7 @@ def test_results_match_golden_fixture():
                                      (PipelineSpec("LLF_SEMI_SAEF"), 1)])
 def test_one_cell_fit_matches_golden_fixture(spec, r):
     ds = generate_synthetic(SyntheticSpec.adni_like(DATA_SEED))
-    seed = CONFIG.base_seed + r
-    split = _make_split(ds, CONFIG, seed)
-    fit = fit_pipeline(ds, spec, split, ds.unlabeled_indices(), CONFIG, seed)
-    acc = accuracy(fit.predict01(ds.features[split.test]), ds.labels[split.test].astype(int))
+    fit, acc = fit_pipeline(ds, spec, CONFIG, r)
     assert {"accuracy": _digits(acc), "chosen": _chosen(fit)} == \
         _expected()[f"{spec.method}-{spec.selector}"][r]
 

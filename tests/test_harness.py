@@ -8,7 +8,7 @@ import pytest
 from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, ResultsTable,
-                               _fit_pca_selector, _fit_sae_stage, _make_split, _RepeatFits,
+                               _checked_split, _fit_pca_selector, _fit_sae_stage, _RepeatFits,
                                config_to_text, parse_config, read_runs_csv, run_experiment,
                                write_runs_csv)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
@@ -76,7 +76,7 @@ class TestFitPcaSelector:
     def test_matches_per_fold_reference(self, seed, k):
         ds = generate_synthetic(SyntheticSpec.adni_like(seed))
         cfg = ExperimentConfig(k=k)
-        repeat = _RepeatFits(ds, _make_split(ds, cfg, seed), [], cfg, seed)
+        repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)
         _, _, ytr01, folds = repeat._train
         F = repeat._method_stage(PipelineSpec("LLF"))[2]
         _, chosen = _fit_pca_selector(F, ytr01, folds, cfg)
@@ -148,12 +148,12 @@ class TestRepeatFits:
         ds = generate_synthetic(TINY_DATA)
         cfg = replace(TINY, sae_learning_rate=0.5, sae_iterations=10, c_grid=(0.1, 10.0),
                       n_lambdas=5, svm_epochs=100, svm_cv_epochs=30)
-        split = _make_split(ds, cfg, 0)
+        split = _checked_split(ds, PipelineSpec.table_cells(), cfg, 0)
         X = ds.features.copy()
         X[split.test] = np.random.default_rng(1).normal(scale=10.0, size=(split.test.size, ds.p))
         noisy = Dataset(X, ds.labels, ds.feature_names)
-        clean_fits = _RepeatFits(ds, split, ds.unlabeled_indices(), cfg, 0)
-        noisy_fits = _RepeatFits(noisy, split, noisy.unlabeled_indices(), cfg, 0)
+        clean_fits = _RepeatFits(ds, split, cfg, 0)
+        noisy_fits = _RepeatFits(noisy, split, cfg, 0)
         for spec in PipelineSpec.table_cells():
             clean, other = clean_fits.fit(spec), noisy_fits.fit(spec)
             assert other.chosen == clean.chosen, spec
@@ -164,7 +164,7 @@ class TestRepeatFits:
 
     def test_shared_arrays_are_read_only(self):
         ds = generate_synthetic(TINY_DATA)
-        fits = _RepeatFits(ds, _make_split(ds, TINY, 0), ds.unlabeled_indices(), TINY, 0)
+        fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
         _, Xtr, ytr01, folds = fits._train
         Ftr = fits._method_stage(PipelineSpec("SAEF"))[2]
         for shared in (Xtr, ytr01, folds[0], Ftr):

@@ -3,7 +3,7 @@ import pytest
 
 from featlearn import svm
 from featlearn.data import SyntheticSpec, cv_masks, generate_synthetic, kfold
-from featlearn.harness import ExperimentConfig, _make_split, _RepeatFits
+from featlearn.harness import ExperimentConfig, _checked_split, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import LinearSvmModel, svm_cv, svm_predict, svm_train, svm_train_block
 from featlearn.ttest import select_top_m, two_sample_t
@@ -23,7 +23,7 @@ def _adni_folds(seed, k):
     171, 172 and 173 rows, at k=10 on 231, 232 and 233."""
     ds = generate_synthetic(SyntheticSpec.adni_like(seed))
     cfg = ExperimentConfig(k=k)
-    _, Xtr, ytr01, folds = _RepeatFits(ds, _make_split(ds, cfg, seed), [], cfg, seed)._train
+    _, Xtr, ytr01, folds = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)._train
     return np.asarray(Xtr), 2.0 * ytr01 - 1.0, folds
 
 
