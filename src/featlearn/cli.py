@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                      f"mean shift at equicorrelation {preset.rho:g}.")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--preset", choices=["adni-like"],
-                     help="use the named preset, overriding the shape flags")
     gen.add_argument("--n0", type=int, default=preset.n0, help="class-0 rows (default %(default)s)")
     gen.add_argument("--n1", type=int, default=preset.n1, help="class-1 rows (default %(default)s)")
     gen.add_argument("--n-unlabeled", type=int, default=preset.n_unlabeled,
@@ -108,12 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     try:
-        if args.preset == "adni-like":
-            spec = SyntheticSpec.adni_like(seed=args.seed)
-        else:
-            spec = SyntheticSpec(n0=args.n0, n1=args.n1, n_unlabeled=args.n_unlabeled,
-                                 p=args.p, s=args.s, delta=args.delta, rho=args.rho,
-                                 seed=args.seed)
+        spec = SyntheticSpec(n0=args.n0, n1=args.n1, n_unlabeled=args.n_unlabeled,
+                             p=args.p, s=args.s, delta=args.delta, rho=args.rho, seed=args.seed)
     except ValueError as exc:
         print(f"featlearn gen-data: invalid spec: {exc}", file=sys.stderr)
         return 1
@@ -125,10 +119,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _config(args) -> ExperimentConfig:
-    """The --config file over the defaults, then the command's overrides."""
+    """The --config file (a leading byte-order mark is skipped) over the
+    defaults, then the command's overrides."""
     cfg = ExperimentConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             cfg = parse_config(fh.read())
     overrides = {"base_seed": args.seed, "repeats": getattr(args, "repeats", None),
                  "jobs": getattr(args, "jobs", None)}

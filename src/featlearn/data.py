@@ -178,9 +178,10 @@ class SyntheticSpec:
 def load_csv(path: str, label_column: str = "label") -> Dataset:
     """Read a UTF-8, comma-separated, headered file into a Dataset.
 
-    A leading byte-order mark and blank lines are skipped. The label column
-    must contain 0, 1, or -1 (-1 = unlabeled); every other column must be
-    numeric and finite. Errors name the offending line and column.
+    A leading byte-order mark and blank lines are skipped. Column names must
+    be distinct. The label column must contain 0, 1, or -1 (-1 =
+    unlabeled); every other column must be numeric and finite. Errors name
+    the offending line and column.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -190,6 +191,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, expected a header row") from None
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise CsvFormatError(f"{path}:1: repeated column name {repeated!r}")
         if label_column not in header:
             raise CsvFormatError(f"{path}: header has no column named {label_column!r}")
         label_pos = header.index(label_column)

@@ -16,6 +16,13 @@ the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
 lasso), and the method features with their scaler once per method. Each cell fits only its own
 selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 
+A fitted cell (``PipelineFit``) is plain data: its spec, the fitted
+parameters, and the chosen values. The method and selector names live only
+in the spec, and two functions read them there to build a cell's features:
+``_method_features`` (LLF rows, SAE encodings, or both) and ``_selected``
+(the kept columns or the PCA scores). Training rows and test rows go
+through the same two functions.
+
 The SVM searches train their candidates in lockstep blocks
 (``svm.svm_train_block``), which give the same models as one fit per
 candidate. The C search trains all folds' C grids as one block, a fold's
@@ -197,20 +204,13 @@ class ExperimentConfig:
                         iterations=self.sae_iterations, l2=l2)
 
 
-@dataclass(frozen=True, eq=False)
-class MethodFeatures:
-    """Fitted method stage: raw features, SAE encodings, or both."""
-
-    method: str
-    sae: SaeModel | None = None
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.method == "LLF":
-            return X
-        F = sae_features(self.sae, X)
-        if self.method in ("LLF_SAEF", "LLF_SEMI_SAEF"):
-            return np.hstack([X, F])
-        return F
+def _method_features(spec: PipelineSpec, sae: SaeModel | None, X: np.ndarray) -> np.ndarray:
+    """The cell's method features of standardized rows: the rows themselves
+    (LLF), their SAE encodings, or both side by side."""
+    if not spec.uses_sae:
+        return X
+    F = sae_features(sae, X)
+    return np.hstack([X, F]) if spec.method in ("LLF_SAEF", "LLF_SEMI_SAEF") else F
 
 
 def _fit_scaler(F: np.ndarray) -> StandardizationParams:
@@ -220,37 +220,35 @@ def _fit_scaler(F: np.ndarray) -> StandardizationParams:
     return StandardizationParams(F.mean(axis=0), np.where(stds > 1e-12, stds, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class SelectorTransform:
-    """Fitted selector stage: a column subset or a PCA projection."""
-
-    selector: str
-    indices: np.ndarray | None = None
-    pca: PcaModel | None = None
-
-    def apply(self, F: np.ndarray) -> np.ndarray:
-        if self.selector == "NONE":
-            return F
-        if self.selector == "PCA":
-            return pca_transform(self.pca, F)
-        return F[:, self.indices]
+def _selected(spec: PipelineSpec, selection: np.ndarray | PcaModel | None,
+              F: np.ndarray) -> np.ndarray:
+    """The cell's selection applied to scaled features: the kept columns
+    (lasso, t-test) or the PCA scores."""
+    if spec.selector == "NONE":
+        return F
+    if spec.selector == "PCA":
+        return pca_transform(selection, F)
+    return F[:, selection]
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineFit:
-    """Everything fitted by one pipeline on one training set."""
+    """Everything fitted by one cell on one training set, as plain data: the
+    cell's method and selector are only in ``spec``. ``sae`` is the SAE of an
+    SAE method (None for LLF), and ``selection`` the kept column indices of a
+    lasso or t-test cell, the PCA model of a PCA cell, or None."""
 
     spec: PipelineSpec
     standardization: StandardizationParams
-    method_map: MethodFeatures
+    sae: SaeModel | None
     feature_scaler: StandardizationParams
-    selector_map: SelectorTransform
+    selection: np.ndarray | PcaModel | None
     svm: LinearSvmModel
     chosen: dict
 
     def transform(self, X_raw: np.ndarray) -> np.ndarray:
-        Xs = self.standardization.apply(X_raw)
-        return self.selector_map.apply(self.feature_scaler.apply(self.method_map.apply(Xs)))
+        F = _method_features(self.spec, self.sae, self.standardization.apply(X_raw))
+        return _selected(self.spec, self.selection, self.feature_scaler.apply(F))
 
     def predict01(self, X_raw: np.ndarray) -> np.ndarray:
         return _predict01(self.svm, self.transform(X_raw))
@@ -299,8 +297,7 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     if idx.size == 0:
         # nothing survived the penalty; degrade to no selection
         idx = np.arange(F.shape[1])
-    return SelectorTransform(selector="LASSO", indices=idx), {"lambda": best_lam,
-                                                              "n_selected": int(idx.size)}
+    return idx, {"lambda": best_lam, "n_selected": int(idx.size)}
 
 
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
@@ -309,8 +306,7 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     m = ttest_cv(F, ytr01, folds_local, grid,
                  partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs))
     stats = two_sample_t(F, ytr01)
-    idx = select_top_m(stats, m)
-    return SelectorTransform(selector="TTEST", indices=idx), {"m": m}
+    return select_top_m(stats, m), {"m": m}
 
 
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
@@ -351,8 +347,7 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
             pred = _predict01(models[f, i], scores_val[f][:, :r])
             scores[i] += float(np.mean(pred == ytr01[val]))
     r = grid[int(np.argmax(scores))]
-    model = pca_fit(F, r)
-    return SelectorTransform(selector="PCA", pca=model), {"r": r}
+    return pca_fit(F, r), {"r": r}
 
 
 _SELECTOR_FITS = {"LASSO": _fit_lasso_selector, "TTEST": _fit_ttest_selector,
@@ -398,35 +393,30 @@ class _RepeatFits:
         return self._sae[semi]
 
     def _method_stage(self, spec: PipelineSpec):
-        """(method map, feature scaler, scaled training features, chosen)."""
+        """(SAE or None, feature scaler, scaled training features, chosen)."""
         if spec.method not in self._methods:
             Xtr = self._train[1]
             with _stage("method-features"):
-                chosen = {}
+                sae, chosen = None, {}
                 if spec.uses_sae:
-                    sae_model, chosen["l2"] = self._sae_stage(spec.semi_supervised)
-                    method_map = MethodFeatures(method=spec.method, sae=sae_model)
-                else:
-                    method_map = MethodFeatures(method="LLF")
-                Ftr = method_map.apply(Xtr)
+                    sae, chosen["l2"] = self._sae_stage(spec.semi_supervised)
+                Ftr = _method_features(spec, sae, Xtr)
                 scaler = _fit_scaler(Ftr)
-                self._methods[spec.method] = (method_map, scaler,
-                                              _readonly(scaler.apply(Ftr)), chosen)
+                self._methods[spec.method] = (sae, scaler, _readonly(scaler.apply(Ftr)), chosen)
         return self._methods[spec.method]
 
     def fit(self, spec: PipelineSpec) -> PipelineFit:
         params, _, ytr01, folds_local = self._train
-        method_map, scaler, Ftr, method_chosen = self._method_stage(spec)
+        sae, scaler, Ftr, method_chosen = self._method_stage(spec)
         chosen = dict(method_chosen)
 
         with _stage("selector"):
-            if spec.selector == "NONE":
-                selector_map = SelectorTransform(selector="NONE")
-            else:
+            selection = None
+            if spec.selector != "NONE":
                 fit_selector = _SELECTOR_FITS[spec.selector]
-                selector_map, picked = fit_selector(Ftr, ytr01, folds_local, self.cfg)
+                selection, picked = fit_selector(Ftr, ytr01, folds_local, self.cfg)
                 chosen.update(picked)
-            Gtr = selector_map.apply(Ftr)
+            Gtr = _selected(spec, selection, Ftr)
 
         with _stage("svm"):
             y_pm = 2.0 * ytr01.astype(float) - 1.0
@@ -435,9 +425,8 @@ class _RepeatFits:
             chosen["C"] = C
             model = svm_train(Gtr, y_pm, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
 
-        return PipelineFit(spec=spec, standardization=params, method_map=method_map,
-                           feature_scaler=scaler, selector_map=selector_map, svm=model,
-                           chosen=chosen)
+        return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
+                           selection=selection, svm=model, chosen=chosen)
 
 
 def fit_pipeline(ds: Dataset, spec: PipelineSpec, cfg: ExperimentConfig,
@@ -469,13 +458,6 @@ def _evaluate(repeat: _RepeatFits, fit: PipelineFit) -> float:
         return accuracy(pred, repeat.ds.labels[test].astype(np.int64))
 
 
-@dataclass(frozen=True)
-class CellStats:
-    mean_pct: float
-    std_pct: float
-    repeats: int
-
-
 @dataclass(frozen=True, eq=False)
 class ResultsTable:
     """Per-cell accuracy fractions for every repeat, keyed by
@@ -483,14 +465,11 @@ class ResultsTable:
 
     accuracies: dict
 
-    def cells(self) -> dict:
-        out = {}
-        for key, accs in self.accuracies.items():
-            a = np.asarray(accs, dtype=float)
-            std = float(a.std(ddof=1)) if a.size > 1 else 0.0
-            out[key] = CellStats(mean_pct=100.0 * float(a.mean()),
-                                 std_pct=100.0 * std, repeats=int(a.size))
-        return out
+
+def _mean_std(accs) -> tuple[float, float]:
+    """A cell's mean accuracy and its sample std dev (0 for one repeat)."""
+    a = np.asarray(accs, dtype=float)
+    return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
 
 
 def _run_repeat(ds: Dataset, task) -> tuple[int, list[float]]:
@@ -556,53 +535,40 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
     return ResultsTable(accuracies=table)
 
 
-def _grid(results: ResultsTable):
-    cells = results.cells()
-    present_selectors = [s for s in SELECTORS if any(k[1] == s for k in cells)]
-    return cells, present_selectors
-
-
 def render_table(results: ResultsTable, fmt: str = "text") -> str:
     """Rows are selectors, columns are feature methods, means rendered to
     one decimal in percent; unpopulated combinations stay blank. A std-dev
     block (an extension over the mean-only layout) follows the means."""
     if fmt not in ("text", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    cells, selectors = _grid(results)
+    stats = {key: _mean_std(accs) for key, accs in results.accuracies.items()}
+    selectors = [s for s in SELECTORS if any(key[1] == s for key in stats)]
 
-    def cell_text(selector, method, attr):
-        stats = cells.get((method, selector))
-        return "" if stats is None else f"{getattr(stats, attr):.1f}"
+    def block(i: int) -> list:
+        """(selector label, cell strings) per present selector, of the
+        means (i = 0) or the std devs (i = 1)."""
+        return [(SELECTOR_LABELS[s], [f"{100.0 * stats[m, s][i]:.1f}" if (m, s) in stats
+                                      else "" for m in METHODS]) for s in selectors]
 
+    means, stds = block(0), block(1)
     headers = [METHOD_LABELS[m] for m in METHODS]
     if fmt == "csv":
-        lines = ["selector," + ",".join(headers)]
-        for s in selectors:
-            lines.append(",".join([SELECTOR_LABELS[s]] +
-                                  [cell_text(s, m, "mean_pct") for m in METHODS]))
-        lines.append("")
-        lines.append("std dev (%) across repeats (extension)")
-        lines.append("selector," + ",".join(headers))
-        for s in selectors:
-            lines.append(",".join([SELECTOR_LABELS[s]] +
-                                  [cell_text(s, m, "std_pct") for m in METHODS]))
-        return "\n".join(lines) + "\n"
+        def row(name, vals):
+            return ",".join([name, *vals])
 
-    widths = [max(len(h), 13) for h in headers]
-    name_w = max(len(SELECTOR_LABELS[s]) for s in SELECTORS)
+        head = row("selector", headers)
+        before_means, before_stds = [head], ["", "std dev (%) across repeats (extension)", head]
+    else:
+        widths = [max(len(h), 13) for h in headers]
+        name_w = max(len(SELECTOR_LABELS[s]) for s in SELECTORS)
 
-    def text_row(name, vals):
-        return (name.ljust(name_w) + "  "
-                + "  ".join(v.rjust(w) for v, w in zip(vals, widths))).rstrip()
+        def row(name, vals):
+            return (name.ljust(name_w) + "  "
+                    + "  ".join(v.rjust(w) for v, w in zip(vals, widths))).rstrip()
 
-    lines = ["Mean accuracy (%) over repeats", ""]
-    lines.append(text_row("", headers))
-    for s in selectors:
-        lines.append(text_row(SELECTOR_LABELS[s], [cell_text(s, m, "mean_pct") for m in METHODS]))
-    lines.append("")
-    lines.append("Std dev (%) across repeats (extension)")
-    for s in selectors:
-        lines.append(text_row(SELECTOR_LABELS[s], [cell_text(s, m, "std_pct") for m in METHODS]))
+        before_means = ["Mean accuracy (%) over repeats", "", row("", headers)]
+        before_stds = ["", "Std dev (%) across repeats (extension)"]
+    lines = before_means + [row(*r) for r in means] + before_stds + [row(*r) for r in stds]
     return "\n".join(lines) + "\n"
 
 
@@ -613,9 +579,8 @@ def write_runs_csv(results: ResultsTable, path: str) -> None:
         for r, a in enumerate(accs):
             lines.append(f"{method},{selector},{r},{a:.17g}")
     for (method, selector), accs in results.accuracies.items():
-        a = np.asarray(accs)
-        std = float(a.std(ddof=1)) if a.size > 1 else 0.0
-        lines.append(f"{method},{selector},mean,{float(a.mean()):.17g}")
+        mean, std = _mean_std(accs)
+        lines.append(f"{method},{selector},mean,{mean:.17g}")
         lines.append(f"{method},{selector},std,{std:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

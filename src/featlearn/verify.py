@@ -219,7 +219,7 @@ def check_pca_identities(instances: int = 50, seed: int = 8) -> CheckResult:
                        f"{instances} random datasets, p <= 20")
 
 
-def check_svm_grid(seed: int = 9) -> CheckResult:
+def check_svm_grid() -> CheckResult:
     """Solver objective vs the closed-form optimum of a 1-D 4-point toy, and
     a brute-force grid over (w, b) in [-3, 3] at step 0.01 that must find no
     point better than the solver.

@@ -2,6 +2,7 @@ import pytest
 
 from featlearn import harness, verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
+from featlearn.data import SyntheticSpec, generate_synthetic, save_csv
 from featlearn.harness import ResultsTable, write_runs_csv
 from test_harness import BAD_RUNS, RUNS_HEADER
 
@@ -48,6 +49,23 @@ def test_gen_data_then_run(data_csv, tiny, capsys, method, selector):
     assert "  chosen C = " in out
     assert ("  chosen lambda = " in out) == (selector == "lasso")
     assert ("  chosen l2 = " in out) == (method != "llf")
+
+
+def test_gen_data_defaults_are_the_adni_like_preset(tmp_path, capsys):
+    path, preset = tmp_path / "adni.csv", tmp_path / "preset.csv"
+    assert main(["gen-data", "--out", str(path), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (f"wrote 632 rows x 56 features to {path} "
+                                       "(n0=144, n1=179, unlabeled=309)\n")
+    save_csv(generate_synthetic(SyntheticSpec.adni_like(seed=3)), str(preset))
+    assert path.read_bytes() == preset.read_bytes()
+
+
+def test_config_file_with_a_byte_order_mark(data_csv, tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes("k = 3\nsae_dims = 4,2\nsae_iterations = 5\n".encode("utf-8-sig"))
+    capsys.readouterr()
+    assert main(["run", "--data", data_csv, "--config", str(path), "--selector", "ttest"]) == 0
+    assert capsys.readouterr().out.startswith("method=llf selector=ttest accuracy=")
 
 
 def test_unknown_method_exits_1(data_csv, capsys):

@@ -91,6 +91,18 @@ class TestCsvRoundTrip:
         save_csv(ds, str(path))
         assert path.read_bytes().startswith(b"a,label\r\n")
 
+    def test_repeated_label_column_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("label,a,label\n0,2,1\n1,4,0\n")
+        with pytest.raises(CsvFormatError, match=r"twice.csv:1: repeated column name 'label'"):
+            load_csv(str(path))
+
+    def test_repeated_feature_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,a,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(CsvFormatError, match=r"twice.csv:1: repeated column name 'a'"):
+            load_csv(str(path))
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/nope.csv")

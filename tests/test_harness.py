@@ -9,8 +9,8 @@ from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, ResultsTable,
                                _checked_split, _fit_pca_selector, _fit_sae_stage, _RepeatFits,
-                               config_to_text, parse_config, read_runs_csv, run_experiment,
-                               write_runs_csv)
+                               config_to_text, parse_config, read_runs_csv, render_table,
+                               run_experiment, write_runs_csv)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 from harness_reference import per_fold_pca_search
 
@@ -160,7 +160,7 @@ class TestRepeatFits:
             assert other.svm.w.tobytes() == clean.svm.w.tobytes(), spec
             assert other.svm.bias == clean.svm.bias, spec
             if spec.uses_sae:
-                assert _sae_arrays(other.method_map.sae) == _sae_arrays(clean.method_map.sae)
+                assert _sae_arrays(other.sae) == _sae_arrays(clean.sae)
 
     def test_shared_arrays_are_read_only(self):
         ds = generate_synthetic(TINY_DATA)
@@ -237,6 +237,63 @@ class TestRunsCsv:
         path.write_text("method,accuracy\n")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: unexpected header"):
             read_runs_csv(str(path))
+
+
+# Blank cells in a present row, a one-repeat cell (std 0), and no t-test row
+PINNED = ResultsTable(accuracies={("LLF", "NONE"): (0.75, 0.85), ("SEMI_SAEF", "NONE"): (0.625,),
+                                  ("LLF", "PCA"): (0.5, 0.7, 0.9),
+                                  ("LLF_SAEF", "LASSO"): (2 / 3, 0.8)})
+PINNED_HEADERS = "LLF,LLF+SAEF,LLF+semi-SAEF,SAEF,semi-SAEF"
+
+
+class TestRenderedOutput:
+    """The exact bytes of the rendered tables and of results.csv's summary rows."""
+
+    def test_text_table(self):
+        assert render_table(PINNED, "text") == (
+            "Mean accuracy (%) over repeats\n"
+            "\n"
+            "                  LLF       LLF+SAEF  LLF+semi-SAEF           SAEF      semi-SAEF\n"
+            "No FS            80.0                                                        62.5\n"
+            "Lasso                           73.3\n"
+            "PCA              70.0\n"
+            "\n"
+            "Std dev (%) across repeats (extension)\n"
+            "No FS             7.1                                                         0.0\n"
+            "Lasso                            9.4\n"
+            "PCA              20.0\n")
+
+    def test_csv_table(self):
+        assert render_table(PINNED, "csv") == (
+            f"selector,{PINNED_HEADERS}\n"
+            "No FS,80.0,,,,62.5\n"
+            "Lasso,,73.3,,,\n"
+            "PCA,70.0,,,,\n"
+            "\n"
+            "std dev (%) across repeats (extension)\n"
+            f"selector,{PINNED_HEADERS}\n"
+            "No FS,7.1,,,,0.0\n"
+            "Lasso,,9.4,,,\n"
+            "PCA,20.0,,,,\n")
+
+    def test_runs_csv_summary_rows(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_runs_csv(PINNED, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-8:] == [
+            "LLF,NONE,mean,0.80000000000000004",
+            "LLF,NONE,std,0.070710678118654738",
+            "SEMI_SAEF,NONE,mean,0.625",
+            "SEMI_SAEF,NONE,std,0",
+            "LLF,PCA,mean,0.70000000000000007",
+            "LLF,PCA,std,0.20000000000000001",
+            "LLF_SAEF,LASSO,mean,0.73333333333333339",
+            "LLF_SAEF,LASSO,std,0.094280904158206405",
+        ]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'html'"):
+            render_table(PINNED, "html")
 
 
 class TestRunExperiment:
