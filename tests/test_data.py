@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from data_reference import per_cell_load_csv, per_cell_save_csv
 from featlearn.data import (CsvFormatError, Dataset, StandardizationParams,
                             SyntheticSpec, cv_masks, generate_synthetic, kfold,
                             load_csv, random_split, save_csv, standardize_fit,
@@ -130,6 +133,75 @@ class TestCsvRoundTrip:
         save_csv(ds, str(p1))
         save_csv(ds, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "pinned.csv"
+        ds = Dataset.from_arrays([[-0.0, 5e-324], [1e300, 0.1]], [-1, 1], ("b,c", 'q"u'))
+        save_csv(ds, str(path))
+        assert path.read_bytes() == (b'"b,c","q""u",label\r\n'
+                                     b"-0,4.9406564584124654e-324,-1\r\n"
+                                     b"1.0000000000000001e+300,0.10000000000000001,1\r\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c,label\n1,inf,abc,0\n", ":2: non-finite cell 'inf' in column 'b'"),
+        ("a,b,c,label\n1,abc,inf,0\n", ":2: non-numeric cell 'abc' in column 'b'"),
+        ("a,b,label\nabc,nan,7\n", ":2: unknown label value '7' in column 'label' (expected 0, 1, or -1)"),
+        ("a,label,b,c\n1,0,2,x\n", ":2: non-numeric cell 'x' in column 'c'"),
+        ("a,b,label\n1,2,0\n1,inf,1\nabc,2,0\n", ":3: non-finite cell 'inf' in column 'b'"),
+        ("a,b,label\n1,2,0\n1,abc,1\n-inf,2,0\n", ":3: non-numeric cell 'abc' in column 'b'"),
+    ], ids=["non-finite-first", "non-numeric-first", "label-before-cells",
+            "label-in-the-middle", "earlier-line-non-finite", "earlier-line-non-numeric"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(str(path))
+        assert str(err.value) == f"{path}{message}"
+
+
+# Cells as a hand-written file may spell them: float() reads the first seven
+ODD_CELLS = [" 1.5 ", "1_000", "+2", ".5e1", "-0", "1E-400", "1e999", "", "abc", "1,5", "0x1",
+             "nan", "-Infinity", '"3"', "1 2"]
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+NAMES = ["a", "b,c", 'q"u', "x y", "\u00e9t\u00e9", "label2", " pad ", "7"]
+
+
+def _outcome(load, path):
+    """What a reader makes of a file: its error, or the exact bits it read."""
+    try:
+        ds = load(path)
+    except CsvFormatError as exc:
+        return str(exc)
+    return ds.features.tobytes(), ds.labels.tolist(), ds.feature_names
+
+
+class TestCsvAgainstPerCellReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_bytes_values_and_messages(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 301, size=(n, p))
+        special = rng.random((n, p)) < 0.2
+        X[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+        names = tuple(rng.choice(NAMES, size=p, replace=False).tolist())
+        ds = Dataset.from_arrays(X, rng.integers(-1, 2, size=n), names)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, str(new))
+        per_cell_save_csv(ds, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert _outcome(load_csv, str(new)) == _outcome(per_cell_load_csv, str(old))
+
+        # the label moved to a random column, then a few cells respelled
+        label_pos = int(rng.integers(0, p + 1))
+        rows = [list(names)] + [[f"{v!r}" for v in row] for row in X.tolist()]
+        for row, label in zip(rows, ["label"] + ds.labels.tolist()):
+            row.insert(label_pos, str(label))
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = int(rng.integers(1, n + 1)), int(rng.integers(0, p + 1))
+            rows[i][j] = str(rng.choice(ODD_CELLS + ["7", " 1 "]))
+        with open(new, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator=str(rng.choice(["\n", "\r\n"]))).writerows(rows)
+        assert _outcome(load_csv, str(new)) == _outcome(per_cell_load_csv, str(new))
 
 
 class TestStandardize:
