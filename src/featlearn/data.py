@@ -182,6 +182,12 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     be distinct. The label column must contain 0, 1, or -1 (-1 =
     unlabeled); every other column must be numeric and finite. Errors name
     the offending line and column.
+
+    A row's feature cells are parsed with one ``float`` pass and checked with
+    one finiteness pass; only a row that fails is read again cell by cell to
+    name its fault. The values and messages are those of reading every cell
+    on its own: the earliest bad line wins, its label is checked before its
+    cells, and its first bad cell in column order is named.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -207,40 +213,50 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             if len(rec) != len(header):
                 raise CsvFormatError(
                     f"{path}:{lineno}: ragged row, {len(rec)} cells but {len(header)} header columns")
-            raw_label = rec[label_pos].strip()
+            raw_label = rec.pop(label_pos).strip()
             if raw_label not in ("0", "1", "-1"):
                 raise CsvFormatError(
                     f"{path}:{lineno}: unknown label value {raw_label!r} "
                     f"in column {label_column!r} (expected 0, 1, or -1)")
             labels.append(int(raw_label))
-            vals = []
-            for i, cell in enumerate(rec):
-                if i == label_pos:
-                    continue
-                colname = header[i]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {colname!r}") from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}:{lineno}: non-finite cell {cell!r} in column {colname!r}")
-                vals.append(value)
+            try:
+                vals = list(map(float, rec))
+            except ValueError:
+                vals = None
+            if vals is None or not all(map(math.isfinite, vals)):
+                _raise_first_bad_cell(f"{path}:{lineno}", rec, names)
             rows.append(vals)
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=float), np.array(labels), tuple(names))
 
 
+def _raise_first_bad_cell(where: str, cells, names) -> None:
+    """Raise CsvFormatError for the first cell, in column order, that is not a
+    finite number."""
+    for cell, name in zip(cells, names):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise CsvFormatError(f"{where}: non-numeric cell {cell!r} in column {name!r}") from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"{where}: non-finite cell {cell!r} in column {name!r}")
+
+
 def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
     """Write a Dataset so load_csv reads it back equal; floats are rendered
-    with 17 significant digits for bit-exact round trips."""
+    with 17 significant digits for bit-exact round trips.
+
+    ``csv.writer`` writes the header, quoting names that need it; each data
+    row is one ``%`` format of a fixed template, since numeric cells never
+    need quoting. The bytes are those of writing every row through
+    ``csv.writer``: the same digits and ``\\r\\n`` line ends.
+    """
+    row = "%.17g," * ds.p + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
-        for i in range(ds.n):
-            writer.writerow([f"{v:.17g}" for v in ds.features[i]] + [str(int(ds.labels[i]))])
+        csv.writer(fh).writerow(list(ds.feature_names) + [label_column])
+        for values, label in zip(ds.features.tolist(), ds.labels.tolist()):
+            fh.write(row % (*values, label))
 
 
 def standardize_fit(ds: Dataset, rows) -> StandardizationParams:

@@ -54,7 +54,6 @@ has not been measured.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
@@ -522,6 +521,8 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
     # a fork-based pool starts all its workers on the first submit
     workers = min(cfg.jobs, cfg.repeats)
     if workers > 1:
+        # imported here: the pool's modules are a sizeable share of importing featlearn
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
             outcomes = list(pool.map(_repeat_worker, tasks))
@@ -590,9 +591,13 @@ def read_runs_csv(path: str) -> ResultsTable:
     """Rebuild a ResultsTable from write_runs_csv output. Blank lines are
     skipped. Each of these raises ValueError naming ``path:line``: a
     malformed row, a cell that PipelineSpec rejects, a second row for one
-    (method, selector, repeat), a cell of R rows whose repeats are not
-    0..R-1, and a cell with another repeat count than the first cell."""
+    (method, selector, repeat) or one (method, selector) summary, a cell of
+    R rows whose repeats are not 0..R-1, and a cell with another repeat
+    count than the first cell. A file need not have summary rows, but each
+    ``mean`` or ``std`` row it has must belong to a cell with repeat rows
+    and equal, exactly, what write_runs_csv computes from them."""
     per_cell: dict = {}  # (method, selector) -> {repeat: (accuracy, line)}
+    summaries: dict = {}  # (method, selector, "mean" or "std") -> (value, line)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "method,selector,repeat,accuracy":
@@ -604,16 +609,19 @@ def read_runs_csv(path: str) -> ResultsTable:
             try:
                 method, selector, rep, acc = line.split(",")
                 PipelineSpec(method, selector)
-                if rep in ("mean", "std"):
-                    continue
-                rep, acc = int(rep), float(acc)
+                summary = rep in ("mean", "std")
+                rep, acc = (rep if summary else int(rep)), float(acc)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
-            runs = per_cell.setdefault((method, selector), {})
-            if rep in runs:
-                raise ValueError(f"{path}:{lineno}: repeat {rep} of cell {method},{selector} "
-                                 f"is already on line {runs[rep][1]}")
-            runs[rep] = (acc, lineno)
+            if summary:
+                rows, key = summaries, (method, selector, rep)
+            else:
+                rows, key = per_cell.setdefault((method, selector), {}), rep
+            if key in rows:
+                row = rep if summary else f"repeat {rep}"
+                raise ValueError(f"{path}:{lineno}: {row} of cell {method},{selector} "
+                                 f"is already on line {rows[key][1]}")
+            rows[key] = (acc, lineno)
     cells = list(per_cell.items())
     for (method, selector), runs in cells:
         R = len(runs)
@@ -627,6 +635,14 @@ def read_runs_csv(path: str) -> ResultsTable:
             raise ValueError(f"{path}:{lineno}: cell {method},{selector} has {R} repeats, "
                              f"but cell {m0},{s0} has {len(first)}")
     table = {key: tuple(runs[r][0] for r in range(len(runs))) for key, runs in per_cell.items()}
+    for (method, selector, kind), (value, lineno) in summaries.items():
+        if (method, selector) not in table:
+            raise ValueError(f"{path}:{lineno}: {kind} row for cell {method},{selector}, "
+                             f"which has no repeat rows")
+        expected = _mean_std(table[method, selector])[kind == "std"]
+        if value != expected:
+            raise ValueError(f"{path}:{lineno}: {kind} {value!r} of cell {method},{selector} "
+                             f"is not the {kind} of its repeats, {expected!r}")
     return ResultsTable(accuracies=table)
 
 

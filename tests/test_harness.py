@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 import re
 from dataclasses import replace
@@ -194,6 +195,16 @@ BAD_RUNS = {
     "negative-repeat": ("LLF,NONE,-1,0.5\n", 2, "has repeat -1"),
     "count-mismatch": ("LLF,NONE,0,0.5\nLLF,NONE,1,0.6\nLLF,PCA,0,0.7\n", 4,
                        "cell LLF,PCA has 1 repeats, but cell LLF,NONE has 2"),
+    "wrong-mean": ("LLF,NONE,0,0.5\nLLF,NONE,1,0.75\nLLF,NONE,mean,0.99\nLLF,NONE,std,7\n", 4,
+                   "mean 0.99 of cell LLF,NONE is not the mean of its repeats, 0.625"),
+    "wrong-std": ("LLF,NONE,0,0.5\nLLF,NONE,1,0.75\nLLF,NONE,std,7\nLLF,NONE,mean,0.625\n", 4,
+                  "std 7.0 of cell LLF,NONE is not the std of its repeats, 0.1767766952966369"),
+    "nonzero-std-of-one-repeat": ("LLF,NONE,0,0.5\nLLF,NONE,std,0.1\n", 3,
+                                  "std 0.1 of cell LLF,NONE is not the std of its repeats, 0.0"),
+    "summary-without-repeats": ("LLF,LASSO,mean,0.3\n", 2,
+                                "mean row for cell LLF,LASSO, which has no repeat rows"),
+    "duplicate-summary": ("LLF,NONE,0,0.5\nLLF,NONE,mean,0.5\nLLF,NONE,mean,0.5\n", 4,
+                          "mean of cell LLF,NONE is already on line 3"),
 }
 
 
@@ -216,6 +227,7 @@ class TestRunsCsv:
         ("LLF,NONE,1,0.5,7", "too many values to unpack"),
         ("LLF,NONE,1,abc", "could not convert string to float: 'abc'"),
         ("LLF,NONE,one,0.5", "invalid literal for int"),
+        ("LLF,NONE,mean,abc", "could not convert string to float: 'abc'"),
     ])
     def test_malformed_row_names_path_and_line(self, tmp_path, row, cause):
         path = tmp_path / "results.csv"
@@ -342,7 +354,7 @@ class TestRunExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_ds", None)
         monkeypatch.setattr(harness, "_run_repeat",
                             lambda ds, task: (task[2], [0.5] * len(task[0])))
