@@ -40,6 +40,11 @@ across folds would only hold every fold's column copies at once (about
 fold's stack once and fine-tunes the fold's whole L2 grid as one block
 (``sae.fine_tune_block``).
 
+The five searches (the SAE's L2, the lasso's lambda, the t-test's m, the
+PCA's r, the SVM's C) each return (fold, candidate) scores in grid order,
+higher being better (minus the MSE for lambda), and ``_choose`` alone picks
+from them. Exact ties go to the smallest C, m, r and L2 and the largest lambda.
+
 Inner-CV optimism: the standardization, the SAE and the learned-feature
 scaler are fitted once on all training rows, and the selector search reuses
 their output on every inner fold; the C search likewise reuses the selector
@@ -266,6 +271,14 @@ def _predict01(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
     return ((svm_predict(model, X) + 1) // 2).astype(np.int64)
 
 
+def _choose(grid, scores, ties):
+    """The grid value whose column of ``scores`` has the highest total, with
+    ``ties`` (min or max) picking among equal totals. The rows are summed in
+    fold order and never divided: a mean can merge totals that differ."""
+    total = sum(scores, np.zeros(len(grid)))
+    return ties(g for g, t in zip(grid, total) if t == total.max())
+
+
 def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed: int):
     """Choose the fine-tuning L2 by k-fold CV on the SAE classifier's own
     validation accuracy, then train the final stack on all training rows.
@@ -273,14 +286,13 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     Pretraining never reads l2, so each fold's stack is pretrained once and
     its whole L2 grid fine-tuned as one block, all from the fold's seed."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
-    grid = sorted(cfg.l2_grid)
-    scores = np.zeros(len(grid))
+    scores = []
     for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
         fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
         layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
-        for i, model in enumerate(fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, grid)):
-            scores[i] += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
-    best_l2 = grid[int(np.argmax(scores))]
+        models = fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, cfg.l2_grid)
+        scores.append([accuracy(sae_predict(m, Xtr[val]), ytr01[val]) for m in models])
+    best_l2 = _choose(cfg.l2_grid, np.array(scores), min)
     final = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
         TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds_local)), **base))
@@ -290,7 +302,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
 def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
     lambdas = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)
-    best_lam = lasso_cv(F, y_pm, folds_local, lambdas)
+    best_lam = _choose(lambdas.tolist(), lasso_cv(F, y_pm, folds_local, lambdas), max)
     fit = lasso_fit(F, y_pm - y_pm.mean(), best_lam)
     idx = selected_features(fit)
     if idx.size == 0:
@@ -301,11 +313,10 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     q = F.shape[1]
-    grid = sorted({m for m in cfg.ttest_grid if m <= q}) or [q]
-    m = ttest_cv(F, ytr01, folds_local, grid,
-                 partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs))
-    stats = two_sample_t(F, ytr01)
-    return select_top_m(stats, m), {"m": m}
+    grid = [int(m) for m in cfg.ttest_grid if m <= q] or [q]
+    m = _choose(grid, ttest_cv(F, ytr01, folds_local, grid,
+                               partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs)), min)
+    return select_top_m(two_sample_t(F, ytr01), m), {"m": m}
 
 
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
@@ -318,10 +329,9 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     final fit on all training rows stays a ``pca_fit`` call of its own,
     which is the call that perfbench's tracer records for the PCA cell."""
     n, q = F.shape
-    min_train = min(n - len(val) for val in folds_local)
-    r_cap = min(min_train - 1, q)
-    grid = sorted({r for r in cfg.pca_grid if r <= r_cap}) or [r_cap]
-    r_max = grid[-1]
+    r_cap = min(min(n - len(val) for val in folds_local) - 1, q)
+    grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
+    r_max = max(grid)
     y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
     masks = list(cv_masks(n, folds_local))
     pcas = pca_fit_block((F[train] for train, _ in masks), r_max)
@@ -340,12 +350,9 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
             owners += [(f, i) for f in fs]
     models = dict(zip(owners, svm_train_block(groups, tol=1e-6,
                                               max_epochs=cfg.svm_cv_epochs)))
-    scores = np.zeros(len(grid))
-    for f, (_, val) in enumerate(masks):
-        for i, r in enumerate(grid):
-            pred = _predict01(models[f, i], scores_val[f][:, :r])
-            scores[i] += float(np.mean(pred == ytr01[val]))
-    r = grid[int(np.argmax(scores))]
+    scores = np.array([[accuracy(_predict01(models[f, i], scores_val[f][:, :r]), ytr01[val])
+                        for i, r in enumerate(grid)] for f, (_, val) in enumerate(masks)])
+    r = _choose(grid, scores, min)
     return pca_fit(F, r), {"r": r}
 
 
@@ -419,9 +426,9 @@ class _RepeatFits:
 
         with _stage("svm"):
             y_pm = 2.0 * ytr01.astype(float) - 1.0
-            C = svm_cv(Gtr, y_pm, folds_local, self.cfg.c_grid, tol=1e-6,
-                       max_epochs=self.cfg.svm_cv_epochs)
-            chosen["C"] = C
+            scores = svm_cv(Gtr, y_pm, folds_local, self.cfg.c_grid, tol=1e-6,
+                            max_epochs=self.cfg.svm_cv_epochs)
+            chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
             model = svm_train(Gtr, y_pm, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
 
         return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
@@ -588,17 +595,17 @@ def write_runs_csv(results: ResultsTable, path: str) -> None:
 
 
 def read_runs_csv(path: str) -> ResultsTable:
-    """Rebuild a ResultsTable from write_runs_csv output. Blank lines are
-    skipped. Each of these raises ValueError naming ``path:line``: a
-    malformed row, a cell that PipelineSpec rejects, a second row for one
-    (method, selector, repeat) or one (method, selector) summary, a cell of
-    R rows whose repeats are not 0..R-1, and a cell with another repeat
-    count than the first cell. A file need not have summary rows, but each
-    ``mean`` or ``std`` row it has must belong to a cell with repeat rows
-    and equal, exactly, what write_runs_csv computes from them."""
+    """Rebuild a ResultsTable from write_runs_csv output. A byte-order mark
+    and blank lines are skipped. Each of these raises ValueError naming
+    ``path:line``: a malformed row, a cell that PipelineSpec rejects, a
+    second row for one (method, selector, repeat) or one (method, selector)
+    summary, a cell of R rows whose repeats are not 0..R-1, and a cell with
+    another repeat count than the first cell. A file need not have summary
+    rows, but each ``mean`` or ``std`` row it has must belong to a cell with
+    repeat rows and equal, exactly, what write_runs_csv computes from them."""
     per_cell: dict = {}  # (method, selector) -> {repeat: (accuracy, line)}
     summaries: dict = {}  # (method, selector, "mean" or "std") -> (value, line)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if header != "method,selector,repeat,accuracy":
             raise ValueError(f"{path}:1: unexpected header {header!r}")

@@ -233,33 +233,32 @@ def selected_features(fit: LassoFit, eps: float = DEFAULT_SELECT_EPS) -> np.ndar
     return np.flatnonzero(np.abs(fit.beta) > eps)
 
 
-def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> float:
-    """Lambda minimizing mean validation squared error over the folds.
+def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> np.ndarray:
+    """Minus the validation mean squared error per (fold, lambda), so higher
+    is better, with the columns in ``lambdas`` order.
 
     ``y`` is the +/-1 class encoding used as a regression target. Within
     each fold the training columns and response are re-centered and the
     training mean serves as the intercept for validation predictions. One
     lasso_path walk per fold gives the fit at every lambda, and one matrix
-    product scores them all. Ties go to the larger (sparser) lambda.
+    product scores them all.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
     a full-data ``lambda_path`` need not give the zero fit in every fold,
     since each fold has its own lambda_max; and a small lambda can beat the
-    null model on validation error by chance. So on pure-noise problems this
-    rule returns the largest lambda on roughly 70% of them, not on all.
+    null model on validation error by chance. So on pure-noise problems the
+    largest lambda has the lowest total error in roughly 70% of them, not all.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty lambda list")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    errors = np.zeros(lambdas.size)
-    for train, val in cv_masks(X.shape[0], folds):
+    scores = np.zeros((len(folds), lambdas.size))
+    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
         col_means = X[train].mean(axis=0)
         y_mean = y[train].mean()
         betas = lasso_path(X[train] - col_means, y[train] - y_mean, lambdas)
         resid = y[val, None] - ((X[val] - col_means) @ betas + y_mean)
-        errors += np.sum(resid * resid, axis=0) / val.size
-    errors /= len(folds)
-    order = np.argsort(-lambdas, kind="stable")
-    return float(lambdas[order[np.argmin(errors[order])]])
+        scores[f] = -(np.sum(resid * resid, axis=0) / val.size)
+    return scores

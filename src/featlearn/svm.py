@@ -222,20 +222,17 @@ def accuracy(pred, truth) -> float:
 
 
 def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
-           max_epochs: int = DEFAULT_MAX_EPOCHS) -> float:
-    """C maximizing mean validation accuracy; ties go to the smaller C.
+           max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
+    """Validation accuracy per (fold, C), with the columns in ``C_grid`` order.
 
     Every fold's whole C grid trains in one block: a fold's candidates share
     its training rows as one operand, and the folds may differ in row count."""
-    grid = sorted(float(c) for c in C_grid)
-    if not grid:
+    if len(C_grid) == 0:
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=float)
     masks = list(cv_masks(X.shape[0], folds))
-    models = svm_train_block([(X[train], y[train], grid) for train, _ in masks], tol, max_epochs)
-    scores = np.zeros(len(grid))
-    for f, (_, val) in enumerate(masks):
-        for i, model in enumerate(models[f * len(grid):(f + 1) * len(grid)]):
-            scores[i] += accuracy(svm_predict(model, X[val]), y[val])
-    return grid[int(np.argmax(scores))]
+    models = iter(svm_train_block([(X[train], y[train], C_grid) for train, _ in masks],
+                                  tol, max_epochs))
+    return np.array([[accuracy(svm_predict(next(models), X[val]), y[val]) for _ in C_grid]
+                     for _, val in masks])

@@ -1,5 +1,5 @@
 """Two-sample t statistics per feature, top-m screening, and
-cross-validated choice of m."""
+cross-validated scores of each m."""
 
 from __future__ import annotations
 
@@ -51,28 +51,29 @@ def select_top_m(stats: TStats, m: int) -> np.ndarray:
 
 
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[int],
-             classifier_trainer: Callable) -> int:
-    """m maximizing mean validation accuracy of the downstream classifier.
+             classifier_trainer: Callable) -> np.ndarray:
+    """The downstream classifier's validation accuracy per (fold, m), with
+    the columns in ``candidate_ms`` order.
 
     ``classifier_trainer(X_trains, y_train)`` takes a fold's training rows
     restricted to each candidate's columns, one matrix per candidate m in
-    ascending order, and returns one predict function per matrix. The t
-    ranking is recomputed inside each fold. Ties go to the smaller m.
+    that order, and returns one predict function per matrix. The t ranking
+    is recomputed inside each fold.
     """
-    candidate_ms = sorted(set(int(m) for m in candidate_ms))
+    candidate_ms = [int(m) for m in candidate_ms]
     if not candidate_ms:
         raise ValueError("empty candidate list")
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     p = X.shape[1]
-    if candidate_ms[0] < 1 or candidate_ms[-1] > p:
+    if min(candidate_ms) < 1 or max(candidate_ms) > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")
-    scores = np.zeros(len(candidate_ms))
-    for train, val in cv_masks(X.shape[0], folds):
+    scores = np.zeros((len(folds), len(candidate_ms)))
+    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
         Xtr, ytr = X[train], labels[train]
         stats = two_sample_t(Xtr, ytr)
         cols = [select_top_m(stats, m) for m in candidate_ms]
         predicts = classifier_trainer([Xtr[:, c] for c in cols], ytr)
-        for i, (c, predict) in enumerate(zip(cols, predicts)):
-            scores[i] += float(np.mean(predict(X[val][:, c]) == labels[val]))
-    return candidate_ms[int(np.argmax(scores))]
+        scores[f] = [np.mean(predict(X[val][:, c]) == labels[val])
+                     for c, predict in zip(cols, predicts)]
+    return scores

@@ -1,6 +1,7 @@
 """The one-problem averaged-subgradient loop and the per-C search, kept as the
 reference for ``featlearn.svm``: ``svm_train_block`` must reproduce
-``averaged_subgradient`` bit for bit, model by model, and ``svm_cv`` must pick
+``averaged_subgradient`` bit for bit, model by model, ``svm_cv`` must score
+every (fold, C) as ``per_c_cv`` does, and ``harness._choose`` must then pick
 the C that ``per_c_cv`` picks.
 
 The objective and the schedule are the package's; see the ``svm`` module.
@@ -65,15 +66,18 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_T
 
 
 def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
-             max_epochs: int = DEFAULT_MAX_EPOCHS) -> float:
+             max_epochs: int = DEFAULT_MAX_EPOCHS) -> tuple[float, np.ndarray]:
     """C maximizing mean validation accuracy, one ``averaged_subgradient``
-    run per (fold, C); ties go to the smaller C."""
+    run per (fold, C); ties go to the smaller C. Also returns the accuracy
+    per (fold, C), with the columns in ascending C order."""
     grid = sorted(float(c) for c in C_grid)
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=float)
     scores = np.zeros(len(grid))
-    for train, val in cv_masks(X.shape[0], folds):
+    per_fold = np.zeros((len(folds), len(grid)))
+    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
         for i, C in enumerate(grid):
             model = averaged_subgradient(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
-            scores[i] += accuracy(svm_predict(model, X[val]), y[val])
-    return grid[int(np.argmax(scores))]
+            per_fold[f, i] = accuracy(svm_predict(model, X[val]), y[val])
+            scores[i] += per_fold[f, i]
+    return grid[int(np.argmax(scores))], per_fold

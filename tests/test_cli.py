@@ -170,6 +170,17 @@ def test_report_renders_a_results_csv_with_a_trailing_blank_line(tmp_path, capsy
     assert "80.0" in row
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_report_reads_a_results_csv_with_a_byte_order_mark(tmp_path, capsys, fmt):
+    plain, marked = tmp_path / "results.csv", tmp_path / "bom.csv"
+    write_runs_csv(ResultsTable(accuracies={("LLF", "NONE"): (0.75, 0.85)}), str(plain))
+    marked.write_bytes(plain.read_bytes().decode("utf-8").encode("utf-8-sig"))
+    assert main(["report", "--results", str(plain), "--format", fmt]) == 0
+    want = capsys.readouterr().out
+    assert main(["report", "--results", str(marked), "--format", fmt]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_report_names_the_malformed_line(tmp_path, capsys):
     path = tmp_path / "results.csv"
     path.write_text("method,selector,repeat,accuracy\nLLF,NONE,0,abc\n")

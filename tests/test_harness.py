@@ -1,6 +1,8 @@
+import codecs
 import concurrent.futures
 import pickle
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, ResultsTable,
-                               _checked_split, _fit_pca_selector, _fit_sae_stage, _RepeatFits,
-                               config_to_text, parse_config, read_runs_csv, render_table,
-                               run_experiment, write_runs_csv)
+                               _checked_split, _choose, _fit_pca_selector, _fit_sae_stage,
+                               _RepeatFits, config_to_text, parse_config, read_runs_csv,
+                               render_table, run_experiment, write_runs_csv)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 from harness_reference import per_fold_pca_search
 
@@ -21,12 +23,14 @@ TINY = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
 
 def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
     """The L2 search with the candidate loop outside the fold loop: every
-    fold is pretrained afresh for every L2."""
+    fold is pretrained afresh for every L2. Also returns the accuracy per
+    (fold, L2), with the columns in ascending L2 order."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
     n = Xtr.shape[0]
     grid = sorted(cfg.l2_grid)
     best_l2, best_acc = grid[0], -1.0
-    for l2 in grid:
+    per_fold = np.zeros((len(folds), len(grid)))
+    for i, l2 in enumerate(grid):
         score = 0.0
         for f, val in enumerate(folds):
             mask = np.ones(n, dtype=bool)
@@ -34,13 +38,34 @@ def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
             model = semi_pretrain_finetune(
                 Xtr[mask], ytr01[mask], X_extra, cfg.sae_dims,
                 TrainConfig(l2=l2, seed=derive_seed(seed, _TAG_SAE, f), **base))
-            score += float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
+            per_fold[f, i] = float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
+            score += per_fold[f, i]
         if score > best_acc:
             best_l2, best_acc = l2, score
     final = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
         TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds)), **base))
-    return final, best_l2
+    return final, best_l2, per_fold
+
+
+@pytest.fixture
+def choices(monkeypatch):
+    """Records every ``harness._choose`` call as (calling function, grid,
+    scores, ties); the real ``_choose`` still makes the choice."""
+    calls = []
+
+    def recording(grid, scores, ties):
+        calls.append((sys._getframe(1).f_code.co_name, list(grid), np.asarray(scores), ties))
+        return _choose(grid, scores, ties)
+
+    monkeypatch.setattr(harness, "_choose", recording)
+    return calls
+
+
+def _sorted_columns(grid, scores):
+    """scores with its columns in ascending grid order, as the references
+    give theirs."""
+    return scores[:, np.argsort(grid, kind="stable")]
 
 
 class TestFitSaeStage:
@@ -48,7 +73,7 @@ class TestFitSaeStage:
     # least once, so the choice itself is under test, not only the final fit.
     @pytest.mark.parametrize("semi", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_l2_pretraining(self, seed, semi):
+    def test_matches_per_l2_pretraining(self, seed, semi, choices):
         rng = np.random.default_rng(seed)
         n, p = 30, 6
         y = np.array([0, 1] * (n // 2))
@@ -59,7 +84,10 @@ class TestFitSaeStage:
         cfg = ExperimentConfig(k=3, sae_dims=(4, 2), sae_learning_rate=0.5,
                                sae_iterations=30, l2_grid=(0.3, 0.0, 0.03))
         got, got_l2 = _fit_sae_stage(X, y, X_extra, folds, cfg, seed)
-        want, want_l2 = _per_l2_reference(X, y, X_extra, folds, cfg, seed)
+        want, want_l2, want_scores = _per_l2_reference(X, y, X_extra, folds, cfg, seed)
+        [(_, grid, scores, _)] = choices
+        assert grid == list(cfg.l2_grid)
+        assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
         assert got_l2 == want_l2
         for a, b in zip(got.layers, want.layers, strict=True):
             for name in ("W", "b", "d_bias"):
@@ -74,15 +102,59 @@ class TestFitPcaSelector:
     # at k=3 on 171, 172 and 173, one fold each. Over these seeds the
     # reference chooses r = 40, 30, 30 and 5.
     @pytest.mark.parametrize("seed, k", [(0, 10), (1, 10), (2, 3), (3, 3)])
-    def test_matches_per_fold_reference(self, seed, k):
+    def test_matches_per_fold_reference(self, seed, k, choices):
         ds = generate_synthetic(SyntheticSpec.adni_like(seed))
         cfg = ExperimentConfig(k=k)
         repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)
         _, _, ytr01, folds = repeat._train
         F = repeat._method_stage(PipelineSpec("LLF"))[2]
         _, chosen = _fit_pca_selector(F, ytr01, folds, cfg)
-        assert chosen["r"] == per_fold_pca_search(F, ytr01, folds, cfg.pca_grid,
+        want_r, want_scores = per_fold_pca_search(F, ytr01, folds, cfg.pca_grid,
                                                   cfg.svm_cv_epochs)
+        [(_, grid, scores, _)] = choices
+        assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
+        assert chosen["r"] == want_r
+
+
+class TestChoose:
+    # totals 1.0, 1.0, 0.5 and 1.0 for grid values 3, 1, 4 and 2
+    SCORES = np.array([[0.25, 0.5, 0.25, 0.75], [0.75, 0.5, 0.25, 0.25]])
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+    def test_ties_pick_by_grid_value_in_any_grid_order(self, order):
+        grid = [[3, 1, 4, 2][i] for i in order]
+        scores = self.SCORES[:, order]
+        assert _choose(grid, scores, min) == 1
+        assert _choose(grid, scores, max) == 3
+
+    def test_an_ulp_larger_total_wins_where_a_mean_would_tie(self):
+        # Ten fold accuracies per candidate with the same exact sum. Added
+        # in fold order, b's total is one ulp above a's; divided by 10 they
+        # are equal, so a mean would hand the choice to the tie rule.
+        a = np.array([17, 15, 18, 16, 16, 17, 23, 20, 19, 16]) / 23
+        b = np.array([23, 18, 17, 17, 16, 16, 20, 16, 19, 15]) / 23
+        total_a, total_b = sum(a, 0.0), sum(b, 0.0)
+        assert total_b == np.nextafter(total_a, np.inf) and total_a / 10 == total_b / 10
+        assert _choose([1, 2], np.column_stack([a, b]), min) == 2
+        assert _choose([1, 2], np.column_stack([b, a]), max) == 1
+
+    def test_one_candidate_returns_its_value(self):
+        for value, ties in ((0.5, max), (7, min)):
+            got = _choose([value], np.array([[0.3], [0.9], [0.0]]), ties)
+            assert got == value and type(got) is type(value)
+
+    def test_each_search_passes_its_tie_rule(self, choices):
+        ds = generate_synthetic(TINY_DATA)
+        specs = PipelineSpec.table_cells()
+        fits = _RepeatFits(ds, _checked_split(ds, specs, TINY, 0), TINY, 0)
+        for spec in specs:
+            fits.fit(spec)
+        rules = {"_fit_sae_stage": min, "_fit_lasso_selector": max, "_fit_ttest_selector": min,
+                 "_fit_pca_selector": min, "fit": min}
+        assert {caller: ties for caller, _, _, ties in choices} == rules
+        for caller, grid, scores, ties in choices:
+            assert scores.shape == (TINY.k, len(grid)), caller
+        assert [caller for caller, *_ in choices].count("fit") == len(specs)
 
 
 class TestExperimentConfig:
@@ -216,6 +288,14 @@ class TestRunsCsv:
         assert list(got) == list(RUNS)
         for key, accs in RUNS.items():
             assert np.array(got[key]).tobytes() == np.array(accs).tobytes()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_runs_csv(ResultsTable(accuracies=RUNS), str(path))
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        got = read_runs_csv(str(path)).accuracies
+        assert {key: np.array(a).tobytes() for key, a in got.items()} == {
+            key: np.array(a).tobytes() for key, a in RUNS.items()}
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "results.csv"

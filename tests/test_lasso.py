@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from featlearn.data import cv_masks, kfold
+from featlearn.harness import _choose
 from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                              lasso_fit, lasso_objective, lasso_path, selected_features)
 from lasso_reference import coordinate_descent, running_max_lambda_max
@@ -290,7 +291,7 @@ class TestLassoCv:
     def test_single_lambda(self):
         rng = np.random.default_rng(0)
         X, y = _centered_problem(rng, 20, 4)
-        assert lasso_cv(X, y, self._folds(20), [0.5]) == 0.5
+        assert _choose([0.5], lasso_cv(X, y, self._folds(20), [0.5]), max) == 0.5
 
     def _noise_problem(self, seed):
         rng = np.random.default_rng(seed)
@@ -302,7 +303,7 @@ class TestLassoCv:
         return X, y, self._folds(n, seed=seed), lams
 
     def test_pure_noise_prefers_largest_lambda(self):
-        # Minimum mean validation error picks lams[0] on about 70% of these
+        # Minimum total validation error picks lams[0] on about 70% of these
         # problems (699 of seeds 0-999), not on all: the full-data lambda_max
         # need not zero every fold's fit, and a small lambda can beat the null
         # model on a fold by chance. A strict majority is the rule's real
@@ -312,15 +313,18 @@ class TestLassoCv:
         wins = 0
         for seed in range(100):
             X, y, folds, lams = self._noise_problem(seed)
-            if lasso_cv(X, y, folds, lams) == lams[0]:
+            if _choose(lams, lasso_cv(X, y, folds, lams), max) == lams[0]:
                 wins += 1
         assert wins >= 51
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_cold_start_reference(self, seed):
+        # coordinate descent is another solver, stopped at a tolerance, so its
+        # errors agree to about 2e-7 relative over these seeds, not bit for bit
         X, y, folds, lams = self._noise_problem(seed)
         errors = np.zeros(lams.size)
-        for fold in folds:
+        per_fold = np.zeros((len(folds), lams.size))
+        for f, fold in enumerate(folds):
             val = np.asarray(fold)
             train = np.setdiff1d(np.arange(y.size), val)
             col_means = X[train].mean(axis=0)
@@ -328,9 +332,12 @@ class TestLassoCv:
             for i, lam in enumerate(lams):
                 beta = coordinate_descent(X[train] - col_means, y[train] - y_mean, lam).beta
                 resid = y[val] - ((X[val] - col_means) @ beta + y_mean)
-                errors[i] += resid @ resid / val.size
+                per_fold[f, i] = resid @ resid / val.size
+                errors[i] += per_fold[f, i]
         expected = lams[errors == errors.min()].max()
-        assert lasso_cv(X, y, folds, lams) == expected
+        scores = lasso_cv(X, y, folds, lams)
+        np.testing.assert_allclose(scores, -per_fold, rtol=1e-6, atol=0.0)
+        assert _choose(lams, scores, max) == expected
 
     def test_equal_fold_errors_pick_larger_lambda(self):
         # above every fold's own lambda_max each fit is all-zero, so every
@@ -339,7 +346,16 @@ class TestLassoCv:
         top = max(lambda_max(X[train] - X[train].mean(axis=0), y[train] - y[train].mean())
                   for train, _ in cv_masks(y.size, folds))
         lams = top * np.array([2.0, 8.0, 4.0])
-        assert lasso_cv(X, y, folds, lams) == lams[1]
+        assert _choose(lams, lasso_cv(X, y, folds, lams), max) == lams[1]
+
+    def test_columns_follow_lambda_order(self):
+        X, y, folds, lams = self._noise_problem(3)
+        order = [5, 0, 7, 2, 2, 6, 1, 4, 3]
+        scores = lasso_cv(X, y, folds, lams[order])
+        assert scores.shape == (len(folds), 9)
+        # equal up to how the one matrix product rounds each column
+        np.testing.assert_allclose(scores, lasso_cv(X, y, folds, lams)[:, order],
+                                   rtol=1e-12, atol=0.0)
 
     def test_strong_signal_recovers_support(self):
         wins = 0
@@ -350,7 +366,7 @@ class TestLassoCv:
             X -= X.mean(axis=0)
             y = np.sign(X[:, 0] + X[:, 1] + 0.3 * rng.normal(size=n))
             lams = lambda_path(X, y - y.mean(), 10, 0.01)
-            best = lasso_cv(X, y, self._folds(n, seed=seed), lams)
+            best = _choose(lams, lasso_cv(X, y, self._folds(n, seed=seed), lams), max)
             fit = lasso_fit(X, y - y.mean(), best)
             if {0, 1} <= set(selected_features(fit).tolist()):
                 wins += 1

@@ -3,7 +3,7 @@ import pytest
 
 from featlearn import svm
 from featlearn.data import SyntheticSpec, cv_masks, generate_synthetic, kfold
-from featlearn.harness import ExperimentConfig, _checked_split, _RepeatFits
+from featlearn.harness import ExperimentConfig, _checked_split, _choose, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import LinearSvmModel, svm_cv, svm_predict, svm_train, svm_train_block
 from featlearn.ttest import select_top_m, two_sample_t
@@ -186,6 +186,15 @@ class TestSvmTrainBlock:
             svm_train_block(**args)
 
 
+def _assert_matches_per_c(X, y, folds, grid):
+    """svm_cv's accuracies equal per_c_cv's byte for byte, and _choose picks
+    per_c_cv's C from them."""
+    scores = svm_cv(X, y, folds, grid, 1e-6, 150)
+    want_C, want = per_c_cv(X, y, folds, grid, 1e-6, 150)
+    assert scores[:, np.argsort(grid, kind="stable")].tobytes() == want.tobytes()
+    assert _choose(grid, scores, min) == want_C
+
+
 class TestSvmCv:
     def test_equal_fold_scores_pick_smaller_C(self):
         rng = np.random.default_rng(0)
@@ -197,20 +206,28 @@ class TestSvmCv:
             for C in grid:
                 model = svm_train(X[train], y[train], C)
                 assert np.all(svm_predict(model, X[val]) == y[val])
-        assert svm_cv(X, y, folds, grid) == 0.1
+        assert _choose(grid, svm_cv(X, y, folds, grid), min) == 0.1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_c_reference(self, seed):
         X, y, labels = _problem(seed, 30, 36, 12)
         folds = kfold(labels, 5, seed=seed)
-        grid = ExperimentConfig().c_grid
-        assert svm_cv(X, y, folds, grid, 1e-6, 150) == per_c_cv(X, y, folds, grid, 1e-6, 150)
+        _assert_matches_per_c(X, y, folds, ExperimentConfig().c_grid)
 
     @pytest.mark.parametrize("k", [3, 10])
     def test_matches_per_c_reference_on_unequal_folds(self, k):
         X, y, folds = _adni_folds(3, k)
-        grid = ExperimentConfig().c_grid
-        assert svm_cv(X, y, folds, grid, 1e-6, 150) == per_c_cv(X, y, folds, grid, 1e-6, 150)
+        _assert_matches_per_c(X, y, folds, ExperimentConfig().c_grid)
+
+    def test_columns_follow_grid_order(self):
+        X, y, labels = _problem(4, 30, 36, 12)
+        folds = kfold(labels, 5, seed=4)
+        grid = [10.0, 0.01, 100.0, 1.0, 0.1, 1.0]
+        scores = svm_cv(X, y, folds, grid, 1e-6, 150)
+        assert scores.shape == (5, 6)
+        in_order = svm_cv(X, y, folds, sorted(grid), 1e-6, 150)
+        assert scores[:, np.argsort(grid, kind="stable")].tobytes() == in_order.tobytes()
+        _assert_matches_per_c(X, y, folds, grid)
 
 
 class TestSvmPredict:

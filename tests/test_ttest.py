@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from featlearn.data import SyntheticSpec, generate_synthetic, kfold
+from featlearn.harness import _choose
 from featlearn.ttest import select_top_m, ttest_cv, two_sample_t
 
 
@@ -127,8 +128,9 @@ class TestTtestCv:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 4))
         labels = np.array([0, 1] * 10)
-        got = ttest_cv(X, labels, self._folds(labels), [3], self._nearest_mean_trainer)
-        assert got == 3
+        scores = ttest_cv(X, labels, self._folds(labels), [3], self._nearest_mean_trainer)
+        assert scores.shape == (5, 1)
+        assert _choose([3], scores, min) == 3
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -137,7 +139,17 @@ class TestTtestCv:
         folds = self._folds(labels, seed=4)
         a = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
         b = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
+        assert _choose([1, 3, 6], a, min) == _choose([1, 3, 6], b, min)
+
+    def test_columns_follow_candidate_order(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(30, 6))
+        labels = np.array([0, 1] * 15)
+        folds = self._folds(labels, seed=4)
+        scores = ttest_cv(X, labels, folds, [6, 1, 3, 1], self._nearest_mean_trainer)
+        in_order = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
+        assert scores.tobytes() == in_order[:, [2, 0, 1, 0]].tobytes()
 
     def test_prefers_support_size_under_heavy_noise(self):
         s = 4
@@ -145,8 +157,9 @@ class TestTtestCv:
         for seed in range(100):
             ds = generate_synthetic(SyntheticSpec(30, 30, 0, 40, s, 1.5, 0.0, seed=seed))
             labels = ds.labels
-            got = ttest_cv(ds.features, labels, self._folds(labels, seed=seed),
-                           [s, 40], self._nearest_mean_trainer)
+            scores = ttest_cv(ds.features, labels, self._folds(labels, seed=seed),
+                              [s, 40], self._nearest_mean_trainer)
+            got = _choose([s, 40], scores, min)
             if got == s:
                 wins += 1
         assert wins >= 80
@@ -160,7 +173,8 @@ class TestTtestCv:
         def constant_trainer(Xtrs, ytr):
             return [lambda Xval: np.zeros(Xval.shape[0], dtype=int) for _ in Xtrs]
 
-        assert ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer) == 2
+        scores = ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer)
+        assert _choose([4, 2, 3], scores, min) == 2
 
     def test_one_trainer_call_per_fold_with_every_candidate(self):
         rng = np.random.default_rng(3)
@@ -173,7 +187,7 @@ class TestTtestCv:
             return self._nearest_mean_trainer(Xtrs, ytr)
 
         ttest_cv(X, labels, self._folds(labels, k=5), [5, 1, 3], recording_trainer)
-        assert calls == [[(16, 1), (16, 3), (16, 5)]] * 5
+        assert calls == [[(16, 5), (16, 1), (16, 3)]] * 5
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
