@@ -3,7 +3,7 @@ t-test screening, PCA, and stacked auto-encoders feeding a linear SVM, with
 a repeated-split evaluation harness and synthetic data generation."""
 
 from .data import (CsvFormatError, Dataset, SplitIndices, StandardizationParams,
-                   SyntheticSpec, cv_masks, generate_synthetic, kfold, load_csv,
+                   SyntheticSpec, generate_synthetic, kfold, load_csv,
                    random_split, save_csv, standardize_fit, stratified_split)
 from .harness import (ExperimentConfig, PipelineFit, PipelineSpec,
                       PipelineStageError, ResultsTable, fit_pipeline,

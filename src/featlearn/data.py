@@ -325,9 +325,11 @@ def random_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
     return SplitIndices(train, test)
 
 
-def kfold(labels, k: int, seed: int) -> list[np.ndarray]:
-    """Partition the positions 0..len(labels)-1 into k class-stratified
-    folds; every label must be 0 or 1.
+def kfold(labels, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Class-stratified k-fold CV over the positions 0..len(labels)-1: one
+    read-only (training mask, validation rows) pair per fold. The mask is
+    False exactly on the fold's rows, which are ascending. Every label must
+    be 0 or 1.
 
     Fold sizes differ by at most one per class; deterministic given seed.
     """
@@ -337,25 +339,14 @@ def kfold(labels, k: int, seed: int) -> list[np.ndarray]:
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("kfold requires labeled rows only (labels 0 and 1)")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(labels.size, dtype=np.intp)  # a class's i-th shuffled row is in fold i % k
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
         if members.size < k:
             raise ValueError(f"k={k} exceeds class {cls} count {members.size}")
-        perm = rng.permutation(members)
-        for j in range(k):
-            folds[j].extend(perm[j::k].tolist())
-    return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
-
-
-def cv_masks(n: int, folds):
-    """Yield (training mask, validation indices) per fold, in fold order, for
-    k-fold CV over n rows: the mask is False exactly on the fold's rows."""
-    for fold in folds:
-        val = np.asarray(fold, dtype=np.intp)
-        train = np.ones(n, dtype=bool)
-        train[val] = False
-        yield train, val
+        fold_of[rng.permutation(members)] = np.arange(members.size) % k
+    return tuple((_readonly(fold_of != j), _readonly(np.flatnonzero(fold_of == j)))
+                 for j in range(k))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -16,6 +16,10 @@ the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
 lasso), and the method features with their scaler once per method. Each cell fits only its own
 selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
 
+Each repeat makes its folds and 0/1 labels once, in the form every search
+reads: ``kfold``'s (training mask, validation rows) pairs, and the labels
+that the SVM takes too. Only the lasso re-encodes them, as a +/-1 target.
+
 A fitted cell (``PipelineFit``) is plain data: its spec, the fitted
 parameters, and the chosen values. The method and selector names live only
 in the spec, and two functions read them there to build a cell's features:
@@ -60,14 +64,14 @@ has not been measured.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, cv_masks,
-                   derive_seed, kfold, random_split, standardize_fit, stratified_split)
+from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, derive_seed,
+                   kfold, random_split, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
 from .pca import PcaModel, pca_fit, pca_fit_block, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune_block, sae_features,
@@ -195,8 +199,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
         if min(self.svm_epochs, self.svm_cv_epochs) < 1:
             raise ValueError("svm_epochs and svm_cv_epochs must be >= 1")
-        if min(self.c_grid) <= 0:
-            raise ValueError("every C in c_grid must be > 0")
+        if not all(0.0 < C < np.inf for C in self.c_grid):
+            raise ValueError("every C in c_grid must be > 0 and finite")
         if min(self.pca_grid + self.ttest_grid) < 1:
             raise ValueError("every pca_grid and ttest_grid value must be >= 1")
         check_lambda_grid(self.n_lambdas, self.lambda_ratio)
@@ -254,21 +258,16 @@ class PipelineFit:
         F = _method_features(self.spec, self.sae, self.standardization.apply(X_raw))
         return _selected(self.spec, self.selection, self.feature_scaler.apply(F))
 
-    def predict01(self, X_raw: np.ndarray) -> np.ndarray:
-        return _predict01(self.svm, self.transform(X_raw))
+    def predict(self, X_raw: np.ndarray) -> np.ndarray:
+        return svm_predict(self.svm, self.transform(X_raw))
 
 
 def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
     """Fixed-C classifiers used while tuning the t-test's m, one block over
     a fold's candidate matrices; the final C is tuned afterwards on the
     selected features."""
-    y_pm = 2.0 * np.asarray(ytr01) - 1.0
-    models = svm_train_block([(X, y_pm, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
-    return [partial(_predict01, model) for model in models]
-
-
-def _predict01(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
-    return ((svm_predict(model, X) + 1) // 2).astype(np.int64)
+    models = svm_train_block([(X, ytr01, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
+    return [partial(svm_predict, model) for model in models]
 
 
 def _choose(grid, scores, ties):
@@ -287,7 +286,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     its whole L2 grid fine-tuned as one block, all from the fold's seed."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
     scores = []
-    for f, (train, val) in enumerate(cv_masks(Xtr.shape[0], folds_local)):
+    for f, (train, val) in enumerate(folds_local):
         fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
         layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
         models = fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, cfg.l2_grid)
@@ -329,29 +328,27 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     final fit on all training rows stays a ``pca_fit`` call of its own,
     which is the call that perfbench's tracer records for the PCA cell."""
     n, q = F.shape
-    r_cap = min(min(n - len(val) for val in folds_local) - 1, q)
+    r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
     r_max = max(grid)
-    y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
-    masks = list(cv_masks(n, folds_local))
-    pcas = pca_fit_block((F[train] for train, _ in masks), r_max)
+    pcas = pca_fit_block((F[train] for train, _ in folds_local), r_max)
     by_rows: dict = {}
-    for f, (_, val) in enumerate(masks):
+    for f, (_, val) in enumerate(folds_local):
         by_rows.setdefault(n - len(val), []).append(f)
-    groups, owners, scores_val = [], [], [None] * len(masks)
+    groups, owners, scores_val = [], [], [None] * len(folds_local)
     for rows, fs in by_rows.items():
         S, Y = np.empty((len(fs), rows, r_max)), np.empty((len(fs), rows))
         for s, f in enumerate(fs):
-            train, val = masks[f]
-            S[s], Y[s] = pca_transform(pcas[f], F[train]), y_pm[train]
+            train, val = folds_local[f]
+            S[s], Y[s] = pca_transform(pcas[f], F[train]), ytr01[train]
             scores_val[f] = pca_transform(pcas[f], F[val])
         for i, r in enumerate(grid):
             groups.append((S[:, :, :r], Y, [1.0] * len(fs)))
             owners += [(f, i) for f in fs]
     models = dict(zip(owners, svm_train_block(groups, tol=1e-6,
                                               max_epochs=cfg.svm_cv_epochs)))
-    scores = np.array([[accuracy(_predict01(models[f, i], scores_val[f][:, :r]), ytr01[val])
-                        for i, r in enumerate(grid)] for f, (_, val) in enumerate(masks)])
+    scores = np.array([[accuracy(svm_predict(models[f, i], scores_val[f][:, :r]), ytr01[val])
+                        for i, r in enumerate(grid)] for f, (_, val) in enumerate(folds_local)])
     r = _choose(grid, scores, min)
     return pca_fit(F, r), {"r": r}
 
@@ -376,15 +373,14 @@ class _RepeatFits:
 
     @cached_property
     def _train(self):
-        """Standardization, standardized training rows, 0/1 labels, local folds."""
+        """Standardization, standardized training rows, 0/1 labels, kfold pairs."""
         ds, train = self.ds, self.split.train
         with _stage("standardize"):
             params = standardize_fit(ds, train)
             Xtr = _readonly(params.apply(ds.features[train]))
             ytr01 = _readonly(ds.labels[train].astype(np.int64))
         with _stage("folds"):
-            folds_local = tuple(_readonly(f) for f in
-                                kfold(ytr01, self.cfg.k, derive_seed(self.seed, _TAG_FOLDS)))
+            folds_local = kfold(ytr01, self.cfg.k, derive_seed(self.seed, _TAG_FOLDS))
         return params, Xtr, ytr01, folds_local
 
     def _sae_stage(self, semi: bool) -> tuple[SaeModel, float]:
@@ -425,11 +421,10 @@ class _RepeatFits:
             Gtr = _selected(spec, selection, Ftr)
 
         with _stage("svm"):
-            y_pm = 2.0 * ytr01.astype(float) - 1.0
-            scores = svm_cv(Gtr, y_pm, folds_local, self.cfg.c_grid, tol=1e-6,
+            scores = svm_cv(Gtr, ytr01, folds_local, self.cfg.c_grid, tol=1e-6,
                             max_epochs=self.cfg.svm_cv_epochs)
             chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
-            model = svm_train(Gtr, y_pm, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
+            model = svm_train(Gtr, ytr01, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
 
         return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
                            selection=selection, svm=model, chosen=chosen)
@@ -460,8 +455,7 @@ def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> float:
 def _evaluate(repeat: _RepeatFits, fit: PipelineFit) -> float:
     with _stage("evaluate"):
         test = repeat.split.test
-        pred = fit.predict01(repeat.ds.features[test])
-        return accuracy(pred, repeat.ds.labels[test].astype(np.int64))
+        return accuracy(fit.predict(repeat.ds.features[test]), repeat.ds.labels[test])
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,12 +591,13 @@ def write_runs_csv(results: ResultsTable, path: str) -> None:
 def read_runs_csv(path: str) -> ResultsTable:
     """Rebuild a ResultsTable from write_runs_csv output. A byte-order mark
     and blank lines are skipped. Each of these raises ValueError naming
-    ``path:line``: a malformed row, a cell that PipelineSpec rejects, a
-    second row for one (method, selector, repeat) or one (method, selector)
-    summary, a cell of R rows whose repeats are not 0..R-1, and a cell with
-    another repeat count than the first cell. A file need not have summary
-    rows, but each ``mean`` or ``std`` row it has must belong to a cell with
-    repeat rows and equal, exactly, what write_runs_csv computes from them."""
+    ``path:line``: a malformed row, a cell that PipelineSpec rejects, a repeat
+    accuracy that is not a finite value in [0, 1], a second row for one
+    (method, selector, repeat) or one (method, selector) summary, a cell of R
+    rows whose repeats are not 0..R-1, and a cell with another repeat count
+    than the first cell. A file need not have summary rows, but each ``mean``
+    or ``std`` row it has must belong to a cell with repeat rows and equal,
+    exactly, what write_runs_csv computes from them."""
     per_cell: dict = {}  # (method, selector) -> {repeat: (accuracy, line)}
     summaries: dict = {}  # (method, selector, "mean" or "std") -> (value, line)
     with open(path, encoding="utf-8-sig") as fh:
@@ -622,6 +617,9 @@ def read_runs_csv(path: str) -> ResultsTable:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
             if summary:
                 rows, key = summaries, (method, selector, rep)
+            elif not 0.0 <= acc <= 1.0:
+                raise ValueError(f"{path}:{lineno}: repeat {rep} of cell {method},{selector} "
+                                 f"has accuracy {acc!r}, not a finite value in [0, 1]")
             else:
                 rows, key = per_cell.setdefault((method, selector), {}), rep
             if key in rows:
@@ -675,11 +673,10 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Flat key = value format; '#' starts a comment, lists are
-    comma-separated. Unknown keys, keys set twice and values that do not
+def parse_config(text: str) -> ExperimentConfig:
+    """Flat key = value format over the defaults; '#' starts a comment, lists
+    are comma-separated. Unknown keys, keys set twice and values that do not
     convert are rejected with their line."""
-    cfg = base or ExperimentConfig()
     updates: dict = {}
     set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -707,4 +704,4 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
                 updates[key] = kind(value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {key}: {exc}") from None
-    return replace(cfg, **updates)
+    return ExperimentConfig(**updates)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import cv_masks
-
 DEFAULT_SELECT_EPS = 1e-10
 # events whose lambdas agree to this fraction of lambda_max happen together
 _TIE_RTOL = 1e-12
@@ -237,11 +235,11 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> np.ndarray:
     """Minus the validation mean squared error per (fold, lambda), so higher
     is better, with the columns in ``lambdas`` order.
 
-    ``y`` is the +/-1 class encoding used as a regression target. Within
-    each fold the training columns and response are re-centered and the
-    training mean serves as the intercept for validation predictions. One
-    lasso_path walk per fold gives the fit at every lambda, and one matrix
-    product scores them all.
+    ``folds`` are ``kfold``'s (training mask, validation rows) pairs and
+    ``y`` the regression target. Within each fold the training columns and
+    response are re-centered and the training mean serves as the intercept
+    for validation predictions. One lasso_path walk per fold gives the fit
+    at every lambda, and one matrix product scores them all.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
     a full-data ``lambda_path`` need not give the zero fit in every fold,
@@ -255,7 +253,7 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     scores = np.zeros((len(folds), lambdas.size))
-    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
+    for f, (train, val) in enumerate(folds):
         col_means = X[train].mean(axis=0)
         y_mean = y[train].mean()
         betas = lasso_path(X[train] - col_means, y[train] - y_mean, lambdas)

@@ -119,12 +119,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
 
@@ -314,8 +314,8 @@ def fine_tune_block(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> lis
     if not layers or layers[0].d != X.shape[1]:
         raise ValueError("layer dimensions do not chain with the input")
     l2 = np.array(l2s, dtype=float).reshape(-1, 1, 1)
-    if l2.size == 0 or not np.all(l2 >= 0):
-        raise ValueError("l2s must be nonempty and every l2 must be >= 0")
+    if l2.size == 0 or not np.all((l2 >= 0) & (l2 < math.inf)):
+        raise ValueError("l2s must be nonempty and every l2 must be >= 0 and finite")
     stack = len(l2)
     Ws = [np.repeat(layer.W[None], stack, axis=0) for layer in layers]
     bs = [np.repeat(layer.b[None, None], stack, axis=0) for layer in layers]

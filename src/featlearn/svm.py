@@ -26,6 +26,10 @@ is bit-equal to training its problem alone. These rules keep it so:
 
 The other steps are elementwise, so each problem's row gets what its own
 vector would.
+
+Labels are 0/1 at the API, as everywhere else in the package: the functions
+here take them, check them and ``svm_predict`` returns them. The +/-1
+encoding that the hinge loss needs exists only inside this module.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import cv_masks
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_EPOCHS = 2000
@@ -52,9 +54,22 @@ class LinearSvmModel:
     converged: bool = False
 
 
-def svm_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: float) -> float:
+def _plus_minus(labels) -> np.ndarray:
+    """The +/-1 encoding of 0/1 labels."""
+    y = np.asarray(labels, dtype=float)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("labels must be 0 or 1")
+    return 2.0 * y - 1.0
+
+
+def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: float) -> float:
     margins = y * (X @ w + bias)
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+
+
+def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -> float:
+    """The primal objective (see the module docstring) at 0/1 ``labels``."""
+    return _objective(X, _plus_minus(labels), w, bias, C)
 
 
 def svm_train(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
@@ -70,17 +85,17 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
 
     A group ``(X, labels, Cs)`` holds one problem per C. X is one (n, q)
     matrix that all of them train on, or an (m, n, q) stack whose slice i is
-    problem i's; labels are one +/-1 vector of length n or an (m, n) stack.
+    problem i's; labels are one 0/1 vector of length n or an (m, n) stack.
     Groups may differ in n and q. A model has converged when its per-epoch
     objective change falls below tol * (1 + |objective|); it is built then,
     and the block returns when the last one has converged or at max_epochs.
     The bias is unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    problems = []  # (X, y, C) per problem, in group order
+    problems = []  # (X, +/-1 labels, C) per problem, in group order
     stacks = []  # (X stack, first problem) per group
     for X, labels, Cs in groups:
-        X, Y, m = np.asarray(X, dtype=float), np.asarray(labels, dtype=float), len(Cs)
+        X, Y, m = np.asarray(X, dtype=float), _plus_minus(labels), len(Cs)
         if X.ndim not in (2, 3) or Y.ndim not in (1, 2):
             raise ValueError(f"need an (n, q) or (m, n, q) X and (n,) or (m, n) labels, "
                              f"got {X.ndim}-D and {Y.ndim}-D")
@@ -91,12 +106,10 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
             raise ValueError(f"every problem must have {Y.shape[-1]} rows, one per label, "
                              f"got {X.shape[-2]}")
         X, Y = np.broadcast_to(X, (m,) + X.shape[-2:]), np.broadcast_to(Y, (m, Y.shape[-1]))
-        if not np.all(np.isin(Y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
-        if min(Cs, default=1.0) <= 0:
-            raise ValueError("C must be > 0")
+        if not all(0.0 < C < math.inf for C in Cs):
+            raise ValueError("C must be > 0 and finite")
         if m:
             stacks.append((X, len(problems)))
         problems.extend((X[i], Y[i], float(C)) for i, C in enumerate(Cs))
@@ -147,7 +160,7 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
         q = X.shape[1]
         w_avg, b_avg = Wb_avg[i, :q].copy(), float(Wb_avg[i, -1])
         w, b = best_Wb[i, :q].copy(), float(best_Wb[i, -1])
-        if svm_objective(X, y, w_avg, b_avg, C) < best_obj[j]:
+        if _objective(X, y, w_avg, b_avg, C) < best_obj[j]:
             w, b = w_avg, b_avg
         models[j] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
 
@@ -206,11 +219,11 @@ def svm_train_block(groups, tol: float = DEFAULT_TOL,
 
 
 def svm_predict(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
-    """sign(w^T x + b) as +/-1; a decision value of exactly 0 maps to +1."""
+    """0/1 labels: 1 where w^T x + b >= 0, a decision value of exactly 0 included."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.w.shape[0]:
         raise ValueError(f"expected {model.w.shape[0]} columns, got {X.shape[1]}")
-    return np.where(X @ model.w + model.bias >= 0.0, 1, -1)
+    return np.where(X @ model.w + model.bias >= 0.0, 1, 0)
 
 
 def accuracy(pred, truth) -> float:
@@ -223,16 +236,16 @@ def accuracy(pred, truth) -> float:
 
 def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
            max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
-    """Validation accuracy per (fold, C), with the columns in ``C_grid`` order.
+    """Validation accuracy per (fold, C), with the columns in ``C_grid`` order,
+    over ``kfold``'s (training mask, validation rows) pairs.
 
     Every fold's whole C grid trains in one block: a fold's candidates share
     its training rows as one operand, and the folds may differ in row count."""
     if len(C_grid) == 0:
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    masks = list(cv_masks(X.shape[0], folds))
-    models = iter(svm_train_block([(X[train], y[train], C_grid) for train, _ in masks],
+    y = np.asarray(labels)
+    models = iter(svm_train_block([(X[train], y[train], C_grid) for train, _ in folds],
                                   tol, max_epochs))
     return np.array([[accuracy(svm_predict(next(models), X[val]), y[val]) for _ in C_grid]
-                     for _, val in masks])
+                     for _, val in folds])

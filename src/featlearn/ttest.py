@@ -8,8 +8,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import cv_masks
-
 
 @dataclass(frozen=True)
 class TStats:
@@ -53,7 +51,7 @@ def select_top_m(stats: TStats, m: int) -> np.ndarray:
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[int],
              classifier_trainer: Callable) -> np.ndarray:
     """The downstream classifier's validation accuracy per (fold, m), with
-    the columns in ``candidate_ms`` order.
+    the columns in ``candidate_ms`` order, over ``kfold``'s fold pairs.
 
     ``classifier_trainer(X_trains, y_train)`` takes a fold's training rows
     restricted to each candidate's columns, one matrix per candidate m in
@@ -69,7 +67,7 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     if min(candidate_ms) < 1 or max(candidate_ms) > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")
     scores = np.zeros((len(folds), len(candidate_ms)))
-    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
+    for f, (train, val) in enumerate(folds):
         Xtr, ytr = X[train], labels[train]
         stats = two_sample_t(Xtr, ytr)
         cols = [select_top_m(stats, m) for m in candidate_ms]

@@ -230,15 +230,16 @@ def check_svm_grid() -> CheckResult:
     grid, whose best point is about 0.7848, so the grid bounds from one side
     only."""
     X = np.array([[-2.0], [-0.7], [0.9], [2.0]])
-    y = np.array([-1.0, -1.0, 1.0, 1.0])
+    labels = np.array([0, 0, 1, 1])
+    y = 2.0 * labels - 1.0  # the hinge loss's encoding, for the brute-force grid
     C = 1.0
     ax = np.arange(-3.0, 3.0 + 1e-12, 0.01)
     W, B = np.meshgrid(ax, ax, indexing="ij")
     margins = y[None, None, :] * (W[..., None] * X[:, 0][None, None, :] + B[..., None])
     obj = 0.5 * W ** 2 + C * np.sum(np.maximum(0.0, 1.0 - margins), axis=-1)
     grid_best = float(obj.min())
-    model = svm_train(X, y, C, tol=0.0, max_epochs=200000)
-    got = svm_objective(X, y, model.w, model.bias, C)
+    model = svm_train(X, labels, C, tol=0.0, max_epochs=200000)
+    got = svm_objective(X, labels, model.w, model.bias, C)
     optimum = 25.0 / 32.0
     err = abs(got - optimum)
     ok = err < 1e-3 and grid_best > got - 1e-3
@@ -258,7 +259,7 @@ def check_svm_separable(instances: int = 20, seed: int = 10) -> CheckResult:
         X = rng.normal(size=(n, q))
         X[:half] -= 3.0
         X[half:] += 3.0
-        y = np.array([-1.0] * half + [1.0] * (n - half))
+        y = np.array([0] * half + [1] * (n - half))
         model = svm_train(X, y, C=100.0)
         acc = float(np.mean(svm_predict(model, X) == y))
         worst = max(worst, 1.0 - acc)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from featlearn.data import cv_masks
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import svm_predict
 from svm_reference import averaged_subgradient
@@ -23,19 +22,18 @@ def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
     returns the accuracy per (fold, r), with the columns in ascending r order."""
     ytr01 = np.asarray(ytr01)
     n, q = F.shape
-    r_cap = min(min(n - len(val) for val in folds) - 1, q)
+    r_cap = min(min(n - len(val) for _, val in folds) - 1, q)
     grid = sorted({r for r in pca_grid if r <= r_cap}) or [r_cap]
     y_pm = 2.0 * ytr01 - 1.0
     scores = np.zeros(len(grid))
     per_fold = np.zeros((len(folds), len(grid)))
-    for f, (train, val) in enumerate(cv_masks(n, folds)):
+    for f, (train, val) in enumerate(folds):
         model = pca_fit(F[train], grid[-1])
         scores_tr = pca_transform(model, F[train])
         scores_val = pca_transform(model, F[val])
         for i, r in enumerate(grid):
             svm = averaged_subgradient(scores_tr[:, :r], y_pm[train], 1.0, tol=1e-6,
                                        max_epochs=max_epochs)
-            pred01 = (svm_predict(svm, scores_val[:, :r]) + 1) // 2
-            per_fold[f, i] = float(np.mean(pred01 == ytr01[val]))
+            per_fold[f, i] = float(np.mean(svm_predict(svm, scores_val[:, :r]) == ytr01[val]))
             scores[i] += per_fold[f, i]
     return grid[int(np.argmax(scores))], per_fold

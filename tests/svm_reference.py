@@ -5,15 +5,16 @@ every (fold, C) as ``per_c_cv`` does, and ``harness._choose`` must then pick
 the C that ``per_c_cv`` picks.
 
 The objective and the schedule are the package's; see the ``svm`` module.
+``averaged_subgradient`` works on the hinge loss's +/-1 labels, and its
+callers convert the package's 0/1 labels to them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from featlearn.data import cv_masks
 from featlearn.svm import (DEFAULT_MAX_EPOCHS, DEFAULT_TOL, LinearSvmModel, accuracy,
-                           svm_objective, svm_predict)
+                           svm_predict)
 
 
 def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
@@ -59,7 +60,8 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_T
         w_avg += (w - w_avg) / t
         b_avg += (b - b_avg) / t
 
-    avg_obj = svm_objective(X, y, w_avg, b_avg, C)
+    avg_margins = y * (X @ w_avg + b_avg)
+    avg_obj = 0.5 * float(w_avg @ w_avg) + C * float(np.sum(np.maximum(0.0, 1.0 - avg_margins)))
     if avg_obj < best_obj:
         return LinearSvmModel(w=w_avg, bias=float(b_avg), C=C, epochs=t, converged=converged)
     return LinearSvmModel(w=best_w, bias=float(best_b), C=C, epochs=t, converged=converged)
@@ -67,17 +69,19 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_T
 
 def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
              max_epochs: int = DEFAULT_MAX_EPOCHS) -> tuple[float, np.ndarray]:
-    """C maximizing mean validation accuracy, one ``averaged_subgradient``
-    run per (fold, C); ties go to the smaller C. Also returns the accuracy
-    per (fold, C), with the columns in ascending C order."""
+    """C maximizing mean validation accuracy over ``kfold``'s (training mask,
+    validation rows) pairs and 0/1 labels, one ``averaged_subgradient`` run
+    per (fold, C); ties go to the smaller C. Also returns the accuracy per
+    (fold, C), with the columns in ascending C order."""
     grid = sorted(float(c) for c in C_grid)
     X = np.asarray(X, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    y01 = np.asarray(labels)
+    y = 2.0 * y01 - 1.0
     scores = np.zeros(len(grid))
     per_fold = np.zeros((len(folds), len(grid)))
-    for f, (train, val) in enumerate(cv_masks(X.shape[0], folds)):
+    for f, (train, val) in enumerate(folds):
         for i, C in enumerate(grid):
             model = averaged_subgradient(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
-            per_fold[f, i] = accuracy(svm_predict(model, X[val]), y[val])
+            per_fold[f, i] = accuracy(svm_predict(model, X[val]), y01[val])
             scores[i] += per_fold[f, i]
     return grid[int(np.argmax(scores))], per_fold

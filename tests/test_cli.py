@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from featlearn import harness, verify
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
-from featlearn.data import SyntheticSpec, generate_synthetic, save_csv
+from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, save_csv
 from featlearn.harness import ResultsTable, write_runs_csv
 from test_harness import BAD_RUNS, RUNS_HEADER
 
@@ -86,6 +87,10 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("svm_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
     ("svm_cv_epochs = 0", "svm_epochs and svm_cv_epochs must be >= 1"),
     ("c_grid = 1,0", "every C in c_grid must be > 0"),
+    ("c_grid = nan", "every C in c_grid must be > 0 and finite"),
+    ("c_grid = 0.1,inf", "every C in c_grid must be > 0 and finite"),
+    ("l2_grid = nan", "l2 must be >= 0 and finite"),
+    ("sae_learning_rate = inf", "learning_rate must be > 0 and finite"),
     ("n_lambdas = 1", "n_lambdas must be >= 2"),
     ("lambda_ratio = 1.5", "ratio must lie in (0, 1)"),
     ("sae_learning_rate = 0", "learning_rate must be > 0"),
@@ -114,6 +119,17 @@ def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, mo
         capsys.readouterr()
         assert main(argv) == 2, argv[0]
         assert message in capsys.readouterr().err, argv[0]
+
+
+def test_run_names_the_stage_of_a_constant_column(tmp_path, tiny, capsys):
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    X[:, 2] = 1.5
+    path = tmp_path / "constant.csv"
+    save_csv(Dataset(X, [0, 1] * 20, ("a", "b", "c")), str(path))
+    assert main(["run", "--data", str(path), *tiny]) == 2
+    assert capsys.readouterr().err == (
+        "featlearn run: error: pipeline stage 'standardize' failed: "
+        "column 'c' (index 2) is constant over the given rows\n")
 
 
 def test_run_is_repeat_0_of_experiment(data_csv, tiny, tmp_path, capsys):

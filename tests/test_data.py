@@ -5,7 +5,7 @@ import pytest
 
 from data_reference import per_cell_load_csv, per_cell_save_csv
 from featlearn.data import (CsvFormatError, Dataset, StandardizationParams,
-                            SyntheticSpec, cv_masks, generate_synthetic, kfold,
+                            SyntheticSpec, generate_synthetic, kfold,
                             load_csv, random_split, save_csv, standardize_fit,
                             stratified_split)
 
@@ -287,7 +287,7 @@ class TestKfold:
     def test_exact_division(self):
         ds = _toy(n0=10, n1=10)
         folds = kfold(ds.labels, k=10, seed=0)
-        for fold in folds:
+        for _, fold in folds:
             labels = ds.labels[fold]
             assert int(np.sum(labels == 0)) == 1
             assert int(np.sum(labels == 1)) == 1
@@ -295,10 +295,10 @@ class TestKfold:
     def test_partition_property(self):
         ds = _toy(n0=17, n1=23)
         folds = kfold(ds.labels, k=7, seed=1)
-        merged = np.sort(np.concatenate(folds))
+        merged = np.sort(np.concatenate([fold for _, fold in folds]))
         np.testing.assert_array_equal(merged, np.arange(40))
         sizes = {}
-        for fold in folds:
+        for _, fold in folds:
             for cls in (0, 1):
                 sizes.setdefault(cls, []).append(int(np.sum(ds.labels[fold] == cls)))
         for counts in sizes.values():
@@ -308,7 +308,8 @@ class TestKfold:
         ds = _toy(n0=12, n1=12)
         a = kfold(ds.labels, 4, seed=9)
         b = kfold(ds.labels, 4, seed=9)
-        for fa, fb in zip(a, b):
+        for (train_a, fa), (train_b, fb) in zip(a, b):
+            np.testing.assert_array_equal(train_a, train_b)
             np.testing.assert_array_equal(fa, fb)
 
     def test_k_exceeds_class_count(self):
@@ -321,22 +322,41 @@ class TestKfold:
         with pytest.raises(ValueError, match="labeled"):
             kfold(ds.labels, k=2, seed=0)
 
-
-class TestCvMasks:
     def test_masks_complement_folds_in_fold_order(self):
         ds = _toy(n0=9, n1=11)
         folds = kfold(ds.labels, k=4, seed=3)
-        pairs = list(cv_masks(20, folds))
-        assert len(pairs) == len(folds)
-        for (train, val), fold in zip(pairs, folds):
-            np.testing.assert_array_equal(val, fold)
+        assert len(folds) == 4
+        for train, fold in folds:
+            assert train.dtype == bool and train.shape == (20,)
+            assert fold.dtype == np.intp and np.all(np.diff(fold) > 0)
             np.testing.assert_array_equal(np.flatnonzero(~train), fold)
 
     def test_every_row_validates_exactly_once(self):
         ds = _toy(n0=10, n1=10)
         folds = kfold(ds.labels, k=5, seed=0)
-        held_out = sum((~train).astype(int) for train, _ in cv_masks(20, folds))
+        held_out = sum((~train).astype(int) for train, _ in folds)
         np.testing.assert_array_equal(held_out, np.ones(20, dtype=int))
+
+    def test_folds_are_read_only(self):
+        ds = _toy(n0=6, n1=6)
+        for train, fold in kfold(ds.labels, k=3, seed=0):
+            for shared in (train, fold):
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0] = 0
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 5), (10, 7)])
+    def test_same_partition_as_dealing_each_class_permutation(self, k, seed):
+        """Fold j holds rows j, j + k, ... of each class's permutation, the
+        classes drawn in the order 0, 1 from one generator."""
+        labels = np.array([0, 1] * 25 + [1] * 7)
+        rng = np.random.default_rng(seed)
+        dealt = [[] for _ in range(k)]
+        for cls in (0, 1):
+            perm = rng.permutation(np.flatnonzero(labels == cls))
+            for j in range(k):
+                dealt[j] += perm[j::k].tolist()
+        for (_, fold), rows in zip(kfold(labels, k, seed), dealt):
+            np.testing.assert_array_equal(fold, sorted(rows))
 
 
 class TestGenerateSynthetic:

@@ -10,10 +10,11 @@ import pytest
 
 from featlearn import harness
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
-from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, ResultsTable,
-                               _checked_split, _choose, _fit_pca_selector, _fit_sae_stage,
-                               _RepeatFits, config_to_text, parse_config, read_runs_csv,
-                               render_table, run_experiment, write_runs_csv)
+from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
+                               ResultsTable, _checked_split, _choose, _fit_pca_selector,
+                               _fit_sae_stage, _RepeatFits, _stage, config_to_text,
+                               parse_config, read_runs_csv, render_table, run_experiment,
+                               write_runs_csv)
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 from harness_reference import per_fold_pca_search
 
@@ -26,15 +27,12 @@ def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
     fold is pretrained afresh for every L2. Also returns the accuracy per
     (fold, L2), with the columns in ascending L2 order."""
     base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
-    n = Xtr.shape[0]
     grid = sorted(cfg.l2_grid)
     best_l2, best_acc = grid[0], -1.0
     per_fold = np.zeros((len(folds), len(grid)))
     for i, l2 in enumerate(grid):
         score = 0.0
-        for f, val in enumerate(folds):
-            mask = np.ones(n, dtype=bool)
-            mask[val] = False
+        for f, (mask, val) in enumerate(folds):
             model = semi_pretrain_finetune(
                 Xtr[mask], ytr01[mask], X_extra, cfg.sae_dims,
                 TrainConfig(l2=l2, seed=derive_seed(seed, _TAG_SAE, f), **base))
@@ -157,12 +155,26 @@ class TestChoose:
         assert [caller for caller, *_ in choices].count("fit") == len(specs)
 
 
+class TestStage:
+    def test_nested_stage_keeps_the_inner_stage_and_cause(self):
+        cause = ValueError("column 'c' (index 2) is constant over the given rows")
+        with pytest.raises(PipelineStageError) as info:
+            with _stage("selector"):
+                with _stage("standardize"):
+                    raise cause
+        assert info.value.stage == "standardize" and info.value.__cause__ is cause
+        assert str(info.value) == f"pipeline stage 'standardize' failed: {cause}"
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"svm_epochs": 0}, "svm_epochs and svm_cv_epochs must be >= 1"),
         ({"svm_cv_epochs": 0}, "svm_epochs and svm_cv_epochs must be >= 1"),
         ({"c_grid": (0.1, 0.0)}, "every C in c_grid must be > 0"),
         ({"c_grid": (-1.0,)}, "every C in c_grid must be > 0"),
+        ({"c_grid": (0.1, float("nan"))}, "every C in c_grid must be > 0 and finite"),
+        ({"c_grid": (float("nan"), 0.1)}, "every C in c_grid must be > 0 and finite"),
+        ({"c_grid": (1.0, float("inf"))}, "every C in c_grid must be > 0 and finite"),
     ])
     def test_bad_svm_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -178,6 +190,10 @@ class TestExperimentConfig:
         ({"ttest_grid": (-3,)}, "every pca_grid and ttest_grid value must be >= 1"),
         ({"sae_dims": (0,)}, "hidden sizes must be >= 1"),
         ({"base_seed": -1}, "base_seed must be >= 0"),
+        ({"sae_learning_rate": float("nan")}, "learning_rate must be > 0 and finite"),
+        ({"sae_learning_rate": float("inf")}, "learning_rate must be > 0 and finite"),
+        ({"l2_grid": (1e-3, float("nan"))}, "l2 must be >= 0 and finite"),
+        ({"l2_grid": (float("inf"),)}, "l2 must be >= 0 and finite"),
     ])
     def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -240,7 +256,7 @@ class TestRepeatFits:
         fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
         _, Xtr, ytr01, folds = fits._train
         Ftr = fits._method_stage(PipelineSpec("SAEF"))[2]
-        for shared in (Xtr, ytr01, folds[0], Ftr):
+        for shared in (Xtr, ytr01, *folds[0], Ftr):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 
@@ -277,6 +293,16 @@ BAD_RUNS = {
                                 "mean row for cell LLF,LASSO, which has no repeat rows"),
     "duplicate-summary": ("LLF,NONE,0,0.5\nLLF,NONE,mean,0.5\nLLF,NONE,mean,0.5\n", 4,
                           "mean of cell LLF,NONE is already on line 3"),
+    "accuracy-above-1": ("LLF,NONE,0,0.5\nLLF,NONE,1,7\nLLF,NONE,2,nan\n", 3,
+                         "repeat 1 of cell LLF,NONE has accuracy 7.0, not a finite value"),
+    "accuracy-nan": ("LLF,NONE,0,nan\nLLF,NONE,1,7\n", 2,
+                     "repeat 0 of cell LLF,NONE has accuracy nan, not a finite value in [0, 1]"),
+    "accuracy-negative": ("LLF,PCA,0,-0.5\nLLF,PCA,1,inf\n", 2,
+                          "repeat 0 of cell LLF,PCA has accuracy -0.5, not a finite value"),
+    "accuracy-inf": ("LLF,PCA,0,0.25\nLLF,PCA,1,inf\n", 3,
+                     "repeat 1 of cell LLF,PCA has accuracy inf, not a finite value"),
+    "accuracy-minus-inf": ("LLF,PCA,0,-inf\n", 2,
+                           "repeat 0 of cell LLF,PCA has accuracy -inf, not a finite value"),
 }
 
 

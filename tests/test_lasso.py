@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import cv_masks, kfold
+from featlearn.data import kfold
 from featlearn.harness import _choose
 from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                              lasso_fit, lasso_objective, lasso_path, selected_features)
@@ -324,8 +324,7 @@ class TestLassoCv:
         X, y, folds, lams = self._noise_problem(seed)
         errors = np.zeros(lams.size)
         per_fold = np.zeros((len(folds), lams.size))
-        for f, fold in enumerate(folds):
-            val = np.asarray(fold)
+        for f, (_, val) in enumerate(folds):
             train = np.setdiff1d(np.arange(y.size), val)
             col_means = X[train].mean(axis=0)
             y_mean = y[train].mean()
@@ -344,7 +343,7 @@ class TestLassoCv:
         # lambda has the same validation error
         X, y, folds, _ = self._noise_problem(0)
         top = max(lambda_max(X[train] - X[train].mean(axis=0), y[train] - y[train].mean())
-                  for train, _ in cv_masks(y.size, folds))
+                  for train, _ in folds)
         lams = top * np.array([2.0, 8.0, 4.0])
         assert _choose(lams, lasso_cv(X, y, folds, lams), max) == lams[1]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import (SyntheticSpec, cv_masks, generate_synthetic, kfold,
+from featlearn.data import (SyntheticSpec, generate_synthetic, kfold,
                             standardize_fit, stratified_split)
 from featlearn import linalg
 from featlearn.linalg import ConvergenceError, sample_covariance, sym_eigen, sym_eigen_block
@@ -111,7 +111,7 @@ class TestSymEigenMatchesReference:
         split = stratified_split(ds, 0.2, seed)
         X = standardize_fit(ds, split.train).apply(ds.features[split.train])
         folds = kfold(ds.labels[split.train], 10, seed)
-        for train, _ in list(cv_masks(X.shape[0], folds))[:2]:
+        for train, _ in folds[:2]:
             assert X[train].shape[1] == 56
             _assert_same_bytes(sample_covariance(X[train]))
 
@@ -138,7 +138,7 @@ def _adni_like_fold_covariance(seed=0):
     ds = generate_synthetic(SyntheticSpec.adni_like(seed))
     split = stratified_split(ds, 0.2, seed)
     X = standardize_fit(ds, split.train).apply(ds.features[split.train])
-    train, _ = next(cv_masks(X.shape[0], kfold(ds.labels[split.train], 10, seed)))
+    train, _ = kfold(ds.labels[split.train], 10, seed)[0]
     return sample_covariance(X[train])
 
 

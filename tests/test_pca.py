@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn.data import (SyntheticSpec, cv_masks, generate_synthetic, kfold,
+from featlearn.data import (SyntheticSpec, generate_synthetic, kfold,
                             standardize_fit, stratified_split)
 from featlearn.linalg import sample_covariance, sym_eigen
 from featlearn.pca import PcaModel, pca_fit, pca_fit_block, pca_transform
@@ -148,8 +148,7 @@ class TestPcaFitBlock:
         ds = generate_synthetic(SyntheticSpec.adni_like(0))
         split = stratified_split(ds, 0.2, 0)
         F = standardize_fit(ds, split.train).apply(ds.features[split.train])
-        masks = list(cv_masks(F.shape[0], kfold(ds.labels[split.train], 3, 0)))
-        Xs = [F[train] for train, _ in masks] + [F]
+        Xs = [F[train] for train, _ in kfold(ds.labels[split.train], 3, 0)] + [F]
         block = pca_fit_block(Xs, 40)
         for X, model in zip(Xs, block, strict=True):
             want = pca_fit(X, 40)

@@ -115,7 +115,7 @@ class TestFineTuneBlock:
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 0"):
             fine_tune_block(layers, X, labels, cfg, [1e-4, 1e308])
 
-    @pytest.mark.parametrize("l2s", [[], [1e-3, -1e-4]])
+    @pytest.mark.parametrize("l2s", [[], [1e-3, -1e-4], [1e-3, np.inf], [np.nan]])
     def test_bad_l2_values_rejected(self, l2s):
         X, labels = _labeled()
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=2))
