@@ -47,7 +47,7 @@ class Dataset:
 
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
-        y = np.array(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)  # checked before the int cast, which truncates 0.5 to 0
         if X.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {X.shape}")
         n, p = X.shape
@@ -65,7 +65,7 @@ class Dataset:
         if len(names) != p:
             raise ValueError(f"{len(names)} feature names for {p} columns")
         object.__setattr__(self, "features", _readonly(X))
-        object.__setattr__(self, "labels", _readonly(y))
+        object.__setattr__(self, "labels", _readonly(y.astype(np.int64)))
         object.__setattr__(self, "feature_names", names)
 
     @staticmethod

@@ -27,22 +27,18 @@ in the spec, and two functions read them there to build a cell's features:
 (the kept columns or the PCA scores). Training rows and test rows go
 through the same two functions.
 
-The SVM searches train their candidates in lockstep blocks
-(``svm.svm_train_block``), which give the same models as one fit per
-candidate. The C search trains all folds' C grids as one block, a fold's
-candidates sharing its training rows. The PCA search fits its k fold
-PCAs at the largest r with one ``pca.pca_fit_block``, whose covariances
-share one round-robin Jacobi loop (``linalg.sym_eigen_block``), bit for bit
-as k ``pca_fit`` calls; the final fit on all training rows is a
-``pca_fit`` of its own. It then trains every (fold, r) at C = 1 as one SVM
-block: the folds with equal training row counts share one stack of
-scores, and each r trains on its first r columns. The t-test search
-trains one block per fold. Its candidates are different column subsets,
-so they share no operand and each keeps its own matrix products; one block
-across folds would only hold every fold's column copies at once (about
-2.8 MB at the default config). The SAE's L2 search likewise pretrains each
-fold's stack once and fine-tunes the fold's whole L2 grid as one block
-(``sae.fine_tune_block``).
+The searches fit their candidates in blocks. The C search trains all
+folds' C grids as one SVM block, a fold's candidates sharing its training
+rows. The PCA search fits its k fold PCAs and the final one on all
+training rows at the largest r in one ``pca_fit`` call, then trains every
+(fold, r) at C = 1 as one SVM block: the folds with equal training row
+counts share one stack of scores, and each r trains on its first r
+columns. The t-test search trains one SVM block per fold. Its candidates
+are different column subsets, so they share no operand and each keeps its
+own matrix products; one block across folds would only hold every fold's
+column copies at once (about 2.8 MB at the default config). The SAE's L2
+search pretrains each fold's stack once and fine-tunes the fold's whole
+L2 grid as one block.
 
 The five searches (the SAE's L2, the lasso's lambda, the t-test's m, the
 PCA's r, the SVM's C) each return (fold, candidate) scores in grid order,
@@ -64,8 +60,9 @@ has not been measured.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
+from itertools import chain
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -73,10 +70,10 @@ import numpy as np
 from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, derive_seed,
                    kfold, random_split, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
-from .pca import PcaModel, pca_fit, pca_fit_block, pca_transform
-from .sae import (SaeModel, TrainConfig, check_dims, fine_tune_block, sae_features,
-                  sae_predict, sae_pretrain, semi_pretrain_finetune)
-from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train, svm_train_block
+from .pca import PcaModel, pca_fit, pca_transform
+from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features, sae_predict,
+                  sae_pretrain, semi_pretrain_finetune)
+from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
 METHODS = ("LLF", "LLF_SAEF", "LLF_SEMI_SAEF", "SAEF", "SEMI_SAEF")
@@ -266,7 +263,7 @@ def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
     """Fixed-C classifiers used while tuning the t-test's m, one block over
     a fold's candidate matrices; the final C is tuned afterwards on the
     selected features."""
-    models = svm_train_block([(X, ytr01, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
+    models = svm_train([(X, ytr01, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
     return [partial(svm_predict, model) for model in models]
 
 
@@ -289,7 +286,7 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     for f, (train, val) in enumerate(folds_local):
         fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
         layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
-        models = fine_tune_block(layers, Xtr[train], ytr01[train], fold_cfg, cfg.l2_grid)
+        models = fine_tune(layers, Xtr[train], ytr01[train], fold_cfg, cfg.l2_grid)
         scores.append([accuracy(sae_predict(m, Xtr[val]), ytr01[val]) for m in models])
     best_l2 = _choose(cfg.l2_grid, np.array(scores), min)
     final = semi_pretrain_finetune(
@@ -321,17 +318,18 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     """Choose r by k-fold CV of a C = 1 SVM on each fold's top-r PCA scores.
 
-    The k fold PCAs are fitted at the largest r in one ``pca_fit_block``,
-    and every (fold, r) problem trains in one SVM block. The folds with
-    equal training row counts share one stack of scores, and each r trains
-    on the stack's first r columns, so no fold's scores are held twice. The
-    final fit on all training rows stays a ``pca_fit`` call of its own,
-    which is the call that perfbench's tracer records for the PCA cell."""
+    The k fold PCAs and the final one on all training rows are fitted at
+    the largest r in one ``pca_fit`` call, and the final one is cut to the
+    chosen r. Every (fold, r) problem trains in one SVM block. The folds
+    with equal training row counts share one stack of scores, and each r
+    trains on the stack's first r columns, so no fold's scores are held
+    twice."""
     n, q = F.shape
     r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
     r_max = max(grid)
-    pcas = pca_fit_block((F[train] for train, _ in folds_local), r_max)
+    # a generator, so that one fold's training rows are held at a time
+    *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), r_max)
     by_rows: dict = {}
     for f, (_, val) in enumerate(folds_local):
         by_rows.setdefault(n - len(val), []).append(f)
@@ -345,12 +343,12 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
         for i, r in enumerate(grid):
             groups.append((S[:, :, :r], Y, [1.0] * len(fs)))
             owners += [(f, i) for f in fs]
-    models = dict(zip(owners, svm_train_block(groups, tol=1e-6,
-                                              max_epochs=cfg.svm_cv_epochs)))
+    models = dict(zip(owners, svm_train(groups, tol=1e-6, max_epochs=cfg.svm_cv_epochs)))
     scores = np.array([[accuracy(svm_predict(models[f, i], scores_val[f][:, :r]), ytr01[val])
                         for i, r in enumerate(grid)] for f, (_, val) in enumerate(folds_local)])
     r = _choose(grid, scores, min)
-    return pca_fit(F, r), {"r": r}
+    model = replace(final, components=final.components[:, :r], variances=final.variances[:r])
+    return model, {"r": r}
 
 
 _SELECTOR_FITS = {"LASSO": _fit_lasso_selector, "TTEST": _fit_ttest_selector,
@@ -424,7 +422,7 @@ class _RepeatFits:
             scores = svm_cv(Gtr, ytr01, folds_local, self.cfg.c_grid, tol=1e-6,
                             max_epochs=self.cfg.svm_cv_epochs)
             chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
-            model = svm_train(Gtr, ytr01, C, tol=1e-7, max_epochs=self.cfg.svm_epochs)
+            model, = svm_train([(Gtr, ytr01, [C])], tol=1e-7, max_epochs=self.cfg.svm_epochs)
 
         return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
                            selection=selection, svm=model, chosen=chosen)

@@ -2,9 +2,9 @@
 covariance matrix and a full symmetric eigendecomposition via cyclic Jacobi
 rotations. Sized for dense problems up to a few hundred features.
 
-``sym_eigen_block`` decomposes a stack of equal-size matrices with one
+``sym_eigen`` decomposes a stack of equal-size matrices with one
 round-robin loop (Brent & Luk 1985), and each result is byte-equal to
-``sym_eigen`` on that matrix alone, which is its one-matrix use. Its rules:
+decomposing that matrix alone, as a one-member stack. Its rules:
 
 - tolerances, thresholds, the sweep limit and both stop rules are per
   matrix, and a matrix that has met its stop rule is not touched again;
@@ -82,7 +82,7 @@ def _round_robin(p: int) -> np.ndarray:
 def _check_stack(Ms) -> list[np.ndarray]:
     As = [np.asarray(M, dtype=float) for M in Ms]
     if not As:
-        raise ValueError("sym_eigen_block requires at least one matrix")
+        raise ValueError("sym_eigen requires at least one matrix")
     for i, A in enumerate(As):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"sym_eigen requires a square matrix, got shape {A.shape} "
@@ -104,15 +104,21 @@ def _off_frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0)))
 
 
-def sym_eigen_block(Ms) -> list[SymEigen]:
-    """Eigendecompositions of equal-size symmetric matrices, one round loop.
+def sym_eigen(Ms) -> list[SymEigen]:
+    """Cyclic Jacobi eigendecompositions of equal-size symmetric matrices.
 
-    Result i is byte-equal to ``sym_eigen(Ms[i])``; the module docstring
-    gives the rules that keep it so. The stack is one (m, p, 2p) array W,
-    where W[i, j] is column j of matrix i's [A; V], V being its eigenvector
-    estimate. So one round gathers the active pairs' columns of [A; V] as
-    contiguous rows of W, and the rows of A from the transposed view of
-    W[:, :, :p].
+    For each matrix M, sweeps (round-robin orderings of all index pairs) run
+    until the off-diagonal Frobenius norm drops below tol = 1e-11 *
+    max(1, |M|_F); rotations with |a_kl| <= tol/p are skipped, which cannot
+    leave more than tol of off-diagonal mass behind. A sweep that rotates
+    nothing also stops.
+
+    Result i is byte-equal to ``sym_eigen([Ms[i]])[0]``; the module
+    docstring gives the rules that keep it so. The stack is one (m, p, 2p)
+    array W, where W[i, j] is column j of matrix i's [A; V], V being its
+    eigenvector estimate. So one round gathers the active pairs' columns of
+    [A; V] as contiguous rows of W, and the rows of A from the transposed
+    view of W[:, :, :p].
 
     Raises ValueError, naming the matrix, for a non-square, non-symmetric or
     non-finite member or one whose size differs from the first; and
@@ -194,19 +200,3 @@ def sym_eigen_block(Ms) -> list[SymEigen]:
         V.setflags(write=False)
         out.append(SymEigen(eigenvalues, V))
     return out
-
-
-def sym_eigen(M: np.ndarray) -> SymEigen:
-    """Full eigendecomposition by cyclic Jacobi rotations: the one-matrix
-    use of ``sym_eigen_block``.
-
-    Sweeps (round-robin orderings of all index pairs) run until the
-    off-diagonal Frobenius norm drops below tol = 1e-11 * max(1, |M|_F);
-    rotations with |a_kl| <= tol/p are skipped, which cannot leave more than
-    tol of off-diagonal mass behind. A sweep that rotates nothing also stops.
-
-    Raises ValueError for non-square, non-symmetric or non-finite input, and
-    ConvergenceError after 50 sweeps, which does not happen for symmetric
-    input at reachable tolerances.
-    """
-    return sym_eigen_block([M])[0]

@@ -1,5 +1,5 @@
-"""PCA via covariance eigendecomposition: fitting and projection.
-Components are ordered by variance, descending."""
+"""PCA via covariance eigendecomposition: fitting, a block of matrices at a time
+(one matrix is a block of one), and projection. Components ordered by variance, descending."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sample_covariance, sym_eigen_block
+from .linalg import sample_covariance, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -20,24 +20,21 @@ class PcaModel:
     variances: np.ndarray
 
 
-def pca_fit(X: np.ndarray, r: int) -> PcaModel:
-    """Top-r eigenpairs of the sample covariance matrix: the one-matrix use
-    of ``pca_fit_block``. ``components`` is the first r columns of the
-    covariance's eigenvector matrix, a view with that matrix's strides.
+def pca_fit(Xs, r: int) -> list[PcaModel]:
+    """Top-r eigenpairs of the sample covariance of each X of an iterable of
+    equal-width matrices, with one ``sym_eigen`` over the covariances. Each X
+    is read once and not kept, so a generator holds one at a time. Member i
+    is byte- and stride-equal to ``pca_fit([Xs[i]], r)[0]``, and cut to its
+    first r' < r components it is ``pca_fit([Xs[i]], r')[0]``. ``components``
+    is the first r columns of the eigenvector matrix: a view, with its strides.
 
-    Raises ValueError unless X is finite and 1 <= r <= min(n - 1, p)."""
-    return pca_fit_block([X], r)[0]
-
-
-def pca_fit_block(Xs, r: int) -> list[PcaModel]:
-    """``pca_fit(X, r)`` for each X of an iterable of equal-width matrices,
-    with one ``sym_eigen_block`` over their covariances. Each X is read once
-    and not kept, so a generator holds one at a time. Member i is byte- and
-    stride-equal to ``pca_fit(Xs[i], r)``, and cutting it to its first r' < r
-    components gives ``pca_fit(Xs[i], r')``."""
+    Raises ValueError, naming the matrix, unless each X is a finite 2-D
+    matrix and 1 <= r <= min(n - 1, p)."""
     means, covariances = [], []
     for i, X in enumerate(Xs):
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"matrix {i} must be 2-D, got shape {X.shape}")
         n, p = X.shape
         if not 1 <= r <= min(n - 1, p):
             raise ValueError(f"r must lie in 1..min(n-1, p) = {min(n - 1, p)}, got {r}"
@@ -47,7 +44,7 @@ def pca_fit_block(Xs, r: int) -> list[PcaModel]:
         means.append(X.mean(axis=0))
         covariances.append(sample_covariance(X))
     return [PcaModel(mean=mean, components=eig.eigenvectors[:, :r], variances=eig.eigenvalues[:r])
-            for mean, eig in zip(means, sym_eigen_block(covariances))]
+            for mean, eig in zip(means, sym_eigen(covariances))]
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ Three things make training cheap without changing a bit of its results.
 numerator is 1 where x >= 0 and e elsewhere, the same IEEE division as the
 two-sided form, with no choice per element. Each training call writes its
 row-sized arrays into buffers made once per call (``_Work``), with the same
-operations in the same operand order. ``fine_tune_block`` trains the L2
-values of one search as a stack: a stacked ``np.matmul`` makes the same
-BLAS call per slice as the 2-D product, and every other step is elementwise
-or reduces within a slice.
+operations in the same operand order. ``fine_tune`` trains the L2 values
+of one search as a stack, one L2 being a stack of one: a stacked
+``np.matmul`` makes the same BLAS call per slice as the 2-D product, and
+every other step is elementwise or reduces within a slice.
 """
 
 from __future__ import annotations
@@ -287,22 +287,16 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
     return losses, gWs, gbs, gWh, gbh
 
 
-def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
+def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeModel]:
     """Joint full-batch descent through the encoder stack plus a fresh
-    softmax head for exactly cfg.iterations steps.
+    softmax head for exactly cfg.iterations steps, once per value l2 in
+    l2s, all from the same layers and the same head seed, trained in
+    lockstep as one stack; cfg.l2 is not read.
 
     Updates every encoder W and b and the head; decoder biases take no part
     and are carried over unchanged. The loss is mean cross-entropy plus
-    (cfg.l2 / 2) times the squared Frobenius norms of all weight matrices.
-    This is the one-L2 use of ``fine_tune_block``.
-    """
-    return fine_tune_block(layers, X, labels, cfg, [cfg.l2])[0]
-
-
-def fine_tune_block(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeModel]:
-    """``fine_tune`` once per value in l2s, all from the same layers and the
-    same head seed, trained in lockstep as one stack; cfg.l2 is not read.
-    Model i is bit-equal to ``fine_tune`` with l2 = l2s[i].
+    (l2 / 2) times the squared Frobenius norms of all weight matrices.
+    Model i is bit-equal to ``fine_tune`` with l2s = [l2s[i]].
 
     Raises TrainingDivergedError at the first iteration where the loss of
     any L2 value is non-finite, even if the others would have trained.
@@ -369,4 +363,4 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
         raise ValueError("labeled and unlabeled feature widths differ")
     X_pre = np.vstack([X_labeled, X_unlabeled])
     layers = sae_pretrain(X_pre, dims, cfg)
-    return fine_tune(layers, X_labeled, labels, cfg)
+    return fine_tune(layers, X_labeled, labels, cfg, [cfg.l2])[0]

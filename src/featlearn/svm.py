@@ -7,8 +7,8 @@ Full-batch steps of size 1/(lambda_eff * t) with lambda_eff = 1/(nC); the
 averaged iterate and the best objective seen are both tracked and the
 better one is returned, so the result never scores worse than w = 0.
 
-``svm_train_block`` trains many problems in one epoch loop, and each model
-is bit-equal to training its problem alone. These rules keep it so:
+``svm_train`` trains many problems in one epoch loop, and each model is
+bit-equal to its problem trained alone. These rules keep it so:
 
 - Each group of problems that share a shape computes its margins, its w.w
   and its gradient with one stacked ``np.matmul``, which makes the same gemv
@@ -72,14 +72,8 @@ def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -
     return _objective(X, _plus_minus(labels), w, bias, C)
 
 
-def svm_train(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,
-              max_epochs: int = DEFAULT_MAX_EPOCHS) -> LinearSvmModel:
-    """Train one problem; see ``svm_train_block``."""
-    return svm_train_block([(X, labels, [C])], tol=tol, max_epochs=max_epochs)[0]
-
-
-def svm_train_block(groups, tol: float = DEFAULT_TOL,
-                    max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
+def svm_train(groups, tol: float = DEFAULT_TOL,
+              max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
     """Train one model per problem in one epoch loop and return them in
     group order, each group's in Cs order.
 
@@ -245,7 +239,6 @@ def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels)
-    models = iter(svm_train_block([(X[train], y[train], C_grid) for train, _ in folds],
-                                  tol, max_epochs))
+    models = iter(svm_train([(X[train], y[train], C_grid) for train, _ in folds], tol, max_epochs))
     return np.array([[accuracy(svm_predict(next(models), X[val]), y[val]) for _ in C_grid]
                      for _, val in folds])

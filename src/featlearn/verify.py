@@ -47,12 +47,12 @@ def _central_diff(loss_of_vec, vec: np.ndarray) -> np.ndarray:
     return grad
 
 
-def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckResult:
+def check_reconstruction_gradients() -> CheckResult:
     """Analytic tied-weight reconstruction gradients vs finite differences,
     each instance's evaluations reusing one ``_Work``, as ``ae_train`` does."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(20):
         d = int(rng.integers(3, 7))
         h = int(rng.integers(1, d))
         n = int(rng.integers(2, 8))
@@ -76,18 +76,18 @@ def check_reconstruction_gradients(instances: int = 20, seed: int = 7) -> CheckR
         analytic = np.concatenate([gW.ravel(), gb, gd])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("reconstruction-gradients", worst < GRAD_RTOL, worst,
-                       f"{instances} random instances, fd step {FD_STEP:g}")
+                       f"20 random instances, fd step {FD_STEP:g}")
 
 
-def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult:
+def check_finetune_gradients() -> CheckResult:
     """Analytic backprop gradients of the cross-entropy + L2 loss vs finite
     differences, through stacks of one or two encoder layers. Each instance
     is a lockstep block of two L2 values with their own weights, and the sum
     of their losses is differentiated, so mixing the slices would fail."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     stack = 2
-    for _ in range(instances):
+    for _ in range(20):
         d = int(rng.integers(4, 7))
         dims = [int(rng.integers(2, d))]
         if rng.integers(0, 2) and dims[0] > 1:
@@ -118,15 +118,15 @@ def check_finetune_gradients(instances: int = 20, seed: int = 11) -> CheckResult
         analytic = np.concatenate([g.ravel() for g in gWs + gbs + [gWh, gbh]])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     return CheckResult("fine-tune-gradients", worst < GRAD_RTOL, worst,
-                       f"{instances} random stacks of {stack} L2 values, fd step {FD_STEP:g}")
+                       f"20 random stacks of {stack} L2 values, fd step {FD_STEP:g}")
 
 
-def check_lasso_lambda_max(instances: int = 100, seed: int = 3) -> CheckResult:
+def check_lasso_lambda_max() -> CheckResult:
     """At or above lambda_max every coefficient must be exactly zero."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
     ok = True
-    for _ in range(instances):
+    for _ in range(100):
         n, p = int(rng.integers(10, 40)), int(rng.integers(2, 15))
         X = rng.normal(size=(n, p))
         X -= X.mean(axis=0)
@@ -138,15 +138,15 @@ def check_lasso_lambda_max(instances: int = 100, seed: int = 3) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(fit.beta))))
             ok = ok and np.all(fit.beta == 0.0)
     return CheckResult("lasso-lambda-max-zeros", ok, worst,
-                       f"{instances} random instances, max |beta| at lambda >= lambda_max")
+                       "100 random instances, max |beta| at lambda >= lambda_max")
 
 
-def check_lasso_orthogonal(instances: int = 50, seed: int = 4) -> CheckResult:
+def check_lasso_orthogonal() -> CheckResult:
     """With X^T X = n I the solution is the closed form
     soft(X_j^T y / n, lambda/2) coordinate by coordinate."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(50):
         p = int(rng.integers(2, 10))
         n = int(rng.integers(p + 1, 40))
         Q, _ = np.linalg.qr(rng.normal(size=(n, p)))
@@ -159,16 +159,16 @@ def check_lasso_orthogonal(instances: int = 50, seed: int = 4) -> CheckResult:
         fit = lasso_fit(X, y, lam)
         worst = max(worst, float(np.max(np.abs(fit.beta - closed))))
     return CheckResult("lasso-orthogonal-closed-form", worst < 1e-8, worst,
-                       f"{instances} orthogonal designs")
+                       "50 orthogonal designs")
 
 
-def check_lasso_kkt(instances: int = 50, seed: int = 5) -> CheckResult:
+def check_lasso_kkt() -> CheckResult:
     """Subgradient optimality of converged fits: |(2/n) X_j^T r| <= lambda
     where beta_j = 0, and equal to lambda*sign(beta_j) elsewhere."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     worst = 0.0
     ok = True
-    for _ in range(instances):
+    for _ in range(50):
         n, p = int(rng.integers(15, 50)), int(rng.integers(2, 20))
         X = rng.normal(size=(n, p))
         X -= X.mean(axis=0)
@@ -185,17 +185,17 @@ def check_lasso_kkt(instances: int = 50, seed: int = 5) -> CheckResult:
         viol_active = float(np.max(np.abs(grad[~zero] - lam * np.sign(fit.beta[~zero])), initial=0.0))
         worst = max(worst, viol_zero, viol_active)
     return CheckResult("lasso-kkt-certificate", ok and worst < 1e-6, worst,
-                       f"{instances} converged fits, subgradient residual")
+                       "50 converged fits, subgradient residual")
 
 
-def check_pca_identities(instances: int = 50, seed: int = 8) -> CheckResult:
+def check_pca_identities() -> CheckResult:
     """The mean squared residual of projecting onto the top-r components
     equals trace(S) minus the top-r eigenvalue sum (eigenvalues from numpy),
     components stay orthonormal, and the residual is nonincreasing in r."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(8)
     worst = 0.0
     ok = True
-    for _ in range(instances):
+    for _ in range(50):
         p = int(rng.integers(2, 21))
         n = int(rng.integers(p + 2, 60))
         X = rng.normal(size=(n, p)) @ rng.normal(size=(p, p)) * 0.5
@@ -205,7 +205,7 @@ def check_pca_identities(instances: int = 50, seed: int = 8) -> CheckResult:
         r_all = min(n - 1, p)
         prev = np.inf
         for r in range(1, r_all + 1):
-            model = pca_fit(X, r)
+            model, = pca_fit([X], r)
             V = model.components
             resid = centered - centered @ V @ V.T
             err = float(np.sum(resid * resid)) / n
@@ -216,7 +216,7 @@ def check_pca_identities(instances: int = 50, seed: int = 8) -> CheckResult:
             ok = ok and err <= prev + 1e-10
             prev = err
     return CheckResult("pca-spectral-identities", ok and worst < 1e-8, worst,
-                       f"{instances} random datasets, p <= 20")
+                       "50 random datasets, p <= 20")
 
 
 def check_svm_grid() -> CheckResult:
@@ -238,7 +238,7 @@ def check_svm_grid() -> CheckResult:
     margins = y[None, None, :] * (W[..., None] * X[:, 0][None, None, :] + B[..., None])
     obj = 0.5 * W ** 2 + C * np.sum(np.maximum(0.0, 1.0 - margins), axis=-1)
     grid_best = float(obj.min())
-    model = svm_train(X, labels, C, tol=0.0, max_epochs=200000)
+    model, = svm_train([(X, labels, [C])], tol=0.0, max_epochs=200000)
     got = svm_objective(X, labels, model.w, model.bias, C)
     optimum = 25.0 / 32.0
     err = abs(got - optimum)
@@ -247,25 +247,25 @@ def check_svm_grid() -> CheckResult:
                        f"solver {got:.6f} vs optimum {optimum:.6f}, grid best {grid_best:.6f}")
 
 
-def check_svm_separable(instances: int = 20, seed: int = 10) -> CheckResult:
+def check_svm_separable() -> CheckResult:
     """Linearly separable instances with C >= 100 must reach training
     accuracy 1.0."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(10)
     ok = True
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(20):
         n, q = int(rng.integers(6, 30)), int(rng.integers(1, 5))
         half = n // 2
         X = rng.normal(size=(n, q))
         X[:half] -= 3.0
         X[half:] += 3.0
         y = np.array([0] * half + [1] * (n - half))
-        model = svm_train(X, y, C=100.0)
+        model, = svm_train([(X, y, [100.0])])
         acc = float(np.mean(svm_predict(model, X) == y))
         worst = max(worst, 1.0 - acc)
         ok = ok and acc == 1.0
     return CheckResult("svm-separable-accuracy", ok, worst,
-                       f"{instances} separable instances at C=100")
+                       "20 separable instances at C=100")
 
 
 GRADIENT_CHECKS = (check_reconstruction_gradients, check_finetune_gradients)

@@ -28,7 +28,7 @@ def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
     scores = np.zeros(len(grid))
     per_fold = np.zeros((len(folds), len(grid)))
     for f, (train, val) in enumerate(folds):
-        model = pca_fit(F[train], grid[-1])
+        model, = pca_fit([F[train]], grid[-1])
         scores_tr = pca_transform(model, F[train])
         scores_val = pca_transform(model, F[val])
         for i, r in enumerate(grid):

@@ -1,6 +1,6 @@
 """The per-call auto-encoder and fine-tuning loops, kept as the reference for
 ``featlearn.sae``: ``ae_train`` must reproduce ``ae_train_loop`` bit for bit,
-and every model of ``fine_tune_block`` must equal ``fine_tune_loop`` at its
+and every model of ``fine_tune`` must equal ``fine_tune_loop`` at its
 L2, weight by weight and bias by bias.
 
 Each step allocates its own temporaries, and each L2 value is fine-tuned on

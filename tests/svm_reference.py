@@ -1,5 +1,5 @@
 """The one-problem averaged-subgradient loop and the per-C search, kept as the
-reference for ``featlearn.svm``: ``svm_train_block`` must reproduce
+reference for ``featlearn.svm``: ``svm_train`` must reproduce
 ``averaged_subgradient`` bit for bit, model by model, ``svm_cv`` must score
 every (fold, C) as ``per_c_cv`` does, and ``harness._choose`` must then pick
 the C that ``per_c_cv`` picks.

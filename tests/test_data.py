@@ -30,6 +30,18 @@ class TestDataset:
         with pytest.raises(ValueError, match="label"):
             Dataset.from_arrays([[1.0]], [2])
 
+    @pytest.mark.parametrize("row", range(3))
+    def test_rejects_fractional_label_naming_its_row(self, row):
+        """Casting first would truncate 0.5 to 0, 1.5 to 1 and -0.5 to 0."""
+        labels = [0.0, 1.0, -1.0]
+        labels[row] += 0.5
+        with pytest.raises(ValueError, match=rf"label at row {row} not in \{{0, 1, -1\}}"):
+            Dataset(np.ones((3, 1)), labels, ("a",))
+
+    def test_integral_float_labels_load(self):
+        ds = Dataset(np.ones((3, 1)), [0.0, 1.0, -1.0], ("a",))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, -1]
+
     def test_immutable(self):
         ds = _toy()
         with pytest.raises(ValueError):

@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from featlearn import harness
+from featlearn import harness, pca
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
                                ResultsTable, _checked_split, _choose, _fit_pca_selector,
                                _fit_sae_stage, _RepeatFits, _stage, config_to_text,
                                parse_config, read_runs_csv, render_table, run_experiment,
                                write_runs_csv)
+from featlearn.pca import pca_fit
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 from harness_reference import per_fold_pca_search
 
@@ -106,12 +107,36 @@ class TestFitPcaSelector:
         repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)
         _, _, ytr01, folds = repeat._train
         F = repeat._method_stage(PipelineSpec("LLF"))[2]
-        _, chosen = _fit_pca_selector(F, ytr01, folds, cfg)
+        model, chosen = _fit_pca_selector(F, ytr01, folds, cfg)
         want_r, want_scores = per_fold_pca_search(F, ytr01, folds, cfg.pca_grid,
                                                   cfg.svm_cv_epochs)
         [(_, grid, scores, _)] = choices
         assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
         assert chosen["r"] == want_r
+        # the block's last member, cut to r, is the one-member fit at r
+        want, = pca_fit([F], want_r)
+        for name in ("mean", "components", "variances"):
+            a, b = getattr(model, name), getattr(want, name)
+            assert a.shape == b.shape and a.strides == b.strides, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_one_cell_makes_one_pca_fit_and_one_eigen_block(self, monkeypatch):
+        calls = {"pca_fit": 0, "sym_eigen": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        count(harness, "pca_fit")
+        count(pca, "sym_eigen")
+        ds = generate_synthetic(TINY_DATA)
+        fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
+        fits.fit(PipelineSpec("LLF", "PCA"))
+        assert calls == {"pca_fit": 1, "sym_eigen": 1}
 
 
 class TestChoose:

@@ -4,7 +4,7 @@ import pytest
 from featlearn.data import (SyntheticSpec, generate_synthetic, kfold,
                             standardize_fit, stratified_split)
 from featlearn import linalg
-from featlearn.linalg import ConvergenceError, sample_covariance, sym_eigen, sym_eigen_block
+from featlearn.linalg import ConvergenceError, sample_covariance, sym_eigen
 from linalg_reference import three_rotation_jacobi
 
 
@@ -38,13 +38,13 @@ class TestSampleCovariance:
 
 class TestSymEigen:
     def test_diagonal_matrix(self):
-        eig = sym_eigen(np.diag([3.0, 1.0]))
+        eig, = sym_eigen([np.diag([3.0, 1.0])])
         np.testing.assert_allclose(eig.eigenvalues, [3.0, 1.0])
         np.testing.assert_allclose(np.abs(eig.eigenvectors), np.eye(2), atol=1e-12)
 
     def test_hand_2x2(self):
         # char. polynomial of [[2,1],[1,2]]: (2-t)^2 - 1 -> t = 3, 1
-        eig = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        eig, = sym_eigen([np.array([[2.0, 1.0], [1.0, 2.0]])])
         np.testing.assert_allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-12)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(eig.eigenvectors[:, 0]), [s, s], atol=1e-10)
@@ -55,7 +55,7 @@ class TestSymEigen:
         rng = np.random.default_rng(seed)
         M = rng.normal(size=(6, 6))
         M = (M + M.T) / 2
-        eig = sym_eigen(M)
+        eig, = sym_eigen([M])
         recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
         assert np.max(np.abs(recon - M)) < 1e-8
 
@@ -65,7 +65,7 @@ class TestSymEigen:
         p = int(rng.integers(1, 21))
         M = rng.normal(size=(p, p)) * 3.0
         M = (M + M.T) / 2
-        eig = sym_eigen(M)
+        eig, = sym_eigen([M])
         assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
         gram = eig.eigenvectors.T @ eig.eigenvectors
         assert np.max(np.abs(gram - np.eye(p))) < 1e-8
@@ -76,13 +76,13 @@ class TestSymEigen:
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eigen([np.array([[1.0, 2.0], [0.0, 1.0]])])
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(7, 7))
         M = (M + M.T) / 2
-        a, b = sym_eigen(M), sym_eigen(M.copy())
+        (a,), (b,) = sym_eigen([M]), sym_eigen([M.copy()])
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
         for j in range(7):
             col = a.eigenvectors[:, j]
@@ -90,7 +90,7 @@ class TestSymEigen:
 
 
 def _assert_same_bytes(M):
-    got, want = sym_eigen(M), three_rotation_jacobi(M)
+    (got,), want = sym_eigen([M]), three_rotation_jacobi(M)
     for a, b in ((got.eigenvalues, want.eigenvalues), (got.eigenvectors, want.eigenvectors)):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -118,7 +118,7 @@ class TestSymEigenMatchesReference:
     def test_diagonal_input_is_not_rotated(self):
         M = np.diag([0.5, 3.0, -1.0, 2.0])
         _assert_same_bytes(M)
-        eig = sym_eigen(M)
+        eig, = sym_eigen([M])
         np.testing.assert_array_equal(eig.eigenvalues, [3.0, 2.0, 0.5, -1.0])
         np.testing.assert_array_equal(eig.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
 
@@ -129,7 +129,7 @@ class TestSymEigenMatchesReference:
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_outputs_read_only(self, p):
-        eig = sym_eigen(np.eye(p) * 2.0)
+        eig, = sym_eigen([np.eye(p) * 2.0])
         assert not eig.eigenvalues.flags.writeable
         assert not eig.eigenvectors.flags.writeable
 
@@ -169,7 +169,7 @@ class TestSymEigenBlock:
 
     @staticmethod
     def _assert_block_matches(Ms):
-        for M, got in zip(Ms, sym_eigen_block(Ms), strict=True):
+        for M, got in zip(Ms, sym_eigen(Ms), strict=True):
             want = three_rotation_jacobi(M)
             for a, b in ((got.eigenvalues, want.eigenvalues),
                          (got.eigenvectors, want.eigenvectors)):
@@ -193,32 +193,32 @@ class TestSymEigenBlock:
         self._assert_block_matches([np.array([[3.0]]), np.array([[-0.0]]), np.array([[-2.5]])])
 
     def test_outputs_read_only(self):
-        for eig in sym_eigen_block(_mixed_stack(5)):
+        for eig in sym_eigen(_mixed_stack(5)):
             assert not eig.eigenvalues.flags.writeable
             assert not eig.eigenvectors.flags.writeable
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="at least one matrix"):
-            sym_eigen_block([])
+            sym_eigen([])
 
     def test_mixed_sizes_name_the_matrix(self):
         with pytest.raises(ValueError, match="matrix 2 is 3 x 3, but matrix 0 is 2 x 2"):
-            sym_eigen_block([np.eye(2), np.eye(2), np.eye(3)])
+            sym_eigen([np.eye(2), np.eye(2), np.eye(3)])
 
     def test_non_square_member_names_the_matrix(self):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\) for matrix 1"):
-            sym_eigen_block([np.eye(2), np.ones((2, 3))])
+            sym_eigen([np.eye(2), np.ones((2, 3))])
 
     def test_asymmetric_member_names_the_matrix(self):
         with pytest.raises(ValueError, match="symmetric.*matrix 1"):
-            sym_eigen_block([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+            sym_eigen([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_member_names_the_matrix(self, bad):
         M = np.eye(3)
         M[1, 2] = M[2, 1] = bad
         with pytest.raises(ValueError, match="matrix 2 has a non-finite entry"):
-            sym_eigen_block([np.eye(3), np.eye(3), M])
+            sym_eigen([np.eye(3), np.eye(3), M])
 
     def test_convergence_error_names_the_matrix(self, monkeypatch):
         # the diagonal member stops before its first sweep; the others need
@@ -226,8 +226,8 @@ class TestSymEigenBlock:
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         Ms = _mixed_stack(9)
         with pytest.raises(ConvergenceError, match="for matrix 1"):
-            sym_eigen_block([Ms[1], Ms[0], Ms[2]])
-        sym_eigen_block([Ms[1]])
+            sym_eigen([Ms[1], Ms[0], Ms[2]])
+        sym_eigen([Ms[1]])
 
 
 class TestSymEigenRejectsNonFinite:
@@ -237,4 +237,4 @@ class TestSymEigenRejectsNonFinite:
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
         M[where] = M[where[::-1]] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sym_eigen(M)
+            sym_eigen([M])

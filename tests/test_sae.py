@@ -5,7 +5,7 @@ import pytest
 
 from featlearn.harness import ExperimentConfig
 from featlearn.sae import (TrainConfig, TrainingDivergedError, ae_train, fine_tune,
-                           fine_tune_block, sae_pretrain, semi_pretrain_finetune, sigmoid)
+                           sae_pretrain, semi_pretrain_finetune, sigmoid)
 from sae_reference import ae_train_loop, fine_tune_loop
 
 
@@ -90,7 +90,7 @@ class TestFineTuneBlock:
         labels = (X[:, 0] - X[:, 3] + 0.5 * rng.normal(size=n) > 0).astype(int)
         cfg = TrainConfig(learning_rate=0.1, iterations=25, seed=9)
         layers = sae_pretrain(X, (40, 15), replace(cfg, iterations=10))
-        models = fine_tune_block(layers, X, labels, cfg, self.GRID)
+        models = fine_tune(layers, X, labels, cfg, self.GRID)
         assert len(models) == len(self.GRID)
         for l2, model in zip(self.GRID, models):
             want = fine_tune_loop(layers, X, labels, replace(cfg, l2=l2))
@@ -101,26 +101,26 @@ class TestFineTuneBlock:
         X, labels = _labeled(3)
         cfg = TrainConfig(learning_rate=0.5, iterations=40, l2=l2, seed=4)
         layers = sae_pretrain(X, (4, 1), cfg)
-        got = fine_tune(layers, X, labels, cfg)
+        got, = fine_tune(layers, X, labels, cfg, [l2])
         assert _model_bytes(got) == _model_bytes(fine_tune_loop(layers, X, labels, cfg))
-        block = fine_tune_block(layers, X, labels, replace(cfg, l2=123.0), [1.0, l2])
+        block = fine_tune(layers, X, labels, replace(cfg, l2=123.0), [1.0, l2])
         assert _model_bytes(block[1]) == _model_bytes(got)
 
     def test_block_raises_when_any_l2_diverges(self):
         X, labels = _labeled()
         cfg = TrainConfig(iterations=5)
         layers = sae_pretrain(X, (4, 2), cfg)
-        fine_tune(layers, X, labels, replace(cfg, l2=1e-4))  # trains on its own
+        fine_tune(layers, X, labels, cfg, [1e-4])  # trains on its own
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 0"):
-            fine_tune_block(layers, X, labels, cfg, [1e-4, 1e308])
+            fine_tune(layers, X, labels, cfg, [1e-4, 1e308])
 
     @pytest.mark.parametrize("l2s", [[], [1e-3, -1e-4], [1e-3, np.inf], [np.nan]])
     def test_bad_l2_values_rejected(self, l2s):
         X, labels = _labeled()
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=2))
         with pytest.raises(ValueError, match="l2s must be nonempty"):
-            fine_tune_block(layers, X, labels, TrainConfig(), l2s)
+            fine_tune(layers, X, labels, TrainConfig(), l2s)
 
 
 class TestDivergence:
@@ -135,15 +135,15 @@ class TestDivergence:
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=5))
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 1"):
-            fine_tune(layers, X, labels, TrainConfig(learning_rate=1e300, iterations=5))
+            fine_tune(layers, X, labels, TrainConfig(learning_rate=1e300, iterations=5), [0.0])
 
     def test_block_raises_at_huge_learning_rate(self):
         X, labels = _labeled()
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=5))
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 1"):
-            fine_tune_block(layers, X, labels, TrainConfig(learning_rate=1e300, iterations=5),
-                            sorted(ExperimentConfig().l2_grid))
+            fine_tune(layers, X, labels, TrainConfig(learning_rate=1e300, iterations=5),
+                      sorted(ExperimentConfig().l2_grid))
 
 
 class TestSemiPretrainFinetune:
@@ -151,7 +151,7 @@ class TestSemiPretrainFinetune:
     def test_no_unlabeled_rows_is_the_supervised_fit(self, empty):
         X, labels = _labeled(1)
         cfg = TrainConfig(learning_rate=0.5, iterations=20, l2=1e-3, seed=7)
-        supervised = fine_tune(sae_pretrain(X, (4, 2), cfg), X, labels, cfg)
+        supervised, = fine_tune(sae_pretrain(X, (4, 2), cfg), X, labels, cfg, [cfg.l2])
         semi = semi_pretrain_finetune(X, labels, empty, (4, 2), cfg)
         assert _model_bytes(semi) == _model_bytes(supervised)
 

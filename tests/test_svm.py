@@ -5,8 +5,7 @@ from featlearn import svm
 from featlearn.data import SyntheticSpec, generate_synthetic, kfold
 from featlearn.harness import ExperimentConfig, _checked_split, _choose, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
-from featlearn.svm import (LinearSvmModel, svm_cv, svm_objective, svm_predict, svm_train,
-                           svm_train_block)
+from featlearn.svm import LinearSvmModel, svm_cv, svm_objective, svm_predict, svm_train
 from featlearn.ttest import select_top_m, two_sample_t
 from svm_reference import averaged_subgradient, per_c_cv
 
@@ -31,12 +30,12 @@ def _adni_folds(seed, k):
 def _pca_stack(X, y, trains, r_max):
     """Each training mask's PCA scores and labels, stacked; the masks must
     select equally many rows."""
-    S = np.stack([pca_transform(pca_fit(X[train], r_max), X[train]) for train in trains])
+    S = np.stack([pca_transform(pca_fit([X[train]], r_max)[0], X[train]) for train in trains])
     return S, np.stack([y[train] for train in trains])
 
 
 def _assert_matches_reference(groups, tol, max_epochs):
-    models = svm_train_block(groups, tol=tol, max_epochs=max_epochs)
+    models = svm_train(groups, tol=tol, max_epochs=max_epochs)
     problems = [(X if np.ndim(X) == 2 else X[i], y if np.ndim(y) == 1 else y[i], C)
                 for X, y, Cs in groups for i, C in enumerate(Cs)]
     assert len(models) == len(problems)
@@ -81,7 +80,7 @@ class TestSvmTrainBlock:
     @pytest.mark.parametrize("seed", range(3))
     def test_pca_prefix_views(self, seed):
         X, y = _problem(seed)
-        S = pca_transform(pca_fit(X, 40), X)
+        S = pca_transform(pca_fit([X], 40)[0], X)
         groups = [(S[:, :r], y, [1.0]) for r in ExperimentConfig().pca_grid]
         assert not groups[0][0].flags.c_contiguous
         _assert_matches_reference(groups, 1e-6, 150)
@@ -143,7 +142,7 @@ class TestSvmTrainBlock:
         groups = [(X[:, select_top_m(stats, m)], y, [1.0, 0.1]) for m in widths]
         recording = _RecordingNumpy()
         monkeypatch.setattr(svm, "np", recording)
-        svm_train_block(groups, tol=1e-6, max_epochs=5)
+        svm_train(groups, tol=1e-6, max_epochs=5)
         dots = [a for a, b in recording.matmul_operands if np.shares_memory(a, b)]
         assert sorted({a.shape[-1] for a in dots}) == sorted(set(widths))
         assert len(dots) == 5 * 4  # per epoch, one per run of equal width
@@ -160,7 +159,7 @@ class TestSvmTrainBlock:
         (model,) = _assert_matches_reference([(X, y, [1.0])], tol, 600)
         if tol == 0.0:
             assert (model.epochs, model.converged) == (600, False)
-        same = svm_train(X, y, 1.0, tol=tol, max_epochs=600)
+        same, = svm_train([(X, y, [1.0])], tol=tol, max_epochs=600)
         assert same.w.tobytes() == model.w.tobytes() and same.bias == model.bias
 
     def test_one_epoch(self):
@@ -189,7 +188,7 @@ class TestSvmTrainBlock:
         y = [0, 1, 0, 1]
         args = {"groups": [(np.eye(4), y, [1.0, 2.0]), (np.eye(4)[:, :2], y, [1.0])], **kwargs}
         with pytest.raises(ValueError, match=message):
-            svm_train_block(**args)
+            svm_train(**args)
 
 
 def _assert_matches_per_c(X, y, folds, grid):
@@ -210,7 +209,7 @@ class TestSvmCv:
         grid = [10.0, 0.1, 1.0]
         for train, val in folds:
             for C in grid:
-                model = svm_train(X[train], y[train], C)
+                model, = svm_train([(X[train], y[train], [C])])
                 assert np.all(svm_predict(model, X[val]) == y[val])
         assert _choose(grid, svm_cv(X, y, folds, grid), min) == 0.1
 
