@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from featlearn.data import kfold
-from featlearn.harness import _choose
+from featlearn import lasso
+from featlearn.data import SyntheticSpec, generate_synthetic, kfold
+from featlearn.harness import (ExperimentConfig, PipelineSpec, _checked_split, _choose,
+                               _RepeatFits)
 from featlearn.lasso import (SingularActiveSetError, lambda_max, lambda_path, lasso_cv,
                              lasso_fit, lasso_objective, lasso_path, selected_features)
-from lasso_reference import coordinate_descent, running_max_lambda_max
+from lasso_reference import coordinate_descent, running_max_lambda_max, sequential_walk
 
 
 def _centered_problem(rng, n, p, signal=0):
@@ -21,6 +23,33 @@ def _centered_problem(rng, n, p, signal=0):
 def _orthogonal_design(rng, n, p):
     Q, _ = np.linalg.qr(rng.normal(size=(n, p)))
     return Q * np.sqrt(n)  # X^T X = n I
+
+
+def _hadamard_ties():
+    # Hadamard columns: X^T X = n I exactly, and X_1^T y = -X_2^T y while
+    # X_3^T y = X_4^T y, so two pairs of columns join at the same lambdas
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    hadamard = np.kron(np.kron(h, h), h)
+    X = hadamard[:, 1:5]
+    y = X @ np.array([3.0, -3.0, 1.0, 1.0]) + 0.5 * hadamard[:, 6]
+    return X, y, np.geomspace(lambda_max(X, y), 1e-3, 25)
+
+
+def _correlated_tie():
+    # two columns reach the bound together at lambda = 0.75 and only one
+    # of them may enter; letting both in breaks the optimality conditions
+    X = np.array([[-1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    y = np.array([-1.0, 0.0, 1.0, 2.0])
+    return X, y, np.linspace(1.5, 0.01, 30)
+
+
+def _parallel_tie():
+    # columns 1 and 2 tie at lambda_max; once column 1 enters, column 2's
+    # correlation keeps exactly to the bound, and the walk must not let
+    # it in and out again at every step
+    X = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    y = np.array([2.0, -2.0, -1.0, 0.0])
+    return X, y, np.linspace(lambda_max(X, y), 0.01, 12)
 
 
 class TestLassoFit:
@@ -149,7 +178,7 @@ class TestLassoPath:
         n = int(rng.integers(p + 10, 201))
         X, y = _centered_problem(rng, n, p, signal=int(rng.integers(0, p + 1)))
         lams = lambda_path(X, y, 20, 0.01)
-        path = lasso_path(X, y, lams)
+        path, = lasso_path([(X, y)], lams)
         beta = None
         for i, lam in enumerate(lams):
             fit = coordinate_descent(X, y, lam, tol=1e-12, max_iter=100000, beta0=beta)
@@ -162,22 +191,16 @@ class TestLassoPath:
         rng = np.random.default_rng(8)
         X, y = _centered_problem(rng, 30, 6, signal=2)
         lams = lambda_max(X, y) * np.array([0.3, 1.2, 0.05, 0.6])
-        path = lasso_path(X, y, lams)
+        path, = lasso_path([(X, y)], lams)
         for i, lam in enumerate(lams):
-            np.testing.assert_array_equal(path[:, i], lasso_path(X, y, [lam])[:, 0])
+            np.testing.assert_array_equal(path[:, i], lasso_path([(X, y)], [lam])[0][:, 0])
         assert np.all(path[:, 1] == 0.0)
 
     def test_tied_events_join_together(self):
-        # Hadamard columns: X^T X = n I exactly, and X_1^T y = -X_2^T y while
-        # X_3^T y = X_4^T y, so two pairs of columns join at the same lambdas
-        h = np.array([[1.0, 1.0], [1.0, -1.0]])
-        hadamard = np.kron(np.kron(h, h), h)
-        X = hadamard[:, 1:5]
-        y = X @ np.array([3.0, -3.0, 1.0, 1.0]) + 0.5 * hadamard[:, 6]
+        X, y, lams = _hadamard_ties()
         z = X.T @ y / X.shape[0]
         np.testing.assert_array_equal(z, [3.0, -3.0, 1.0, 1.0])
-        lams = np.geomspace(lambda_max(X, y), 1e-3, 25)
-        path = lasso_path(X, y, lams)
+        path, = lasso_path([(X, y)], lams)
         expected = np.sign(z)[:, None] * np.maximum(np.abs(z)[:, None] - lams / 2.0, 0.0)
         np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(path[0], -path[1])
@@ -185,24 +208,15 @@ class TestLassoPath:
         assert lasso_fit(X, y, 0.5 * lams[0]).iterations_run == 1
 
     def test_tie_among_correlated_columns_matches_reference(self):
-        # two columns reach the bound together at lambda = 0.75 and only one
-        # of them may enter; letting both in breaks the optimality conditions
-        X = np.array([[-1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        y = np.array([-1.0, 0.0, 1.0, 2.0])
-        lams = np.linspace(1.5, 0.01, 30)
-        path = lasso_path(X, y, lams)
+        X, y, lams = _correlated_tie()
+        path, = lasso_path([(X, y)], lams)
         for i, lam in enumerate(lams):
             beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
             np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
 
     def test_column_parallel_to_its_bound_stays_out(self):
-        # columns 1 and 2 tie at lambda_max; once column 1 enters, column 2's
-        # correlation keeps exactly to the bound, and the walk must not let
-        # it in and out again at every step
-        X = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        y = np.array([2.0, -2.0, -1.0, 0.0])
-        lams = np.linspace(lambda_max(X, y), 0.01, 12)
-        path = lasso_path(X, y, lams)
+        X, y, lams = _parallel_tie()
+        path, = lasso_path([(X, y)], lams)
         assert np.all(path[2] == 0.0)
         for i, lam in enumerate(lams):
             beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
@@ -213,7 +227,7 @@ class TestLassoPath:
         X, y = _centered_problem(rng, 40, 6, signal=6)
         X[:, 2] = 0.0
         lams = np.append(lambda_path(X, y, 15, 0.001), 0.0)
-        path = lasso_path(X, y, lams)
+        path, = lasso_path([(X, y)], lams)
         assert np.all(path[2] == 0.0)
         assert np.all(np.abs(path[[0, 1, 3, 4, 5], -1]) > 0.0)
 
@@ -223,19 +237,154 @@ class TestLassoPath:
         X, y = _centered_problem(rng, 40, 5, signal=5)
         X = np.column_stack([X, X[:, copy_of]])
         with pytest.raises(SingularActiveSetError):
-            lasso_path(X, y, lambda_path(X, y, 20, 0.01))
+            lasso_path([(X, y)], lambda_path(X, y, 20, 0.01))
         assert issubclass(SingularActiveSetError, ArithmeticError)
 
     def test_more_columns_than_rows_raises_at_zero_lambda(self):
         rng = np.random.default_rng(11)
         X, y = _centered_problem(rng, 6, 10, signal=3)
         with pytest.raises(SingularActiveSetError):
-            lasso_path(X, y, [0.0])
+            lasso_path([(X, y)], [0.0])
 
     @pytest.mark.parametrize("lams", [[-0.1], [np.nan], [[0.1]]])
     def test_bad_lambdas_rejected(self, lams):
         with pytest.raises(ValueError):
-            lasso_path(np.eye(3), np.ones(3), lams)
+            lasso_path([(np.eye(3), np.ones(3))], lams)
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLassoPathBlock:
+    """Each member of a lockstep block walks the path it walks alone, byte
+    for byte: against the one-problem sequential walk in lasso_reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_member_matches_sequential_walk(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        p = int(rng.integers(2, 72))
+        X, y = _centered_problem(rng, int(rng.integers(p + 10, 201)), p,
+                                 signal=int(rng.integers(0, p + 1)))
+        lams = np.append(lambda_path(X, y, 20, 0.01), 0.0)
+        want, segments = sequential_walk(X, y, lams)
+        _same_bytes(lasso_path([(X, y)], lams)[0], want)
+        assert lasso_fit(X, y, lams[7]).iterations_run == sequential_walk(X, y, [lams[7]])[1]
+        assert segments >= p
+
+    def test_generator_block_of_mixed_problems(self):
+        # each member has its own lambda_max, so its own tie tolerance: the
+        # last member's is 1e12 times the first's
+        rng = np.random.default_rng(14)
+        problems = [_centered_problem(rng, n, 12, signal=s) for n, s in ((40, 3), (25, 12), (90, 0))]
+        problems.append((np.zeros((30, 12)), rng.normal(size=30)))  # lambda_max 0: all zeros
+        X, y = _centered_problem(rng, 60, 12, signal=5)
+        problems.append((X, 1e12 * y))
+        lams = np.append(lambda_path(*problems[0], 15, 0.001), 1e12 * np.geomspace(1.0, 1e-3, 15))
+        block = lasso_path((problem for problem in problems), lams)
+        assert len(block) == 5
+        for (X, y), got in zip(problems, block):
+            _same_bytes(got, sequential_walk(X, y, lams)[0])
+        assert np.all(block[3] == 0.0)
+
+    def test_members_whose_active_sets_differ_in_size(self, monkeypatch):
+        # member 0's path drops a column (a coefficient nonzero at one lambda
+        # is zero at a smaller one); member 1, an orthogonal design, adds one
+        # column per segment. So after the drop their active sets differ in
+        # size, and the step solves two groups: more solves than the longer
+        # walk has segments.
+        rng = np.random.default_rng(13)
+        X0, y0 = _centered_problem(rng, 30, 8, signal=3)
+        X0[:, 1] = X0[:, 0] + 0.3 * X0[:, 1]
+        X1 = _orthogonal_design(rng, 30, 8)
+        y1 = rng.normal(size=30)
+        y1 -= y1.mean()
+        lams = np.append(np.geomspace(max(lambda_max(X0, y0), lambda_max(X1, y1)), 1e-4, 200), 0.0)
+        want = [sequential_walk(X, y, lams) for X, y in ((X0, y0), (X1, y1))]
+        nonzero = want[0][0] != 0.0
+        assert (nonzero[:, :-1] & ~nonzero[:, 1:]).any()
+        groups = []
+        solve = lasso._solve_active
+        monkeypatch.setattr(lasso, "_solve_active",
+                            lambda blocks, rhs: groups.append(len(blocks)) or solve(blocks, rhs))
+        block = lasso_path([(X0, y0), (X1, y1)], lams)
+        assert len(groups) > max(segments for _, segments in want)
+        assert groups[0] == 2
+        for got, (path, _) in zip(block, want):
+            _same_bytes(got, path)
+
+    @pytest.mark.parametrize("tie", [_hadamard_ties, _correlated_tie, _parallel_tie])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_tie_problem_beside_an_untied_member(self, tie, position, monkeypatch):
+        X, y, lams = tie()
+        rng = np.random.default_rng(15)
+        untied = _centered_problem(rng, 20, X.shape[1], signal=X.shape[1])
+        problems = [untied]
+        problems.insert(position, (X, y))
+        retries = []
+        retry = lasso._next_segment
+        monkeypatch.setattr(lasso, "_next_segment",
+                            lambda *args: retries.append(args[-1]) or retry(*args))
+        block = lasso_path(problems, lams)
+        for (Xm, ym), got in zip(problems, block):
+            _same_bytes(got, sequential_walk(Xm, ym, lams)[0])
+        # the two ties among correlated columns need choices other than the
+        # natural one, tried for the tied member alone
+        assert retries == [position] * len(retries)
+        assert bool(retries) == (tie is not _hadamard_ties)
+
+    def test_duplicated_column_names_the_member(self):
+        rng = np.random.default_rng(10)
+        X, y = _centered_problem(rng, 40, 5, signal=5)
+        clean = _centered_problem(rng, 40, 6, signal=2)
+        dup = (np.column_stack([X, X[:, 3]]), y)
+        lams = lambda_path(*dup, 20, 0.01)
+        with pytest.raises(SingularActiveSetError, match=r"^member 2: active columns \[.*3.*5.*\]"
+                                                         r" are linearly dependent$"):
+            lasso_path([clean, clean, dup], lams)
+
+    def test_mixed_widths_rejected(self):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match="member 1 has 3 columns, member 0 has 4"):
+            lasso_path([_centered_problem(rng, 10, 4), _centered_problem(rng, 10, 3)], [0.1])
+
+    def test_empty_block(self):
+        assert lasso_path([], [0.5, 0.1]) == []
+
+
+class TestLassoRejectsBadProblems:
+    """A NaN once gave all-zero coefficients (no lambda is below a NaN
+    lambda_max), an inf a misleading SingularActiveSetError, and a 1-D X or
+    a short y an unpacking or matmul error."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_names_the_member(self, bad, where):
+        rng = np.random.default_rng(17)
+        problems = [_centered_problem(rng, 30, 4, signal=2) for _ in range(3)]
+        X, y = problems[2]
+        (X if where == "X" else y)[5] = bad
+        with pytest.raises(ValueError, match="member 2 has a non-finite entry"):
+            lasso_path(problems, [0.5, 0.1, 0.01])
+        with pytest.raises(ValueError, match="member 0 has a non-finite entry"):
+            lasso_fit(X, y, 0.1)
+
+    def test_one_dimensional_X(self):
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match=r"X of member 1 must be 2-D, got shape \(30,\)"):
+            lasso_path([_centered_problem(rng, 30, 1), (rng.normal(size=30), rng.normal(size=30))],
+                       [0.1])
+
+    def test_y_one_row_short(self):
+        X, y = _centered_problem(np.random.default_rng(19), 30, 4)
+        with pytest.raises(ValueError, match=r"y of member 0 must hold one value per row of X"
+                                             r" \(30\), got shape \(29,\)"):
+            lasso_fit(X, y[:-1], 0.1)
+
+    def test_column_of_y_rejected(self):
+        X, y = _centered_problem(np.random.default_rng(20), 30, 4)
+        with pytest.raises(ValueError, match=r"got shape \(30, 1\)"):
+            lasso_path([(X, y[:, None])], [0.1])
 
 
 class TestLambdaPath:
@@ -374,3 +523,55 @@ class TestLassoCv:
     def test_empty_lambda_list_rejected(self):
         with pytest.raises(ValueError):
             lasso_cv(np.zeros((4, 2)), np.zeros(4), [], [])
+
+
+class TestLassoCvBlock:
+    """lasso_cv walks its folds as one block: its scores equal the fold loop
+    of one-member walks, byte for byte, and each fold's path is the
+    sequential walk's."""
+
+    @staticmethod
+    def _fold_loop(X, y, folds, lambdas):
+        scores = np.zeros((len(folds), lambdas.size))
+        for f, (train, val) in enumerate(folds):
+            col_means = X[train].mean(axis=0)
+            y_mean = y[train].mean()
+            Xc, yc = X[train] - col_means, y[train] - y_mean
+            betas, = lasso_path([(Xc, yc)], lambdas)
+            _same_bytes(betas, sequential_walk(Xc, yc, lambdas)[0])
+            resid = y[val, None] - ((X[val] - col_means) @ betas + y_mean)
+            scores[f] = -(np.sum(resid * resid, axis=0) / val.size)
+        return scores
+
+    # the lasso cells' features: LLF (56 wide) at k = 3 and 10, and the
+    # 71-wide LLF+SAEF stack at the reduced table config
+    @pytest.mark.parametrize("method, k, sae_iterations", [("LLF", 3, 150), ("LLF", 10, 150),
+                                                           ("LLF_SAEF", 3, 50)])
+    def test_adni_like_features_match_fold_loop(self, method, k, sae_iterations):
+        ds = generate_synthetic(SyntheticSpec.adni_like(0))
+        cfg = ExperimentConfig(k=k, sae_iterations=sae_iterations)
+        repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, 0), cfg, 0)
+        _, _, ytr01, folds = repeat._train
+        F = repeat._method_stage(PipelineSpec(method))[2]
+        assert F.shape[1] == {"LLF": 56, "LLF_SAEF": 71}[method]
+        y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
+        lams = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)
+        _same_bytes(lasso_cv(F, y_pm, folds, lams), self._fold_loop(F, y_pm, folds, lams))
+
+    def test_reads_each_fold_copy_once(self, monkeypatch):
+        # the centered fold copies come from a generator, read one at a time
+        rng = np.random.default_rng(21)
+        X, y = _centered_problem(rng, 40, 6, signal=2)
+        folds = kfold(np.array([0, 1] * 20), 4, 0)
+        seen = []
+        walk = lasso._walk
+
+        def spy(problems, lambdas):
+            assert not isinstance(problems, (list, tuple))
+            return walk((seen.append(len(seen)) or problem for problem in problems), lambdas)
+        monkeypatch.setattr(lasso, "_walk", spy)
+        lams = lambda_path(X, y, 8, 0.01)
+        scores = lasso_cv(X, y, folds, lams)
+        assert seen == [0, 1, 2, 3]
+        monkeypatch.undo()
+        _same_bytes(scores, self._fold_loop(X, y, folds, lams))
