@@ -161,8 +161,8 @@ class SyntheticSpec:
             raise ValueError("p must be >= 1")
         if not 0 <= self.s <= self.p:
             raise ValueError("s must satisfy 0 <= s <= p")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if self.seed < 0:

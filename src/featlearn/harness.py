@@ -27,22 +27,23 @@ in the spec, and two functions read them there to build a cell's features:
 (the kept columns or the PCA scores). Training rows and test rows go
 through the same two functions.
 
-The searches fit their candidates in blocks. The C search trains all
-folds' C grids as one SVM block, a fold's candidates sharing its training
-rows. The PCA search fits its k fold PCAs and the final one on all
-training rows at the largest r in one ``pca_fit`` call, then trains every
-(fold, r) at C = 1 as one SVM block: the folds with equal training row
-counts share one stack of scores, and each r trains on its first r
-columns. The t-test search trains one SVM block per fold. Its candidates
-are different column subsets, so they share no operand and each keeps its
-own matrix products; one block across folds would hold every fold's
-column copies at once (joining the ten fold blocks raised the peak RSS of
-the ``llf-selectors`` benchmark at seed 0 from 49.27 to 52.40 MB, with
-about 0.05 s per repeat saved). The lambda search walks its k fold lasso
-paths as one lockstep ``lasso_cv`` block, each fold's walk bit for bit
-the one it walks alone, and the final lasso fit on all training rows is a
-one-member walk. The SAE's L2 search pretrains each fold's stack once and
-fine-tunes the fold's whole L2 grid as one block.
+The searches fit their candidates in blocks, one SVM block per search, in
+which the folds with equal training row counts share one stack filled in
+place. The C search trains each such stack at every C. The PCA search
+fits its k fold PCAs and the final one on all training rows at the
+largest r in one ``pca_fit`` call, then trains every (fold, r) at C = 1:
+the stack holds the folds' scores, and each r trains on its first r
+columns. The t-test search trains every (fold, m) at C = 1: its
+candidates are different column subsets, so each m has its own stack of
+the folds' columns. Filled in place, these stacks leave the peak RSS of
+the ``llf-selectors`` benchmark flat (a median of 49.56 MB over 24 seeds,
+against 49.47 MB with one block per fold); a join that held each fold's
+column copies beside the block had raised it to 52.40 MB. The lambda
+search walks its k fold lasso paths and then the full problem on all
+training rows as one lockstep ``lasso_cv`` block, each member's walk bit
+for bit the one it walks alone, and the final fit reads the chosen
+lambda's column of the full path. The SAE's L2 search pretrains each
+fold's stack once and fine-tunes the fold's whole L2 grid as one block.
 
 The five searches (the SAE's L2, the lasso's lambda, the t-test's m, the
 PCA's r, the SVM's C) each return (fold, candidate) scores in grid order,
@@ -73,11 +74,11 @@ import numpy as np
 
 from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, derive_seed,
                    kfold, random_split, standardize_fit, stratified_split)
-from .lasso import check_lambda_grid, lambda_path, lasso_cv, lasso_fit, selected_features
+from .lasso import check_lambda_grid, lambda_path, lasso_cv, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features, sae_predict,
                   sae_pretrain, semi_pretrain_finetune)
-from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
+from .svm import LinearSvmModel, _by_train_rows, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
 METHODS = ("LLF", "LLF_SAEF", "LLF_SEMI_SAEF", "SAEF", "SEMI_SAEF")
@@ -263,12 +264,27 @@ class PipelineFit:
         return svm_predict(self.svm, self.transform(X_raw))
 
 
-def _cv_svm_predicts(Xtrs, ytr01, max_epochs: int) -> list:
-    """Fixed-C classifiers used while tuning the t-test's m, one block over
-    a fold's candidate matrices; the final C is tuned afterwards on the
-    selected features."""
-    models = svm_train([(X, ytr01, [1.0]) for X in Xtrs], tol=1e-6, max_epochs=max_epochs)
-    return [partial(svm_predict, model) for model in models]
+def _cv_svm_predicts(F, ytr01, folds_local, cols, max_epochs: int) -> list:
+    """``ttest_cv``'s trainer: fixed-C classifiers used while tuning the
+    t-test's m, every (fold, m) at C = 1 in one SVM block; the final C is
+    tuned afterwards on the selected features.
+
+    Per m, the folds with equal training row counts share one stack of
+    their candidate columns, filled in place. The columns stay in ascending
+    index order, so each slice is a copy of its own columns, not a view of
+    another candidate's."""
+    groups, owners = [], []
+    for rows, fs in _by_train_rows(folds_local).items():
+        Y = np.stack([ytr01[folds_local[f][0]] for f in fs])
+        for i, c in enumerate(cols[fs[0]]):
+            S = np.empty((len(fs), rows, c.size))
+            for s, f in enumerate(fs):
+                S[s] = F[np.ix_(folds_local[f][0], cols[f][i])]
+            groups.append((S, Y, [1.0]))
+            owners += [(f, i) for f in fs]
+    models = dict(zip(owners, svm_train(groups, tol=1e-6, max_epochs=max_epochs)))
+    return [[partial(svm_predict, models[f, i]) for i in range(len(c))]
+            for f, c in enumerate(cols)]
 
 
 def _choose(grid, scores, ties):
@@ -302,9 +318,9 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
 def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
     lambdas = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)
-    best_lam = _choose(lambdas.tolist(), lasso_cv(F, y_pm, folds_local, lambdas), max)
-    fit = lasso_fit(F, y_pm - y_pm.mean(), best_lam)
-    idx = selected_features(fit)
+    scores, path = lasso_cv(F, y_pm, folds_local, lambdas)
+    best_lam = _choose(lambdas.tolist(), scores, max)
+    idx = selected_features(path[:, lambdas.tolist().index(best_lam)])
     if idx.size == 0:
         # nothing survived the penalty; degrade to no selection
         idx = np.arange(F.shape[1])
@@ -334,18 +350,15 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     r_max = max(grid)
     # a generator, so that one fold's training rows are held at a time
     *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), r_max)
-    by_rows: dict = {}
-    for f, (_, val) in enumerate(folds_local):
-        by_rows.setdefault(n - len(val), []).append(f)
     groups, owners, scores_val = [], [], [None] * len(folds_local)
-    for rows, fs in by_rows.items():
+    for rows, fs in _by_train_rows(folds_local).items():
         S, Y = np.empty((len(fs), rows, r_max)), np.empty((len(fs), rows))
         for s, f in enumerate(fs):
             train, val = folds_local[f]
             S[s], Y[s] = pca_transform(pcas[f], F[train]), ytr01[train]
             scores_val[f] = pca_transform(pcas[f], F[val])
         for i, r in enumerate(grid):
-            groups.append((S[:, :, :r], Y, [1.0] * len(fs)))
+            groups.append((S[:, :, :r], Y, [1.0]))
             owners += [(f, i) for f in fs]
     models = dict(zip(owners, svm_train(groups, tol=1e-6, max_epochs=cfg.svm_cv_epochs)))
     scores = np.array([[accuracy(svm_predict(models[f, i], scores_val[f][:, :r]), ytr01[val])

@@ -11,9 +11,9 @@ Efron, Hastie, Johnstone & Tibshirani 2004, "Least Angle Regression"), so
 ``lasso_path`` walks it down from lambda_max once, on the scaled Gram matrix
 (2/n) X^T X, and reads off the exact solution at every requested lambda.
 
-``lasso_path`` walks a block of problems (the CV search's k folds) in
-lockstep, one segment of every live member per step, and each member's walk
-is the one it would walk alone, bit for bit:
+``lasso_path`` walks a block of problems (the CV search's k folds and the
+full training problem) in lockstep, one segment of every live member per
+step, and each member's walk is the one it would walk alone, bit for bit:
 - Each member's Gram matrix and correlations are formed from its own X, as
   for a walk alone. Its active column order, lambda, tie tolerance and
   pending lambdas are its own; the order matters, since the solve's
@@ -353,22 +353,25 @@ def lambda_path(X: np.ndarray, y: np.ndarray, n_lambdas: int, ratio: float) -> n
     return np.geomspace(lmax, ratio * lmax, n_lambdas)
 
 
-def selected_features(fit: LassoFit, eps: float = DEFAULT_SELECT_EPS) -> np.ndarray:
-    """Indices with |beta_j| > eps, ascending."""
-    return np.flatnonzero(np.abs(fit.beta) > eps)
+def selected_features(beta: np.ndarray, eps: float = DEFAULT_SELECT_EPS) -> np.ndarray:
+    """Indices of the coefficients with |beta_j| > eps, ascending."""
+    return np.flatnonzero(np.abs(beta) > eps)
 
 
-def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> np.ndarray:
+def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, np.ndarray]:
     """Minus the validation mean squared error per (fold, lambda), so higher
-    is better, with the columns in ``lambdas`` order.
+    is better, with the columns in ``lambdas`` order; and the exact path of
+    the full problem (X, y - mean(y)), p x len(lambdas) in the same order.
 
     ``folds`` are ``kfold``'s (training mask, validation rows) pairs and
     ``y`` the regression target. Within each fold the training columns and
     response are re-centered and the training mean serves as the intercept
     for validation predictions. One lasso_path call walks every fold's path
-    as one lockstep block, reading the centered fold copies from a
-    generator, so one is held at a time; each fold's fit is its walk alone,
-    bit for bit. One matrix product per fold scores every lambda.
+    and then the full problem's as one lockstep block, reading the centered
+    fold copies from a generator, so one is held at a time; each member's
+    path is its walk alone, bit for bit, so the full path's column at a
+    lambda is ``lasso_fit(X, y - mean(y), lambda).beta``. One matrix product
+    per fold scores every lambda.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
     a full-data ``lambda_path`` need not give the zero fit in every fold,
@@ -383,16 +386,17 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     means = []
 
-    def centered_folds():
+    def members():
         for train, _ in folds:
             col_means = X[train].mean(axis=0)
             y_mean = y[train].mean()
             means.append((col_means, y_mean))
             yield X[train] - col_means, y[train] - y_mean
+        yield X, y - y.mean()
 
-    paths = lasso_path(centered_folds(), lambdas)
+    *paths, full = lasso_path(members(), lambdas)
     scores = np.zeros((len(folds), lambdas.size))
     for f, ((_, val), (col_means, y_mean), betas) in enumerate(zip(folds, means, paths)):
         resid = y[val, None] - ((X[val] - col_means) @ betas + y_mean)
         scores[f] = -(np.sum(resid * resid, axis=0) / val.size)
-    return scores
+    return scores, full

@@ -8,14 +8,18 @@ averaged iterate and the best objective seen are both tracked and the
 better one is returned, so the result never scores worse than w = 0.
 
 ``svm_train`` trains many problems in one epoch loop, and each model is
-bit-equal to its problem trained alone. These rules keep it so:
+bit-equal to its problem trained alone. A group of problems is the product
+of f slices (such as the CV folds with equal training row counts) and a C
+grid. These rules keep it so:
 
-- Each group of problems that share a shape computes its margins, its w.w
-  and its gradient with one stacked ``np.matmul``, which makes the same gemv
-  or dot call per slice as the 2-D product on that problem alone. No
-  block-wide matrix product (gemm): it rounds differently.
-- Each w.w runs over the problem's own q: a dot product over a zero-padded
-  w rounds differently.
+- Each group computes its margins and its gradient with one ``np.matmul``
+  per product over an (f, |Cs|, n, q) broadcast view of its slices, with
+  stride 0 on the C axis and a unit f or |Cs| axis dropped. That makes the
+  same gemv call per (slice, C) as the 2-D product on that problem alone.
+  No block-wide matrix product (gemm): it rounds differently.
+- The w.w products run one stacked ``np.matmul`` per run of equal q, each
+  over the problem's own q: a dot product over a zero-padded w rounds
+  differently.
 - Rows are padded to the longest problem for the elementwise steps, with
   zero labels on the padding. The hinge and bias-gradient sums reduce each
   problem's exact-length row, one reduction per row count, because a sum
@@ -74,49 +78,57 @@ def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -
 
 def svm_train(groups, tol: float = DEFAULT_TOL,
               max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
-    """Train one model per problem in one epoch loop and return them in
-    group order, each group's in Cs order.
+    """Train every problem of every group in one epoch loop and return the
+    models in group order: a group's slice by slice, each slice's in Cs order.
 
-    A group ``(X, labels, Cs)`` holds one problem per C. X is one (n, q)
-    matrix that all of them train on, or an (m, n, q) stack whose slice i is
-    problem i's; labels are one 0/1 vector of length n or an (m, n) stack.
-    Groups may differ in n and q. A model has converged when its per-epoch
-    objective change falls below tol * (1 + |objective|); it is built then,
-    and the block returns when the last one has converged or at max_epochs.
-    The bias is unregularized."""
+    A group ``(X, labels, Cs)`` trains each of its slices at every C. X is
+    one (n, q) matrix, a single slice, or an (f, n, q) stack of f slices;
+    labels are one 0/1 vector of length n that every slice shares, or an
+    (f, n) stack with one row per slice of a stacked X. Groups may differ in
+    n and q. A model has converged when its per-epoch objective change falls
+    below tol * (1 + |objective|); it is built then, and the block returns
+    when the last one has converged or at max_epochs. The bias is
+    unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     problems = []  # (X, +/-1 labels, C) per problem, in group order
-    stacks = []  # (X stack, first problem) per group
+    stacks = []  # ((f, |Cs|, n, q) view of X, first problem) per group
     for X, labels, Cs in groups:
-        X, Y, m = np.asarray(X, dtype=float), _plus_minus(labels), len(Cs)
+        X, Y = np.asarray(X, dtype=float), _plus_minus(labels)
         if X.ndim not in (2, 3) or Y.ndim not in (1, 2):
-            raise ValueError(f"need an (n, q) or (m, n, q) X and (n,) or (m, n) labels, "
+            raise ValueError(f"need an (n, q) or (f, n, q) X and (n,) or (f, n) labels, "
                              f"got {X.ndim}-D and {Y.ndim}-D")
-        if (X.ndim == 3 and len(X) != m) or (Y.ndim == 2 and len(Y) != m):
-            raise ValueError(f"need one C per problem, got X {X.shape}, labels {Y.shape} "
-                             f"and {m} C values")
+        if Y.ndim == 2 and (X.ndim == 2 or len(Y) != len(X)):
+            raise ValueError(f"need one label row per slice of X, got X {X.shape} "
+                             f"and labels {Y.shape}")
         if Y.shape[-1] != X.shape[-2]:
             raise ValueError(f"every problem must have {Y.shape[-1]} rows, one per label, "
                              f"got {X.shape[-2]}")
-        X, Y = np.broadcast_to(X, (m,) + X.shape[-2:]), np.broadcast_to(Y, (m, Y.shape[-1]))
+        X = X if X.ndim == 3 else X[None]
+        Y = np.broadcast_to(Y, (len(X), Y.shape[-1]))
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
         if not all(0.0 < C < math.inf for C in Cs):
             raise ValueError("C must be > 0 and finite")
-        if m:
-            stacks.append((X, len(problems)))
-        problems.extend((X[i], Y[i], float(C)) for i, C in enumerate(Cs))
+        if len(X) and len(Cs):
+            # every C of a slice reads the slice itself: stride 0 on the C axis
+            stacks.append((np.broadcast_to(X[:, None], (len(X), len(Cs)) + X.shape[1:]),
+                           len(problems)))
+        problems.extend((x, y, float(C)) for x, y in zip(X, Y) for C in Cs)
     if not problems:
         raise ValueError("need at least one problem")
 
     # Block rows run through the groups by row count, so that equal-n rows
     # are adjacent and each length's row sums are one reduction.
-    stacks.sort(key=lambda s: s[0].shape[1])
-    order, segments = [], []  # the problem in each block row; (X, a, b, n, q) per group
+    stacks.sort(key=lambda s: s[0].shape[2])
+    order, segments = [], []  # the problem in each block row; (X, a, b, lead, n, q) per group
     for X, first in stacks:
-        segments.append((X, len(order), len(order) + len(X), *X.shape[1:]))
-        order.extend(range(first, first + len(X)))
+        f, c, n, q = X.shape
+        # a unit slice or C axis is dropped: a matmul with one batch axis
+        # fewer costs less per call and makes the same gemv calls
+        lead = tuple(d for d in (f, c) if d > 1) or (1,)
+        segments.append((X.reshape(lead + (n, q)), len(order), len(order) + f * c, lead, n, q))
+        order.extend(range(first, first + f * c))
     ns = [problems[j][0].shape[0] for j in order]
     P, n_max = len(order), max(ns)
     Wb = np.zeros((P, max(X.shape[1] for X, _, _ in problems) + 1))  # w, padding, bias last
@@ -137,14 +149,20 @@ def svm_train(groups, tol: float = DEFAULT_TOL,
     # equal n, the work rows whose sums are the hinge and then the bias
     # gradient, with both outputs
     n_runs, q_runs = [], []
-    for _, a, b, n, q in segments:
+    for _, a, b, _, n, q in segments:
         for runs, size in ((n_runs, n), (q_runs, q)):
             if runs and runs[-1][2] == size:
                 runs[-1][1] = b
             else:
                 runs.append([a, b, size])
-    margin = [(X, Wb[a:b, :q, None], margins[a:b, :n, None]) for X, a, b, n, q in segments]
-    gradient = [(work[a:b, None, :n], X, grad[a:b, None, :q]) for X, a, b, n, q in segments]
+    # a group's products act on its block rows a:b split as its X's batch
+    # axes are, which are views of the block's own arrays
+    margin, gradient = [], []
+    for X, a, b, lead, n, q in segments:
+        margin.append((X, Wb[a:b, :q, None].reshape(lead + (q, 1)),
+                       margins[a:b, :n, None].reshape(lead + (n, 1))))
+        gradient.append((work[a:b, None, :n].reshape(lead + (1, n)), X,
+                         grad[a:b, None, :q].reshape(lead + (1, q))))
     dot = [(Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]) for a, b, q in q_runs]
     sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
 
@@ -228,17 +246,39 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
+def _by_train_rows(folds) -> dict:
+    """The indices of ``kfold``'s fold pairs keyed by training row count, in
+    fold order: the folds that can share one stack."""
+    by_rows: dict = {}
+    for f, (train, _) in enumerate(folds):
+        by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
+    return by_rows
+
+
 def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
            max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
     """Validation accuracy per (fold, C), with the columns in ``C_grid`` order,
     over ``kfold``'s (training mask, validation rows) pairs.
 
-    Every fold's whole C grid trains in one block: a fold's candidates share
-    its training rows as one operand, and the folds may differ in row count."""
+    Every fold's whole C grid trains in one block: the folds with equal
+    training row counts share one stack of their training rows, filled in
+    place, and each slice trains at every C."""
     if len(C_grid) == 0:
         raise ValueError("empty C grid")
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels)
-    models = iter(svm_train([(X[train], y[train], C_grid) for train, _ in folds], tol, max_epochs))
-    return np.array([[accuracy(svm_predict(next(models), X[val]), y[val]) for _ in C_grid]
-                     for _, val in folds])
+    groups, owners = [], []
+    for rows, fs in _by_train_rows(folds).items():
+        S, Y = np.empty((len(fs), rows, X.shape[1])), np.empty((len(fs), rows))
+        for s, f in enumerate(fs):
+            train = folds[f][0]
+            S[s], Y[s] = X[train], y[train]
+        groups.append((S, Y, C_grid))
+        owners += fs
+    models = iter(svm_train(groups, tol, max_epochs))
+    scores = np.empty((len(folds), len(C_grid)))
+    for f in owners:
+        val = folds[f][1]
+        X_val, y_val = X[val], y[val]
+        scores[f] = [accuracy(svm_predict(next(models), X_val), y_val) for _ in C_grid]
+    return scores

@@ -53,10 +53,12 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     """The downstream classifier's validation accuracy per (fold, m), with
     the columns in ``candidate_ms`` order, over ``kfold``'s fold pairs.
 
-    ``classifier_trainer(X_trains, y_train)`` takes a fold's training rows
-    restricted to each candidate's columns, one matrix per candidate m in
-    that order, and returns one predict function per matrix. The t ranking
-    is recomputed inside each fold.
+    The t ranking is recomputed inside each fold. ``classifier_trainer(X,
+    labels, folds, cols)`` is called once, with every fold's candidates:
+    ``cols[f][i]`` holds fold f's top ``candidate_ms[i]`` columns, ascending.
+    It returns predict functions indexed the same way, each trained on its
+    fold's training rows restricted to those columns, and each taking rows
+    restricted to them.
     """
     candidate_ms = [int(m) for m in candidate_ms]
     if not candidate_ms:
@@ -66,12 +68,14 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     p = X.shape[1]
     if min(candidate_ms) < 1 or max(candidate_ms) > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")
+    cols = []
+    for train, _ in folds:
+        stats = two_sample_t(X[train], labels[train])
+        cols.append([select_top_m(stats, m) for m in candidate_ms])
+    predicts = classifier_trainer(X, labels, folds, cols)
     scores = np.zeros((len(folds), len(candidate_ms)))
-    for f, (train, val) in enumerate(folds):
-        Xtr, ytr = X[train], labels[train]
-        stats = two_sample_t(Xtr, ytr)
-        cols = [select_top_m(stats, m) for m in candidate_ms]
-        predicts = classifier_trainer([Xtr[:, c] for c in cols], ytr)
-        scores[f] = [np.mean(predict(X[val][:, c]) == labels[val])
-                     for c, predict in zip(cols, predicts)]
+    for f, (_, val) in enumerate(folds):
+        X_val, y_val = X[val], labels[val]
+        scores[f] = [np.mean(predict(X_val[:, c]) == y_val)
+                     for c, predict in zip(cols[f], predicts[f])]
     return scores

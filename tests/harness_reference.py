@@ -1,9 +1,11 @@
-"""The per-fold PCA search, kept as the reference for
-``harness._fit_pca_selector``: it must score every (fold, r) as
-``per_fold_pca_search`` does and choose the r that it chooses.
+"""The per-fold PCA and t-test searches, kept as the references for
+``harness._fit_pca_selector`` and ``harness._fit_ttest_selector``: each must
+score every (fold, candidate) as its reference does and choose the value
+that it chooses.
 
-Each fold fits its own PCA and trains one C = 1 ``averaged_subgradient`` per
-candidate r on the first r columns of its scores; the grid, the epoch budget,
+Each fold fits its own PCA, or ranks its own t statistics, and trains one
+C = 1 ``averaged_subgradient`` per candidate r on the first r columns of its
+scores, or per candidate m on its top m columns; the grid, the epoch budget,
 the tolerance and the tie rule are the package's.
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import svm_predict
+from featlearn.ttest import select_top_m, two_sample_t
 from svm_reference import averaged_subgradient
 
 
@@ -35,5 +38,26 @@ def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
             svm = averaged_subgradient(scores_tr[:, :r], y_pm[train], 1.0, tol=1e-6,
                                        max_epochs=max_epochs)
             per_fold[f, i] = float(np.mean(svm_predict(svm, scores_val[:, :r]) == ytr01[val]))
+            scores[i] += per_fold[f, i]
+    return grid[int(np.argmax(scores))], per_fold
+
+
+def per_fold_ttest_search(F: np.ndarray, ytr01, folds, ttest_grid,
+                          max_epochs: int) -> tuple[int, np.ndarray]:
+    """m maximizing mean validation accuracy; ties go to the smaller m. Also
+    returns the accuracy per (fold, m), with the columns in ascending m order."""
+    ytr01 = np.asarray(ytr01)
+    q = F.shape[1]
+    grid = sorted({int(m) for m in ttest_grid if m <= q}) or [q]
+    y_pm = 2.0 * ytr01 - 1.0
+    scores = np.zeros(len(grid))
+    per_fold = np.zeros((len(folds), len(grid)))
+    for f, (train, val) in enumerate(folds):
+        stats = two_sample_t(F[train], ytr01[train])
+        for i, m in enumerate(grid):
+            cols = select_top_m(stats, m)
+            svm = averaged_subgradient(F[train][:, cols], y_pm[train], 1.0, tol=1e-6,
+                                       max_epochs=max_epochs)
+            per_fold[f, i] = float(np.mean(svm_predict(svm, F[val][:, cols]) == ytr01[val]))
             scores[i] += per_fold[f, i]
     return grid[int(np.argmax(scores))], per_fold

@@ -61,6 +61,14 @@ def test_gen_data_defaults_are_the_adni_like_preset(tmp_path, capsys):
     assert path.read_bytes() == preset.read_bytes()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_gen_data_rejects_non_finite_delta_before_writing(tmp_path, capsys, delta):
+    path = tmp_path / "d.csv"
+    assert main(["gen-data", "--out", str(path), "--delta", delta]) == 1
+    assert "invalid spec: delta must be finite and >= 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_config_file_with_a_byte_order_mark(data_csv, tmp_path, capsys):
     path = tmp_path / "bom.cfg"
     path.write_bytes("k = 3\nsae_dims = 4,2\nsae_iterations = 5\n".encode("utf-8-sig"))

@@ -414,3 +414,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(1, 1, 0, 3, 5, 0.0, 0.0, seed=0)
         with pytest.raises(ValueError):
             SyntheticSpec(1, 1, 0, 3, 1, 0.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            SyntheticSpec(4, 4, 0, 3, 1, delta, 0.0, seed=0)

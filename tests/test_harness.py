@@ -8,16 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from featlearn import harness, pca
+from featlearn import harness, pca, svm
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
                                ResultsTable, _checked_split, _choose, _fit_pca_selector,
-                               _fit_sae_stage, _RepeatFits, _stage, config_to_text,
+                               _fit_sae_stage, _fit_ttest_selector, _RepeatFits, _stage, config_to_text,
                                parse_config, read_runs_csv, render_table, run_experiment,
                                write_runs_csv)
 from featlearn.pca import pca_fit
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
-from harness_reference import per_fold_pca_search
+from featlearn.ttest import select_top_m, two_sample_t
+from harness_reference import per_fold_pca_search, per_fold_ttest_search
 
 TINY_DATA = SyntheticSpec(n0=20, n1=20, n_unlabeled=10, p=6, s=2, delta=1.0, rho=0.2, seed=0)
 TINY = ExperimentConfig(repeats=2, k=3, sae_dims=(4, 2), sae_iterations=5)
@@ -137,6 +138,43 @@ class TestFitPcaSelector:
         fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
         fits.fit(PipelineSpec("LLF", "PCA"))
         assert calls == {"pca_fit": 1, "sym_eigen": 1}
+
+
+class TestFitTtestSelector:
+    # The LLF features of an adni-like repeat, whose folds train on 231, 232
+    # and 233 rows at k=10 (several folds per stack) and 171, 172 and 173 at
+    # k=3 (one each). Over these seeds the reference chooses m = 16, 24, 16
+    # and 16.
+    @pytest.mark.parametrize("seed, k", [(0, 10), (1, 10), (2, 3), (3, 3)])
+    def test_matches_per_fold_reference(self, seed, k, choices):
+        ds = generate_synthetic(SyntheticSpec.adni_like(seed))
+        cfg = ExperimentConfig(k=k)
+        repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)
+        _, _, ytr01, folds = repeat._train
+        F = repeat._method_stage(PipelineSpec("LLF"))[2]
+        cols, chosen = _fit_ttest_selector(F, ytr01, folds, cfg)
+        want_m, want_scores = per_fold_ttest_search(F, ytr01, folds, cfg.ttest_grid,
+                                                    cfg.svm_cv_epochs)
+        [(_, grid, scores, _)] = choices
+        assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
+        assert chosen["m"] == want_m
+        assert cols.tolist() == select_top_m(two_sample_t(F, ytr01), want_m).tolist()
+
+    def test_one_cell_makes_one_svm_block_per_search(self, monkeypatch):
+        """The t-test cell trains its m search, its C search and its final
+        SVM in three ``svm_train`` calls."""
+        calls = []
+        original = harness.svm_train
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, "svm_train", counting)
+        monkeypatch.setattr(svm, "svm_train", counting)
+        ds = generate_synthetic(TINY_DATA)
+        fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
+        fits.fit(PipelineSpec("LLF", "TTEST"))
+        assert len(calls) == 3
 
 
 class TestChoose:

@@ -418,19 +418,14 @@ class TestSelectedFeatures:
     def test_all_zero(self):
         fit = lasso_fit(np.zeros((3, 2)) + np.array([[1.0, -1], [0, 1], [-1, 0]]),
                         np.zeros(3), 10.0)
-        assert selected_features(fit).size == 0
+        assert selected_features(fit.beta).size == 0
 
     def test_direct_readoff(self):
-        from featlearn.lasso import LassoFit
-        fit = LassoFit(beta=np.array([0.5, 0.0, -0.3]), lam=0.1,
-                       iterations_run=1, converged=True, objective=0.0)
-        np.testing.assert_array_equal(selected_features(fit, eps=1e-8), [0, 2])
+        beta = np.array([0.5, 0.0, -0.3])
+        np.testing.assert_array_equal(selected_features(beta, eps=1e-8), [0, 2])
 
     def test_eps_dominates(self):
-        from featlearn.lasso import LassoFit
-        fit = LassoFit(beta=np.array([0.5, -0.3]), lam=0.1,
-                       iterations_run=1, converged=True, objective=0.0)
-        assert selected_features(fit, eps=1.0).size == 0
+        assert selected_features(np.array([0.5, -0.3]), eps=1.0).size == 0
 
 
 class TestLassoCv:
@@ -440,7 +435,7 @@ class TestLassoCv:
     def test_single_lambda(self):
         rng = np.random.default_rng(0)
         X, y = _centered_problem(rng, 20, 4)
-        assert _choose([0.5], lasso_cv(X, y, self._folds(20), [0.5]), max) == 0.5
+        assert _choose([0.5], lasso_cv(X, y, self._folds(20), [0.5])[0], max) == 0.5
 
     def _noise_problem(self, seed):
         rng = np.random.default_rng(seed)
@@ -462,7 +457,7 @@ class TestLassoCv:
         wins = 0
         for seed in range(100):
             X, y, folds, lams = self._noise_problem(seed)
-            if _choose(lams, lasso_cv(X, y, folds, lams), max) == lams[0]:
+            if _choose(lams, lasso_cv(X, y, folds, lams)[0], max) == lams[0]:
                 wins += 1
         assert wins >= 51
 
@@ -483,7 +478,7 @@ class TestLassoCv:
                 per_fold[f, i] = resid @ resid / val.size
                 errors[i] += per_fold[f, i]
         expected = lams[errors == errors.min()].max()
-        scores = lasso_cv(X, y, folds, lams)
+        scores = lasso_cv(X, y, folds, lams)[0]
         np.testing.assert_allclose(scores, -per_fold, rtol=1e-6, atol=0.0)
         assert _choose(lams, scores, max) == expected
 
@@ -494,16 +489,17 @@ class TestLassoCv:
         top = max(lambda_max(X[train] - X[train].mean(axis=0), y[train] - y[train].mean())
                   for train, _ in folds)
         lams = top * np.array([2.0, 8.0, 4.0])
-        assert _choose(lams, lasso_cv(X, y, folds, lams), max) == lams[1]
+        assert _choose(lams, lasso_cv(X, y, folds, lams)[0], max) == lams[1]
 
     def test_columns_follow_lambda_order(self):
         X, y, folds, lams = self._noise_problem(3)
         order = [5, 0, 7, 2, 2, 6, 1, 4, 3]
-        scores = lasso_cv(X, y, folds, lams[order])
-        assert scores.shape == (len(folds), 9)
+        scores, path = lasso_cv(X, y, folds, lams[order])
+        assert scores.shape == (len(folds), 9) and path.shape == (X.shape[1], 9)
+        in_order, in_order_path = lasso_cv(X, y, folds, lams)
         # equal up to how the one matrix product rounds each column
-        np.testing.assert_allclose(scores, lasso_cv(X, y, folds, lams)[:, order],
-                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scores, in_order[:, order], rtol=1e-12, atol=0.0)
+        _same_bytes(path, in_order_path[:, order])
 
     def test_strong_signal_recovers_support(self):
         wins = 0
@@ -514,9 +510,9 @@ class TestLassoCv:
             X -= X.mean(axis=0)
             y = np.sign(X[:, 0] + X[:, 1] + 0.3 * rng.normal(size=n))
             lams = lambda_path(X, y - y.mean(), 10, 0.01)
-            best = _choose(lams, lasso_cv(X, y, self._folds(n, seed=seed), lams), max)
-            fit = lasso_fit(X, y - y.mean(), best)
-            if {0, 1} <= set(selected_features(fit).tolist()):
+            scores, path = lasso_cv(X, y, self._folds(n, seed=seed), lams)
+            best = _choose(lams, scores, max)
+            if {0, 1} <= set(selected_features(path[:, lams.tolist().index(best)]).tolist()):
                 wins += 1
         assert wins >= 90
 
@@ -524,11 +520,28 @@ class TestLassoCv:
         with pytest.raises(ValueError):
             lasso_cv(np.zeros((4, 2)), np.zeros(4), [], [])
 
+    @pytest.mark.parametrize("grid", ["path", "zero"])
+    def test_full_path_is_the_one_member_fit(self, grid):
+        """The full problem's path, walked as the block's last member, is
+        lasso_fit's solution at every grid lambda, byte for byte: from
+        lambda_path's top (the full problem's lambda_max, all zeros) down,
+        and on the one-value [0.0] grid, where the walk runs to its end."""
+        X, y, folds, lams = self._noise_problem(5)
+        if grid == "zero":
+            lams = np.array([0.0])
+        else:
+            assert lams[0] == lambda_max(X, y - y.mean())
+        _, path = lasso_cv(X, y, folds, lams)
+        assert path.shape == (X.shape[1], lams.size)
+        for i, lam in enumerate(lams):
+            _same_bytes(path[:, i], lasso_fit(X, y - y.mean(), lam).beta)
+        assert np.all(path[:, 0] == 0.0) == (grid == "path")
+
 
 class TestLassoCvBlock:
-    """lasso_cv walks its folds as one block: its scores equal the fold loop
-    of one-member walks, byte for byte, and each fold's path is the
-    sequential walk's."""
+    """lasso_cv walks its folds and the full problem as one block: its
+    scores equal the fold loop of one-member walks, byte for byte, each
+    fold's path is the sequential walk's, and the full path is lasso_fit's."""
 
     @staticmethod
     def _fold_loop(X, y, folds, lambdas):
@@ -556,10 +569,14 @@ class TestLassoCvBlock:
         assert F.shape[1] == {"LLF": 56, "LLF_SAEF": 71}[method]
         y_pm = 2.0 * np.asarray(ytr01, dtype=float) - 1.0
         lams = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)
-        _same_bytes(lasso_cv(F, y_pm, folds, lams), self._fold_loop(F, y_pm, folds, lams))
+        scores, path = lasso_cv(F, y_pm, folds, lams)
+        _same_bytes(scores, self._fold_loop(F, y_pm, folds, lams))
+        for i, lam in enumerate(lams):
+            _same_bytes(path[:, i], lasso_fit(F, y_pm - y_pm.mean(), lam).beta)
 
     def test_reads_each_fold_copy_once(self, monkeypatch):
-        # the centered fold copies come from a generator, read one at a time
+        # the centered fold copies and then the full problem come from a
+        # generator, read one at a time
         rng = np.random.default_rng(21)
         X, y = _centered_problem(rng, 40, 6, signal=2)
         folds = kfold(np.array([0, 1] * 20), 4, 0)
@@ -571,7 +588,7 @@ class TestLassoCvBlock:
             return walk((seen.append(len(seen)) or problem for problem in problems), lambdas)
         monkeypatch.setattr(lasso, "_walk", spy)
         lams = lambda_path(X, y, 8, 0.01)
-        scores = lasso_cv(X, y, folds, lams)
-        assert seen == [0, 1, 2, 3]
+        scores = lasso_cv(X, y, folds, lams)[0]
+        assert seen == [0, 1, 2, 3, 4]
         monkeypatch.undo()
         _same_bytes(scores, self._fold_loop(X, y, folds, lams))

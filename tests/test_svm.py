@@ -34,10 +34,17 @@ def _pca_stack(X, y, trains, r_max):
     return S, np.stack([y[train] for train in trains])
 
 
+def _slices(X, y):
+    """A group's (X, labels) per slice: one for an (n, q) X, else one per
+    slice of the stack, sharing a 1-D y."""
+    if np.ndim(X) == 2:
+        return [(X, y)]
+    return [(x, y if np.ndim(y) == 1 else y[i]) for i, x in enumerate(X)]
+
+
 def _assert_matches_reference(groups, tol, max_epochs):
     models = svm_train(groups, tol=tol, max_epochs=max_epochs)
-    problems = [(X if np.ndim(X) == 2 else X[i], y if np.ndim(y) == 1 else y[i], C)
-                for X, y, Cs in groups for i, C in enumerate(Cs)]
+    problems = [(x, yy, C) for X, y, Cs in groups for x, yy in _slices(X, y) for C in Cs]
     assert len(models) == len(problems)
     for (X, y, C), got in zip(problems, models):
         want = averaged_subgradient(X, 2.0 * np.asarray(y) - 1.0, C, tol=tol,
@@ -49,17 +56,36 @@ def _assert_matches_reference(groups, tol, max_epochs):
 
 
 class _RecordingNumpy:
-    """numpy, except that every np.matmul call's operands are recorded."""
+    """numpy, except that every np.matmul call's operands and ``out`` are
+    recorded."""
 
     def __init__(self):
         self.matmul_operands = []
+        self.matmul_outs = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, a, b, **kwargs):
         self.matmul_operands.append((a, b))
+        self.matmul_outs.append(kwargs.get("out"))
         return np.matmul(a, b, **kwargs)
+
+
+def _ttest_groups(X, y, folds, grid):
+    """The t-test search's layout: per training row count and m, a stack of
+    each fold's own top-m columns (copies, ascending) and one C."""
+    cols = [[select_top_m(two_sample_t(X[train], y[train]), m) for m in grid]
+            for train, _ in folds]
+    groups = []
+    for n in sorted({int(train.sum()) for train, _ in folds}):
+        fs = [f for f, (train, _) in enumerate(folds) if train.sum() == n]
+        Y = np.stack([y[folds[f][0]] for f in fs])
+        for i, m in enumerate(grid):
+            S = np.stack([X[folds[f][0]][:, cols[f][i]] for f in fs])
+            assert S.shape == (len(fs), n, m)
+            groups.append((S, Y, [1.0]))
+    return groups
 
 
 class TestSvmTrainBlock:
@@ -104,18 +130,65 @@ class TestSvmTrainBlock:
         groups = []
         for n in sorted({int(t.sum()) for t in trains}):
             S, Y = _pca_stack(X, y, [t for t in trains if t.sum() == n], 40)
-            groups += [(S[:, :, :r], Y, [1.0] * len(S)) for r in ExperimentConfig().pca_grid]
+            groups += [(S[:, :, :r], Y, [1.0]) for r in ExperimentConfig().pca_grid]
         _assert_matches_reference(groups, 1e-6, 150)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_stacked_column_subsets_of_equal_row_count_folds(self, k):
+        """The t-test search's layout: per row count, one stack per m of
+        each fold's own column subset, all trained at C = 1."""
+        X, y, folds = _adni_folds(4, k)
+        groups = _ttest_groups(X, y, folds, ExperimentConfig().ttest_grid)
+        assert len(groups) == 3 * len(ExperimentConfig().ttest_grid)
+        _assert_matches_reference(groups, 1e-6, 150)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_stacked_folds_times_the_c_grid(self, k):
+        """The C search's layout: per row count, a stack of the folds'
+        training rows, each trained at every C."""
+        X, y, folds = _adni_folds(5, k)
+        groups = []
+        for n in sorted({int(train.sum()) for train, _ in folds}):
+            trains = [train for train, _ in folds if train.sum() == n]
+            groups.append((np.stack([X[t] for t in trains]), np.stack([y[t] for t in trains]),
+                           ExperimentConfig().c_grid))
+        models = _assert_matches_reference(groups, 1e-6, 150)
+        assert len(models) == k * len(ExperimentConfig().c_grid)
+
+    def test_products_act_on_views(self, monkeypatch):
+        """Every matrix product of an epoch reads and writes views: the
+        (f, |Cs|) splits of the block's w, margin, work and gradient rows
+        are written through ``out=``, so a copy would lose the result. A
+        group with several slices and several C values keeps both batch
+        axes; any other drops its unit axis."""
+        X, y, folds = _adni_folds(6, 10)
+        groups = _ttest_groups(X, y, folds, [1, 4, 12])  # f slices x one C
+        groups.append((X[folds[0][0]], y[folds[0][0]], [0.1, 1.0]))  # one slice x two Cs
+        trains = [train for train, _ in folds if train.sum() == folds[0][0].sum()][:2]
+        groups.append((np.stack([X[t] for t in trains]), np.stack([y[t] for t in trains]),
+                       [0.1, 1.0, 10.0]))  # two slices x three Cs
+        recording = _RecordingNumpy()
+        monkeypatch.setattr(svm, "np", recording)
+        _assert_matches_reference(groups, 1e-6, 3)
+        calls = list(zip(recording.matmul_operands, recording.matmul_outs))
+        for (a, b), out in calls:
+            assert out is not None
+            assert not (a.flags.owndata or b.flags.owndata or out.flags.owndata)
+        # per epoch and group, one margin and one gradient product; the w.w
+        # runs are the products of w with itself
+        products = [out for (a, b), out in calls if not np.shares_memory(a, b)]
+        assert len(products) == 3 * 2 * len(groups)
+        assert sum(out.ndim == 4 for out in products) == 3 * 2
 
     @pytest.mark.parametrize("Cs, converged", [
         ([1.0, 0.01, 1.0], [False, True, False]),
-        ([0.01, 0.02, 0.1], [True, True, True]),  # each at its own epoch
+        ([0.01, 0.02], [True, True]),  # at five different epochs
     ], ids=["middle-retires-early", "all-converge-before-the-cap"])
     def test_retiring_keeps_every_operand_layout(self, monkeypatch, Cs, converged):
-        """Problems of one stack retire at different epochs. Each model is
-        still the reference's, every matrix product reads the stack's own
-        view for the whole run, and the block runs until its last problem
-        converges or the cap."""
+        """Problems of one stack, each slice at every C, retire at different
+        epochs. Each model is still the reference's, every matrix product
+        reads the stack's own broadcast view for the whole run, and the
+        block runs until its last problem converges or the cap."""
         X, y, folds = _adni_folds(2, 3)
         trains = [train for train, _ in folds]
         n = int(trains[0].sum())
@@ -124,10 +197,12 @@ class TestSvmTrainBlock:
         recording = _RecordingNumpy()
         monkeypatch.setattr(svm, "np", recording)
         models = _assert_matches_reference([(S[:, :, :20], Y, Cs)], 1e-6, 150)
-        assert [(m.converged, m.epochs < 150) for m in models] == [(c, c) for c in converged]
+        # slice-major: each slice's models in Cs order
+        assert [(m.converged, m.epochs < 150) for m in models] == [(c, c) for c in converged * 3]
         operands = [op for pair in recording.matmul_operands for op in pair
                     if np.shares_memory(op, S)]
-        assert {(op.shape, op.strides) for op in operands} == {((3, n, 20), S.strides)}
+        view = ((3, len(Cs), n, 20), (S.strides[0], 0) + S.strides[1:])  # stride 0 on C
+        assert {(op.shape, op.strides) for op in operands} == {view}
         # each epoch run makes one margin product, with the stack as its first operand
         epochs_run = sum(np.shares_memory(a, S) for a, _ in recording.matmul_operands)
         assert epochs_run == max(m.epochs for m in models)
@@ -168,16 +243,16 @@ class TestSvmTrainBlock:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
-        ({"groups": [(np.ones((2, 4, 2)), [0, 1, 0, 1], [1.0, 2.0, 3.0])]},
-         "need one C per problem"),
+        ({"groups": [(np.ones((2, 4, 2)), [[0, 1, 0, 1]] * 3, [1.0, 2.0, 3.0])]},
+         "need one label row per slice of X"),
         ({"groups": [(np.eye(4), [[0, 1, 0, 1]] * 3, [1.0, 2.0])]},
-         "need one C per problem"),
+         "need one label row per slice of X"),
         ({"groups": [(np.ones((3, 2)), [0, 1, 0, 1], [1.0])]},
          "every problem must have 4 rows"),
         ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0, 0.0])]}, "C must be > 0"),
         ({"groups": []}, "need at least one problem"),
         ({"groups": [(np.eye(4), [-1.0, 1.0, -1.0, 1.0], [1.0])]}, "labels must be 0 or 1"),
-        ({"groups": [(np.eye(4), [[0, 1, 0, 1], [1.0] * 4], [1.0, 1.0])]},
+        ({"groups": [(np.stack([np.eye(4)] * 2), [[0, 1, 0, 1], [1.0] * 4], [1.0])]},
          "both classes must be present"),
         ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0, np.inf])]}, "C must be > 0 and finite"),
         ({"groups": [(np.eye(4), [0, 1, 0, 1], [np.nan])]}, "C must be > 0 and finite"),

@@ -107,8 +107,8 @@ class TestSelectTopM:
 
 class TestTtestCv:
     @staticmethod
-    def _nearest_mean_trainer(Xtrs, ytr):
-        def fit(Xtr):
+    def _nearest_mean_trainer(X, labels, folds, cols):
+        def fit(Xtr, ytr):
             mu0 = Xtr[ytr == 0].mean(axis=0)
             mu1 = Xtr[ytr == 1].mean(axis=0)
 
@@ -119,7 +119,8 @@ class TestTtestCv:
 
             return predict
 
-        return [fit(Xtr) for Xtr in Xtrs]
+        return [[fit(X[train][:, c], labels[train]) for c in fold_cols]
+                for (train, _), fold_cols in zip(folds, cols)]
 
     def _folds(self, labels, k=5, seed=0):
         return kfold(labels, k, seed)
@@ -170,24 +171,34 @@ class TestTtestCv:
         X = rng.normal(size=(20, 5))
         labels = np.array([0, 1] * 10)
 
-        def constant_trainer(Xtrs, ytr):
-            return [lambda Xval: np.zeros(Xval.shape[0], dtype=int) for _ in Xtrs]
+        def constant_trainer(X, labels, folds, cols):
+            return [[lambda Xval: np.zeros(Xval.shape[0], dtype=int) for _ in c] for c in cols]
 
         scores = ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer)
         assert _choose([4, 2, 3], scores, min) == 2
 
-    def test_one_trainer_call_per_fold_with_every_candidate(self):
+    def test_one_trainer_call_with_every_fold_and_candidate(self):
+        """The trainer is called once, with each fold's columns of each
+        candidate m: the fold's own top-m t ranking, ascending."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 6))
         labels = np.array([0, 1] * 10)
+        folds = self._folds(labels, k=5)
         calls = []
 
-        def recording_trainer(Xtrs, ytr):
-            calls.append([Xtr.shape for Xtr in Xtrs])
-            return self._nearest_mean_trainer(Xtrs, ytr)
+        def recording_trainer(X_, labels_, folds_, cols):
+            calls.append(cols)
+            assert X_ is X and labels_ is labels and folds_ is folds
+            return self._nearest_mean_trainer(X_, labels_, folds_, cols)
 
-        ttest_cv(X, labels, self._folds(labels, k=5), [5, 1, 3], recording_trainer)
-        assert calls == [[(16, 5), (16, 1), (16, 3)]] * 5
+        ttest_cv(X, labels, folds, [5, 1, 3], recording_trainer)
+        [cols] = calls
+        assert len(cols) == 5
+        for (train, _), fold_cols in zip(folds, cols):
+            stats = two_sample_t(X[train], labels[train])
+            assert [c.tolist() for c in fold_cols] == [
+                select_top_m(stats, m).tolist() for m in (5, 1, 3)]
+            assert all(np.all(np.diff(c) > 0) for c in fold_cols)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
