@@ -27,23 +27,15 @@ in the spec, and two functions read them there to build a cell's features:
 (the kept columns or the PCA scores). Training rows and test rows go
 through the same two functions.
 
-The searches fit their candidates in blocks, one SVM block per search, in
-which the folds with equal training row counts share one stack filled in
-place. The C search trains each such stack at every C. The PCA search
-fits its k fold PCAs and the final one on all training rows at the
-largest r in one ``pca_fit`` call, then trains every (fold, r) at C = 1:
-the stack holds the folds' scores, and each r trains on its first r
-columns. The t-test search trains every (fold, m) at C = 1: its
-candidates are different column subsets, so each m has its own stack of
-the folds' columns. Filled in place, these stacks leave the peak RSS of
-the ``llf-selectors`` benchmark flat (a median of 49.56 MB over 24 seeds,
-against 49.47 MB with one block per fold); a join that held each fold's
-column copies beside the block had raised it to 52.40 MB. The lambda
-search walks its k fold lasso paths and then the full problem on all
-training rows as one lockstep ``lasso_cv`` block, each member's walk bit
-for bit the one it walks alone, and the final fit reads the chosen
-lambda's column of the full path. The SAE's L2 search pretrains each
-fold's stack once and fine-tunes the fold's whole L2 grid as one block.
+The searches fit their candidates in blocks. The C search, the t-test's
+m and the PCA's r each score theirs in one ``svm_cv`` call over per-fold
+features (see ``svm``), and the PCA search fits its k fold PCAs and the
+final one on all training rows in one ``pca_fit`` call. The lambda search
+walks its k fold lasso paths and then the full problem on all training
+rows as one lockstep ``lasso_cv`` block, each member's walk bit for bit the
+one it walks alone, and the final fit reads the chosen lambda's column of
+the full path. The SAE's L2 search pretrains each fold's stack once and
+fine-tunes the fold's whole L2 grid as one block.
 
 The five searches (the SAE's L2, the lasso's lambda, the t-test's m, the
 PCA's r, the SVM's C) each return (fold, candidate) scores in grid order,
@@ -66,7 +58,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from typing import get_args, get_type_hints
 
@@ -78,7 +70,7 @@ from .lasso import check_lambda_grid, lambda_path, lasso_cv, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features, sae_predict,
                   sae_pretrain, semi_pretrain_finetune)
-from .svm import LinearSvmModel, _by_train_rows, accuracy, svm_cv, svm_predict, svm_train
+from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
 METHODS = ("LLF", "LLF_SAEF", "LLF_SEMI_SAEF", "SAEF", "SEMI_SAEF")
@@ -185,6 +177,21 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("sae_dims", "l2_grid", "c_grid", "pca_grid", "ttest_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        # the integer fields and entries, numpy integers included, as plain ints
+        for name, kind in _CONFIG_FIELDS.items():
+            value = getattr(self, name)
+            if kind in (int, tuple[int, ...]):
+                values = (value,) if kind is int else value
+                if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in values):
+                    what = "an integer" if kind is int else "integers"
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+                object.__setattr__(self, name, int(value) if kind is int else
+                                   tuple(map(int, values)))
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.k < 2:
@@ -195,10 +202,6 @@ class ExperimentConfig:
             raise ValueError("test_frac must lie in (0, 1)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        for name in ("sae_dims", "l2_grid", "c_grid", "pca_grid", "ttest_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
         if min(self.svm_epochs, self.svm_cv_epochs) < 1:
             raise ValueError("svm_epochs and svm_cv_epochs must be >= 1")
         if not all(0.0 < C < np.inf for C in self.c_grid):
@@ -264,27 +267,10 @@ class PipelineFit:
         return svm_predict(self.svm, self.transform(X_raw))
 
 
-def _cv_svm_predicts(F, ytr01, folds_local, cols, max_epochs: int) -> list:
-    """``ttest_cv``'s trainer: fixed-C classifiers used while tuning the
-    t-test's m, every (fold, m) at C = 1 in one SVM block; the final C is
-    tuned afterwards on the selected features.
-
-    Per m, the folds with equal training row counts share one stack of
-    their candidate columns, filled in place. The columns stay in ascending
-    index order, so each slice is a copy of its own columns, not a view of
-    another candidate's."""
-    groups, owners = [], []
-    for rows, fs in _by_train_rows(folds_local).items():
-        Y = np.stack([ytr01[folds_local[f][0]] for f in fs])
-        for i, c in enumerate(cols[fs[0]]):
-            S = np.empty((len(fs), rows, c.size))
-            for s, f in enumerate(fs):
-                S[s] = F[np.ix_(folds_local[f][0], cols[f][i])]
-            groups.append((S, Y, [1.0]))
-            owners += [(f, i) for f in fs]
-    models = dict(zip(owners, svm_train(groups, tol=1e-6, max_epochs=max_epochs)))
-    return [[partial(svm_predict, models[f, i]) for i in range(len(c))]
-            for f, c in enumerate(cols)]
+def _fold_rows(F: np.ndarray, folds_local):
+    """Each fold's (training rows, validation rows) of F for ``svm_cv``, made
+    one fold at a time."""
+    return ((F[train], F[val]) for train, val in folds_local)
 
 
 def _choose(grid, scores, ties):
@@ -328,10 +314,13 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
 
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
+    """Choose m by k-fold CV of a C = 1 SVM on each fold's top-m t-test
+    columns; the final C is tuned afterwards on the selected features."""
     q = F.shape[1]
-    grid = [int(m) for m in cfg.ttest_grid if m <= q] or [q]
-    m = _choose(grid, ttest_cv(F, ytr01, folds_local, grid,
-                               partial(_cv_svm_predicts, max_epochs=cfg.svm_cv_epochs)), min)
+    grid = [m for m in cfg.ttest_grid if m <= q] or [q]
+    scores = ttest_cv(F, ytr01, folds_local, grid, lambda X, y, folds, cols: svm_cv(
+        _fold_rows(X, folds), y, folds, [1.0], cols, cfg.svm_cv_epochs))
+    m = _choose(grid, scores, min)
     return select_top_m(two_sample_t(F, ytr01), m), {"m": m}
 
 
@@ -340,29 +329,16 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
     The k fold PCAs and the final one on all training rows are fitted at
     the largest r in one ``pca_fit`` call, and the final one is cut to the
-    chosen r. Every (fold, r) problem trains in one SVM block. The folds
-    with equal training row counts share one stack of scores, and each r
-    trains on the stack's first r columns, so no fold's scores are held
-    twice."""
+    chosen r. Every (fold, r) trains in one ``svm_cv`` block, each r on the
+    first r columns of its fold's scores."""
     n, q = F.shape
     r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
-    r_max = max(grid)
     # a generator, so that one fold's training rows are held at a time
-    *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), r_max)
-    groups, owners, scores_val = [], [], [None] * len(folds_local)
-    for rows, fs in _by_train_rows(folds_local).items():
-        S, Y = np.empty((len(fs), rows, r_max)), np.empty((len(fs), rows))
-        for s, f in enumerate(fs):
-            train, val = folds_local[f]
-            S[s], Y[s] = pca_transform(pcas[f], F[train]), ytr01[train]
-            scores_val[f] = pca_transform(pcas[f], F[val])
-        for i, r in enumerate(grid):
-            groups.append((S[:, :, :r], Y, [1.0]))
-            owners += [(f, i) for f in fs]
-    models = dict(zip(owners, svm_train(groups, tol=1e-6, max_epochs=cfg.svm_cv_epochs)))
-    scores = np.array([[accuracy(svm_predict(models[f, i], scores_val[f][:, :r]), ytr01[val])
-                        for i, r in enumerate(grid)] for f, (_, val) in enumerate(folds_local)])
+    *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), max(grid))
+    scores = svm_cv(((pca_transform(pca, F[train]), pca_transform(pca, F[val]))
+                     for pca, (train, val) in zip(pcas, folds_local)),
+                    ytr01, folds_local, [1.0], grid, cfg.svm_cv_epochs)
     r = _choose(grid, scores, min)
     model = replace(final, components=final.components[:, :r], variances=final.variances[:r])
     return model, {"r": r}
@@ -436,7 +412,7 @@ class _RepeatFits:
             Gtr = _selected(spec, selection, Ftr)
 
         with _stage("svm"):
-            scores = svm_cv(Gtr, ytr01, folds_local, self.cfg.c_grid, tol=1e-6,
+            scores = svm_cv(_fold_rows(Gtr, folds_local), ytr01, folds_local, self.cfg.c_grid,
                             max_epochs=self.cfg.svm_cv_epochs)
             chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
             model, = svm_train([(Gtr, ytr01, [C])], tol=1e-7, max_epochs=self.cfg.svm_epochs)

@@ -31,6 +31,13 @@ grid. These rules keep it so:
 The other steps are elementwise, so each problem's row gets what its own
 vector would.
 
+``svm_cv`` is the one CV search, over the C grid or the t-test's m and the
+PCA's r. Its folds with equal training row counts share stacks, filled in
+place: a width trains on a strided view of one stack of every column, an
+index candidate on its own stack. A width must stay a view: contiguous
+copies round differently, and changed 46 of 420 PCA-search models at
+``adni_like`` seeds 0-5, k = 10.
+
 Labels are 0/1 at the API, as everywhere else in the package: the functions
 here take them, check them and ``svm_predict`` returns them. The +/-1
 encoding that the hinge loss needs exists only inside this module.
@@ -246,39 +253,65 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
-def _by_train_rows(folds) -> dict:
-    """The indices of ``kfold``'s fold pairs keyed by training row count, in
-    fold order: the folds that can share one stack."""
-    by_rows: dict = {}
+def svm_cv(fold_features, labels, folds, C_grid, candidates=None,
+           max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
+    """Validation accuracy per (fold, candidate, C) over ``kfold``'s (training
+    mask, validation rows) pairs: a (folds, candidates * |C_grid|) array,
+    candidate-major, each candidate's columns in ``C_grid`` order.
+
+    ``fold_features`` yields each fold's (training rows, validation rows)
+    features, in fold order, all of one width q. A candidate is a width w,
+    which trains on the first w columns, or one ascending column-index array
+    per fold; ``None`` is the one width q. Every (fold, candidate, C) trains
+    in one ``svm_train`` block at tol 1e-6 (see the module docstring)."""
+    y, k = np.asarray(labels), len(folds)
+    by_rows: dict = {}  # training row count -> the folds that share its stacks
     for f, (train, _) in enumerate(folds):
         by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
-    return by_rows
-
-
-def svm_cv(X: np.ndarray, labels, folds, C_grid, tol: float = DEFAULT_TOL,
-           max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
-    """Validation accuracy per (fold, C), with the columns in ``C_grid`` order,
-    over ``kfold``'s (training mask, validation rows) pairs.
-
-    Every fold's whole C grid trains in one block: the folds with equal
-    training row counts share one stack of their training rows, filled in
-    place, and each slice trains at every C."""
-    if len(C_grid) == 0:
-        raise ValueError("empty C grid")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(labels)
+    stacks, vals = {}, []  # (row count, None or an index candidate) -> stack; validation rows
+    for f, (X_tr, X_val) in enumerate(fold_features):
+        if f == k:
+            raise ValueError(f"got features for a fold {f}, but there are {k} folds")
+        X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
+        if f == 0:  # each candidate's columns per fold, a slice for a width
+            q, cols = X_tr.shape[-1], []
+            for i, c in enumerate([q] if candidates is None else candidates):
+                cols.append([slice(c)] * k if np.isscalar(c) else list(c))
+                if len(cols[-1]) != k or np.isscalar(c) and not 1 <= c <= q:
+                    raise ValueError(f"candidate {i} is neither a width in 1..{q}, fold 0's "
+                                     f"width, nor one column-index array per fold ({k})")
+        rows, n_val = int(np.count_nonzero(folds[f][0])), len(folds[f][1])
+        if X_tr.shape != (rows, q) or X_val.shape != (n_val, q):
+            raise ValueError(f"fold {f} needs {rows} training and {n_val} validation rows of "
+                             f"fold 0's width {q}, got {X_tr.shape} and {X_val.shape}")
+        # one stack of every column, which the widths view, and one per index
+        # candidate, each filled from one copy of the fold's columns at a time
+        keys = {None: slice(None)} if any(isinstance(c[f], slice) for c in cols) else {}
+        for i, c in enumerate(cols):
+            if not isinstance(c[f], slice):
+                if np.size(c[f]) == 0 or np.min(c[f]) < 0 or np.max(c[f]) >= q:
+                    raise ValueError(f"candidate {i}: fold {f}'s columns are not in 0..{q - 1}")
+                keys[i] = c[f]
+        fs = by_rows[rows]
+        for key, c in keys.items():
+            X = X_tr[:, c]
+            if (rows, key) not in stacks:
+                stacks[rows, key] = np.empty((len(fs),) + X.shape)
+            stacks[rows, key][fs.index(f)] = X
+        vals.append(X_val)
+    if len(vals) != k:
+        raise ValueError(f"got features for {len(vals)} folds, none for fold {len(vals)} of {k}")
     groups, owners = [], []
-    for rows, fs in _by_train_rows(folds).items():
-        S, Y = np.empty((len(fs), rows, X.shape[1])), np.empty((len(fs), rows))
-        for s, f in enumerate(fs):
-            train = folds[f][0]
-            S[s], Y[s] = X[train], y[train]
-        groups.append((S, Y, C_grid))
-        owners += fs
-    models = iter(svm_train(groups, tol, max_epochs))
-    scores = np.empty((len(folds), len(C_grid)))
-    for f in owners:
-        val = folds[f][1]
-        X_val, y_val = X[val], y[val]
-        scores[f] = [accuracy(svm_predict(next(models), X_val), y_val) for _ in C_grid]
-    return scores
+    for rows, fs in by_rows.items():
+        Y = np.stack([y[folds[f][0]] for f in fs])
+        for i, c in enumerate(cols):
+            S = stacks[rows, None][:, :, c[0]] if isinstance(c[0], slice) else stacks[rows, i]
+            groups.append((S, Y, C_grid))
+            owners += [(f, i) for f in fs]
+    models = iter(svm_train(groups, 1e-6, max_epochs))
+    scores = np.empty((k, len(cols), len(C_grid)))
+    for f, i in owners:
+        X_val = vals[f][:, cols[i][f]]
+        scores[f, i] = [accuracy(svm_predict(next(models), X_val), y[folds[f][1]])
+                        for _ in C_grid]
+    return scores.reshape(k, -1)

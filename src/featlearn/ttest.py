@@ -49,16 +49,14 @@ def select_top_m(stats: TStats, m: int) -> np.ndarray:
 
 
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[int],
-             classifier_trainer: Callable) -> np.ndarray:
-    """The downstream classifier's validation accuracy per (fold, m), with
-    the columns in ``candidate_ms`` order, over ``kfold``'s fold pairs.
+             scorer: Callable) -> np.ndarray:
+    """``scorer``'s validation score per (fold, m), with the columns in
+    ``candidate_ms`` order, over ``kfold``'s fold pairs.
 
-    The t ranking is recomputed inside each fold. ``classifier_trainer(X,
-    labels, folds, cols)`` is called once, with every fold's candidates:
-    ``cols[f][i]`` holds fold f's top ``candidate_ms[i]`` columns, ascending.
-    It returns predict functions indexed the same way, each trained on its
-    fold's training rows restricted to those columns, and each taking rows
-    restricted to them.
+    The t ranking is recomputed inside each fold. ``scorer(X, labels, folds,
+    candidates)`` is called once, where ``candidates[i][f]`` holds fold f's
+    top ``candidate_ms[i]`` columns, ascending. It scores a classifier
+    trained on each fold's training rows restricted to those columns.
     """
     candidate_ms = [int(m) for m in candidate_ms]
     if not candidate_ms:
@@ -68,14 +66,5 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms: Sequence[in
     p = X.shape[1]
     if min(candidate_ms) < 1 or max(candidate_ms) > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")
-    cols = []
-    for train, _ in folds:
-        stats = two_sample_t(X[train], labels[train])
-        cols.append([select_top_m(stats, m) for m in candidate_ms])
-    predicts = classifier_trainer(X, labels, folds, cols)
-    scores = np.zeros((len(folds), len(candidate_ms)))
-    for f, (_, val) in enumerate(folds):
-        X_val, y_val = X[val], labels[val]
-        scores[f] = [np.mean(predict(X_val[:, c]) == y_val)
-                     for c, predict in zip(cols[f], predicts[f])]
-    return scores
+    stats = [two_sample_t(X[train], labels[train]) for train, _ in folds]
+    return scorer(X, labels, folds, [[select_top_m(s, m) for s in stats] for m in candidate_ms])

@@ -96,6 +96,22 @@ class TestFitSaeStage:
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
 
 
+def _svm_train_calls(monkeypatch, spec):
+    """The ``svm_train`` calls that fitting one cell makes, searches and the
+    final fit alike."""
+    calls = []
+    original = harness.svm_train
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(harness, "svm_train", counting)
+    monkeypatch.setattr(svm, "svm_train", counting)
+    ds = generate_synthetic(TINY_DATA)
+    _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0).fit(spec)
+    return len(calls)
+
+
 class TestFitPcaSelector:
     # The LLF features of an adni-like repeat. At k=10 the folds train on
     # 231, 232 and 233 rows, so each row count stacks several folds' scores;
@@ -139,6 +155,11 @@ class TestFitPcaSelector:
         fits.fit(PipelineSpec("LLF", "PCA"))
         assert calls == {"pca_fit": 1, "sym_eigen": 1}
 
+    def test_one_cell_makes_one_svm_block_per_search(self, monkeypatch):
+        """The PCA cell trains its r search, its C search and its final SVM
+        in three ``svm_train`` calls."""
+        assert _svm_train_calls(monkeypatch, PipelineSpec("LLF", "PCA")) == 3
+
 
 class TestFitTtestSelector:
     # The LLF features of an adni-like repeat, whose folds train on 231, 232
@@ -163,18 +184,7 @@ class TestFitTtestSelector:
     def test_one_cell_makes_one_svm_block_per_search(self, monkeypatch):
         """The t-test cell trains its m search, its C search and its final
         SVM in three ``svm_train`` calls."""
-        calls = []
-        original = harness.svm_train
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(harness, "svm_train", counting)
-        monkeypatch.setattr(svm, "svm_train", counting)
-        ds = generate_synthetic(TINY_DATA)
-        fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
-        fits.fit(PipelineSpec("LLF", "TTEST"))
-        assert len(calls) == 3
+        assert _svm_train_calls(monkeypatch, PipelineSpec("LLF", "TTEST")) == 3
 
 
 class TestChoose:
@@ -261,6 +271,27 @@ class TestExperimentConfig:
     def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"repeats": 1.5}, {"k": 2.5}, {"base_seed": 0.0}, {"jobs": "2"}, {"sae_iterations": 5.0},
+        {"n_lambdas": 3.5}, {"svm_epochs": 2.5}, {"svm_cv_epochs": np.float64(10)},
+        {"k": True}, {"sae_dims": (4.5, 2)}, {"pca_grid": (2.5,)}, {"ttest_grid": (2.5,)},
+        {"ttest_grid": (1, 2.0)}, {"sae_dims": (4, False)},
+    ], ids=lambda kwargs: next(iter(kwargs)))
+    def test_non_integer_in_an_integer_field_rejected(self, kwargs):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer|integers), got"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        cfg = ExperimentConfig(k=np.int64(3), repeats=np.int32(2), sae_dims=np.array([4, 2]),
+                               pca_grid=(np.int64(2), 3), ttest_grid=np.arange(1, 3))
+        assert cfg == ExperimentConfig(k=3, repeats=2, sae_dims=(4, 2), pca_grid=(2, 3),
+                                       ttest_grid=(1, 2))
+        for name in ("k", "repeats"):
+            assert type(getattr(cfg, name)) is int
+        for name in ("sae_dims", "pca_grid", "ttest_grid"):
+            assert all(type(v) is int for v in getattr(cfg, name)), name
 
 
 class TestParseConfig:

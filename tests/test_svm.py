@@ -5,7 +5,8 @@ from featlearn import svm
 from featlearn.data import SyntheticSpec, generate_synthetic, kfold
 from featlearn.harness import ExperimentConfig, _checked_split, _choose, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
-from featlearn.svm import LinearSvmModel, svm_cv, svm_objective, svm_predict, svm_train
+from featlearn.svm import (LinearSvmModel, accuracy, svm_cv, svm_objective, svm_predict,
+                           svm_train)
 from featlearn.ttest import select_top_m, two_sample_t
 from svm_reference import averaged_subgradient, per_c_cv
 
@@ -266,10 +267,15 @@ class TestSvmTrainBlock:
             svm_train(**args)
 
 
+def _rows(X, folds):
+    """Each fold's (training rows, validation rows) of X, as svm_cv reads them."""
+    return ((X[train], X[val]) for train, val in folds)
+
+
 def _assert_matches_per_c(X, y, folds, grid):
     """svm_cv's accuracies equal per_c_cv's byte for byte, and _choose picks
     per_c_cv's C from them."""
-    scores = svm_cv(X, y, folds, grid, 1e-6, 150)
+    scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=150)
     want_C, want = per_c_cv(X, y, folds, grid, 1e-6, 150)
     assert scores[:, np.argsort(grid, kind="stable")].tobytes() == want.tobytes()
     assert _choose(grid, scores, min) == want_C
@@ -286,7 +292,7 @@ class TestSvmCv:
             for C in grid:
                 model, = svm_train([(X[train], y[train], [C])])
                 assert np.all(svm_predict(model, X[val]) == y[val])
-        assert _choose(grid, svm_cv(X, y, folds, grid), min) == 0.1
+        assert _choose(grid, svm_cv(_rows(X, folds), y, folds, grid), min) == 0.1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_c_reference(self, seed):
@@ -303,11 +309,122 @@ class TestSvmCv:
         X, y = _problem(4, 30, 36, 12)
         folds = kfold(y, 5, seed=4)
         grid = [10.0, 0.01, 100.0, 1.0, 0.1, 1.0]
-        scores = svm_cv(X, y, folds, grid, 1e-6, 150)
+        scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=150)
         assert scores.shape == (5, 6)
-        in_order = svm_cv(X, y, folds, sorted(grid), 1e-6, 150)
+        in_order = svm_cv(_rows(X, folds), y, folds, sorted(grid), max_epochs=150)
         assert scores[:, np.argsort(grid, kind="stable")].tobytes() == in_order.tobytes()
         _assert_matches_per_c(X, y, folds, grid)
+
+
+def _pca_fold_features(X, folds, r_max):
+    """Each fold's training and validation PCA scores, as the PCA search
+    makes them: one PCA per fold, fitted on its training rows."""
+    pcas = pca_fit((X[train] for train, _ in folds), r_max)
+    return [(pca_transform(m, X[train]), pca_transform(m, X[val]))
+            for m, (train, val) in zip(pcas, folds)]
+
+
+def _top_m_candidates(X, y, folds, grid):
+    """Per m, each fold's own top-m t-test columns, ascending."""
+    stats = [two_sample_t(X[train], y[train]) for train, _ in folds]
+    return [[select_top_m(s, m) for s in stats] for m in grid]
+
+
+def _assert_candidates_match_reference(monkeypatch, feats, y, folds, Cs, candidates):
+    """svm_cv's score and model for each (fold, candidate, C) are byte for
+    byte those of averaged_subgradient trained on the fold's training
+    features cut to the candidate: the strided view X_f[:, :w] for a width
+    w, and for an index candidate the copy X_f[:, cols[f]] in C order, as
+    its stack holds it (numpy's own copy is in Fortran order, which rounds
+    differently). Returns the groups that svm_cv passed to svm_train."""
+    predicted, blocks = {}, []
+
+    def recording_predict(model, X):
+        predicted[X.shape, np.ascontiguousarray(X).tobytes(), model.C] = model
+        return svm_predict(model, X)
+
+    def recording_train(groups, *args):
+        blocks.append(groups)
+        return svm_train(groups, *args)
+
+    monkeypatch.setattr(svm, "svm_predict", recording_predict)
+    monkeypatch.setattr(svm, "svm_train", recording_train)
+    scores = svm_cv(iter(feats), y, folds, Cs, candidates, max_epochs=150)
+    want = np.empty((len(folds), len(candidates) * len(Cs)))
+    for f, ((X_tr, X_val), (train, val)) in enumerate(zip(feats, folds)):
+        for i, c in enumerate(candidates):
+            key = np.s_[:, :c] if np.isscalar(c) else np.s_[:, c[f]]
+            X_c = X_tr[key] if np.isscalar(c) else np.ascontiguousarray(X_tr[key])
+            assert np.shares_memory(X_c, X_tr) == np.isscalar(c)
+            for j, C in enumerate(Cs):
+                ref = averaged_subgradient(X_c, 2.0 * y[train] - 1.0, C, tol=1e-6,
+                                           max_epochs=150)
+                got = predicted[X_val[key].shape, np.ascontiguousarray(X_val[key]).tobytes(), C]
+                assert got.w.tobytes() == ref.w.tobytes()
+                assert np.float64(got.bias).tobytes() == np.float64(ref.bias).tobytes()
+                assert (got.epochs, got.converged) == (ref.epochs, ref.converged)
+                want[f, i * len(Cs) + j] = accuracy(svm_predict(ref, X_val[key]), y[val])
+    assert scores.tobytes() == want.tobytes()
+    [groups] = blocks
+    return groups
+
+
+class TestSvmCvCandidates:
+    """``svm_cv`` scores width and index candidates in one block, each model
+    bit-equal to the one-problem reference on its fold's columns."""
+
+    def test_widths_train_on_strided_views_of_one_stack(self, monkeypatch):
+        X, y, folds = _adni_folds(0, 10)
+        widths = list(ExperimentConfig().pca_grid)
+        groups = _assert_candidates_match_reference(
+            monkeypatch, _pca_fold_features(X, folds, 40), y, folds, [1.0], widths)
+        # per row count one stack of every column, viewed by each width
+        assert len(groups) == 3 * len(widths)
+        for g in range(0, len(groups), len(widths)):
+            stacks = [S for S, _, _ in groups[g:g + len(widths)]]
+            assert [S.shape[-1] for S in stacks] == widths
+            assert all(S.base is stacks[-1].base for S in stacks)
+            assert not any(S.flags.c_contiguous for S in stacks[:-1])
+
+    def test_index_candidates_train_on_column_copies(self, monkeypatch):
+        X, y, folds = _adni_folds(4, 10)
+        candidates = _top_m_candidates(X, y, folds, [1, 6, 24])
+        groups = _assert_candidates_match_reference(
+            monkeypatch, list(_rows(X, folds)), y, folds, [1.0], candidates)
+        assert all(S.flags.c_contiguous for S, _, _ in groups)
+
+    def test_both_forms_and_several_Cs_in_one_call(self, monkeypatch):
+        X, y, folds = _adni_folds(5, 3)
+        candidates = [20, *_top_m_candidates(X, y, folds, [2, 12]), 4]
+        _assert_candidates_match_reference(monkeypatch, list(_rows(X, folds)), y, folds,
+                                           [0.1, 1.0, 10.0], candidates)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda feats, cands: (feats[:2], cands), "none for fold 2 of 3"),
+        (lambda feats, cands: (feats + feats[:1], cands), "features for a fold 3"),
+        (lambda feats, cands: ([feats[0], (feats[1][0][1:], feats[1][1])] + feats[2:], cands),
+         "fold 1 needs"),
+        (lambda feats, cands: (feats[:2] + [(feats[2][0], feats[2][1][1:])], cands),
+         "fold 2 needs"),
+        (lambda feats, cands: (feats[:1] + [(a[:, :5], b[:, :5]) for a, b in feats[1:]], cands),
+         "fold 1 needs .* of fold 0's width 6"),
+        (lambda feats, cands: (feats, [0]), r"candidate 0 is neither a width in 1\.\.6"),
+        (lambda feats, cands: (feats, [3, 7]), r"candidate 1 is neither a width in 1\.\.6"),
+        (lambda feats, cands: (feats, [cands[0][:2]]),
+         r"candidate 0 .* nor one column-index array per fold \(3\)"),
+        (lambda feats, cands: (feats, [4, cands[0][:2] + [np.array([0, 6])]]),
+         r"candidate 1: fold 2's columns are not in 0\.\.5"),
+        (lambda feats, cands: (feats, [cands[0][:1] + [np.array([], int)] + cands[0][2:]]),
+         "candidate 0: fold 1's columns"),
+    ], ids=["short", "long", "train-rows", "validation-rows", "width", "width-0",
+            "width-too-wide", "arrays-missing", "index-out-of-range", "index-empty"])
+    def test_bad_fold_features_rejected(self, change, message):
+        X, y = _problem(0, 15, 15, 6)
+        folds = kfold(y, 3, seed=0)
+        cands = _top_m_candidates(X, y, folds, [2])
+        feats, candidates = change(list(_rows(X, folds)), cands)
+        with pytest.raises(ValueError, match=message):
+            svm_cv(iter(feats), y, folds, [1.0], candidates, max_epochs=5)
 
 
 class TestSvmPredict:

@@ -105,22 +105,32 @@ class TestSelectTopM:
         np.testing.assert_array_equal(got, expected)
 
 
+def _scorer(fit):
+    """A ttest_cv scorer from ``fit(X_train, y_train)``, which returns a
+    predict function: per (fold, m), the accuracy on the fold's validation
+    rows of the fit on its training rows, both cut to the candidate's
+    columns."""
+    def score(X, labels, folds, candidates):
+        return np.array([[np.mean(fit(X[train][:, c[f]], labels[train])(X[val][:, c[f]])
+                                  == labels[val]) for c in candidates]
+                         for f, (train, val) in enumerate(folds)])
+    return score
+
+
+def _nearest_mean(Xtr, ytr):
+    mu0 = Xtr[ytr == 0].mean(axis=0)
+    mu1 = Xtr[ytr == 1].mean(axis=0)
+
+    def predict(Xval):
+        d0 = ((Xval - mu0) ** 2).sum(axis=1)
+        d1 = ((Xval - mu1) ** 2).sum(axis=1)
+        return (d1 < d0).astype(int)
+
+    return predict
+
+
 class TestTtestCv:
-    @staticmethod
-    def _nearest_mean_trainer(X, labels, folds, cols):
-        def fit(Xtr, ytr):
-            mu0 = Xtr[ytr == 0].mean(axis=0)
-            mu1 = Xtr[ytr == 1].mean(axis=0)
-
-            def predict(Xval):
-                d0 = ((Xval - mu0) ** 2).sum(axis=1)
-                d1 = ((Xval - mu1) ** 2).sum(axis=1)
-                return (d1 < d0).astype(int)
-
-            return predict
-
-        return [[fit(X[train][:, c], labels[train]) for c in fold_cols]
-                for (train, _), fold_cols in zip(folds, cols)]
+    _nearest_mean_scorer = staticmethod(_scorer(_nearest_mean))
 
     def _folds(self, labels, k=5, seed=0):
         return kfold(labels, k, seed)
@@ -129,7 +139,7 @@ class TestTtestCv:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 4))
         labels = np.array([0, 1] * 10)
-        scores = ttest_cv(X, labels, self._folds(labels), [3], self._nearest_mean_trainer)
+        scores = ttest_cv(X, labels, self._folds(labels), [3], self._nearest_mean_scorer)
         assert scores.shape == (5, 1)
         assert _choose([3], scores, min) == 3
 
@@ -138,8 +148,8 @@ class TestTtestCv:
         X = rng.normal(size=(30, 6))
         labels = np.array([0, 1] * 15)
         folds = self._folds(labels, seed=4)
-        a = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
-        b = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
+        a = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
+        b = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
         assert a.tobytes() == b.tobytes()
         assert _choose([1, 3, 6], a, min) == _choose([1, 3, 6], b, min)
 
@@ -148,8 +158,8 @@ class TestTtestCv:
         X = rng.normal(size=(30, 6))
         labels = np.array([0, 1] * 15)
         folds = self._folds(labels, seed=4)
-        scores = ttest_cv(X, labels, folds, [6, 1, 3, 1], self._nearest_mean_trainer)
-        in_order = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_trainer)
+        scores = ttest_cv(X, labels, folds, [6, 1, 3, 1], self._nearest_mean_scorer)
+        in_order = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
         assert scores.tobytes() == in_order[:, [2, 0, 1, 0]].tobytes()
 
     def test_prefers_support_size_under_heavy_noise(self):
@@ -159,7 +169,7 @@ class TestTtestCv:
             ds = generate_synthetic(SyntheticSpec(30, 30, 0, 40, s, 1.5, 0.0, seed=seed))
             labels = ds.labels
             scores = ttest_cv(ds.features, labels, self._folds(labels, seed=seed),
-                              [s, 40], self._nearest_mean_trainer)
+                              [s, 40], self._nearest_mean_scorer)
             got = _choose([s, 40], scores, min)
             if got == s:
                 wins += 1
@@ -170,37 +180,36 @@ class TestTtestCv:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(20, 5))
         labels = np.array([0, 1] * 10)
-
-        def constant_trainer(X, labels, folds, cols):
-            return [[lambda Xval: np.zeros(Xval.shape[0], dtype=int) for _ in c] for c in cols]
-
-        scores = ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant_trainer)
+        constant = _scorer(lambda Xtr, ytr: lambda Xval: np.zeros(Xval.shape[0], dtype=int))
+        scores = ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant)
         assert _choose([4, 2, 3], scores, min) == 2
 
-    def test_one_trainer_call_with_every_fold_and_candidate(self):
-        """The trainer is called once, with each fold's columns of each
-        candidate m: the fold's own top-m t ranking, ascending."""
+    def test_one_scorer_call_with_every_fold_and_candidate(self):
+        """The scorer is called once, with each candidate m's columns per
+        fold: the fold's own top-m t ranking, ascending. Its scores are
+        ttest_cv's."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 6))
         labels = np.array([0, 1] * 10)
         folds = self._folds(labels, k=5)
         calls = []
 
-        def recording_trainer(X_, labels_, folds_, cols):
-            calls.append(cols)
+        def recording_scorer(X_, labels_, folds_, candidates):
             assert X_ is X and labels_ is labels and folds_ is folds
-            return self._nearest_mean_trainer(X_, labels_, folds_, cols)
+            calls.append((candidates, self._nearest_mean_scorer(X_, labels_, folds_, candidates)))
+            return calls[-1][1]
 
-        ttest_cv(X, labels, folds, [5, 1, 3], recording_trainer)
-        [cols] = calls
-        assert len(cols) == 5
-        for (train, _), fold_cols in zip(folds, cols):
+        scores = ttest_cv(X, labels, folds, [5, 1, 3], recording_scorer)
+        [(candidates, returned)] = calls
+        assert scores is returned
+        assert len(candidates) == 3 and all(len(c) == 5 for c in candidates)
+        for f, (train, _) in enumerate(folds):
             stats = two_sample_t(X[train], labels[train])
-            assert [c.tolist() for c in fold_cols] == [
+            assert [c[f].tolist() for c in candidates] == [
                 select_top_m(stats, m).tolist() for m in (5, 1, 3)]
-            assert all(np.all(np.diff(c) > 0) for c in fold_cols)
+            assert all(np.all(np.diff(c[f]) > 0) for c in candidates)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             ttest_cv(np.zeros((4, 2)), np.zeros(4, dtype=int), [], [],
-                     self._nearest_mean_trainer)
+                     self._nearest_mean_scorer)
