@@ -1,8 +1,8 @@
 """Command-line front door: synthetic data generation, full experiments,
-one cell of an experiment's repeat 0, verification suites, and report
-rendering. ``run`` and ``experiment`` build one config the same way (the
---config file over the defaults, then --seed), and ``run`` fits its cell
-as repeat 0 of ``experiment`` does, after the same checks.
+one cell of an experiment's repeat 0, and report rendering. ``run`` and
+``experiment`` build one config the same way (the --config file over the
+defaults, then --seed), and ``run`` fits its cell as repeat 0 of
+``experiment`` does, after the same checks.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every subcommand is
 deterministic given its flags and config; all randomness flows from the
@@ -21,7 +21,6 @@ from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec, fit_pipeline,
                       parse_config, read_runs_csv, render_table, run_experiment,
                       write_runs_csv)
-from .verify import run_suite
 
 # CLI spelling -> harness name: the table labels, lower-cased
 _METHOD_NAMES = {label.lower(): method for method, label in METHOD_LABELS.items()}
@@ -95,12 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="render a results CSV as a table")
     rep.add_argument("--results", required=True, help="runs CSV written by 'experiment'")
     rep.add_argument("--format", choices=["text", "csv"], default="text")
-
-    ver = sub.add_parser("verify", help="run the oracle verification suites",
-                         description="gradients: finite-difference checks of the auto-encoder "
-                                     "losses; oracles: lasso KKT/closed forms, PCA spectral "
-                                     "identities, SVM grid search. Exits 2 if a check fails.")
-    ver.add_argument("--suite", choices=["gradients", "oracles", "all"], default="all")
     return parser
 
 
@@ -163,19 +156,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    results = run_suite(args.suite)
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: max error {res.max_err:.3g} ({res.detail})")
-    if all(r.passed for r in results):
-        print(f"suite {args.suite!r}: all {len(results)} checks passed")
-        return 0
-    failures = [r.name for r in results if not r.passed]
-    print(f"suite {args.suite!r}: FAILED checks: {', '.join(failures)}", file=sys.stderr)
-    return 2
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -184,7 +164,6 @@ def main(argv=None) -> int:
         "run": _cmd_run,
         "experiment": _cmd_experiment,
         "report": _cmd_report,
-        "verify": _cmd_verify,
     }
     try:
         return handlers[args.command](args)

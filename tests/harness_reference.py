@@ -43,21 +43,27 @@ def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
 
 
 def per_fold_ttest_search(F: np.ndarray, ytr01, folds, ttest_grid,
-                          max_epochs: int) -> tuple[int, np.ndarray]:
+                          max_epochs: int) -> tuple[int, np.ndarray, list]:
     """m maximizing mean validation accuracy; ties go to the smaller m. Also
-    returns the accuracy per (fold, m), with the columns in ascending m order."""
+    returns the accuracy per (fold, m), with the columns in ascending m order,
+    and the models, fold by fold in ascending m order. Each trains on a
+    C-order copy of its fold's top-m columns, the layout of the package's
+    t-test stacks; numpy's column gather is in Fortran order, which rounds
+    differently."""
     ytr01 = np.asarray(ytr01)
     q = F.shape[1]
     grid = sorted({int(m) for m in ttest_grid if m <= q}) or [q]
     y_pm = 2.0 * ytr01 - 1.0
     scores = np.zeros(len(grid))
     per_fold = np.zeros((len(folds), len(grid)))
+    models = []
     for f, (train, val) in enumerate(folds):
         stats = two_sample_t(F[train], ytr01[train])
         for i, m in enumerate(grid):
             cols = select_top_m(stats, m)
-            svm = averaged_subgradient(F[train][:, cols], y_pm[train], 1.0, tol=1e-6,
-                                       max_epochs=max_epochs)
+            svm = averaged_subgradient(np.ascontiguousarray(F[train][:, cols]), y_pm[train],
+                                       1.0, tol=1e-6, max_epochs=max_epochs)
+            models.append(svm)
             per_fold[f, i] = float(np.mean(svm_predict(svm, F[val][:, cols]) == ytr01[val]))
             scores[i] += per_fold[f, i]
-    return grid[int(np.argmax(scores))], per_fold
+    return grid[int(np.argmax(scores))], per_fold, models

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from featlearn import harness, verify
+from featlearn import harness
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
 from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, save_csv
 from featlearn.harness import ResultsTable, write_runs_csv
@@ -162,23 +162,18 @@ def test_negative_seed_rejected_before_any_fit(data_csv, tiny, tmp_path, capsys)
     assert "featlearn experiment: error: base_seed must be >= 0" in capsys.readouterr().err
 
 
-def test_verify_prints_one_pass_line_per_check(capsys):
-    assert main(["verify", "--suite", "gradients"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:-1]] == [
-        "PASS reconstruction-gradients", "PASS fine-tune-gradients"]
-    assert lines[-1] == "suite 'gradients': all 2 checks passed"
+def test_verify_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
-def test_verify_failing_check_exits_2(monkeypatch, capsys):
-    def failing():
-        return verify.CheckResult("always-fails", False, 1.0, "stub")
-
-    monkeypatch.setitem(verify.SUITES, "gradients", (failing,))
-    assert main(["verify", "--suite", "gradients"]) == 2
-    out, err = capsys.readouterr()
-    assert out.startswith("FAIL always-fails: ")
-    assert "FAILED checks: always-fails" in err
+def test_help_lists_the_four_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{gen-data,run,experiment,report}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fmt, means_line", [("text", "No FS"), ("csv", "No FS,80.0,,,,")])

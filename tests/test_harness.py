@@ -167,16 +167,27 @@ class TestFitTtestSelector:
     # k=3 (one each). Over these seeds the reference chooses m = 16, 24, 16
     # and 16.
     @pytest.mark.parametrize("seed, k", [(0, 10), (1, 10), (2, 3), (3, 3)])
-    def test_matches_per_fold_reference(self, seed, k, choices):
+    def test_matches_per_fold_reference(self, seed, k, choices, monkeypatch):
         ds = generate_synthetic(SyntheticSpec.adni_like(seed))
         cfg = ExperimentConfig(k=k)
         repeat = _RepeatFits(ds, _checked_split(ds, [], cfg, seed), cfg, seed)
         _, _, ytr01, folds = repeat._train
         F = repeat._method_stage(PipelineSpec("LLF"))[2]
+        models = []  # every model the search's svm_train block returns
+        original = svm.svm_train
+
+        def recording(*args, **kwargs):
+            block = original(*args, **kwargs)
+            models.extend(block)
+            return block
+        monkeypatch.setattr(svm, "svm_train", recording)
         cols, chosen = _fit_ttest_selector(F, ytr01, folds, cfg)
-        want_m, want_scores = per_fold_ttest_search(F, ytr01, folds, cfg.ttest_grid,
-                                                    cfg.svm_cv_epochs)
+        want_m, want_scores, want_models = per_fold_ttest_search(F, ytr01, folds, cfg.ttest_grid,
+                                                                 cfg.svm_cv_epochs)
         [(_, grid, scores, _)] = choices
+        # the block returns its models in its own order, the reference fold by fold
+        assert (sorted((m.w.tobytes(), m.bias) for m in models)
+                == sorted((m.w.tobytes(), m.bias) for m in want_models))
         assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
         assert chosen["m"] == want_m
         assert cols.tolist() == select_top_m(two_sample_t(F, ytr01), want_m).tolist()
