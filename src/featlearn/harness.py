@@ -34,8 +34,9 @@ final one on all training rows in one ``pca_fit`` call. The lambda search
 walks its k fold lasso paths and then the full problem on all training
 rows as one lockstep ``lasso_cv`` block, each member's walk bit for bit the
 one it walks alone, and the final fit reads the chosen lambda's column of
-the full path. The SAE's L2 search pretrains each fold's stack once and
-fine-tunes the fold's whole L2 grid as one block.
+the full path. The SAE stage's fold stacks and its final stack are all
+``semi_pretrain_finetune`` calls: each fold's stack is pretrained once and
+fine-tunes the whole L2 grid as one block, and the final stack the chosen L2.
 
 The five searches (the SAE's L2, the lasso's lambda, the t-test's m, the
 PCA's r, the SVM's C) each return (fold, candidate) scores in grid order,
@@ -68,8 +69,8 @@ from .data import (Dataset, SplitIndices, StandardizationParams, _readonly, deri
                    kfold, random_split, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
-from .sae import (SaeModel, TrainConfig, check_dims, fine_tune, sae_features, sae_predict,
-                  sae_pretrain, semi_pretrain_finetune)
+from .sae import (SaeModel, TrainConfig, check_dims, sae_features, sae_predict,
+                  semi_pretrain_finetune)
 from .svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from .ttest import select_top_m, ttest_cv, two_sample_t
 
@@ -106,6 +107,9 @@ class PipelineStageError(RuntimeError):
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
         self.stage = stage
         self.__cause__ = cause
+
+    def __reduce__(self):  # a process pool rebuilds the error from these
+        return type(self), (self.stage, self.__cause__)
 
 
 @contextmanager
@@ -285,19 +289,17 @@ def _fit_sae_stage(Xtr, ytr01, X_extra, folds_local, cfg: ExperimentConfig, seed
     """Choose the fine-tuning L2 by k-fold CV on the SAE classifier's own
     validation accuracy, then train the final stack on all training rows.
 
-    Pretraining never reads l2, so each fold's stack is pretrained once and
-    its whole L2 grid fine-tuned as one block, all from the fold's seed."""
-    base = dict(learning_rate=cfg.sae_learning_rate, iterations=cfg.sae_iterations)
-    scores = []
-    for f, (train, val) in enumerate(folds_local):
-        fold_cfg = TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base)
-        layers = sae_pretrain(np.vstack([Xtr[train], X_extra]), cfg.sae_dims, fold_cfg)
-        models = fine_tune(layers, Xtr[train], ytr01[train], fold_cfg, cfg.l2_grid)
-        scores.append([accuracy(sae_predict(m, Xtr[val]), ytr01[val]) for m in models])
+    Each fold's stack and the final one are one ``semi_pretrain_finetune``
+    call from the stack's own seed: a fold's stack is pretrained once and
+    fine-tunes its whole L2 grid as one block, the final one the chosen L2."""
+    def fit(X, y, f, l2s):
+        return semi_pretrain_finetune(X, y, X_extra, cfg.sae_dims, TrainConfig(
+            cfg.sae_learning_rate, cfg.sae_iterations, seed=derive_seed(seed, _TAG_SAE, f)), l2s)
+    scores = [[accuracy(sae_predict(m, Xtr[val]), ytr01[val])
+               for m in fit(Xtr[train], ytr01[train], f, cfg.l2_grid)]
+              for f, (train, val) in enumerate(folds_local)]
     best_l2 = _choose(cfg.l2_grid, np.array(scores), min)
-    final = semi_pretrain_finetune(
-        Xtr, ytr01, X_extra, cfg.sae_dims,
-        TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds_local)), **base))
+    final, = fit(Xtr, ytr01, len(folds_local), [best_l2])
     return final, best_l2
 
 

@@ -113,6 +113,13 @@ class SaeModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Learning rate, iteration count and seed of one training call.
+
+    No training function reads ``l2``: ``fine_tune`` and
+    ``semi_pretrain_finetune`` take their L2 values as ``l2s``. The field
+    stays, checked but unread, because the benchmark's self-test
+    (``perfbench/selftest.py``) still sets it."""
+
     learning_rate: float = 0.01
     iterations: int = 150
     l2: float = 0.0
@@ -348,9 +355,11 @@ def sae_predict(model: SaeModel, X: np.ndarray) -> np.ndarray:
 
 
 def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarray,
-                           dims, cfg: TrainConfig) -> SaeModel:
+                           dims, cfg: TrainConfig, l2s) -> list[SaeModel]:
     """Pretrain on labeled rows stacked with unlabeled rows, then fine-tune
-    on the labeled rows only.
+    on the labeled rows only: one model per l2 in l2s, fine-tuned as one
+    ``fine_tune`` block, model i bit-equal to the call with l2s = [l2s[i]].
+    cfg.l2 is not read.
 
     With an empty unlabeled matrix this reduces exactly to the supervised
     path, bit for bit.
@@ -363,4 +372,4 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
         raise ValueError("labeled and unlabeled feature widths differ")
     X_pre = np.vstack([X_labeled, X_unlabeled])
     layers = sae_pretrain(X_pre, dims, cfg)
-    return fine_tune(layers, X_labeled, labels, cfg, [cfg.l2])[0]
+    return fine_tune(layers, X_labeled, labels, cfg, l2s)

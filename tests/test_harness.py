@@ -35,16 +35,16 @@ def _per_l2_reference(Xtr, ytr01, X_extra, folds, cfg, seed):
     for i, l2 in enumerate(grid):
         score = 0.0
         for f, (mask, val) in enumerate(folds):
-            model = semi_pretrain_finetune(
+            model, = semi_pretrain_finetune(
                 Xtr[mask], ytr01[mask], X_extra, cfg.sae_dims,
-                TrainConfig(l2=l2, seed=derive_seed(seed, _TAG_SAE, f), **base))
+                TrainConfig(seed=derive_seed(seed, _TAG_SAE, f), **base), [l2])
             per_fold[f, i] = float(np.mean(sae_predict(model, Xtr[val]) == ytr01[val]))
             score += per_fold[f, i]
         if score > best_acc:
             best_l2, best_acc = l2, score
-    final = semi_pretrain_finetune(
+    final, = semi_pretrain_finetune(
         Xtr, ytr01, X_extra, cfg.sae_dims,
-        TrainConfig(l2=best_l2, seed=derive_seed(seed, _TAG_SAE, len(folds)), **base))
+        TrainConfig(seed=derive_seed(seed, _TAG_SAE, len(folds)), **base), [best_l2])
     return final, best_l2, per_fold
 
 
@@ -94,6 +94,21 @@ class TestFitSaeStage:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert got.softmax_W.tobytes() == want.softmax_W.tobytes()
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
+
+    @pytest.mark.parametrize("semi", [False, True])
+    def test_each_stack_is_one_semi_pretrain_finetune_call(self, monkeypatch, semi):
+        # the fold stacks fine-tune the whole grid, the final stack the chosen L2
+        calls = []
+
+        def spy(X_labeled, labels, X_unlabeled, dims, cfg, l2s):
+            calls.append(list(l2s))
+            return semi_pretrain_finetune(X_labeled, labels, X_unlabeled, dims, cfg, l2s)
+
+        monkeypatch.setattr(harness, "semi_pretrain_finetune", spy)
+        ds = generate_synthetic(TINY_DATA)
+        _, l2 = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)._sae_stage(semi)
+        assert calls == [list(TINY.l2_grid)] * TINY.k + [[l2]]
+        assert not hasattr(harness, "fine_tune") and not hasattr(harness, "sae_pretrain")
 
 
 def _svm_train_calls(monkeypatch, spec):
@@ -526,6 +541,22 @@ class TestRunExperiment:
         serial = run_experiment(ds, specs, TINY)
         pooled = run_experiment(ds, specs, replace(TINY, jobs=2))
         assert pooled.accuracies == serial.accuracies
+
+    def test_stage_error_is_the_same_under_a_pool(self):
+        # a constant column fails the standardize stage of every repeat; the
+        # pool replaces the error's cause with its remote traceback
+        ds = generate_synthetic(replace(TINY_DATA, n_unlabeled=0))
+        X = ds.features.copy()
+        X[:, 2] = 1.0
+        ds = Dataset(X, ds.labels, ds.feature_names)
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(PipelineStageError) as info:
+                run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, jobs=jobs))
+            errors.append((type(info.value), info.value.stage, str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == ("standardize", "pipeline stage 'standardize' failed: column "
+                                 "'f2' (index 2) is constant over the given rows")
 
     def test_tasks_leave_the_dataset_out(self, monkeypatch):
         # a pool gets the dataset once per worker; each task holds the rest

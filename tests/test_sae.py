@@ -150,15 +150,28 @@ class TestSemiPretrainFinetune:
     @pytest.mark.parametrize("empty", [np.empty((0, 6)), np.empty(0)])
     def test_no_unlabeled_rows_is_the_supervised_fit(self, empty):
         X, labels = _labeled(1)
-        cfg = TrainConfig(learning_rate=0.5, iterations=20, l2=1e-3, seed=7)
-        supervised, = fine_tune(sae_pretrain(X, (4, 2), cfg), X, labels, cfg, [cfg.l2])
-        semi = semi_pretrain_finetune(X, labels, empty, (4, 2), cfg)
+        cfg = TrainConfig(learning_rate=0.5, iterations=20, seed=7)
+        supervised, = fine_tune(sae_pretrain(X, (4, 2), cfg), X, labels, cfg, [1e-3])
+        semi, = semi_pretrain_finetune(X, labels, empty, (4, 2), cfg, [1e-3])
         assert _model_bytes(semi) == _model_bytes(supervised)
 
     def test_unlabeled_rows_change_the_fit(self):
         X, labels = _labeled(1)
         cfg = TrainConfig(learning_rate=0.5, iterations=20, seed=7)
         extra = np.random.default_rng(2).normal(size=(10, 6))
-        supervised = semi_pretrain_finetune(X, labels, np.empty((0, 6)), (4, 2), cfg)
-        assert _model_bytes(semi_pretrain_finetune(X, labels, extra, (4, 2), cfg)) != \
-            _model_bytes(supervised)
+        supervised, = semi_pretrain_finetune(X, labels, np.empty((0, 6)), (4, 2), cfg, [0.0])
+        semi, = semi_pretrain_finetune(X, labels, extra, (4, 2), cfg, [0.0])
+        assert _model_bytes(semi) != _model_bytes(supervised)
+
+    @pytest.mark.parametrize("n_extra", [0, 10])
+    def test_each_l2_of_a_list_bit_equal_to_its_one_l2_call(self, n_extra):
+        X, labels = _labeled(2)
+        extra = np.random.default_rng(3).normal(size=(n_extra, 6))
+        cfg = TrainConfig(learning_rate=0.5, iterations=20, seed=5)
+        l2s = [0.3, 0.0, 0.03]
+        # cfg.l2 is not read: the list's models ignore a different one
+        models = semi_pretrain_finetune(X, labels, extra, (4, 2), replace(cfg, l2=123.0), l2s)
+        assert len(models) == len(l2s)
+        for l2, model in zip(l2s, models):
+            alone, = semi_pretrain_finetune(X, labels, extra, (4, 2), cfg, [l2])
+            assert _model_bytes(model) == _model_bytes(alone), l2
