@@ -78,11 +78,6 @@ def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: floa
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -> float:
-    """The primal objective (see the module docstring) at 0/1 ``labels``."""
-    return _objective(X, _plus_minus(labels), w, bias, C)
-
-
 def svm_train(groups, tol: float = DEFAULT_TOL,
               max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
     """Train every problem of every group in one epoch loop and return the

@@ -6,15 +6,23 @@ the C that ``per_c_cv`` picks.
 
 The objective and the schedule are the package's; see the ``svm`` module.
 ``averaged_subgradient`` works on the hinge loss's +/-1 labels, and its
-callers convert the package's 0/1 labels to them.
+callers convert the package's 0/1 labels to them. ``svm_objective`` is that
+objective at 0/1 labels: it wraps the package's ``_objective``, the formula
+``svm_train`` uses to choose between its averaged and best iterates, so the
+tests check the formula a run uses rather than a copy of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from featlearn.svm import (DEFAULT_MAX_EPOCHS, DEFAULT_TOL, LinearSvmModel, accuracy,
-                           svm_predict)
+from featlearn.svm import (DEFAULT_MAX_EPOCHS, DEFAULT_TOL, LinearSvmModel, _objective,
+                           _plus_minus, accuracy, svm_predict)
+
+
+def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -> float:
+    """The primal objective (see the ``svm`` module docstring) at 0/1 ``labels``."""
+    return _objective(X, _plus_minus(labels), w, bias, C)
 
 
 def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = DEFAULT_TOL,

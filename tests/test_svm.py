@@ -5,10 +5,9 @@ from featlearn import svm
 from featlearn.data import SyntheticSpec, generate_synthetic, kfold
 from featlearn.harness import ExperimentConfig, _checked_split, _choose, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
-from featlearn.svm import (LinearSvmModel, accuracy, svm_cv, svm_objective, svm_predict,
-                           svm_train)
+from featlearn.svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from featlearn.ttest import select_top_m, two_sample_t
-from svm_reference import averaged_subgradient, per_c_cv
+from svm_reference import averaged_subgradient, per_c_cv, svm_objective
 
 
 def _problem(seed, n0=60, n1=75, p=56):
@@ -265,6 +264,15 @@ class TestSvmTrainBlock:
         args = {"groups": [(np.eye(4), y, [1.0, 2.0]), (np.eye(4)[:, :2], y, [1.0])], **kwargs}
         with pytest.raises(ValueError, match=message):
             svm_train(**args)
+
+    @pytest.mark.parametrize("grids", [[[1e308]], [[1.0], [1e308]]],
+                             ids=["alone", "beside-C-1"])
+    def test_overflowing_objective_raises(self, grids):
+        """C = 1e308 is finite, so svm_train accepts it, but the objective's
+        C times the hinge sum overflows at once; the whole block raises."""
+        X, y = np.array([[1.0], [2.0], [-1.0]]), [1, 1, 0]
+        with pytest.raises(ArithmeticError, match="objective non-finite at epoch 1"):
+            svm_train([(X, y, Cs) for Cs in grids])
 
 
 def _rows(X, folds):

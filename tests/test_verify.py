@@ -14,7 +14,8 @@ import pytest
 from featlearn.lasso import lambda_max, lasso_fit
 from featlearn.pca import pca_fit
 from featlearn.sae import _Work, _ae_value_and_grads, _ft_value_and_grads, _init_matrix
-from featlearn.svm import svm_objective, svm_predict, svm_train
+from featlearn.svm import svm_predict, svm_train
+from svm_reference import svm_objective
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
