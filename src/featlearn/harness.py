@@ -317,11 +317,12 @@ def _fit_lasso_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
 def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     """Choose m by k-fold CV of a C = 1 SVM on each fold's top-m t-test
-    columns; the final C is tuned afterwards on the selected features."""
+    columns from ``ttest_cv``, all scored in one ``svm_cv`` block; the final
+    C is tuned afterwards on the selected features."""
     q = F.shape[1]
     grid = [m for m in cfg.ttest_grid if m <= q] or [q]
-    scores = ttest_cv(F, ytr01, folds_local, grid, lambda X, y, folds, cols: svm_cv(
-        _fold_rows(X, folds), y, folds, [1.0], cols, cfg.svm_cv_epochs))
+    scores = svm_cv(_fold_rows(F, folds_local), ytr01, folds_local, [1.0],
+                    ttest_cv(F, ytr01, folds_local, grid), cfg.svm_cv_epochs)
     m = _choose(grid, scores, min)
     return select_top_m(two_sample_t(F, ytr01), m), {"m": m}
 
@@ -588,9 +589,9 @@ def read_runs_csv(path: str) -> ResultsTable:
     accuracy that is not a finite value in [0, 1], a second row for one
     (method, selector, repeat) or one (method, selector) summary, a cell of R
     rows whose repeats are not 0..R-1, and a cell with another repeat count
-    than the first cell. A file need not have summary rows, but each ``mean``
-    or ``std`` row it has must belong to a cell with repeat rows and equal,
-    exactly, what write_runs_csv computes from them."""
+    than the first cell; a file with no rows names ``path``. A file need not
+    have summary rows, but each ``mean`` or ``std`` row it has must belong to
+    a cell with repeat rows and equal, exactly, what write_runs_csv computes."""
     per_cell: dict = {}  # (method, selector) -> {repeat: (accuracy, line)}
     summaries: dict = {}  # (method, selector, "mean" or "std") -> (value, line)
     with open(path, encoding="utf-8-sig") as fh:
@@ -641,6 +642,8 @@ def read_runs_csv(path: str) -> ResultsTable:
         if value != expected:
             raise ValueError(f"{path}:{lineno}: {kind} {value!r} of cell {method},{selector} "
                              f"is not the {kind} of its repeats, {expected!r}")
+    if not table:
+        raise ValueError(f"{path}: no result rows")
     return ResultsTable(accuracies=table)
 
 

@@ -58,9 +58,9 @@ def per_fold_ttest_search(F: np.ndarray, ytr01, folds, ttest_grid,
     per_fold = np.zeros((len(folds), len(grid)))
     models = []
     for f, (train, val) in enumerate(folds):
-        stats = two_sample_t(F[train], ytr01[train])
+        t = two_sample_t(F[train], ytr01[train])
         for i, m in enumerate(grid):
-            cols = select_top_m(stats, m)
+            cols = select_top_m(t, m)
             svm = averaged_subgradient(np.ascontiguousarray(F[train][:, cols]), y_pm[train],
                                        1.0, tol=1e-6, max_epochs=max_epochs)
             models.append(svm)

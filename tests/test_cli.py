@@ -216,3 +216,13 @@ def test_report_refuses_inconsistent_results(tmp_path, capsys, rows, line, messa
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"featlearn report: error: {path}:{line}: ") and message in err
+
+
+@pytest.mark.parametrize("rest", ["", "\n\n"], ids=["header-only", "blank-lines"])
+def test_report_refuses_a_results_csv_with_no_rows(tmp_path, capsys, rest):
+    path = tmp_path / "results.csv"
+    path.write_text(RUNS_HEADER + rest)
+    assert main(["report", "--results", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"featlearn report: error: {path}: no result rows" in err

@@ -371,6 +371,25 @@ class TestRepeatFits:
             if spec.uses_sae:
                 assert _sae_arrays(other.sae) == _sae_arrays(clean.sae)
 
+    @pytest.mark.parametrize("repeat", [0, 1])
+    @pytest.mark.parametrize("spec", PipelineSpec.table_cells(), ids=str)
+    def test_transform_of_training_rows_is_the_final_svms_input(self, monkeypatch, spec, repeat):
+        """Training rows go through ``PipelineFit.transform`` into exactly
+        the matrix that the cell's final SVM was trained on."""
+        trained = []
+        original = harness.svm_train
+
+        def recording(groups, *args, **kwargs):
+            trained.append(groups)
+            return original(groups, *args, **kwargs)
+        monkeypatch.setattr(harness, "svm_train", recording)
+        ds = generate_synthetic(TINY_DATA)
+        split = _checked_split(ds, [spec], TINY, repeat)
+        fit = _RepeatFits(ds, split, TINY, repeat).fit(spec)
+        [[(X, _, _)]] = trained
+        got = fit.transform(ds.features[split.train])
+        assert got.shape == X.shape and got.tobytes() == X.tobytes()
+
     def test_shared_arrays_are_read_only(self):
         ds = generate_synthetic(TINY_DATA)
         fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
@@ -474,6 +493,13 @@ class TestRunsCsv:
         path = tmp_path / "results.csv"
         path.write_text("method,accuracy\n")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: unexpected header"):
+            read_runs_csv(str(path))
+
+    @pytest.mark.parametrize("rest", ["", "\n\n"], ids=["header-only", "blank-lines"])
+    def test_no_result_rows_names_path(self, tmp_path, rest):
+        path = tmp_path / "results.csv"
+        path.write_text(RUNS_HEADER + rest)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no result rows$"):
             read_runs_csv(str(path))
 
 

@@ -6,7 +6,7 @@ from featlearn.data import SyntheticSpec, generate_synthetic, kfold
 from featlearn.harness import ExperimentConfig, _checked_split, _choose, _RepeatFits
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
-from featlearn.ttest import select_top_m, two_sample_t
+from featlearn.ttest import select_top_m, ttest_cv, two_sample_t
 from svm_reference import averaged_subgradient, per_c_cv, svm_objective
 
 
@@ -99,8 +99,8 @@ class TestSvmTrainBlock:
     @pytest.mark.parametrize("seed", range(3))
     def test_ttest_column_subsets(self, seed):
         X, y = _problem(seed)
-        stats = two_sample_t(X, y)
-        groups = [(X[:, select_top_m(stats, m)], y, [1.0]) for m in ExperimentConfig().ttest_grid]
+        t = two_sample_t(X, y)
+        groups = [(X[:, select_top_m(t, m)], y, [1.0]) for m in ExperimentConfig().ttest_grid]
         _assert_matches_reference(groups, 1e-6, 150)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -212,9 +212,9 @@ class TestSvmTrainBlock:
         objective a bit off seldom changes a model, so the widths are
         checked where the products are made."""
         X, y = _problem(0)
-        stats = two_sample_t(X, y)
+        t = two_sample_t(X, y)
         widths = [1, 2, 2, 7, 30, 30]
-        groups = [(X[:, select_top_m(stats, m)], y, [1.0, 0.1]) for m in widths]
+        groups = [(X[:, select_top_m(t, m)], y, [1.0, 0.1]) for m in widths]
         recording = _RecordingNumpy()
         monkeypatch.setattr(svm, "np", recording)
         svm_train(groups, tol=1e-6, max_epochs=5)
@@ -332,12 +332,6 @@ def _pca_fold_features(X, folds, r_max):
             for m, (train, val) in zip(pcas, folds)]
 
 
-def _top_m_candidates(X, y, folds, grid):
-    """Per m, each fold's own top-m t-test columns, ascending."""
-    stats = [two_sample_t(X[train], y[train]) for train, _ in folds]
-    return [[select_top_m(s, m) for s in stats] for m in grid]
-
-
 def _assert_candidates_match_reference(monkeypatch, feats, y, folds, Cs, candidates):
     """svm_cv's score and model for each (fold, candidate, C) are byte for
     byte those of averaged_subgradient trained on the fold's training
@@ -396,14 +390,14 @@ class TestSvmCvCandidates:
 
     def test_index_candidates_train_on_column_copies(self, monkeypatch):
         X, y, folds = _adni_folds(4, 10)
-        candidates = _top_m_candidates(X, y, folds, [1, 6, 24])
+        candidates = ttest_cv(X, y, folds, [1, 6, 24])
         groups = _assert_candidates_match_reference(
             monkeypatch, list(_rows(X, folds)), y, folds, [1.0], candidates)
         assert all(S.flags.c_contiguous for S, _, _ in groups)
 
     def test_both_forms_and_several_Cs_in_one_call(self, monkeypatch):
         X, y, folds = _adni_folds(5, 3)
-        candidates = [20, *_top_m_candidates(X, y, folds, [2, 12]), 4]
+        candidates = [20, *ttest_cv(X, y, folds, [2, 12]), 4]
         _assert_candidates_match_reference(monkeypatch, list(_rows(X, folds)), y, folds,
                                            [0.1, 1.0, 10.0], candidates)
 
@@ -429,7 +423,7 @@ class TestSvmCvCandidates:
     def test_bad_fold_features_rejected(self, change, message):
         X, y = _problem(0, 15, 15, 6)
         folds = kfold(y, 3, seed=0)
-        cands = _top_m_candidates(X, y, folds, [2])
+        cands = ttest_cv(X, y, folds, [2])
         feats, candidates = change(list(_rows(X, folds)), cands)
         with pytest.raises(ValueError, match=message):
             svm_cv(iter(feats), y, folds, [1.0], candidates, max_epochs=5)

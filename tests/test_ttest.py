@@ -16,13 +16,13 @@ def _t(x0, x1):
 class TestTwoSampleT:
     def test_hand_value(self):
         # class0 {0,2}, class1 {1,3}: T = (1-2)/sqrt(2/2 + 2/2) = -1/sqrt(2)
-        stats = _t([[0.0], [2.0]], [[1.0], [3.0]])
-        assert stats.t[0] == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-12)
+        t = _t([[0.0], [2.0]], [[1.0], [3.0]])
+        assert t[0] == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_matches_welch_reference(self):
         rng = np.random.default_rng(0)
         x0, x1 = rng.normal(size=(12, 6)), rng.normal(0.5, 2.0, size=(17, 6))
-        got = _t(x0, x1).t
+        got = _t(x0, x1)
         # Welch's statistic: (mean0 - mean1) / sqrt(s0^2 / n0 + s1^2 / n1),
         # with the unbiased (ddof = 1) variances s0^2 and s1^2
         n0, n1 = x0.shape[0], x1.shape[0]
@@ -34,35 +34,36 @@ class TestTwoSampleT:
 
     def test_identical_classes_zero(self):
         x = np.random.default_rng(1).normal(size=(8, 3))
-        stats = _t(x, x)
-        np.testing.assert_array_equal(stats.t, np.zeros(3))
+        np.testing.assert_array_equal(_t(x, x), np.zeros(3))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        base = _t(x0, x1).t
-        scaled = _t(x0 * 7.0, x1 * 7.0).t
+        base = _t(x0, x1)
+        scaled = _t(x0 * 7.0, x1 * 7.0)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_location_invariance(self):
         rng = np.random.default_rng(3)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        base = _t(x0, x1).t
-        shifted = _t(x0 + 5.0, x1 + 5.0).t
+        base = _t(x0, x1)
+        shifted = _t(x0 + 5.0, x1 + 5.0)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_antisymmetry_under_label_swap(self):
         rng = np.random.default_rng(4)
         x0, x1 = rng.normal(size=(9, 4)), rng.normal(1.0, 1.0, size=(11, 4))
-        np.testing.assert_array_equal(_t(x0, x1).t, -_t(x1, x0).t)
+        np.testing.assert_array_equal(_t(x0, x1), -_t(x1, x0))
 
     def test_order_sorts_t_squared(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(20, 5))
         x1 = rng.normal(size=(20, 5)) + np.array([0.0, 2.0, -1.0, 0.5, 0.0])
-        stats = _t(x0, x1)
-        t2 = stats.t[stats.order] ** 2
-        assert np.all(np.diff(t2) <= 0)
+        t = _t(x0, x1)
+        t2 = t * t
+        for m in range(1, 5):
+            top = select_top_m(t, m)
+            assert t2[top].min() >= np.delete(t2, top).max()
 
     def test_both_variances_zero_named(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
@@ -76,22 +77,20 @@ class TestTwoSampleT:
 
 class TestSelectTopM:
     def test_m_equals_p(self):
-        from featlearn.ttest import TStats
-        stats = TStats(t=np.array([3.0, -1.0, 2.0]), order=np.array([0, 2, 1]))
-        np.testing.assert_array_equal(select_top_m(stats, 3), [0, 1, 2])
+        np.testing.assert_array_equal(select_top_m(np.array([3.0, -1.0, 2.0]), 3), [0, 1, 2])
 
     def test_direct_readoff(self):
-        from featlearn.ttest import TStats
-        stats = TStats(t=np.array([3.0, -1.0, 2.0]), order=np.array([0, 2, 1]))
-        np.testing.assert_array_equal(select_top_m(stats, 2), [0, 2])
+        np.testing.assert_array_equal(select_top_m(np.array([3.0, -1.0, 2.0]), 2), [0, 2])
+
+    def test_exact_tie_goes_to_the_lower_index(self):
+        np.testing.assert_array_equal(select_top_m(np.array([1.0, -2.0, 2.0]), 1), [1])
 
     def test_m_out_of_range(self):
-        from featlearn.ttest import TStats
-        stats = TStats(t=np.array([1.0]), order=np.array([0]))
+        t = np.array([1.0])
         with pytest.raises(ValueError):
-            select_top_m(stats, 2)
+            select_top_m(t, 2)
         with pytest.raises(ValueError):
-            select_top_m(stats, 0)
+            select_top_m(t, 0)
 
     def test_invariant_to_permuting_unselected_columns(self):
         rng = np.random.default_rng(7)
@@ -105,16 +104,14 @@ class TestSelectTopM:
         np.testing.assert_array_equal(got, expected)
 
 
-def _scorer(fit):
-    """A ttest_cv scorer from ``fit(X_train, y_train)``, which returns a
-    predict function: per (fold, m), the accuracy on the fold's validation
-    rows of the fit on its training rows, both cut to the candidate's
-    columns."""
-    def score(X, labels, folds, candidates):
-        return np.array([[np.mean(fit(X[train][:, c[f]], labels[train])(X[val][:, c[f]])
-                                  == labels[val]) for c in candidates]
-                         for f, (train, val) in enumerate(folds)])
-    return score
+def _scores(fit, X, labels, folds, candidate_ms):
+    """The t-test search's (fold, m) scores with another classifier in place
+    of the SVM: the validation accuracy of ``fit(X_train, y_train)``, which
+    returns a predict function, on the fold's columns from ``ttest_cv``."""
+    candidates = ttest_cv(X, labels, folds, candidate_ms)
+    return np.array([[np.mean(fit(X[train][:, c[f]], labels[train])(X[val][:, c[f]])
+                              == labels[val]) for c in candidates]
+                     for f, (train, val) in enumerate(folds)])
 
 
 def _nearest_mean(Xtr, ytr):
@@ -130,8 +127,6 @@ def _nearest_mean(Xtr, ytr):
 
 
 class TestTtestCv:
-    _nearest_mean_scorer = staticmethod(_scorer(_nearest_mean))
-
     def _folds(self, labels, k=5, seed=0):
         return kfold(labels, k, seed)
 
@@ -139,7 +134,10 @@ class TestTtestCv:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 4))
         labels = np.array([0, 1] * 10)
-        scores = ttest_cv(X, labels, self._folds(labels), [3], self._nearest_mean_scorer)
+        candidates = ttest_cv(X, labels, self._folds(labels), [3])
+        assert len(candidates) == 1 and len(candidates[0]) == 5
+        assert all(c.shape == (3,) for c in candidates[0])
+        scores = _scores(_nearest_mean, X, labels, self._folds(labels), [3])
         assert scores.shape == (5, 1)
         assert _choose([3], scores, min) == 3
 
@@ -148,18 +146,25 @@ class TestTtestCv:
         X = rng.normal(size=(30, 6))
         labels = np.array([0, 1] * 15)
         folds = self._folds(labels, seed=4)
-        a = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
-        b = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
-        assert a.tobytes() == b.tobytes()
-        assert _choose([1, 3, 6], a, min) == _choose([1, 3, 6], b, min)
+        a = ttest_cv(X, labels, folds, [1, 3, 6])
+        b = ttest_cv(X, labels, folds, [1, 3, 6])
+        assert [[c.tobytes() for c in m] for m in a] == [[c.tobytes() for c in m] for m in b]
+        sa = _scores(_nearest_mean, X, labels, folds, [1, 3, 6])
+        sb = _scores(_nearest_mean, X, labels, folds, [1, 3, 6])
+        assert sa.tobytes() == sb.tobytes()
+        assert _choose([1, 3, 6], sa, min) == _choose([1, 3, 6], sb, min)
 
     def test_columns_follow_candidate_order(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 6))
         labels = np.array([0, 1] * 15)
         folds = self._folds(labels, seed=4)
-        scores = ttest_cv(X, labels, folds, [6, 1, 3, 1], self._nearest_mean_scorer)
-        in_order = ttest_cv(X, labels, folds, [1, 3, 6], self._nearest_mean_scorer)
+        candidates = ttest_cv(X, labels, folds, [6, 1, 3, 1])
+        in_order = ttest_cv(X, labels, folds, [1, 3, 6])
+        assert ([[c.tolist() for c in m] for m in candidates]
+                == [[c.tolist() for c in in_order[i]] for i in [2, 0, 1, 0]])
+        scores = _scores(_nearest_mean, X, labels, folds, [6, 1, 3, 1])
+        in_order = _scores(_nearest_mean, X, labels, folds, [1, 3, 6])
         assert scores.tobytes() == in_order[:, [2, 0, 1, 0]].tobytes()
 
     def test_prefers_support_size_under_heavy_noise(self):
@@ -168,8 +173,8 @@ class TestTtestCv:
         for seed in range(100):
             ds = generate_synthetic(SyntheticSpec(30, 30, 0, 40, s, 1.5, 0.0, seed=seed))
             labels = ds.labels
-            scores = ttest_cv(ds.features, labels, self._folds(labels, seed=seed),
-                              [s, 40], self._nearest_mean_scorer)
+            scores = _scores(_nearest_mean, ds.features, labels,
+                             self._folds(labels, seed=seed), [s, 40])
             got = _choose([s, 40], scores, min)
             if got == s:
                 wins += 1
@@ -180,36 +185,26 @@ class TestTtestCv:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(20, 5))
         labels = np.array([0, 1] * 10)
-        constant = _scorer(lambda Xtr, ytr: lambda Xval: np.zeros(Xval.shape[0], dtype=int))
-        scores = ttest_cv(X, labels, self._folds(labels), [4, 2, 3], constant)
+        def constant(Xtr, ytr):
+            return lambda Xval: np.zeros(Xval.shape[0], dtype=int)
+        scores = _scores(constant, X, labels, self._folds(labels), [4, 2, 3])
         assert _choose([4, 2, 3], scores, min) == 2
 
-    def test_one_scorer_call_with_every_fold_and_candidate(self):
-        """The scorer is called once, with each candidate m's columns per
-        fold: the fold's own top-m t ranking, ascending. Its scores are
-        ttest_cv's."""
+    def test_each_entry_is_the_folds_own_top_m(self):
+        """Entry [i][f] is fold f's top ms[i] columns of the t ranking on its
+        own training rows, ascending."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 6))
         labels = np.array([0, 1] * 10)
         folds = self._folds(labels, k=5)
-        calls = []
-
-        def recording_scorer(X_, labels_, folds_, candidates):
-            assert X_ is X and labels_ is labels and folds_ is folds
-            calls.append((candidates, self._nearest_mean_scorer(X_, labels_, folds_, candidates)))
-            return calls[-1][1]
-
-        scores = ttest_cv(X, labels, folds, [5, 1, 3], recording_scorer)
-        [(candidates, returned)] = calls
-        assert scores is returned
+        candidates = ttest_cv(X, labels, folds, [5, 1, 3])
         assert len(candidates) == 3 and all(len(c) == 5 for c in candidates)
         for f, (train, _) in enumerate(folds):
-            stats = two_sample_t(X[train], labels[train])
+            t = two_sample_t(X[train], labels[train])
             assert [c[f].tolist() for c in candidates] == [
-                select_top_m(stats, m).tolist() for m in (5, 1, 3)]
+                select_top_m(t, m).tolist() for m in (5, 1, 3)]
             assert all(np.all(np.diff(c[f]) > 0) for c in candidates)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            ttest_cv(np.zeros((4, 2)), np.zeros(4, dtype=int), [], [],
-                     self._nearest_mean_scorer)
+            ttest_cv(np.zeros((4, 2)), np.zeros(4, dtype=int), [], [])
