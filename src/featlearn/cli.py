@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      f"{defaults.sae_iterations} iterations.")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--repeats", type=int, help="override repeat count")
-    exp.add_argument("--jobs", type=int, help="worker processes (results identical for any value)")
+    exp.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (default %(default)s); never changes results")
 
     rep = sub.add_parser("report", help="render a results CSV as a table")
     rep.add_argument("--results", required=True, help="runs CSV written by 'experiment'")
@@ -118,8 +119,7 @@ def _config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8-sig") as fh:
             cfg = parse_config(fh.read())
-    overrides = {"base_seed": args.seed, "repeats": getattr(args, "repeats", None),
-                 "jobs": getattr(args, "jobs", None)}
+    overrides = {"base_seed": args.seed, "repeats": getattr(args, "repeats", None)}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -139,7 +139,7 @@ def _cmd_experiment(args) -> int:
     cfg = _config(args)
     ds = load_csv(args.data, args.label_column)
     os.makedirs(args.out, exist_ok=True)
-    results = run_experiment(ds, PipelineSpec.table_cells(), cfg)
+    results = run_experiment(ds, PipelineSpec.table_cells(), cfg, args.jobs)
     write_runs_csv(results, os.path.join(args.out, "results.csv"))
     text = render_table(results, "text")
     with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:

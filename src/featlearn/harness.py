@@ -158,9 +158,9 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Protocol knobs; the defaults are the reference protocol (20% test
-    split, 10-fold CV, 100 repetitions, 40-15 stack at lr 0.01 for 150
-    iterations)."""
+    """Protocol knobs, which with the data decide every accuracy; the
+    defaults are the reference protocol (20% test split, 10-fold CV, 100
+    repetitions, 40-15 stack at lr 0.01 for 150 iterations)."""
 
     repeats: int = 100
     test_frac: float = 0.2
@@ -178,7 +178,6 @@ class ExperimentConfig:
     lambda_ratio: float = 0.01
     svm_epochs: int = 600
     svm_cv_epochs: int = 150
-    jobs: int = 1
 
     def __post_init__(self):
         for name in ("sae_dims", "l2_grid", "c_grid", "pca_grid", "ttest_grid"):
@@ -204,8 +203,6 @@ class ExperimentConfig:
             raise ValueError("base_seed must be >= 0")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError("test_frac must lie in (0, 1)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if min(self.svm_epochs, self.svm_cv_epochs) < 1:
             raise ValueError("svm_epochs and svm_cv_epochs must be >= 1")
         if not all(0.0 < C < np.inf for C in self.c_grid):
@@ -424,32 +421,27 @@ class _RepeatFits:
                            selection=selection, svm=model, chosen=chosen)
 
 
+def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> tuple[PipelineFit, float]:
+    """Fit one cell through its repeat's shared fits; return the fit and its
+    accuracy on the test side of the repeat's split."""
+    fit = repeat.fit(spec)
+    with _stage("evaluate"):
+        test = repeat.split.test
+        return fit, accuracy(fit.predict(repeat.ds.features[test]), repeat.ds.labels[test])
+
+
 def fit_pipeline(ds: Dataset, spec: PipelineSpec, cfg: ExperimentConfig,
                  r: int = 0) -> tuple[PipelineFit, float]:
-    """Fit one cell as repeat ``r`` of ``run_experiment`` fits it, and return
-    the fit with its test accuracy, which equals that cell's repeat-``r``
-    accuracy in the experiment's results.
+    """Fit one cell as repeat ``r`` of ``run_experiment`` fits it, by one
+    ``run_pipeline`` call on a repeat of that cell alone, so the accuracy
+    equals that cell's repeat-``r`` accuracy in the experiment's results.
 
     The split, its up-front checks, the unlabeled rows and the seed
     ``cfg.base_seed + r`` are the repeat's own. Test rows are touched only
     by the final evaluation; unlabeled rows feed SAE pretraining only when
     the method is semi-supervised.
     """
-    repeat = _RepeatFits(ds, _checked_split(ds, [spec], cfg, r), cfg, r)
-    fit = repeat.fit(spec)
-    return fit, _evaluate(repeat, fit)
-
-
-def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> float:
-    """Fit one cell through its repeat's shared fits, return its accuracy on
-    the test side of the repeat's split."""
-    return _evaluate(repeat, repeat.fit(spec))
-
-
-def _evaluate(repeat: _RepeatFits, fit: PipelineFit) -> float:
-    with _stage("evaluate"):
-        test = repeat.split.test
-        return accuracy(fit.predict(repeat.ds.features[test]), repeat.ds.labels[test])
+    return run_pipeline(_RepeatFits(ds, _checked_split(ds, [spec], cfg, r), cfg, r), spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,7 +461,7 @@ def _mean_std(accs) -> tuple[float, float]:
 def _run_repeat(ds: Dataset, task) -> tuple[int, list[float]]:
     specs, cfg, r, split = task
     repeat = _RepeatFits(ds, split, cfg, r)
-    return r, [run_pipeline(repeat, spec) for spec in specs]
+    return r, [run_pipeline(repeat, spec)[1] for spec in specs]
 
 
 # a pool worker's dataset, sent once by _init_worker rather than with every task
@@ -499,22 +491,24 @@ def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIn
     return split
 
 
-def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig) -> ResultsTable:
+def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> ResultsTable:
     """Repeat the split/fit/evaluate protocol cfg.repeats times.
 
     Every spec sees the same split within a repeat (paired comparison);
-    repeat r uses seed base_seed + r. The repeats run in min(cfg.jobs,
-    cfg.repeats) worker processes when that is more than one; results are
-    identical for any jobs value. Raises ValueError before any fit if the
-    SAE dims do not fit ds or some repeat's smaller training class has
-    fewer than cfg.k rows.
+    repeat r uses seed base_seed + r. The repeats run in min(jobs,
+    cfg.repeats) worker processes when that is more than one. ``jobs`` is
+    an argument, not a config field, because it never changes a result.
+    Raises ValueError before any fit if jobs < 1, the SAE dims do not fit
+    ds or some repeat's smaller training class has fewer than cfg.k rows.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(specs, cfg, r, _checked_split(ds, specs, cfg, r)) for r in range(cfg.repeats)]
     # a fork-based pool starts all its workers on the first submit
-    workers = min(cfg.jobs, cfg.repeats)
+    workers = min(jobs, cfg.repeats)
     if workers > 1:
         # imported here: the pool's modules are a sizeable share of importing featlearn
         from concurrent.futures import ProcessPoolExecutor

@@ -110,6 +110,9 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("base_seed = -1", "base_seed must be >= 0"),
     ("k = 3.5", "config line 1: k: invalid literal for int() with base 10: '3.5'"),
     ("k = 3\nk = 5", "config line 2: k is already set on line 1"),
+    ("jobs = 2", "config line 1: unknown key 'jobs'"),
+    ("k 3", "config line 1: expected 'key = value', got 'k 3'"),
+    ("stratify = yes", "config line 1: stratify: must be true or false"),
 ])
 def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, monkeypatch,
                                                    line, message):

@@ -170,6 +170,20 @@ class TestCsvRoundTrip:
             load_csv(str(path))
         assert str(err.value) == f"{path}{message}"
 
+    # the per-cell reference raises the same message for each header fault
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file, expected a header row"),
+        ("a,b\n1,2\n", ": header has no column named 'label'"),
+        ("label\n0\n1\n", ": no feature columns besides 'label'"),
+    ], ids=["empty-file", "no-label-column", "only-the-label-column"])
+    def test_bad_header_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for load in (load_csv, per_cell_load_csv):
+            with pytest.raises(CsvFormatError) as err:
+                load(str(path))
+            assert str(err.value) == f"{path}{message}", load.__name__
+
 
 # Cells as a hand-written file may spell them: float() reads the first seven,
 # and the last two are an unknown label and a padded one

@@ -11,10 +11,11 @@ import pytest
 from featlearn import harness, pca, svm
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
-                               ResultsTable, _checked_split, _choose, _fit_pca_selector,
-                               _fit_sae_stage, _fit_ttest_selector, _RepeatFits, _stage, config_to_text,
-                               parse_config, read_runs_csv, render_table, run_experiment,
-                               write_runs_csv)
+                               ResultsTable, _checked_split, _choose, _fit_lasso_selector,
+                               _fit_pca_selector, _fit_sae_stage, _fit_ttest_selector,
+                               _RepeatFits, _stage, config_to_text, parse_config, read_runs_csv,
+                               render_table, run_experiment, write_runs_csv)
+from featlearn.lasso import lambda_path
 from featlearn.pca import pca_fit
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
 from featlearn.ttest import select_top_m, two_sample_t
@@ -213,6 +214,23 @@ class TestFitTtestSelector:
         assert _svm_train_calls(monkeypatch, PipelineSpec("LLF", "TTEST")) == 3
 
 
+class TestFitLassoSelector:
+    # On pure noise the lambda search mostly picks lambda_max, where the
+    # lasso keeps no column; these seeds are among those that do
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_surviving_column_degrades_to_no_selection(self, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((60, 8))
+        F = (F - F.mean(axis=0)) / F.std(axis=0, ddof=1)
+        y = rng.permutation(np.repeat([0, 1], 30))
+        cfg = ExperimentConfig(k=3)
+        idx, chosen = _fit_lasso_selector(F, y, kfold(y, 3, seed), cfg)
+        y_pm = 2.0 * y - 1.0
+        lam_max = lambda_path(F, y_pm - y_pm.mean(), cfg.n_lambdas, cfg.lambda_ratio)[0]
+        assert chosen == {"lambda": lam_max, "n_selected": 8}
+        assert idx.tolist() == list(range(8))
+
+
 class TestChoose:
     # totals 1.0, 1.0, 0.5 and 1.0 for grid values 3, 1, 4 and 2
     SCORES = np.array([[0.25, 0.5, 0.25, 0.75], [0.75, 0.5, 0.25, 0.25]])
@@ -274,6 +292,7 @@ class TestExperimentConfig:
         ({"c_grid": (0.1, float("nan"))}, "every C in c_grid must be > 0 and finite"),
         ({"c_grid": (float("nan"), 0.1)}, "every C in c_grid must be > 0 and finite"),
         ({"c_grid": (1.0, float("inf"))}, "every C in c_grid must be > 0 and finite"),
+        ({"c_grid": ()}, "c_grid must be nonempty"),
     ])
     def test_bad_svm_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -289,6 +308,9 @@ class TestExperimentConfig:
         ({"ttest_grid": (-3,)}, "every pca_grid and ttest_grid value must be >= 1"),
         ({"sae_dims": (0,)}, "hidden sizes must be >= 1"),
         ({"base_seed": -1}, "base_seed must be >= 0"),
+        ({"repeats": 0}, "repeats must be >= 1"),
+        ({"k": 1}, "k must be >= 2"),
+        ({"test_frac": 1.0}, r"test_frac must lie in \(0, 1\)"),
         ({"sae_learning_rate": float("nan")}, "learning_rate must be > 0 and finite"),
         ({"sae_learning_rate": float("inf")}, "learning_rate must be > 0 and finite"),
         ({"l2_grid": (1e-3, float("nan"))}, "l2 must be >= 0 and finite"),
@@ -299,10 +321,11 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"repeats": 1.5}, {"k": 2.5}, {"base_seed": 0.0}, {"jobs": "2"}, {"sae_iterations": 5.0},
-        {"n_lambdas": 3.5}, {"svm_epochs": 2.5}, {"svm_cv_epochs": np.float64(10)},
-        {"k": True}, {"sae_dims": (4.5, 2)}, {"pca_grid": (2.5,)}, {"ttest_grid": (2.5,)},
-        {"ttest_grid": (1, 2.0)}, {"sae_dims": (4, False)},
+        {"repeats": 1.5}, {"repeats": "2"}, {"k": 2.5}, {"base_seed": 0.0},
+        {"sae_iterations": 5.0}, {"n_lambdas": 3.5}, {"svm_epochs": 2.5},
+        {"svm_cv_epochs": np.float64(10)}, {"k": True}, {"sae_dims": (4.5, 2)},
+        {"pca_grid": (2.5,)}, {"ttest_grid": (2.5,)}, {"ttest_grid": (1, 2.0)},
+        {"sae_dims": (4, False)},
     ], ids=lambda kwargs: next(iter(kwargs)))
     def test_non_integer_in_an_integer_field_rejected(self, kwargs):
         [(name, value)] = kwargs.items()
@@ -321,9 +344,16 @@ class TestExperimentConfig:
 
 
 class TestParseConfig:
-    def test_unknown_key_names_line(self):
-        with pytest.raises(ValueError, match="config line 3: unknown key 'bogus'"):
-            parse_config("k = 3\n# comment\nbogus = 1\n")
+    @pytest.mark.parametrize("text, message", [
+        ("k = 3\n# comment\nbogus = 1\n", "config line 3: unknown key 'bogus'"),
+        # the worker count is run_experiment's argument, not a config field
+        ("jobs = 2", "config line 1: unknown key 'jobs'"),
+        ("k = 3\nk 3", "config line 2: expected 'key = value', got 'k 3'"),
+        ("stratify = yes", "config line 1: stratify: must be true or false"),
+    ])
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
     def test_round_trip_default(self):
         cfg = ExperimentConfig()
@@ -565,7 +595,7 @@ class TestRunExperiment:
         ds = generate_synthetic(TINY_DATA)
         specs = [PipelineSpec("LLF"), PipelineSpec("SEMI_SAEF"), PipelineSpec("LLF", "LASSO")]
         serial = run_experiment(ds, specs, TINY)
-        pooled = run_experiment(ds, specs, replace(TINY, jobs=2))
+        pooled = run_experiment(ds, specs, TINY, jobs=2)
         assert pooled.accuracies == serial.accuracies
 
     def test_stage_error_is_the_same_under_a_pool(self):
@@ -578,7 +608,7 @@ class TestRunExperiment:
         errors = []
         for jobs in (1, 2):
             with pytest.raises(PipelineStageError) as info:
-                run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, jobs=jobs))
+                run_experiment(ds, [PipelineSpec("LLF")], TINY, jobs=jobs)
             errors.append((type(info.value), info.value.stage, str(info.value)))
         assert errors[0] == errors[1]
         assert errors[0][1:] == ("standardize", "pipeline stage 'standardize' failed: column "
@@ -627,7 +657,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_run_repeat",
                             lambda ds, task: (task[2], [0.5] * len(task[0])))
         results = run_experiment(generate_synthetic(TINY_DATA), [PipelineSpec("LLF")],
-                                 replace(TINY, jobs=jobs, repeats=repeats))
+                                 replace(TINY, repeats=repeats), jobs=jobs)
         assert pools == workers
         assert results.accuracies[("LLF", "NONE")] == (0.5,) * repeats
 
@@ -636,6 +666,14 @@ class TestRunExperiment:
         def fail(repeat, spec):
             raise AssertionError(f"{spec} was fitted")
         monkeypatch.setattr(harness, "run_pipeline", fail)
+
+    @pytest.mark.parametrize("specs, jobs, message", [
+        ([], 1, "specs must be nonempty"),
+        ([PipelineSpec("LLF")], 0, "jobs must be >= 1"),
+    ])
+    def test_bad_arguments_rejected_before_any_fit(self, no_fits, specs, jobs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(generate_synthetic(TINY_DATA), specs, TINY, jobs=jobs)
 
     @pytest.mark.parametrize("dims", [(6, 2), (4, 4), (7,)])
     def test_sae_dims_checked_before_any_fit(self, no_fits, dims):

@@ -15,11 +15,6 @@ from featlearn.harness import (ExperimentConfig, PipelineSpec, config_to_text, r
 RESULTS = Path(__file__).resolve().parent.parent / "results" / "adni-like-seed0"
 
 
-def _without_jobs(config_text: str) -> list[str]:
-    """The config lines, less the ``jobs`` line, which never changes results."""
-    return [line for line in config_text.splitlines() if not line.startswith("jobs =")]
-
-
 def test_every_cell_has_100_repeats():
     table = read_runs_csv(str(RESULTS / "results.csv"))
     cells = [(spec.method, spec.selector) for spec in PipelineSpec.table_cells()]
@@ -37,4 +32,4 @@ def test_readme_config_is_the_default_config():
     readme = (RESULTS / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Config\n.*?^```\n(.*?)^```$", readme, re.M | re.S)
     assert block, "README.md has no fenced block under '## Config'"
-    assert _without_jobs(block.group(1)) == _without_jobs(config_to_text(ExperimentConfig()))
+    assert block.group(1) == config_to_text(ExperimentConfig())

@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from featlearn.harness import ExperimentConfig
-from featlearn.sae import (TrainConfig, TrainingDivergedError, ae_train, fine_tune,
-                           sae_pretrain, semi_pretrain_finetune, sigmoid)
+from featlearn.sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError, ae_encode,
+                           ae_train, check_dims, fine_tune, sae_pretrain, semi_pretrain_finetune,
+                           sigmoid)
 from sae_reference import ae_train_loop, fine_tune_loop
 
 
@@ -175,3 +177,65 @@ class TestSemiPretrainFinetune:
         for l2, model in zip(l2s, models):
             alone, = semi_pretrain_finetune(X, labels, extra, (4, 2), cfg, [l2])
             assert _model_bytes(model) == _model_bytes(alone), l2
+
+
+def _layer(h, d):
+    """A valid h x d layer of zeros."""
+    return AeLayer(W=np.zeros((h, d)), b=np.zeros(h), d_bias=np.zeros(d))
+
+
+def _two_layers():
+    """A 6 -> 4 -> 2 stack, trained for two steps on ``_labeled`` rows."""
+    return sae_pretrain(_labeled()[0], (4, 2), TrainConfig(iterations=2))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AeLayer(W=np.zeros(4), b=np.zeros(2), d_bias=np.zeros(4)),
+         "W must be 2-D (hidden x input)"),
+        (lambda: AeLayer(W=np.zeros((3, 3)), b=np.zeros(3), d_bias=np.zeros(3)),
+         "undercomplete layer requires h < d, got 3 >= 3"),
+        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(4), d_bias=np.zeros(4)),
+         "bias shapes must be (h,) and (d,)"),
+        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(2), d_bias=[0.0, 0.0, np.nan, 0.0]),
+         "layer parameters must be finite"),
+        (lambda: SaeModel(layers=(), softmax_W=np.zeros((2, 2)), softmax_b=np.zeros(2)),
+         "at least one layer is required"),
+        (lambda: SaeModel(layers=(_layer(3, 6), _layer(1, 2)), softmax_W=np.zeros((2, 1)),
+                          softmax_b=np.zeros(2)),
+         "layer input dim 2 does not chain with previous hidden dim 3"),
+        (lambda: SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 4)),
+                          softmax_b=np.zeros(2)),
+         "softmax head must be 2 x 3 with a length-2 bias"),
+        (lambda: TrainConfig(seed=-1), "seed must be unsigned"),
+    ], ids=["ae-W-not-2d", "ae-not-undercomplete", "ae-bias-shapes", "ae-non-finite",
+            "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed"])
+    def test_bad_model_or_config_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda X, y: ae_train(X[:0], 3, TrainConfig()), "need at least one row"),
+        (lambda X, y: ae_train(X, 6, TrainConfig()),
+         "hidden size must satisfy 1 <= h < d=6, got 6"),
+        (lambda X, y: ae_train(X, 0, TrainConfig()),
+         "hidden size must satisfy 1 <= h < d=6, got 0"),
+        (lambda X, y: ae_encode(_layer(3, 6), X[:, :5]), "expected 6 columns, got 5"),
+        (lambda X, y: check_dims(6, []), "dims must be nonempty"),
+        (lambda X, y: fine_tune(_two_layers(), X, y[1:], TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: fine_tune(_two_layers(), X, 2 * y, TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: fine_tune(_two_layers(), X[:, :5], y, TrainConfig(), [0.0]),
+         "layer dimensions do not chain with the input"),
+        (lambda X, y: fine_tune([], X, y, TrainConfig(), [0.0]),
+         "layer dimensions do not chain with the input"),
+        (lambda X, y: semi_pretrain_finetune(X, y, X[:4, :5], (4, 2), TrainConfig(), [0.0]),
+         "labeled and unlabeled feature widths differ"),
+    ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "ae-encode-width",
+            "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
+            "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ"])
+    def test_bad_input_rejected(self, call, message):
+        X, y = _labeled()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(X, y)

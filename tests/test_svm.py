@@ -258,6 +258,8 @@ class TestSvmTrainBlock:
         ({"groups": [(np.eye(4), [0, 1, 0, 1], [np.nan])]}, "C must be > 0 and finite"),
         ({"groups": [(np.eye(4), [0, 1, 0.5, 1], [1.0])]}, "labels must be 0 or 1"),
         ({"groups": [(np.eye(4), [0, 1, np.nan, 1], [1.0])]}, "labels must be 0 or 1"),
+        ({"groups": [(np.ones((1, 1, 4, 2)), [0, 1, 0, 1], [1.0])]},
+         r"need an \(n, q\) or \(f, n, q\) X and \(n,\) or \(f, n\) labels, got 4-D and 1-D"),
     ])
     def test_bad_block_rejected(self, kwargs, message):
         y = [0, 1, 0, 1]
@@ -435,6 +437,20 @@ class TestSvmPredict:
         # decision values 0, 0, -0.5 and 2.5, each exact in floating point
         X = np.array([[0.0, 0.5], [1.0, 1.5], [-1.0, 0.0], [2.0, 0.0]])
         np.testing.assert_array_equal(svm_predict(model, X), [1, 1, 0, 1])
+
+
+    def test_width_other_than_the_models_rejected(self):
+        model = LinearSvmModel(w=np.array([1.0, -1.0]), bias=0.5, C=1.0)
+        with pytest.raises(ValueError, match="^expected 2 columns, got 3$"):
+            svm_predict(model, np.ones((4, 3)))
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("pred, truth", [([0, 1], [0, 1, 1]), ([], [])],
+                             ids=["unequal", "empty"])
+    def test_unequal_or_empty_rejected(self, pred, truth):
+        with pytest.raises(ValueError, match="^prediction and truth must have equal nonzero"):
+            accuracy(pred, truth)
 
 
 class TestSvmObjective:

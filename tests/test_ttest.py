@@ -205,6 +205,13 @@ class TestTtestCv:
                 select_top_m(t, m).tolist() for m in (5, 1, 3)]
             assert all(np.all(np.diff(c[f]) > 0) for c in candidates)
 
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_m_out_of_range_rejected(self, m):
+        labels = np.array([0, 1] * 10)
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        with pytest.raises(ValueError, match=r"^candidate m values must lie in 1\.\.4$"):
+            ttest_cv(X, labels, self._folds(labels), [2, m])
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             ttest_cv(np.zeros((4, 2)), np.zeros(4, dtype=int), [], [])
