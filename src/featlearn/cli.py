@@ -1,8 +1,8 @@
 """Command-line front door: synthetic data generation, full experiments,
 one cell of an experiment's repeat 0, and report rendering. ``run`` and
 ``experiment`` build one config the same way (the --config file over the
-defaults, then --seed), and ``run`` fits its cell as repeat 0 of
-``experiment`` does, after the same checks.
+defaults, then --seed), and ``run`` is the one-repeat experiment of its
+cell. A refused or failed ``experiment`` removes the --out directories it made.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every subcommand is
 deterministic given its flags and config; all randomness flows from the
@@ -18,9 +18,8 @@ import sys
 from dataclasses import replace
 
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec, fit_pipeline,
-                      parse_config, read_runs_csv, render_table, run_experiment,
-                      write_runs_csv)
+from .harness import (METHOD_LABELS, SELECTORS, ExperimentConfig, PipelineSpec, parse_config,
+                      read_runs_csv, render_table, run_experiment, write_runs_csv)
 
 # CLI spelling -> harness name: the table labels, lower-cased
 _METHOD_NAMES = {label.lower(): method for method, label in METHOD_LABELS.items()}
@@ -124,13 +123,14 @@ def _config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
+    cfg = replace(_config(args), repeats=1)
     ds = load_csv(args.data, args.label_column)
     spec = PipelineSpec(method=_METHOD_NAMES[args.method],
                         selector=_SELECTOR_NAMES[args.selector])
-    fit, acc = fit_pipeline(ds, spec, cfg)
+    results, cell = run_experiment(ds, [spec], cfg), (spec.method, spec.selector)
+    (acc,), (chosen,) = results.accuracies[cell], results.chosen[cell]
     print(f"method={args.method} selector={args.selector} accuracy={acc:.4f}")
-    for key, value in fit.chosen.items():
+    for key, value in chosen.items():
         print(f"  chosen {key} = {value:g}" if isinstance(value, float) else f"  chosen {key} = {value}")
     return 0
 
@@ -138,8 +138,18 @@ def _cmd_run(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _config(args)
     ds = load_csv(args.data, args.label_column)
+    # the directories this call makes, deepest first, go again if the run fails
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    results = run_experiment(ds, PipelineSpec.table_cells(), cfg, args.jobs)
+    try:
+        results = run_experiment(ds, PipelineSpec.table_cells(), cfg, args.jobs)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
     write_runs_csv(results, os.path.join(args.out, "results.csv"))
     text = render_table(results, "text")
     with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:

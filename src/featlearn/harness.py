@@ -13,8 +13,8 @@ split, so the fits they have in common are made once, on first use, and
 kept for that repeat only (``_RepeatFits``). These are the standardization
 and the folds for all cells, the SAE stage once per semi flag (shared by
 the three cells of its family, such as SAEF, LLF+SAEF and LLF+SAEF +
-lasso), and the method features with their scaler once per method. Each cell fits only its own
-selector and SVM. ``fit_pipeline`` is the one-cell use of the same object.
+lasso), and the method features with their scaler once per method. Each
+cell fits only its own selector and SVM.
 
 Each repeat makes its folds and 0/1 labels once, in the form every search
 reads: ``kfold``'s (training mask, validation rows) pairs, and the labels
@@ -58,7 +58,7 @@ has not been measured.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
 from typing import get_args, get_type_hints
@@ -430,26 +430,14 @@ def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> tuple[PipelineFit, 
         return fit, accuracy(fit.predict(repeat.ds.features[test]), repeat.ds.labels[test])
 
 
-def fit_pipeline(ds: Dataset, spec: PipelineSpec, cfg: ExperimentConfig,
-                 r: int = 0) -> tuple[PipelineFit, float]:
-    """Fit one cell as repeat ``r`` of ``run_experiment`` fits it, by one
-    ``run_pipeline`` call on a repeat of that cell alone, so the accuracy
-    equals that cell's repeat-``r`` accuracy in the experiment's results.
-
-    The split, its up-front checks, the unlabeled rows and the seed
-    ``cfg.base_seed + r`` are the repeat's own. Test rows are touched only
-    by the final evaluation; unlabeled rows feed SAE pretraining only when
-    the method is semi-supervised.
-    """
-    return run_pipeline(_RepeatFits(ds, _checked_split(ds, [spec], cfg, r), cfg, r), spec)
-
-
 @dataclass(frozen=True, eq=False)
 class ResultsTable:
-    """Per-cell accuracy fractions for every repeat, keyed by
-    (method, selector)."""
+    """Per-cell accuracy fractions for every repeat, keyed by (method,
+    selector), and under the same keys each repeat's ``PipelineFit.chosen``
+    dict. ``read_runs_csv`` gives no chosen values: results.csv has none."""
 
     accuracies: dict
+    chosen: dict = field(default_factory=dict)
 
 
 def _mean_std(accs) -> tuple[float, float]:
@@ -458,10 +446,10 @@ def _mean_std(accs) -> tuple[float, float]:
     return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
 
 
-def _run_repeat(ds: Dataset, task) -> tuple[int, list[float]]:
+def _run_repeat(ds: Dataset, task) -> list[tuple[dict, float]]:
     specs, cfg, r, split = task
     repeat = _RepeatFits(ds, split, cfg, r)
-    return r, [run_pipeline(repeat, spec)[1] for spec in specs]
+    return [(fit.chosen, acc) for fit, acc in (run_pipeline(repeat, spec) for spec in specs)]
 
 
 # a pool worker's dataset, sent once by _init_worker rather than with every task
@@ -473,7 +461,7 @@ def _init_worker(ds: Dataset) -> None:
     _worker_ds = ds
 
 
-def _repeat_worker(task) -> tuple[int, list[float]]:
+def _repeat_worker(task) -> list[tuple[dict, float]]:
     return _run_repeat(_worker_ds, task)
 
 
@@ -492,12 +480,14 @@ def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIn
 
 
 def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> ResultsTable:
-    """Repeat the split/fit/evaluate protocol cfg.repeats times.
+    """Repeat the split/fit/evaluate protocol cfg.repeats times; return each
+    cell's test accuracy and CV-chosen values per repeat (``ResultsTable``).
 
     Every spec sees the same split within a repeat (paired comparison);
-    repeat r uses seed base_seed + r. The repeats run in min(jobs,
-    cfg.repeats) worker processes when that is more than one. ``jobs`` is
-    an argument, not a config field, because it never changes a result.
+    repeat r uses seed base_seed + r, as repeat 0 at that base_seed does.
+    The repeats run in min(jobs, cfg.repeats) worker processes when that is
+    more than one. ``jobs`` is an argument, not a config field: it never
+    changes a result.
     Raises ValueError before any fit if jobs < 1, the SAE dims do not fit
     ds or some repeat's smaller training class has fewer than cfg.k rows.
     """
@@ -517,12 +507,11 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
             outcomes = list(pool.map(_repeat_worker, tasks))
     else:
         outcomes = [_run_repeat(ds, t) for t in tasks]
-    by_repeat = dict(outcomes)
-    table: dict = {}
-    for i, spec in enumerate(specs):
-        key = (spec.method, spec.selector)
-        table[key] = tuple(by_repeat[r][i] for r in range(cfg.repeats))
-    return ResultsTable(accuracies=table)
+    # both keep task order, so outcomes[r][i] is repeat r of spec i
+    keys = [(spec.method, spec.selector) for spec in specs]
+    return ResultsTable(
+        accuracies={key: tuple(o[i][1] for o in outcomes) for i, key in enumerate(keys)},
+        chosen={key: tuple(o[i][0] for o in outcomes) for i, key in enumerate(keys)})
 
 
 def render_table(results: ResultsTable, fmt: str = "text") -> str:

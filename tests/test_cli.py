@@ -1,10 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from featlearn import harness
 from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
-from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, save_csv
-from featlearn.harness import ResultsTable, write_runs_csv
+from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, load_csv, save_csv
+from featlearn.harness import (PipelineSpec, ResultsTable, parse_config, run_experiment,
+                               write_runs_csv)
 from test_harness import BAD_RUNS, RUNS_HEADER
 
 # CLI spelling -> PipelineSpec name, written out so that a change of spelling shows
@@ -18,13 +22,31 @@ METHODS = {
 SELECTORS = {"none": "NONE", "lasso": "LASSO", "ttest": "TTEST", "pca": "PCA"}
 
 
-
 @pytest.fixture
 def data_csv(tmp_path):
     path = tmp_path / "d.csv"
     assert main(["gen-data", "--out", str(path), "--n0", "20", "--n1", "20",
                  "--n-unlabeled", "10", "--p", "6", "--s", "2"]) == 0
     return str(path)
+
+
+@pytest.fixture
+def constant_csv(tmp_path):
+    """40 labeled rows of 6 columns; column 'c' (index 2) is constant."""
+    X = np.random.default_rng(0).normal(size=(40, 6))
+    X[:, 2] = 1.5
+    path = tmp_path / "constant.csv"
+    save_csv(Dataset(X, [0, 1] * 20, tuple("abcdef")), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def no_fits(monkeypatch):
+    """Fails the test at any fit; main does not catch the AssertionError."""
+    def fail(repeat, spec):
+        raise AssertionError(f"{spec} was fitted")
+
+    monkeypatch.setattr(harness._RepeatFits, "fit", fail)
 
 
 @pytest.fixture
@@ -114,13 +136,8 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("k 3", "config line 1: expected 'key = value', got 'k 3'"),
     ("stratify = yes", "config line 1: stratify: must be true or false"),
 ])
-def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, monkeypatch,
+def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, no_fits,
                                                    line, message):
-    # main does not catch the AssertionError, so a fit fails the test
-    def fail(repeat, spec):
-        raise AssertionError(f"{spec} was fitted")
-
-    monkeypatch.setattr(harness._RepeatFits, "fit", fail)
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n", encoding="utf-8")
     common = ["--data", data_csv, "--config", str(config)]
@@ -132,28 +149,76 @@ def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, mo
         assert message in capsys.readouterr().err, argv[0]
 
 
-def test_run_names_the_stage_of_a_constant_column(tmp_path, tiny, capsys):
-    X = np.random.default_rng(0).normal(size=(40, 3))
-    X[:, 2] = 1.5
-    path = tmp_path / "constant.csv"
-    save_csv(Dataset(X, [0, 1] * 20, ("a", "b", "c")), str(path))
-    assert main(["run", "--data", str(path), *tiny]) == 2
+@pytest.mark.parametrize("config, flags, message", [
+    ("k = 3\nsae_dims = 4,2\n", ["--jobs", "0"], "jobs must be >= 1"),
+    ("k = 17\nsae_dims = 4,2\n", [], "k=17 exceeds the 16 training rows"),
+    ("k = 3\nsae_dims = 8,4\n", [], "decrease strictly"),
+], ids=["jobs-0", "k-above-smaller-class", "sae-dims-wider-than-data"])
+def test_refused_experiment_leaves_no_directory(data_csv, tmp_path, capsys, no_fits,
+                                                config, flags, message):
+    path = tmp_path / "refused.cfg"
+    path.write_text(config, encoding="utf-8")
+    out = tmp_path / "new" / "out"
+    assert main(["experiment", "--data", data_csv, "--config", str(path), *flags,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_experiment_leaves_no_directory(constant_csv, tmp_path, tiny, capsys):
+    assert main(["experiment", "--data", constant_csv, *tiny, "--out", str(tmp_path / "out")]) == 2
+    assert "pipeline stage 'standardize' failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_experiment_leaves_an_existing_directory_as_it_was(data_csv, tmp_path, no_fits):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for directory in (out, empty):
+        assert main(["experiment", "--data", data_csv, "--jobs", "0",
+                     "--out", str(directory)]) == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+    assert empty.is_dir() and not any(empty.iterdir())
+
+
+def test_experiment_out_naming_a_file_fails_before_any_fit(data_csv, tmp_path, capsys, no_fits):
+    out = tmp_path / "out"
+    out.write_text("a file", encoding="utf-8")
+    assert main(["experiment", "--data", data_csv, "--out", str(out)]) == 2
+    assert "featlearn experiment: error: " in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "a file"
+
+
+def test_run_names_the_stage_of_a_constant_column(constant_csv, tiny, capsys):
+    assert main(["run", "--data", constant_csv, *tiny]) == 2
     assert capsys.readouterr().err == (
         "featlearn run: error: pipeline stage 'standardize' failed: "
         "column 'c' (index 2) is constant over the given rows\n")
 
 
 def test_run_is_repeat_0_of_experiment(data_csv, tiny, tmp_path, capsys):
+    # run prints a cell's repeat-0 accuracy and chosen values as the full
+    # table's experiment at the same seed has them
     out = tmp_path / "out"
     assert main(["experiment", "--data", data_csv, *tiny, "--seed", "2", "--repeats", "1",
                  "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["run", "--data", data_csv, *tiny, "--seed", "2",
-                 "--method", "llf", "--selector", "pca"]) == 0
-    printed = capsys.readouterr().out.splitlines()[0].rsplit("accuracy=", 1)[1]
-    row = next(line for line in (out / "results.csv").read_text().splitlines()
-               if line.startswith("LLF,PCA,0,"))
-    assert printed == f"{float(row.rsplit(',', 1)[1]):.4f}"
+    rows = (out / "results.csv").read_text().splitlines()
+    cfg = replace(parse_config(Path(tiny[1]).read_text(encoding="utf-8")), base_seed=2, repeats=1)
+    chosen = run_experiment(load_csv(data_csv), PipelineSpec.table_cells(), cfg).chosen
+    for method, selector in [("llf", "pca"), ("llf+semi-saef", "lasso")]:
+        capsys.readouterr()
+        assert main(["run", "--data", data_csv, *tiny, "--seed", "2",
+                     "--method", method, "--selector", selector]) == 0
+        first, *printed = capsys.readouterr().out.splitlines()
+        cell = (METHODS[method], SELECTORS[selector])
+        row = next(line for line in rows if line.startswith(",".join(cell) + ",0,"))
+        assert first.rsplit("accuracy=", 1)[1] == f"{float(row.rsplit(',', 1)[1]):.4f}"
+        assert printed == [f"  chosen {k} = {v:g}" if isinstance(v, float) else f"  chosen {k} = {v}"
+                           for k, v in chosen[cell][0].items()]
 
 
 def test_negative_seed_rejected_before_any_fit(data_csv, tiny, tmp_path, capsys):

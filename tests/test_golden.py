@@ -12,14 +12,13 @@ and says why in CHANGES.md.
 """
 
 import json
-from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from featlearn.data import SyntheticSpec, generate_synthetic
-from featlearn.harness import (ExperimentConfig, PipelineSpec, _RepeatFits, fit_pipeline,
-                               run_experiment)
+from featlearn.harness import ExperimentConfig, PipelineSpec, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_small.json")
 DATA_SEED = 0
@@ -31,44 +30,18 @@ def _digits(v):
     return v if isinstance(v, int) else format(float(v), ".17g")
 
 
-def _chosen(fit) -> dict:
-    return {k: _digits(v) for k, v in sorted(fit.chosen.items())}
-
-
-@contextmanager
-def _recorded_fits():
-    """Collect (repeat seed, PipelineFit) for every cell fitted in the block."""
-    fits = []
-    fit = _RepeatFits.fit
-
-    def recording(self, spec):
-        result = fit(self, spec)
-        fits.append((self.seed, result))
-        return result
-
-    _RepeatFits.fit = recording
-    try:
-        yield fits
-    finally:
-        _RepeatFits.fit = fit
+def _records(results, key) -> list:
+    """One record per repeat of a cell: its accuracy and chosen values."""
+    return [{"accuracy": _digits(acc), "chosen": {k: _digits(v) for k, v in sorted(chosen.items())}}
+            for acc, chosen in zip(results.accuracies[key], results.chosen[key], strict=True)]
 
 
 def compute_results() -> dict:
-    """Cell label -> one record per repeat: the accuracy run_experiment
-    reports and the hyperparameters its repeat's shared fits chose."""
+    """Cell label -> one record per repeat: the accuracy and the
+    hyperparameters that run_experiment reports."""
     ds = generate_synthetic(SyntheticSpec.adni_like(DATA_SEED))
-    cells = PipelineSpec.table_cells()
-    with _recorded_fits() as fits:
-        results = run_experiment(ds, cells, CONFIG)
-    assert len(fits) == len(cells) * CONFIG.repeats
-    out: dict = {}
-    for seed, fit in fits:
-        key = (fit.spec.method, fit.spec.selector)
-        records = out.setdefault("-".join(key), [])
-        assert len(records) == seed - CONFIG.base_seed
-        records.append({"accuracy": _digits(results.accuracies[key][len(records)]),
-                        "chosen": _chosen(fit)})
-    return out
+    results = run_experiment(ds, PipelineSpec.table_cells(), CONFIG)
+    return {"-".join(key): _records(results, key) for key in results.accuracies}
 
 
 def _expected() -> dict:
@@ -83,14 +56,15 @@ def test_results_match_golden_fixture():
         assert got[cell] == records, cell
 
 
-# The command line's ``run`` fits one cell on its own through fit_pipeline
+# The command line's ``run`` is an experiment of one cell and one repeat, and
+# ``run --seed S`` is repeat r of an experiment at base seed S - r
 @pytest.mark.parametrize("spec, r", [(PipelineSpec("SAEF"), 0),
                                      (PipelineSpec("LLF_SEMI_SAEF"), 1)])
 def test_one_cell_fit_matches_golden_fixture(spec, r):
     ds = generate_synthetic(SyntheticSpec.adni_like(DATA_SEED))
-    fit, acc = fit_pipeline(ds, spec, CONFIG, r)
-    assert {"accuracy": _digits(acc), "chosen": _chosen(fit)} == \
-        _expected()[f"{spec.method}-{spec.selector}"][r]
+    cfg = replace(CONFIG, base_seed=CONFIG.base_seed + r, repeats=1)
+    key = (spec.method, spec.selector)
+    assert _records(run_experiment(ds, [spec], cfg), key) == _expected()["-".join(key)][r:r + 1]
 
 
 if __name__ == "__main__":

@@ -484,6 +484,14 @@ class TestRunsCsv:
         for key, accs in RUNS.items():
             assert np.array(got[key]).tobytes() == np.array(accs).tobytes()
 
+    def test_chosen_values_are_not_written_or_read(self, tmp_path):
+        plain, fitted = tmp_path / "plain.csv", tmp_path / "fitted.csv"
+        write_runs_csv(ResultsTable(accuracies=RUNS), str(plain))
+        chosen = {key: tuple({"C": 1.0} for _ in accs) for key, accs in RUNS.items()}
+        write_runs_csv(ResultsTable(accuracies=RUNS, chosen=chosen), str(fitted))
+        assert fitted.read_bytes() == plain.read_bytes()
+        assert read_runs_csv(str(fitted)).chosen == {}
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "results.csv"
         write_runs_csv(ResultsTable(accuracies=RUNS), str(path))
@@ -597,6 +605,7 @@ class TestRunExperiment:
         serial = run_experiment(ds, specs, TINY)
         pooled = run_experiment(ds, specs, TINY, jobs=2)
         assert pooled.accuracies == serial.accuracies
+        assert pooled.chosen == serial.chosen
 
     def test_stage_error_is_the_same_under_a_pool(self):
         # a constant column fails the standardize stage of every repeat; the
@@ -622,8 +631,7 @@ class TestRunExperiment:
         def record(data, task):
             assert data is ds
             sizes.append(len(pickle.dumps(task)))
-            specs, _, r, _ = task
-            return r, [0.5] * len(specs)
+            return [({}, 0.5)] * len(task[0])
 
         monkeypatch.setattr(harness, "_run_repeat", record)
         run_experiment(ds, PipelineSpec.table_cells(), ExperimentConfig(repeats=3))
@@ -655,11 +663,12 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_ds", None)
         monkeypatch.setattr(harness, "_run_repeat",
-                            lambda ds, task: (task[2], [0.5] * len(task[0])))
+                            lambda ds, task: [({"C": task[2]}, 0.5)] * len(task[0]))
         results = run_experiment(generate_synthetic(TINY_DATA), [PipelineSpec("LLF")],
                                  replace(TINY, repeats=repeats), jobs=jobs)
         assert pools == workers
         assert results.accuracies[("LLF", "NONE")] == (0.5,) * repeats
+        assert results.chosen[("LLF", "NONE")] == tuple({"C": r} for r in range(repeats))
 
     @pytest.fixture
     def no_fits(self, monkeypatch):
