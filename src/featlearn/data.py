@@ -243,9 +243,9 @@ def _raise_first_bad_cell(where: str, cells, names) -> None:
             raise CsvFormatError(f"{where}: non-finite cell {cell!r} in column {name!r}")
 
 
-def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a Dataset so load_csv reads it back equal; floats are rendered
-    with 17 significant digits for bit-exact round trips.
+def save_csv(ds: Dataset, path: str) -> None:
+    """Write a Dataset, labels last in a ``label`` column, so load_csv reads it
+    back equal; floats have 17 significant digits for bit-exact round trips.
 
     ``csv.writer`` writes the header, quoting names that need it; each data
     row is one ``%`` format of a fixed template, since numeric cells never
@@ -254,7 +254,7 @@ def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
     """
     row = "%.17g," * ds.p + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(ds.feature_names) + [label_column])
+        csv.writer(fh).writerow(list(ds.feature_names) + ["label"])
         for values, label in zip(ds.features.tolist(), ds.labels.tolist()):
             fh.write(row % (*values, label))
 

@@ -488,12 +488,15 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     The repeats run in min(jobs, cfg.repeats) worker processes when that is
     more than one. ``jobs`` is an argument, not a config field: it never
     changes a result.
-    Raises ValueError before any fit if jobs < 1, the SAE dims do not fit
-    ds or some repeat's smaller training class has fewer than cfg.k rows.
+    Raises ValueError before any fit if jobs is not an integer >= 1, the SAE
+    dims do not fit ds or some repeat's smaller training class has fewer than
+    cfg.k rows.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
+    if not isinstance(jobs, (int, np.integer)) or isinstance(jobs, bool):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tasks = [(specs, cfg, r, _checked_split(ds, specs, cfg, r)) for r in range(cfg.repeats)]

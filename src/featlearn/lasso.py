@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SELECT_EPS = 1e-10
+SELECT_EPS = 1e-10  # a coefficient is selected when |beta_j| exceeds this
 # events whose lambdas agree to this fraction of lambda_max happen together
 _TIE_RTOL = 1e-12
 # choices of active set tried at one tie before giving up
@@ -353,9 +353,9 @@ def lambda_path(X: np.ndarray, y: np.ndarray, n_lambdas: int, ratio: float) -> n
     return np.geomspace(lmax, ratio * lmax, n_lambdas)
 
 
-def selected_features(beta: np.ndarray, eps: float = DEFAULT_SELECT_EPS) -> np.ndarray:
-    """Indices of the coefficients with |beta_j| > eps, ascending."""
-    return np.flatnonzero(np.abs(beta) > eps)
+def selected_features(beta: np.ndarray) -> np.ndarray:
+    """Indices of the coefficients with |beta_j| > SELECT_EPS, ascending."""
+    return np.flatnonzero(np.abs(beta) > SELECT_EPS)
 
 
 def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, np.ndarray]:

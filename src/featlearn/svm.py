@@ -22,8 +22,9 @@ grid. These rules keep it so:
   differently.
 - Rows are padded to the longest problem for the elementwise steps, with
   zero labels on the padding. The hinge and bias-gradient sums reduce each
-  problem's exact-length row, one reduction per row count, because a sum
-  over the padding is blocked differently.
+  problem's exact-length row, one reduction per run of equal row count,
+  because a sum over the padding is blocked differently. Problem i is block
+  row i, so callers that pass equal-n groups together share reductions.
 - A problem that converges keeps its block row: its model is built at that
   epoch, and its row still runs through the products and the updates but
   is no longer scored. So every operand keeps one layout for the whole call.
@@ -93,8 +94,8 @@ def svm_train(groups, tol: float = DEFAULT_TOL,
     unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    problems = []  # (X, +/-1 labels, C) per problem, in group order
-    stacks = []  # ((f, |Cs|, n, q) view of X, first problem) per group
+    problems = []  # (X, +/-1 labels, C) per problem, in group order: problem i is block row i
+    segments = []  # (X, a, b, lead, n, q) per group: its view of X and its block rows a:b
     for X, labels, Cs in groups:
         X, Y = np.asarray(X, dtype=float), _plus_minus(labels)
         if X.ndim not in (2, 3) or Y.ndim not in (1, 2):
@@ -112,34 +113,27 @@ def svm_train(groups, tol: float = DEFAULT_TOL,
             raise ValueError("both classes must be present")
         if not all(0.0 < C < math.inf for C in Cs):
             raise ValueError("C must be > 0 and finite")
-        if len(X) and len(Cs):
-            # every C of a slice reads the slice itself: stride 0 on the C axis
-            stacks.append((np.broadcast_to(X[:, None], (len(X), len(Cs)) + X.shape[1:]),
-                           len(problems)))
+        (f, n, q), c = X.shape, len(Cs)
+        if f and c:
+            # every C of a slice reads the slice itself: stride 0 on the C
+            # axis; a unit slice or C axis is dropped: a matmul with one batch
+            # axis fewer costs less per call and makes the same gemv calls
+            lead = tuple(d for d in (f, c) if d > 1) or (1,)
+            view = np.broadcast_to(X[:, None], (f, c, n, q)).reshape(lead + (n, q))
+            segments.append((view, len(problems), len(problems) + f * c, lead, n, q))
         problems.extend((x, y, float(C)) for x, y in zip(X, Y) for C in Cs)
     if not problems:
         raise ValueError("need at least one problem")
 
-    # Block rows run through the groups by row count, so that equal-n rows
-    # are adjacent and each length's row sums are one reduction.
-    stacks.sort(key=lambda s: s[0].shape[2])
-    order, segments = [], []  # the problem in each block row; (X, a, b, lead, n, q) per group
-    for X, first in stacks:
-        f, c, n, q = X.shape
-        # a unit slice or C axis is dropped: a matmul with one batch axis
-        # fewer costs less per call and makes the same gemv calls
-        lead = tuple(d for d in (f, c) if d > 1) or (1,)
-        segments.append((X.reshape(lead + (n, q)), len(order), len(order) + f * c, lead, n, q))
-        order.extend(range(first, first + f * c))
-    ns = [problems[j][0].shape[0] for j in order]
-    P, n_max = len(order), max(ns)
+    ns = [X.shape[0] for X, _, _ in problems]
+    P, n_max = len(problems), max(ns)
     Wb = np.zeros((P, max(X.shape[1] for X, _, _ in problems) + 1))  # w, padding, bias last
     Wb_avg, grad, best_Wb = np.zeros_like(Wb), np.zeros_like(Wb), np.zeros_like(Wb)
     Y = np.zeros((P, n_max))  # labels, zero on the padding so it adds nothing to a gradient
-    for i, j in enumerate(order):
-        Y[i, :ns[i]] = problems[j][1]
+    for i, (_, y, _) in enumerate(problems):
+        Y[i, :ns[i]] = y
     Yn = Y / np.array(ns, dtype=float)[:, None]
-    lams = np.array([[1.0 / (n * problems[j][2])] for n, j in zip(ns, order)])
+    lams = np.array([[1.0 / (n * C)] for n, (_, _, C) in zip(ns, problems)])
     margins, work = np.zeros((P, n_max)), np.empty((P, n_max))  # work: hinge terms, then y/n
     hinge, ww = np.empty(P), np.empty(P)
     best_obj = [C * X.shape[0] for X, _, C in problems]  # objective at w = 0, b = 0
@@ -169,14 +163,13 @@ def svm_train(groups, tol: float = DEFAULT_TOL,
     sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
 
     def retire(i: int, t: int, converged: bool) -> None:
-        j = order[i]
-        X, y, C = problems[j]
+        X, y, C = problems[i]
         q = X.shape[1]
         w_avg, b_avg = Wb_avg[i, :q].copy(), float(Wb_avg[i, -1])
         w, b = best_Wb[i, :q].copy(), float(best_Wb[i, -1])
-        if _objective(X, y, w_avg, b_avg, C) < best_obj[j]:
+        if _objective(X, y, w_avg, b_avg, C) < best_obj[i]:
             w, b = w_avg, b_avg
-        models[j] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
+        models[i] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
 
     live = list(range(P))  # the block rows not yet converged
     for t in range(1, max_epochs + 1):
@@ -192,17 +185,16 @@ def svm_train(groups, tol: float = DEFAULT_TOL,
         w2, h = ww.tolist(), hinge.tolist()
         done, better = [], []
         for i in live:
-            j = order[i]
-            obj = 0.5 * w2[i] + problems[j][2] * h[i]
+            obj = 0.5 * w2[i] + problems[i][2] * h[i]
             if not math.isfinite(obj):
                 raise ArithmeticError(f"objective non-finite at epoch {t}")
-            if obj < best_obj[j]:
-                best_obj[j] = obj
+            if obj < best_obj[i]:
+                best_obj[i] = obj
                 better.append(i)
-            if abs(obj - prev_obj[j]) < tol * (1.0 + abs(obj)) and t > 1:
+            if abs(obj - prev_obj[i]) < tol * (1.0 + abs(obj)) and t > 1:
                 done.append(i)
             else:
-                prev_obj[j] = obj
+                prev_obj[i] = obj
         if len(better) == len(live):
             best_Wb[:] = Wb  # the common case; a converged row's best_Wb is no longer read
         elif better:

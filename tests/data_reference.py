@@ -70,10 +70,10 @@ def per_cell_load_csv(path: str, label_column: str = "label") -> Dataset:
     return Dataset(np.array(rows, dtype=float), np.array(labels), tuple(names))
 
 
-def per_cell_save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
+def per_cell_save_csv(ds: Dataset, path: str) -> None:
     """Format every cell on its own and write each row through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
+        writer.writerow(list(ds.feature_names) + ["label"])
         for i in range(ds.n):
             writer.writerow([f"{v:.17g}" for v in ds.features[i]] + [str(int(ds.labels[i]))])

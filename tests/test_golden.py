@@ -8,13 +8,16 @@ stands. A change that moves results on purpose regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. The fixture records the numpy version that made
+it, and a failure names it beside the running one; the check itself stays
+exact whatever the versions.
 """
 
 import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from featlearn.data import SyntheticSpec, generate_synthetic
@@ -44,16 +47,19 @@ def compute_results() -> dict:
     return {"-".join(key): _records(results, key) for key in results.accuracies}
 
 
-def _expected() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))["cells"]
+def _fixture() -> tuple[dict, str]:
+    """The recorded cells, and the numpy versions that made and run them."""
+    fixture = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return fixture["cells"], (f"fixture made with numpy {fixture['numpy']}, "
+                              f"running numpy {np.__version__}")
 
 
 def test_results_match_golden_fixture():
-    expected = _expected()
+    expected, versions = _fixture()
     got = compute_results()
-    assert sorted(got) == sorted(expected)
+    assert sorted(got) == sorted(expected), versions
     for cell, records in expected.items():
-        assert got[cell] == records, cell
+        assert got[cell] == records, f"{cell}; {versions}"
 
 
 # The command line's ``run`` is an experiment of one cell and one repeat, and
@@ -64,7 +70,9 @@ def test_one_cell_fit_matches_golden_fixture(spec, r):
     ds = generate_synthetic(SyntheticSpec.adni_like(DATA_SEED))
     cfg = replace(CONFIG, base_seed=CONFIG.base_seed + r, repeats=1)
     key = (spec.method, spec.selector)
-    assert _records(run_experiment(ds, [spec], cfg), key) == _expected()["-".join(key)][r:r + 1]
+    expected, versions = _fixture()
+    assert _records(run_experiment(ds, [spec], cfg), key) == expected["-".join(key)][r:r + 1], \
+        versions
 
 
 if __name__ == "__main__":
@@ -73,5 +81,6 @@ if __name__ == "__main__":
         "config": {"repeats": CONFIG.repeats, "k": CONFIG.k,
                    "sae_learning_rate": CONFIG.sae_learning_rate,
                    "sae_iterations": CONFIG.sae_iterations},
+        "numpy": np.__version__,
         "cells": compute_results(),
     }, indent=1) + "\n", encoding="utf-8")

@@ -640,7 +640,8 @@ class TestRunExperiment:
 
     # CPython forks all of a pool's workers on its first submit, and each
     # worker gets the dataset, so a worker without a repeat costs memory
-    @pytest.mark.parametrize("jobs, repeats, workers", [(8, 3, [3]), (2, 3, [2]), (8, 1, [])])
+    @pytest.mark.parametrize("jobs, repeats, workers",
+                             [(8, 3, [3]), (2, 3, [2]), (8, 1, []), (np.int64(2), 3, [2])])
     def test_pool_has_at_most_one_worker_per_repeat(self, monkeypatch, jobs, repeats, workers):
         pools = []
 
@@ -679,6 +680,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("specs, jobs, message", [
         ([], 1, "specs must be nonempty"),
         ([PipelineSpec("LLF")], 0, "jobs must be >= 1"),
+        ([PipelineSpec("LLF")], -3, "jobs must be >= 1"),
+        ([PipelineSpec("LLF")], 2.5, "jobs must be an integer, got 2.5"),
+        ([PipelineSpec("LLF")], 1.0, "jobs must be an integer, got 1.0"),
+        ([PipelineSpec("LLF")], "2", "jobs must be an integer, got '2'"),
+        ([PipelineSpec("LLF")], True, "jobs must be an integer, got True"),
+        ([PipelineSpec("LLF")], None, "jobs must be an integer, got None"),
     ])
     def test_bad_arguments_rejected_before_any_fit(self, no_fits, specs, jobs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -422,10 +422,11 @@ class TestSelectedFeatures:
 
     def test_direct_readoff(self):
         beta = np.array([0.5, 0.0, -0.3])
-        np.testing.assert_array_equal(selected_features(beta, eps=1e-8), [0, 2])
+        np.testing.assert_array_equal(selected_features(beta), [0, 2])
 
-    def test_eps_dominates(self):
-        assert selected_features(np.array([0.5, -0.3]), eps=1.0).size == 0
+    def test_fixed_threshold_is_strict(self):
+        beta = np.array([1e-10, -1e-10, 2e-10, -2e-10, 1e-300])
+        np.testing.assert_array_equal(selected_features(beta), [2, 3])
 
 
 class TestLassoCv:

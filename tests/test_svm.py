@@ -237,6 +237,25 @@ class TestSvmTrainBlock:
         same, = svm_train([(X, y, [1.0])], tol=tol, max_epochs=600)
         assert same.w.tobytes() == model.w.tobytes() and same.bias == model.bias
 
+    def test_equal_row_counts_apart_keep_group_order(self):
+        """Row counts 7, 6, 7: the two n = 7 groups are not adjacent, and the
+        models still come back in group order, each byte-equal to its
+        one-problem call."""
+        X, y = _problem(3, 10, 12, 8)
+        i0, i1 = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
+        rows = [np.r_[i0[:3], i1[:4]], np.r_[i0[3:6], i1[4:7]], np.r_[i0[6:10], i1[7:10]]]
+        groups = [(X[rows[0]], y[rows[0]], [0.5, 2.0]), (X[rows[1], :3], y[rows[1]], [1.0]),
+                  (X[rows[2], :5], y[rows[2]], [0.1, 1.0, 10.0])]
+        assert [len(g[1]) for g in groups] == [7, 6, 7]
+        models = _assert_matches_reference(groups, 1e-6, 150)
+        alone = [svm_train([(X_g, y_g, [C])], tol=1e-6, max_epochs=150)[0]
+                 for X_g, y_g, Cs in groups for C in Cs]
+        assert [m.C for m in models] == [0.5, 2.0, 1.0, 0.1, 1.0, 10.0]
+        for got, want in zip(models, alone, strict=True):
+            assert got.w.tobytes() == want.w.tobytes()
+            assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+            assert (got.epochs, got.converged) == (want.epochs, want.converged)
+
     def test_one_epoch(self):
         X, y = _problem(2, 10, 12, 8)
         _assert_matches_reference([(X, y, [0.5]), (X[:, :2], y, [3.0])], 1e-6, 1)
