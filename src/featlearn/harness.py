@@ -319,7 +319,7 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     q = F.shape[1]
     grid = [m for m in cfg.ttest_grid if m <= q] or [q]
     scores = svm_cv(_fold_rows(F, folds_local), ytr01, folds_local, [1.0],
-                    ttest_cv(F, ytr01, folds_local, grid), cfg.svm_cv_epochs)
+                    ttest_cv(F, ytr01, folds_local, grid), max_epochs=cfg.svm_cv_epochs)
     m = _choose(grid, scores, min)
     return select_top_m(two_sample_t(F, ytr01), m), {"m": m}
 
@@ -338,7 +338,7 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), max(grid))
     scores = svm_cv(((pca_transform(pca, F[train]), pca_transform(pca, F[val]))
                      for pca, (train, val) in zip(pcas, folds_local)),
-                    ytr01, folds_local, [1.0], grid, cfg.svm_cv_epochs)
+                    ytr01, folds_local, [1.0], grid, max_epochs=cfg.svm_cv_epochs)
     r = _choose(grid, scores, min)
     model = replace(final, components=final.components[:, :r], variances=final.variances[:r])
     return model, {"r": r}
@@ -415,7 +415,7 @@ class _RepeatFits:
             scores = svm_cv(_fold_rows(Gtr, folds_local), ytr01, folds_local, self.cfg.c_grid,
                             max_epochs=self.cfg.svm_cv_epochs)
             chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
-            model, = svm_train([(Gtr, ytr01, [C])], tol=1e-7, max_epochs=self.cfg.svm_epochs)
+            model, = svm_train([(Gtr[None], ytr01[None], [C])], 1e-7, self.cfg.svm_epochs)
 
         return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
                            selection=selection, svm=model, chosen=chosen)

@@ -262,7 +262,7 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
 
     Every parameter has a leading axis of one slice per L2 value: Ws[k] is
     (L, h, d), bs[k] (L, 1, h), Wh (L, 2, h_top), bh (L, 1, 2) and l2 is
-    (L, 1, 1). Returns the L losses as a list. The input gradient of the
+    (L, 1, 1). Returns the L losses as an array. The input gradient of the
     first layer is never formed.
     """
     n = X.shape[0]
@@ -273,9 +273,8 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
         Hs.append(sigmoid(A, out=A))
     logP = _log_softmax(np.matmul(Hs[-1], Wh.transpose(0, 2, 1)) + bh)
     rows = np.arange(n)
-    losses = [-float(np.sum(logP[i][rows, y])) / n + 0.5 * lam * (
-        sum(float(np.sum(W[i] * W[i])) for W in Ws) + float(np.sum(Wh[i] * Wh[i])))
-        for i, lam in enumerate(l2.ravel().tolist())]
+    penalty = sum((W * W).sum(axis=(1, 2)) for W in Ws + [Wh])
+    losses = -logP[:, rows, y].sum(axis=1) / n + 0.5 * l2.ravel() * penalty
 
     G = np.exp(logP)
     G[:, rows, y] -= 1.0
@@ -327,7 +326,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     work = _Work()
     for it in range(cfg.iterations):
         losses, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
-        if not all(map(math.isfinite, losses)):
+        if not np.isfinite(losses).all():
             raise TrainingDivergedError(f"fine-tuning loss non-finite at iteration {it}")
         for param, grad in zip(Ws + bs + [Wh, bh], gWs + gbs + [gWh, gbh]):
             param -= lr * grad
@@ -361,14 +360,12 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
     ``fine_tune`` block, model i bit-equal to the call with l2s = [l2s[i]].
     cfg.l2 is not read.
 
-    With an empty unlabeled matrix this reduces exactly to the supervised
-    path, bit for bit.
+    X_unlabeled is 2-D, as wide as X_labeled; with no rows, (0, p), this
+    reduces exactly to the supervised path, bit for bit.
     """
     X_labeled = np.asarray(X_labeled, dtype=float)
     X_unlabeled = np.asarray(X_unlabeled, dtype=float)
-    if X_unlabeled.size == 0:
-        X_unlabeled = X_unlabeled.reshape(0, X_labeled.shape[1])
-    if X_unlabeled.shape[1] != X_labeled.shape[1]:
+    if X_unlabeled.shape[1:] != X_labeled.shape[1:]:
         raise ValueError("labeled and unlabeled feature widths differ")
     X_pre = np.vstack([X_labeled, X_unlabeled])
     layers = sae_pretrain(X_pre, dims, cfg)

@@ -9,8 +9,9 @@ better one is returned, so the result never scores worse than w = 0.
 
 ``svm_train`` trains many problems in one epoch loop, and each model is
 bit-equal to its problem trained alone. A group of problems is the product
-of f slices (such as the CV folds with equal training row counts) and a C
-grid. These rules keep it so:
+of an (f, n, q) stack of f slices (such as the CV folds with equal training
+row counts), each with its own row of labels, and a C grid; one problem is
+a (1, n, q) stack at one C. These rules keep it so:
 
 - Each group computes its margins and its gradient with one ``np.matmul``
   per product over an (f, |Cs|, n, q) broadcast view of its slices, with
@@ -51,9 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_EPOCHS = 2000
-
 
 @dataclass(frozen=True)
 class LinearSvmModel:
@@ -79,36 +77,25 @@ def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: floa
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def svm_train(groups, tol: float = DEFAULT_TOL,
-              max_epochs: int = DEFAULT_MAX_EPOCHS) -> list[LinearSvmModel]:
+def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     """Train every problem of every group in one epoch loop and return the
     models in group order: a group's slice by slice, each slice's in Cs order.
 
-    A group ``(X, labels, Cs)`` trains each of its slices at every C. X is
-    one (n, q) matrix, a single slice, or an (f, n, q) stack of f slices;
-    labels are one 0/1 vector of length n that every slice shares, or an
-    (f, n) stack with one row per slice of a stacked X. Groups may differ in
-    n and q. A model has converged when its per-epoch objective change falls
-    below tol * (1 + |objective|); it is built then, and the block returns
-    when the last one has converged or at max_epochs. The bias is
-    unregularized."""
+    A group ``(X, labels, Cs)`` trains each of its slices at every C: X is an
+    (f, n, q) stack of f slices and labels an (f, n) stack of 0/1 labels, one
+    row per slice. Groups may differ in f, n and q. A model has converged
+    when its per-epoch objective change falls below tol * (1 + |objective|);
+    it is built then, and the block returns when the last one has converged
+    or at max_epochs. The bias is unregularized."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     problems = []  # (X, +/-1 labels, C) per problem, in group order: problem i is block row i
     segments = []  # (X, a, b, lead, n, q) per group: its view of X and its block rows a:b
     for X, labels, Cs in groups:
         X, Y = np.asarray(X, dtype=float), _plus_minus(labels)
-        if X.ndim not in (2, 3) or Y.ndim not in (1, 2):
-            raise ValueError(f"need an (n, q) or (f, n, q) X and (n,) or (f, n) labels, "
-                             f"got {X.ndim}-D and {Y.ndim}-D")
-        if Y.ndim == 2 and (X.ndim == 2 or len(Y) != len(X)):
-            raise ValueError(f"need one label row per slice of X, got X {X.shape} "
-                             f"and labels {Y.shape}")
-        if Y.shape[-1] != X.shape[-2]:
-            raise ValueError(f"every problem must have {Y.shape[-1]} rows, one per label, "
-                             f"got {X.shape[-2]}")
-        X = X if X.ndim == 3 else X[None]
-        Y = np.broadcast_to(Y, (len(X), Y.shape[-1]))
+        if X.ndim != 3 or Y.shape != X.shape[:2]:
+            raise ValueError(f"need an (f, n, q) X and (f, n) labels, one row per slice, "
+                             f"got X {X.shape} and labels {Y.shape}")
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
         if not all(0.0 < C < math.inf for C in Cs):
@@ -240,8 +227,8 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
-def svm_cv(fold_features, labels, folds, C_grid, candidates=None,
-           max_epochs: int = DEFAULT_MAX_EPOCHS) -> np.ndarray:
+def svm_cv(fold_features, labels, folds, C_grid, candidates=None, *,
+           max_epochs: int) -> np.ndarray:
     """Validation accuracy per (fold, candidate, C) over ``kfold``'s (training
     mask, validation rows) pairs: a (folds, candidates * |C_grid|) array,
     candidate-major, each candidate's columns in ``C_grid`` order.

@@ -221,6 +221,32 @@ def test_run_is_repeat_0_of_experiment(data_csv, tiny, tmp_path, capsys):
                            for k, v in chosen[cell][0].items()]
 
 
+def test_label_column_names_where_the_labels_are(data_csv, tiny, tmp_path, capsys):
+    """The same data with its label column renamed dx and moved to the front
+    gives the same run and experiment under --label-column dx; a name that
+    the header lacks exits 2 and is named."""
+    header, *rows = [line.split(",") for line in Path(data_csv).read_text().splitlines()]
+    assert header[-1] == "label"
+    moved = tmp_path / "dx.csv"
+    moved.write_text("".join(",".join([row[-1], *row[:-1]]) + "\n"
+                             for row in [header[:-1] + ["dx"], *rows]))
+    outputs = []
+    for path, flags in [(data_csv, []), (str(moved), ["--label-column", "dx"])]:
+        capsys.readouterr()
+        assert main(["run", "--data", path, *flags, *tiny, "--selector", "lasso"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["experiment", "--data", path, *flags, *tiny, "--repeats", "2",
+                     "--out", str(out)]) == 0
+        outputs.append((printed, (out / "results.csv").read_bytes()))
+    assert outputs[0][0].startswith("method=llf selector=lasso accuracy=")
+    assert outputs[1] == outputs[0]
+    for command in (["run"], ["experiment", "--out", str(tmp_path / "out-dx")]):
+        capsys.readouterr()
+        assert main([*command, "--data", data_csv, "--label-column", "dx", *tiny]) == 2
+        assert "header has no column named 'dx'" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected_before_any_fit(data_csv, tiny, tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--data", data_csv, "--seed", "-1", *tiny]) == 2

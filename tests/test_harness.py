@@ -416,7 +416,7 @@ class TestRepeatFits:
         ds = generate_synthetic(TINY_DATA)
         split = _checked_split(ds, [spec], TINY, repeat)
         fit = _RepeatFits(ds, split, TINY, repeat).fit(spec)
-        [[(X, _, _)]] = trained
+        [[((X,), _, _)]] = trained
         got = fit.transform(ds.features[split.train])
         assert got.shape == X.shape and got.tobytes() == X.tobytes()
 

@@ -149,12 +149,11 @@ class TestDivergence:
 
 
 class TestSemiPretrainFinetune:
-    @pytest.mark.parametrize("empty", [np.empty((0, 6)), np.empty(0)])
-    def test_no_unlabeled_rows_is_the_supervised_fit(self, empty):
+    def test_no_unlabeled_rows_is_the_supervised_fit(self):
         X, labels = _labeled(1)
         cfg = TrainConfig(learning_rate=0.5, iterations=20, seed=7)
         supervised, = fine_tune(sae_pretrain(X, (4, 2), cfg), X, labels, cfg, [1e-3])
-        semi, = semi_pretrain_finetune(X, labels, empty, (4, 2), cfg, [1e-3])
+        semi, = semi_pretrain_finetune(X, labels, np.empty((0, 6)), (4, 2), cfg, [1e-3])
         assert _model_bytes(semi) == _model_bytes(supervised)
 
     def test_unlabeled_rows_change_the_fit(self):
@@ -232,9 +231,12 @@ class TestRefusals:
          "layer dimensions do not chain with the input"),
         (lambda X, y: semi_pretrain_finetune(X, y, X[:4, :5], (4, 2), TrainConfig(), [0.0]),
          "labeled and unlabeled feature widths differ"),
+        (lambda X, y: semi_pretrain_finetune(X, y, np.empty(0), (4, 2), TrainConfig(), [0.0]),
+         "labeled and unlabeled feature widths differ"),
     ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "ae-encode-width",
             "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
-            "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ"])
+            "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",
+            "semi-unlabeled-1-d"])
     def test_bad_input_rejected(self, call, message):
         X, y = _labeled()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -34,17 +34,14 @@ def _pca_stack(X, y, trains, r_max):
     return S, np.stack([y[train] for train in trains])
 
 
-def _slices(X, y):
-    """A group's (X, labels) per slice: one for an (n, q) X, else one per
-    slice of the stack, sharing a 1-D y."""
-    if np.ndim(X) == 2:
-        return [(X, y)]
-    return [(x, y if np.ndim(y) == 1 else y[i]) for i, x in enumerate(X)]
+def _single(X, y, Cs):
+    """One (n, q) problem's group: the (1, n, q) view of X and (1, n) labels."""
+    return X[None], np.asarray(y)[None], Cs
 
 
 def _assert_matches_reference(groups, tol, max_epochs):
     models = svm_train(groups, tol=tol, max_epochs=max_epochs)
-    problems = [(x, yy, C) for X, y, Cs in groups for x, yy in _slices(X, y) for C in Cs]
+    problems = [(x, yy, C) for X, y, Cs in groups for x, yy in zip(X, y) for C in Cs]
     assert len(models) == len(problems)
     for (X, y, C), got in zip(problems, models):
         want = averaged_subgradient(X, 2.0 * np.asarray(y) - 1.0, C, tol=tol,
@@ -94,20 +91,20 @@ class TestSvmTrainBlock:
     @pytest.mark.parametrize("seed", range(3))
     def test_shared_x_over_default_c_grid(self, seed):
         X, y = _problem(seed)
-        _assert_matches_reference([(X, y, ExperimentConfig().c_grid)], 1e-6, 150)
+        _assert_matches_reference([_single(X, y, ExperimentConfig().c_grid)], 1e-6, 150)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ttest_column_subsets(self, seed):
         X, y = _problem(seed)
         t = two_sample_t(X, y)
-        groups = [(X[:, select_top_m(t, m)], y, [1.0]) for m in ExperimentConfig().ttest_grid]
+        groups = [_single(X[:, select_top_m(t, m)], y, [1.0]) for m in ExperimentConfig().ttest_grid]
         _assert_matches_reference(groups, 1e-6, 150)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pca_prefix_views(self, seed):
         X, y = _problem(seed)
         S = pca_transform(pca_fit([X], 40)[0], X)
-        groups = [(S[:, :r], y, [1.0]) for r in ExperimentConfig().pca_grid]
+        groups = [_single(S[:, :r], y, [1.0]) for r in ExperimentConfig().pca_grid]
         assert not groups[0][0].flags.c_contiguous
         _assert_matches_reference(groups, 1e-6, 150)
 
@@ -116,9 +113,9 @@ class TestSvmTrainBlock:
         """Every fold of an adni-like repeat in one block, its own rows and
         labels per problem, one C grid per fold."""
         X, y, folds = _adni_folds(0, k)
-        groups = [(X[train], y[train], ExperimentConfig().c_grid)
+        groups = [_single(X[train], y[train], ExperimentConfig().c_grid)
                   for train, _ in folds]
-        assert len({len(g[1]) for g in groups}) == 3
+        assert len({g[1].shape[1] for g in groups}) == 3
         _assert_matches_reference(groups, 1e-6, 150)
 
     @pytest.mark.parametrize("k", [3, 10])
@@ -163,7 +160,7 @@ class TestSvmTrainBlock:
         axes; any other drops its unit axis."""
         X, y, folds = _adni_folds(6, 10)
         groups = _ttest_groups(X, y, folds, [1, 4, 12])  # f slices x one C
-        groups.append((X[folds[0][0]], y[folds[0][0]], [0.1, 1.0]))  # one slice x two Cs
+        groups.append(_single(X[folds[0][0]], y[folds[0][0]], [0.1, 1.0]))  # one slice x two Cs
         trains = [train for train, _ in folds if train.sum() == folds[0][0].sum()][:2]
         groups.append((np.stack([X[t] for t in trains]), np.stack([y[t] for t in trains]),
                        [0.1, 1.0, 10.0]))  # two slices x three Cs
@@ -214,7 +211,7 @@ class TestSvmTrainBlock:
         X, y = _problem(0)
         t = two_sample_t(X, y)
         widths = [1, 2, 2, 7, 30, 30]
-        groups = [(X[:, select_top_m(t, m)], y, [1.0, 0.1]) for m in widths]
+        groups = [_single(X[:, select_top_m(t, m)], y, [1.0, 0.1]) for m in widths]
         recording = _RecordingNumpy()
         monkeypatch.setattr(svm, "np", recording)
         svm_train(groups, tol=1e-6, max_epochs=5)
@@ -224,17 +221,17 @@ class TestSvmTrainBlock:
 
     def test_some_models_retire_early_others_run_out(self):
         X, y = _problem(0)
-        models = _assert_matches_reference([(X, y, ExperimentConfig().c_grid)], 1e-6, 150)
+        models = _assert_matches_reference([_single(X, y, ExperimentConfig().c_grid)], 1e-6, 150)
         assert models[0].converged and models[0].epochs < 150
         assert not models[-1].converged and models[-1].epochs == 150
 
     @pytest.mark.parametrize("tol", [0.0, 1e-7])
     def test_single_problem(self, tol):
         X, y = _problem(1)
-        (model,) = _assert_matches_reference([(X, y, [1.0])], tol, 600)
+        (model,) = _assert_matches_reference([_single(X, y, [1.0])], tol, 600)
         if tol == 0.0:
             assert (model.epochs, model.converged) == (600, False)
-        same, = svm_train([(X, y, [1.0])], tol=tol, max_epochs=600)
+        same, = svm_train([_single(X, y, [1.0])], tol=tol, max_epochs=600)
         assert same.w.tobytes() == model.w.tobytes() and same.bias == model.bias
 
     def test_equal_row_counts_apart_keep_group_order(self):
@@ -244,9 +241,10 @@ class TestSvmTrainBlock:
         X, y = _problem(3, 10, 12, 8)
         i0, i1 = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
         rows = [np.r_[i0[:3], i1[:4]], np.r_[i0[3:6], i1[4:7]], np.r_[i0[6:10], i1[7:10]]]
-        groups = [(X[rows[0]], y[rows[0]], [0.5, 2.0]), (X[rows[1], :3], y[rows[1]], [1.0]),
-                  (X[rows[2], :5], y[rows[2]], [0.1, 1.0, 10.0])]
-        assert [len(g[1]) for g in groups] == [7, 6, 7]
+        groups = [_single(X[rows[0]], y[rows[0]], [0.5, 2.0]),
+                  _single(X[rows[1], :3], y[rows[1]], [1.0]),
+                  _single(X[rows[2], :5], y[rows[2]], [0.1, 1.0, 10.0])]
+        assert [g[1].shape[1] for g in groups] == [7, 6, 7]
         models = _assert_matches_reference(groups, 1e-6, 150)
         alone = [svm_train([(X_g, y_g, [C])], tol=1e-6, max_epochs=150)[0]
                  for X_g, y_g, Cs in groups for C in Cs]
@@ -258,31 +256,38 @@ class TestSvmTrainBlock:
 
     def test_one_epoch(self):
         X, y = _problem(2, 10, 12, 8)
-        _assert_matches_reference([(X, y, [0.5]), (X[:, :2], y, [3.0])], 1e-6, 1)
+        _assert_matches_reference([_single(X, y, [0.5]), _single(X[:, :2], y, [3.0])], 1e-6, 1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"groups": [(np.ones((2, 4, 2)), [[0, 1, 0, 1]] * 3, [1.0, 2.0, 3.0])]},
-         "need one label row per slice of X"),
-        ({"groups": [(np.eye(4), [[0, 1, 0, 1]] * 3, [1.0, 2.0])]},
-         "need one label row per slice of X"),
-        ({"groups": [(np.ones((3, 2)), [0, 1, 0, 1], [1.0])]},
-         "every problem must have 4 rows"),
-        ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0, 0.0])]}, "C must be > 0"),
+         r"need an \(f, n, q\) X and \(f, n\) labels, one row per slice, "
+         r"got X \(2, 4, 2\) and labels \(3, 4\)"),
+        ({"groups": [(np.ones((2, 4, 2)), [0, 1, 0, 1], [1.0])]},
+         r"got X \(2, 4, 2\) and labels \(4,\)"),
+        ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0])]}, r"got X \(4, 4\) and labels \(4,\)"),
+        ({"groups": [(np.ones((1, 3, 2)), [[0, 1, 0, 1]], [1.0])]},
+         r"got X \(1, 3, 2\) and labels \(1, 4\)"),
+        ({"groups": [(np.ones((1, 1, 4, 2)), [[0, 1, 0, 1]], [1.0])]},
+         r"got X \(1, 1, 4, 2\) and labels \(1, 4\)"),
+        ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [1.0, 0.0])]}, "C must be > 0"),
         ({"groups": []}, "need at least one problem"),
-        ({"groups": [(np.eye(4), [-1.0, 1.0, -1.0, 1.0], [1.0])]}, "labels must be 0 or 1"),
+        ({"groups": [(np.eye(4)[None], [[-1.0, 1.0, -1.0, 1.0]], [1.0])]},
+         "labels must be 0 or 1"),
         ({"groups": [(np.stack([np.eye(4)] * 2), [[0, 1, 0, 1], [1.0] * 4], [1.0])]},
          "both classes must be present"),
-        ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0, np.inf])]}, "C must be > 0 and finite"),
-        ({"groups": [(np.eye(4), [0, 1, 0, 1], [np.nan])]}, "C must be > 0 and finite"),
-        ({"groups": [(np.eye(4), [0, 1, 0.5, 1], [1.0])]}, "labels must be 0 or 1"),
-        ({"groups": [(np.eye(4), [0, 1, np.nan, 1], [1.0])]}, "labels must be 0 or 1"),
-        ({"groups": [(np.ones((1, 1, 4, 2)), [0, 1, 0, 1], [1.0])]},
-         r"need an \(n, q\) or \(f, n, q\) X and \(n,\) or \(f, n\) labels, got 4-D and 1-D"),
-    ])
+        ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [1.0, np.inf])]},
+         "C must be > 0 and finite"),
+        ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [np.nan])]}, "C must be > 0 and finite"),
+        ({"groups": [(np.eye(4)[None], [[0, 1, 0.5, 1]], [1.0])]}, "labels must be 0 or 1"),
+        ({"groups": [(np.eye(4)[None], [[0, 1, np.nan, 1]], [1.0])]}, "labels must be 0 or 1"),
+    ], ids=["max-epochs-0", "label-rows-per-slice", "one-label-vector-for-a-stack",
+            "2-d-x", "row-count", "4-d-x", "C-0", "no-groups", "labels-plus-minus-1",
+            "one-class", "C-inf", "C-nan", "label-one-half", "label-nan"])
     def test_bad_block_rejected(self, kwargs, message):
-        y = [0, 1, 0, 1]
-        args = {"groups": [(np.eye(4), y, [1.0, 2.0]), (np.eye(4)[:, :2], y, [1.0])], **kwargs}
+        y = [[0, 1, 0, 1]]
+        args = {"groups": [(np.eye(4)[None], y, [1.0, 2.0]), (np.eye(4)[None, :, :2], y, [1.0])],
+                "tol": 1e-6, "max_epochs": 5, **kwargs}
         with pytest.raises(ValueError, match=message):
             svm_train(**args)
 
@@ -293,7 +298,7 @@ class TestSvmTrainBlock:
         C times the hinge sum overflows at once; the whole block raises."""
         X, y = np.array([[1.0], [2.0], [-1.0]]), [1, 1, 0]
         with pytest.raises(ArithmeticError, match="objective non-finite at epoch 1"):
-            svm_train([(X, y, Cs) for Cs in grids])
+            svm_train([_single(X, y, Cs) for Cs in grids], 1e-6, 150)
 
 
 def _rows(X, folds):
@@ -319,9 +324,10 @@ class TestSvmCv:
         grid = [10.0, 0.1, 1.0]
         for train, val in folds:
             for C in grid:
-                model, = svm_train([(X[train], y[train], [C])])
+                model, = svm_train([_single(X[train], y[train], [C])], 1e-8, 2000)
                 assert np.all(svm_predict(model, X[val]) == y[val])
-        assert _choose(grid, svm_cv(_rows(X, folds), y, folds, grid), min) == 0.1
+        scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=2000)
+        assert _choose(grid, scores, min) == 0.1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_c_reference(self, seed):

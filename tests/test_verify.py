@@ -224,7 +224,7 @@ def check_svm_grid():
     margins = y[None, None, :] * (W[..., None] * X[:, 0][None, None, :] + B[..., None])
     obj = 0.5 * W ** 2 + C * np.sum(np.maximum(0.0, 1.0 - margins), axis=-1)
     grid_best = float(obj.min())
-    model, = svm_train([(X, labels, [C])], tol=0.0, max_epochs=200000)
+    model, = svm_train([(X[None], labels[None], [C])], tol=0.0, max_epochs=200000)
     got = svm_objective(X, labels, model.w, model.bias, C)
     optimum = 25.0 / 32.0
     assert abs(got - optimum) < 1e-3, f"solver {got:.6f} vs optimum {optimum:.6f}"
@@ -242,7 +242,7 @@ def check_svm_separable():
         X[:half] -= 3.0
         X[half:] += 3.0
         y = np.array([0] * half + [1] * (n - half))
-        model, = svm_train([(X, y, [100.0])])
+        model, = svm_train([(X[None], y[None], [100.0])], 1e-8, 2000)
         acc = float(np.mean(svm_predict(model, X) == y))
         assert acc == 1.0, f"training accuracy {acc} on a separable instance"
 
