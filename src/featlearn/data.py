@@ -37,13 +37,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """n x p feature matrix with per-row labels in {0, 1, -1}.
 
-    Immutable after construction; arrays are marked read-only so instances
-    can be shared freely across workers.
+    ``feature_names`` holds one name per column; left empty, the columns
+    are named f0, f1, ..., f{p-1}. Immutable after construction; arrays are
+    marked read-only so instances can be shared freely across workers.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...]
+    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
@@ -61,19 +62,12 @@ class Dataset:
         if not np.all(np.isin(y, _VALID_LABELS)):
             bad = int(np.argmax(~np.isin(y, _VALID_LABELS)))
             raise ValueError(f"label at row {bad} not in {{0, 1, -1}}: {y[bad]}")
-        names = tuple(self.feature_names)
+        names = tuple(self.feature_names) or tuple(f"f{j}" for j in range(p))
         if len(names) != p:
             raise ValueError(f"{len(names)} feature names for {p} columns")
         object.__setattr__(self, "features", _readonly(X))
         object.__setattr__(self, "labels", _readonly(y.astype(np.int64)))
         object.__setattr__(self, "feature_names", names)
-
-    @staticmethod
-    def from_arrays(features, labels, feature_names=None) -> "Dataset":
-        features = np.asarray(features, dtype=float)
-        if feature_names is None or len(feature_names) == 0:
-            feature_names = tuple(f"f{j}" for j in range(features.shape[1]))
-        return Dataset(features, np.asarray(labels), tuple(feature_names))
 
     @property
     def n(self) -> int:
@@ -94,12 +88,6 @@ class Dataset:
     @property
     def n_unlabeled(self) -> int:
         return int(np.sum(self.labels == UNLABELED))
-
-    def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels != UNLABELED)
-
-    def unlabeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == UNLABELED)
 
 
 @dataclass(frozen=True)
@@ -273,10 +261,6 @@ def standardize_fit(ds: Dataset, rows) -> StandardizationParams:
     return StandardizationParams(means, stds)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
     """Per-class test counts are round(class_count * test_frac), half-up.
 
@@ -288,7 +272,7 @@ def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
     train_parts, test_parts = [], []
     for cls in (0, 1):
         members = np.flatnonzero(ds.labels == cls)
-        n_test = _round_half_up(members.size * test_frac)
+        n_test = math.floor(members.size * test_frac + 0.5)
         if members.size < 2 or n_test < 1 or n_test >= members.size:
             raise ValueError(
                 f"class {cls} has {members.size} rows: cannot place >= 1 row "
@@ -298,30 +282,6 @@ def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
         train_parts.append(perm[n_test:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    return SplitIndices(train, test)
-
-
-def random_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
-    """Unstratified variant: labeled rows are permuted as one pool.
-
-    Raises if a side ends up missing a class, which stratified_split
-    prevents by construction.
-    """
-    if not 0.0 < test_frac < 1.0:
-        raise ValueError("test_frac must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    labeled = ds.labeled_indices()
-    n_test = _round_half_up(labeled.size * test_frac)
-    if n_test < 1 or n_test >= labeled.size:
-        raise ValueError(f"cannot split {labeled.size} labeled rows at test_frac={test_frac}")
-    perm = rng.permutation(labeled)
-    test = np.sort(perm[:n_test])
-    train = np.sort(perm[n_test:])
-    for side, name in ((train, "train"), (test, "test")):
-        present = set(ds.labels[side].tolist())
-        if not {0, 1} <= present:
-            raise ValueError(f"unstratified split left the {name} side without both classes; "
-                             f"use stratified_split or another seed")
     return SplitIndices(train, test)
 
 
@@ -369,4 +329,4 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         np.ones(spec.n1, dtype=np.int64),
         np.full(spec.n_unlabeled, UNLABELED, dtype=np.int64),
     ])
-    return Dataset.from_arrays(X, labels)
+    return Dataset(X, labels)

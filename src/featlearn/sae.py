@@ -366,7 +366,8 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
     X_labeled = np.asarray(X_labeled, dtype=float)
     X_unlabeled = np.asarray(X_unlabeled, dtype=float)
     if X_unlabeled.shape[1:] != X_labeled.shape[1:]:
-        raise ValueError("labeled and unlabeled feature widths differ")
+        raise ValueError(f"need a 2-D unlabeled X as wide as the labeled X, "
+                         f"got labeled {X_labeled.shape} and unlabeled {X_unlabeled.shape}")
     X_pre = np.vstack([X_labeled, X_unlabeled])
     layers = sae_pretrain(X_pre, dims, cfg)
     return fine_tune(layers, X_labeled, labels, cfg, l2s)

@@ -24,8 +24,8 @@ def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -
     return _objective(X, _plus_minus(labels), w, bias, C)
 
 
-def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = 1e-8,
-                         max_epochs: int = 2000) -> LinearSvmModel:
+def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float,
+                         max_epochs: int) -> LinearSvmModel:
     """Train on +/-1 labels; converged when the per-epoch objective change
     falls below tol * (1 + |objective|). The bias is unregularized."""
     X = np.asarray(X, dtype=float)
@@ -74,8 +74,8 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float = 1e-8,
     return LinearSvmModel(w=best_w, bias=float(best_b), C=C, epochs=t, converged=converged)
 
 
-def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float = 1e-8,
-             max_epochs: int = 2000) -> tuple[float, np.ndarray]:
+def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float,
+             max_epochs: int) -> tuple[float, np.ndarray]:
     """C maximizing mean validation accuracy over ``kfold``'s (training mask,
     validation rows) pairs and 0/1 labels, one ``averaged_subgradient`` run
     per (fold, C); ties go to the smaller C. Also returns the accuracy per

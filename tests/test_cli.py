@@ -135,6 +135,7 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ("jobs = 2", "config line 1: unknown key 'jobs'"),
     ("k 3", "config line 1: expected 'key = value', got 'k 3'"),
     ("stratify = yes", "config line 1: stratify: must be true or false"),
+    ("stratify = false", "stratify must be true: every split is stratified by class"),
 ])
 def test_experiment_rejects_config_before_any_fit(data_csv, tmp_path, capsys, no_fits,
                                                    line, message):

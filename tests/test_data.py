@@ -1,34 +1,34 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from data_reference import per_cell_load_csv, per_cell_save_csv
-from featlearn.data import (CsvFormatError, Dataset, StandardizationParams,
+from featlearn.data import (CsvFormatError, Dataset, SplitIndices, StandardizationParams,
                             SyntheticSpec, generate_synthetic, kfold,
-                            load_csv, random_split, save_csv, standardize_fit,
+                            load_csv, save_csv, standardize_fit,
                             stratified_split)
 
 
 def _toy(n0=5, n1=5, n_unl=0, p=3, seed=0):
     rng = np.random.default_rng(seed)
     labels = [0] * n0 + [1] * n1 + [-1] * n_unl
-    return Dataset.from_arrays(rng.normal(size=(len(labels), p)), labels)
+    return Dataset(rng.normal(size=(len(labels), p)), labels)
 
 
 class TestDataset:
     def test_counts(self):
         ds = _toy(n0=2, n1=3, n_unl=4)
         assert (ds.n, ds.p, ds.n0, ds.n1, ds.n_unlabeled) == (9, 3, 2, 3, 4)
-        np.testing.assert_array_equal(ds.unlabeled_indices(), np.arange(5, 9))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Dataset.from_arrays([[1.0, np.nan]], [0])
+            Dataset([[1.0, np.nan]], [0])
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
-            Dataset.from_arrays([[1.0]], [2])
+            Dataset([[1.0]], [2])
 
     @pytest.mark.parametrize("row", range(3))
     def test_rejects_fractional_label_naming_its_row(self, row):
@@ -48,7 +48,7 @@ class TestDataset:
             ds.features[0, 0] = 99.0
 
     def test_auto_names(self):
-        ds = Dataset.from_arrays([[1.0, 2.0]], [1])
+        ds = Dataset([[1.0, 2.0]], [1])
         assert ds.feature_names == ("f0", "f1")
 
 
@@ -124,14 +124,13 @@ class TestCsvRoundTrip:
 
     def test_one_by_one_dataset_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        save_csv(Dataset.from_arrays([[3.5]], [1]), str(path))
+        save_csv(Dataset([[3.5]], [1]), str(path))
         assert path.read_text().splitlines() == ["f0,label", "3.5,1"]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_exact(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        ds = Dataset.from_arrays(rng.normal(size=(10, 5)),
-                                 rng.integers(-1, 2, size=10))
+        ds = Dataset(rng.normal(size=(10, 5)), rng.integers(-1, 2, size=10))
         path = tmp_path / "rt.csv"
         save_csv(ds, str(path))
         back = load_csv(str(path))
@@ -148,7 +147,7 @@ class TestCsvRoundTrip:
 
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "pinned.csv"
-        ds = Dataset.from_arrays([[-0.0, 5e-324], [1e300, 0.1]], [-1, 1], ("b,c", 'q"u'))
+        ds = Dataset([[-0.0, 5e-324], [1e300, 0.1]], [-1, 1], ("b,c", 'q"u'))
         save_csv(ds, str(path))
         assert path.read_bytes() == (b'"b,c","q""u",label\r\n'
                                      b"-0,4.9406564584124654e-324,-1\r\n"
@@ -211,7 +210,7 @@ class TestCsvAgainstPerCellReference:
         special = rng.random((n, p)) < 0.2
         X[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
         names = tuple(rng.choice(NAMES, size=p, replace=False).tolist())
-        ds = Dataset.from_arrays(X, rng.integers(-1, 2, size=n), names)
+        ds = Dataset(X, rng.integers(-1, 2, size=n), names)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         save_csv(ds, str(new))
         per_cell_save_csv(ds, str(old))
@@ -233,13 +232,13 @@ class TestCsvAgainstPerCellReference:
 
 class TestStandardize:
     def test_hand_values(self):
-        ds = Dataset.from_arrays([[0.0], [2.0]], [0, 1])
+        ds = Dataset([[0.0], [2.0]], [0, 1])
         params = standardize_fit(ds, [0, 1])
         assert params.means[0] == pytest.approx(1.0)
         assert params.stds[0] == pytest.approx(np.sqrt(2.0))
 
     def test_apply_hand_value(self):
-        ds = Dataset.from_arrays([[3.0]], [0])
+        ds = Dataset([[3.0]], [0])
         out = StandardizationParams([1.0], [2.0]).apply(ds.features)
         assert out[0, 0] == pytest.approx(1.0)
 
@@ -251,7 +250,7 @@ class TestStandardize:
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_apply_normalizes(self, seed):
         rng = np.random.default_rng(seed)
-        ds = Dataset.from_arrays(rng.normal(3.0, 2.5, size=(20, 4)), [0, 1] * 10)
+        ds = Dataset(rng.normal(3.0, 2.5, size=(20, 4)), [0, 1] * 10)
         rows = np.arange(12)
         params = standardize_fit(ds, rows)
         sub = params.apply(ds.features)[rows]
@@ -260,15 +259,15 @@ class TestStandardize:
 
     def test_idempotent_on_standardized(self):
         rng = np.random.default_rng(3)
-        ds = Dataset.from_arrays(rng.normal(size=(15, 2)), [0, 1] * 7 + [0])
+        ds = Dataset(rng.normal(size=(15, 2)), [0, 1] * 7 + [0])
         rows = np.arange(15)
-        once = Dataset.from_arrays(standardize_fit(ds, rows).apply(ds.features), ds.labels)
+        once = Dataset(standardize_fit(ds, rows).apply(ds.features), ds.labels)
         params2 = standardize_fit(once, rows)
         assert np.max(np.abs(params2.means)) < 1e-10
         assert np.max(np.abs(params2.stds - 1.0)) < 1e-10
 
     def test_constant_column_named(self):
-        ds = Dataset.from_arrays([[1.0, 1.0], [1.0, 2.0]], [0, 1])
+        ds = Dataset([[1.0, 1.0], [1.0, 2.0]], [0, 1])
         with pytest.raises(ValueError, match="'f0'"):
             standardize_fit(ds, [0, 1])
 
@@ -292,21 +291,12 @@ class TestSplits:
         ds = _toy(n0=11, n1=13, n_unl=6)
         split = stratified_split(ds, 0.3, seed=3)
         both = np.sort(np.concatenate([split.train, split.test]))
-        np.testing.assert_array_equal(both, ds.labeled_indices())
+        np.testing.assert_array_equal(both, np.flatnonzero(ds.labels != -1))
 
     def test_too_small_class_errors(self):
         ds = _toy(n0=3, n1=20)
         with pytest.raises(ValueError, match="class 0"):
             stratified_split(ds, 0.05, seed=0)
-
-    def test_random_split_deterministic_and_partitions(self):
-        ds = _toy(n0=25, n1=25, n_unl=4)
-        a = random_split(ds, 0.2, seed=5)
-        b = random_split(ds, 0.2, seed=5)
-        np.testing.assert_array_equal(a.test, b.test)
-        assert a.test.size == 10
-        both = np.sort(np.concatenate([a.train, a.test]))
-        np.testing.assert_array_equal(both, ds.labeled_indices())
 
 
 class TestKfold:
@@ -433,3 +423,31 @@ class TestGenerateSynthetic:
     def test_delta_must_be_finite_and_nonnegative(self, delta):
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
             SyntheticSpec(4, 4, 0, 3, 1, delta, 0.0, seed=0)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Dataset([1.0, 2.0], [0, 1]), "features must be 2-D, got shape (2,)"),
+        (lambda: Dataset(np.empty((0, 2)), []), "need n >= 1 and p >= 1, got shape (0, 2)"),
+        (lambda: Dataset(np.empty((2, 0)), [0, 1]), "need n >= 1 and p >= 1, got shape (2, 0)"),
+        (lambda: Dataset(np.ones((3, 1)), [0, 1]), "labels length (2,) does not match 3 rows"),
+        (lambda: Dataset(np.ones((2, 2)), [0, 1], ("a",)), "1 feature names for 2 columns"),
+        (lambda: StandardizationParams([0.0, 0.0], [1.0]),
+         "means and stds must be 1-D arrays of equal length"),
+        (lambda: StandardizationParams([0.0, 0.0], [1.0, 0.0]), "std for column 1 must be positive"),
+        (lambda: StandardizationParams([0.0], [-2.0]), "std for column 0 must be positive"),
+        (lambda: SplitIndices([0, 1], [2, 1]), "train and test indices overlap"),
+        (lambda: SyntheticSpec(-1, 2, 0, 3, 1, 0.5, 0.0, seed=0), "counts must be >= 0"),
+        (lambda: SyntheticSpec(0, 0, 0, 3, 1, 0.5, 0.0, seed=0), "at least one row is required"),
+        (lambda: SyntheticSpec(1, 1, 0, 3, 1, 0.5, 0.0, seed=-1), "seed must be unsigned"),
+        (lambda: standardize_fit(_toy(), [4]), "standardize_fit needs at least 2 rows"),
+        (lambda: stratified_split(_toy(), 0.0, seed=0), "test_frac must lie in (0, 1)"),
+        (lambda: stratified_split(_toy(), 1.0, seed=0), "test_frac must lie in (0, 1)"),
+        (lambda: kfold([0, 1, 0, 1], 1, seed=0), "k must be >= 2"),
+    ], ids=["dataset-1-d", "dataset-no-rows", "dataset-no-columns", "dataset-label-count",
+            "dataset-name-count", "scaler-shapes", "scaler-zero-std", "scaler-negative-std",
+            "split-overlap", "spec-negative-count", "spec-no-rows", "spec-negative-seed",
+            "standardize-one-row", "split-test-frac-0", "split-test-frac-1", "kfold-k-1"])
+    def test_bad_input_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

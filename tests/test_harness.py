@@ -315,6 +315,7 @@ class TestExperimentConfig:
         ({"sae_learning_rate": float("inf")}, "learning_rate must be > 0 and finite"),
         ({"l2_grid": (1e-3, float("nan"))}, "l2 must be >= 0 and finite"),
         ({"l2_grid": (float("inf"),)}, "l2 must be >= 0 and finite"),
+        ({"stratify": False}, "stratify must be true: every split is stratified by class"),
     ])
     def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -350,6 +351,8 @@ class TestParseConfig:
         ("jobs = 2", "config line 1: unknown key 'jobs'"),
         ("k = 3\nk 3", "config line 2: expected 'key = value', got 'k 3'"),
         ("stratify = yes", "config line 1: stratify: must be true or false"),
+        # the key parses, but every split is stratified
+        ("stratify = false", "stratify must be true: every split is stratified by class"),
     ])
     def test_bad_line_named(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -360,7 +363,7 @@ class TestParseConfig:
         assert parse_config(config_to_text(cfg)) == cfg
 
     def test_round_trip_non_default(self):
-        cfg = ExperimentConfig(repeats=7, test_frac=0.3, stratify=False, sae_dims=(12, 4),
+        cfg = ExperimentConfig(repeats=7, test_frac=0.3, sae_dims=(12, 4),
                                l2_grid=(0.5, 2.5e-3), c_grid=(3.0, 0.25),
                                pca_grid=(3, 7), ttest_grid=(2, 5, 9), lambda_ratio=0.05)
         parsed = parse_config(config_to_text(cfg))

@@ -343,6 +343,35 @@ class TestLassoPathBlock:
                                                          r" are linearly dependent$"):
             lasso_path([clean, clean, dup], lams)
 
+    def test_failed_stacked_cholesky_is_redone_per_member(self, monkeypatch):
+        # member 1's columns 0 and 2 are equal and tie at lambda_max, so its
+        # G_AA is [[4, 4], [4, 4]] and its second Cholesky pivot is exactly
+        # 0; member 0 also starts with two tied (orthogonal) columns, so both
+        # share one stacked call, which raises LinAlgError as a whole
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        hadamard = np.kron(np.kron(h, h), h)
+        a = np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+        clean = (hadamard[:, 1:4], hadamard[:, 1] + hadamard[:, 2] + 0.5 * hadamard[:, 3])
+        dup = (np.column_stack([a, hadamard[:, 1], a]), a + 0.5 * hadamard[:, 1])
+        sizes = []
+        solve = lasso._solve_active
+        monkeypatch.setattr(lasso, "_solve_active",
+                            lambda blocks, rhs: sizes.append(len(blocks)) or solve(blocks, rhs))
+        with pytest.raises(SingularActiveSetError, match=r"^member 1: active columns \[0, 2\]"
+                                                         r" are linearly dependent$"):
+            lasso_path([clean, dup], [1.0, 0.5])
+        assert sizes == [2, 1, 1]  # the stacked call, then each block alone
+
+    def test_no_consistent_tie_choice_names_the_member(self, monkeypatch):
+        # only the natural choice, which fails on this tie, may be tried
+        monkeypatch.setattr(lasso, "_MAX_TIE_CHOICES", 1)
+        X, y, lams = _correlated_tie()
+        rng = np.random.default_rng(15)
+        untied = _centered_problem(rng, 20, X.shape[1], signal=X.shape[1])
+        with pytest.raises(SingularActiveSetError, match=r"^member 1: no consistent active set"
+                                                         r" among tied columns \[0, 2\]$"):
+            lasso_path([untied, (X, y)], lams)
+
     def test_mixed_widths_rejected(self):
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError, match="member 1 has 3 columns, member 0 has 4"):

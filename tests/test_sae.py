@@ -132,6 +132,13 @@ class TestDivergence:
                 TrainingDivergedError, match="non-finite at iteration 1"):
             ae_train(X, 3, TrainConfig(learning_rate=1e300, iterations=5))
 
+    def test_ae_train_raises_after_its_last_iteration(self):
+        # the one step's loss is finite; the loss it leaves is not
+        X, _ = _labeled()
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match="^reconstruction loss non-finite after iteration 1$"):
+            ae_train(X, 3, TrainConfig(learning_rate=1e300, iterations=1))
+
     def test_fine_tune_raises_at_huge_learning_rate(self):
         X, labels = _labeled()
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=5))
@@ -230,9 +237,9 @@ class TestRefusals:
         (lambda X, y: fine_tune([], X, y, TrainConfig(), [0.0]),
          "layer dimensions do not chain with the input"),
         (lambda X, y: semi_pretrain_finetune(X, y, X[:4, :5], (4, 2), TrainConfig(), [0.0]),
-         "labeled and unlabeled feature widths differ"),
+         "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (4, 5)"),
         (lambda X, y: semi_pretrain_finetune(X, y, np.empty(0), (4, 2), TrainConfig(), [0.0]),
-         "labeled and unlabeled feature widths differ"),
+         "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (0,)"),
     ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "ae-encode-width",
             "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
             "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",
