@@ -1,11 +1,11 @@
-"""Linear soft-margin SVM trained by deterministic averaged subgradient
-descent on the primal objective
+"""Linear soft-margin SVM trained by deterministic subgradient descent on
+the primal objective
 
     (1/2) |w|^2 + C * sum_i max(0, 1 - y_i (w^T x_i + b)).
 
 Full-batch steps of size 1/(lambda_eff * t) with lambda_eff = 1/(nC); the
-averaged iterate and the best objective seen are both tracked and the
-better one is returned, so the result never scores worse than w = 0.
+iterate with the lowest objective seen is returned, and w = 0 is the first
+one scored, so the result never scores worse than w = 0.
 
 ``svm_train`` trains many problems in one epoch loop, and each model is
 bit-equal to its problem trained alone. A group of problems is the product
@@ -72,11 +72,6 @@ def _plus_minus(labels) -> np.ndarray:
     return 2.0 * y - 1.0
 
 
-def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, bias: float, C: float) -> float:
-    margins = y * (X @ w + bias)
-    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
-
-
 def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     """Train every problem of every group in one epoch loop and return the
     models in group order: a group's slice by slice, each slice's in Cs order.
@@ -115,7 +110,7 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     ns = [X.shape[0] for X, _, _ in problems]
     P, n_max = len(problems), max(ns)
     Wb = np.zeros((P, max(X.shape[1] for X, _, _ in problems) + 1))  # w, padding, bias last
-    Wb_avg, grad, best_Wb = np.zeros_like(Wb), np.zeros_like(Wb), np.zeros_like(Wb)
+    grad, best_Wb = np.zeros_like(Wb), np.zeros_like(Wb)
     Y = np.zeros((P, n_max))  # labels, zero on the padding so it adds nothing to a gradient
     for i, (_, y, _) in enumerate(problems):
         Y[i, :ns[i]] = y
@@ -150,13 +145,9 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
 
     def retire(i: int, t: int, converged: bool) -> None:
-        X, y, C = problems[i]
-        q = X.shape[1]
-        w_avg, b_avg = Wb_avg[i, :q].copy(), float(Wb_avg[i, -1])
-        w, b = best_Wb[i, :q].copy(), float(best_Wb[i, -1])
-        if _objective(X, y, w_avg, b_avg, C) < best_obj[i]:
-            w, b = w_avg, b_avg
-        models[i] = LinearSvmModel(w=w, bias=b, C=C, epochs=t, converged=converged)
+        X, _, C = problems[i]
+        models[i] = LinearSvmModel(w=best_Wb[i, :X.shape[1]].copy(), bias=float(best_Wb[i, -1]),
+                                   C=C, epochs=t, converged=converged)
 
     live = list(range(P))  # the block rows not yet converged
     for t in range(1, max_epochs + 1):
@@ -204,7 +195,6 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
         grad *= 1.0 / (lams * t)  # step sizes
         Wb[:, :-1] *= 1.0 - 1.0 / t
         Wb += grad
-        Wb_avg += (Wb - Wb_avg) / t
 
     for i in live:
         retire(i, max_epochs, converged=False)

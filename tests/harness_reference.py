@@ -4,7 +4,7 @@ score every (fold, candidate) as its reference does and choose the value
 that it chooses.
 
 Each fold fits its own PCA, or ranks its own t statistics, and trains one
-C = 1 ``averaged_subgradient`` per candidate r on the first r columns of its
+C = 1 ``subgradient_descent`` per candidate r on the first r columns of its
 scores, or per candidate m on its top m columns; the grid, the epoch budget,
 the tolerance and the tie rule are the package's.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import svm_predict
 from featlearn.ttest import select_top_m, two_sample_t
-from svm_reference import averaged_subgradient
+from svm_reference import subgradient_descent
 
 
 def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
@@ -35,8 +35,8 @@ def per_fold_pca_search(F: np.ndarray, ytr01, folds, pca_grid,
         scores_tr = pca_transform(model, F[train])
         scores_val = pca_transform(model, F[val])
         for i, r in enumerate(grid):
-            svm = averaged_subgradient(scores_tr[:, :r], y_pm[train], 1.0, tol=1e-6,
-                                       max_epochs=max_epochs)
+            svm = subgradient_descent(scores_tr[:, :r], y_pm[train], 1.0, tol=1e-6,
+                                      max_epochs=max_epochs)
             per_fold[f, i] = float(np.mean(svm_predict(svm, scores_val[:, :r]) == ytr01[val]))
             scores[i] += per_fold[f, i]
     return grid[int(np.argmax(scores))], per_fold
@@ -61,8 +61,8 @@ def per_fold_ttest_search(F: np.ndarray, ytr01, folds, ttest_grid,
         t = two_sample_t(F[train], ytr01[train])
         for i, m in enumerate(grid):
             cols = select_top_m(t, m)
-            svm = averaged_subgradient(np.ascontiguousarray(F[train][:, cols]), y_pm[train],
-                                       1.0, tol=1e-6, max_epochs=max_epochs)
+            svm = subgradient_descent(np.ascontiguousarray(F[train][:, cols]), y_pm[train],
+                                      1.0, tol=1e-6, max_epochs=max_epochs)
             models.append(svm)
             per_fold[f, i] = float(np.mean(svm_predict(svm, F[val][:, cols]) == ytr01[val]))
             scores[i] += per_fold[f, i]

@@ -1,31 +1,31 @@
-"""The one-problem averaged-subgradient loop and the per-C search, kept as the
+"""The one-problem subgradient loop and the per-C search, kept as the
 reference for ``featlearn.svm``: ``svm_train`` must reproduce
-``averaged_subgradient`` bit for bit, model by model, ``svm_cv`` must score
+``subgradient_descent`` bit for bit, model by model, ``svm_cv`` must score
 every (fold, C) as ``per_c_cv`` does, and ``harness._choose`` must then pick
 the C that ``per_c_cv`` picks.
 
 The objective and the schedule are the package's; see the ``svm`` module.
-``averaged_subgradient`` works on the hinge loss's +/-1 labels, and its
-callers convert the package's 0/1 labels to them. ``svm_objective`` is that
-objective at 0/1 labels: it wraps the package's ``_objective``, the formula
-``svm_train`` uses to choose between its averaged and best iterates, so the
-tests check the formula a run uses rather than a copy of it.
+``subgradient_descent`` works on the hinge loss's +/-1 labels, and its
+callers convert the package's 0/1 labels to them; it returns the iterate
+with the lowest objective seen, w = 0 first, so it never scores worse than
+w = 0. ``svm_objective`` is that objective at 0/1 labels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from featlearn.svm import LinearSvmModel, _objective, _plus_minus, accuracy, svm_predict
+from featlearn.svm import LinearSvmModel, _plus_minus, accuracy, svm_predict
 
 
 def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -> float:
     """The primal objective (see the ``svm`` module docstring) at 0/1 ``labels``."""
-    return _objective(X, _plus_minus(labels), w, bias, C)
+    margins = _plus_minus(labels) * (np.asarray(X, dtype=float) @ w + bias)
+    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float,
-                         max_epochs: int) -> LinearSvmModel:
+def subgradient_descent(X: np.ndarray, labels, C: float, tol: float,
+                        max_epochs: int) -> LinearSvmModel:
     """Train on +/-1 labels; converged when the per-epoch objective change
     falls below tol * (1 + |objective|). The bias is unregularized."""
     X = np.asarray(X, dtype=float)
@@ -41,8 +41,6 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float,
 
     w = np.zeros(q)
     b = 0.0
-    w_avg = np.zeros(q)
-    b_avg = 0.0
     best_obj = C * n  # objective at w = 0, b = 0
     best_w, best_b = w.copy(), b
     prev_obj = best_obj
@@ -64,20 +62,14 @@ def averaged_subgradient(X: np.ndarray, labels, C: float, tol: float,
         step = 1.0 / (lam * t)
         w = (1.0 - 1.0 / t) * w + step * (coef @ X)
         b = b + step * float(np.sum(coef))
-        w_avg += (w - w_avg) / t
-        b_avg += (b - b_avg) / t
 
-    avg_margins = y * (X @ w_avg + b_avg)
-    avg_obj = 0.5 * float(w_avg @ w_avg) + C * float(np.sum(np.maximum(0.0, 1.0 - avg_margins)))
-    if avg_obj < best_obj:
-        return LinearSvmModel(w=w_avg, bias=float(b_avg), C=C, epochs=t, converged=converged)
     return LinearSvmModel(w=best_w, bias=float(best_b), C=C, epochs=t, converged=converged)
 
 
 def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float,
              max_epochs: int) -> tuple[float, np.ndarray]:
     """C maximizing mean validation accuracy over ``kfold``'s (training mask,
-    validation rows) pairs and 0/1 labels, one ``averaged_subgradient`` run
+    validation rows) pairs and 0/1 labels, one ``subgradient_descent`` run
     per (fold, C); ties go to the smaller C. Also returns the accuracy per
     (fold, C), with the columns in ascending C order."""
     grid = sorted(float(c) for c in C_grid)
@@ -88,7 +80,7 @@ def per_c_cv(X: np.ndarray, labels, folds, C_grid, tol: float,
     per_fold = np.zeros((len(folds), len(grid)))
     for f, (train, val) in enumerate(folds):
         for i, C in enumerate(grid):
-            model = averaged_subgradient(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
+            model = subgradient_descent(X[train], y[train], C, tol=tol, max_epochs=max_epochs)
             per_fold[f, i] = accuracy(svm_predict(model, X[val]), y01[val])
             scores[i] += per_fold[f, i]
     return grid[int(np.argmax(scores))], per_fold

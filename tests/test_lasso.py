@@ -43,6 +43,16 @@ def _correlated_tie():
     return X, y, np.linspace(1.5, 0.01, 30)
 
 
+def _singular_choice_tie():
+    # column 0 drops at the lambda where columns 2 and 3 reach the bound;
+    # letting both in fails, and the next choice, which also keeps column
+    # 0, has four active columns on three rows, so its solve is singular
+    # and it is skipped; column 3 alone joins
+    X = np.array([[-1.0, -1.0, 0.0, 1.0], [2.0, 1.0, -1.0, 0.0], [2.0, 1.0, 0.0, -2.0]])
+    y = np.array([-3.0, 3.0, 0.0])
+    return X, y, np.linspace(lambda_max(X, y), 0.01, 12)
+
+
 def _parallel_tie():
     # columns 1 and 2 tie at lambda_max; once column 1 enters, column 2's
     # correlation keeps exactly to the bound, and the walk must not let
@@ -214,6 +224,38 @@ class TestLassoPath:
             beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
             np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
 
+    def test_singular_tie_choice_is_skipped(self, monkeypatch):
+        X, y, lams = _singular_choice_tie()
+        solves, solve = [], lasso._solve_active
+
+        def recording_solve(blocks, rhs):
+            uv, singular = solve(blocks, rhs)
+            solves.append((blocks.shape[1], uv is None))
+            return uv, singular
+
+        monkeypatch.setattr(lasso, "_solve_active", recording_solve)
+        path, = lasso_path([(X, y)], lams)
+        # a solve per segment, the tie's natural choice third; then the
+        # singular choice and columns 1 and 2, which fail, and 1 and 3
+        assert solves == [(1, False), (2, False), (3, False), (4, True), (2, False), (2, False),
+                          (3, False)]
+        assert np.all(path[2] == 0.0)
+        for i, lam in enumerate(lams):
+            beta = coordinate_descent(X, y, lam, tol=1e-13, max_iter=100000).beta
+            np.testing.assert_allclose(path[:, i], beta, rtol=0, atol=1e-9)
+
+    def test_empty_tie_choice_is_skipped(self):
+        # the only active column, 0, leaves as column 1 joins: with column 1
+        # alone, column 0's correlation crosses the bound; both together
+        # move column 1 toward 0; the next choice is no column at all, which
+        # is skipped, and column 0 alone holds
+        gram = np.array([[1.0, 1.5], [1.5, 4.0]])
+        active, signs, *_, mask = lasso._next_segment(
+            gram, np.ones(2), [], np.empty(0), np.array([0, 1]), np.ones(2),
+            np.array([False, True]), 0)
+        assert active == [0] and signs.tolist() == [1.0]
+        assert mask.tolist() == [True, False]
+
     def test_column_parallel_to_its_bound_stays_out(self):
         X, y, lams = _parallel_tie()
         path, = lasso_path([(X, y)], lams)
@@ -313,7 +355,8 @@ class TestLassoPathBlock:
         for got, (path, _) in zip(block, want):
             _same_bytes(got, path)
 
-    @pytest.mark.parametrize("tie", [_hadamard_ties, _correlated_tie, _parallel_tie])
+    @pytest.mark.parametrize("tie", [_hadamard_ties, _correlated_tie, _singular_choice_tie,
+                                     _parallel_tie])
     @pytest.mark.parametrize("position", [0, 1])
     def test_tie_problem_beside_an_untied_member(self, tie, position, monkeypatch):
         X, y, lams = tie()
@@ -328,7 +371,7 @@ class TestLassoPathBlock:
         block = lasso_path(problems, lams)
         for (Xm, ym), got in zip(problems, block):
             _same_bytes(got, sequential_walk(Xm, ym, lams)[0])
-        # the two ties among correlated columns need choices other than the
+        # the three ties among correlated columns need choices other than the
         # natural one, tried for the tied member alone
         assert retries == [position] * len(retries)
         assert bool(retries) == (tie is not _hadamard_ties)

@@ -201,6 +201,10 @@ class TestSymEigenBlock:
         with pytest.raises(ValueError, match="at least one matrix"):
             sym_eigen([])
 
+    def test_zero_by_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^sym_eigen requires p >= 1$"):
+            sym_eigen([np.zeros((0, 0))])
+
     def test_mixed_sizes_name_the_matrix(self):
         with pytest.raises(ValueError, match="matrix 2 is 3 x 3, but matrix 0 is 2 x 2"):
             sym_eigen([np.eye(2), np.eye(2), np.eye(3)])

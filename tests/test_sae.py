@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -214,8 +215,11 @@ class TestRefusals:
                           softmax_b=np.zeros(2)),
          "softmax head must be 2 x 3 with a length-2 bias"),
         (lambda: TrainConfig(seed=-1), "seed must be unsigned"),
+        (lambda: TrainConfig(l2=-1.0), "l2 must be >= 0 and finite"),
+        (lambda: TrainConfig(l2=math.inf), "l2 must be >= 0 and finite"),
     ], ids=["ae-W-not-2d", "ae-not-undercomplete", "ae-bias-shapes", "ae-non-finite",
-            "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed"])
+            "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed",
+            "negative-l2", "infinite-l2"])
     def test_bad_model_or_config_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

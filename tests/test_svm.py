@@ -7,7 +7,7 @@ from featlearn.harness import ExperimentConfig, _checked_split, _choose, _Repeat
 from featlearn.pca import pca_fit, pca_transform
 from featlearn.svm import LinearSvmModel, accuracy, svm_cv, svm_predict, svm_train
 from featlearn.ttest import select_top_m, ttest_cv, two_sample_t
-from svm_reference import averaged_subgradient, per_c_cv, svm_objective
+from svm_reference import per_c_cv, subgradient_descent, svm_objective
 
 
 def _problem(seed, n0=60, n1=75, p=56):
@@ -44,8 +44,8 @@ def _assert_matches_reference(groups, tol, max_epochs):
     problems = [(x, yy, C) for X, y, Cs in groups for x, yy in zip(X, y) for C in Cs]
     assert len(models) == len(problems)
     for (X, y, C), got in zip(problems, models):
-        want = averaged_subgradient(X, 2.0 * np.asarray(y) - 1.0, C, tol=tol,
-                                    max_epochs=max_epochs)
+        want = subgradient_descent(X, 2.0 * np.asarray(y) - 1.0, C, tol=tol,
+                                   max_epochs=max_epochs)
         assert got.w.tobytes() == want.w.tobytes()
         assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
         assert (got.C, got.epochs, got.converged) == (want.C, want.epochs, want.converged)
@@ -234,6 +234,17 @@ class TestSvmTrainBlock:
         same, = svm_train([_single(X, y, [1.0])], tol=tol, max_epochs=600)
         assert same.w.tobytes() == model.w.tobytes() and same.bias == model.bias
 
+    def test_returns_the_best_iterate_where_their_mean_scores_lower(self):
+        """The mean of this problem's iterates, w = 0.49998 and b = -0.69464,
+        has objective 3.8750000003, below every iterate's; the model is the
+        best iterate, w = 37/76 and b = -547/840 to rounding, at 3.8750866."""
+        X = np.array([[1.0], [3.0], [-0.5], [2.0], [-1.0]])
+        y = np.array([1, 0, 0, 1, 0])
+        (model,) = _assert_matches_reference([_single(X, y, [1.0])], 1e-6, 150)
+        assert (model.epochs, model.converged) == (39, True)
+        np.testing.assert_allclose([model.w[0], model.bias], [37 / 76, -547 / 840], rtol=1e-12)
+        assert svm_objective(X, y, model.w, model.bias, 1.0) > 3.87508
+
     def test_equal_row_counts_apart_keep_group_order(self):
         """Row counts 7, 6, 7: the two n = 7 groups are not adjacent, and the
         models still come back in group order, each byte-equal to its
@@ -361,7 +372,7 @@ def _pca_fold_features(X, folds, r_max):
 
 def _assert_candidates_match_reference(monkeypatch, feats, y, folds, Cs, candidates):
     """svm_cv's score and model for each (fold, candidate, C) are byte for
-    byte those of averaged_subgradient trained on the fold's training
+    byte those of subgradient_descent trained on the fold's training
     features cut to the candidate: the strided view X_f[:, :w] for a width
     w, and for an index candidate the copy X_f[:, cols[f]] in C order, as
     its stack holds it (numpy's own copy is in Fortran order, which rounds
@@ -386,8 +397,8 @@ def _assert_candidates_match_reference(monkeypatch, feats, y, folds, Cs, candida
             X_c = X_tr[key] if np.isscalar(c) else np.ascontiguousarray(X_tr[key])
             assert np.shares_memory(X_c, X_tr) == np.isscalar(c)
             for j, C in enumerate(Cs):
-                ref = averaged_subgradient(X_c, 2.0 * y[train] - 1.0, C, tol=1e-6,
-                                           max_epochs=150)
+                ref = subgradient_descent(X_c, 2.0 * y[train] - 1.0, C, tol=1e-6,
+                                          max_epochs=150)
                 got = predicted[X_val[key].shape, np.ascontiguousarray(X_val[key]).tobytes(), C]
                 assert got.w.tobytes() == ref.w.tobytes()
                 assert np.float64(got.bias).tobytes() == np.float64(ref.bias).tobytes()
