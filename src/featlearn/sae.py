@@ -2,7 +2,8 @@
 two-output softmax head, joint fine-tuning with cross-entropy + L2, and a
 semi-supervised pretraining variant that also consumes unlabeled rows.
 
-Encoder: h = sigmoid(b + W x); decoder: xhat = d_bias + W^T h (weights tied).
+Encoder: h = sigmoid(b + W x), computed by ``_encode`` alone for training,
+pretraining and ``sae_features``; decoder: xhat = d_bias + W^T h (weights tied).
 Training is full-batch gradient descent; gradients are per-sample averages
 so that the default learning rate is stable regardless of sample count.
 All training is a pure function of (inputs, cfg.seed).
@@ -151,11 +152,17 @@ class _Work(dict):
         return self[name]
 
 
+def _encode(X, W, b, out=None):
+    """sigmoid(X W^T + b) into ``out`` if given, for one layer, W (h, d) and
+    b (h,), or a fine-tuning stack, W (L, h, d) and b (L, 1, h)."""
+    out = np.matmul(X, np.swapaxes(W, -1, -2), out=out)
+    out += b
+    return sigmoid(out, out=out)
+
+
 def _ae_forward(W, b, d_bias, X, work: _Work):
     """Mean squared reconstruction error, the encodings and the residual."""
-    A = np.matmul(X, W.T, out=work("A", (X.shape[0], W.shape[0])))
-    A += b
-    H = sigmoid(A, out=work("H", A.shape))
+    H = _encode(X, W, b, work("H", (X.shape[0], W.shape[0])))
     E = np.matmul(H, W, out=work("E", X.shape))
     E += d_bias
     E -= X
@@ -212,13 +219,6 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     return AeLayer(W=W, b=b, d_bias=d_bias)
 
 
-def ae_encode(layer: AeLayer, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != layer.d:
-        raise ValueError(f"expected {layer.d} columns, got {X.shape[1]}")
-    return sigmoid(X @ layer.W.T + layer.b)
-
-
 def check_dims(width: int, dims) -> list[int]:
     """``dims`` as ints; raises ValueError unless they are nonempty, at
     least 1, strictly decreasing and start below the input width."""
@@ -246,7 +246,7 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     for k, h in enumerate(dims):
         layer = ae_train(cur, h, replace(cfg, seed=derive_seed(cfg.seed, _SEED_LAYER_BASE + k)))
         layers.append(layer)
-        cur = ae_encode(layer, cur)
+        cur = _encode(cur, layer.W, layer.b)
     return layers
 
 
@@ -268,9 +268,7 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
     n = X.shape[0]
     Hs = [X]
     for k, (W, b) in enumerate(zip(Ws, bs)):
-        A = np.matmul(Hs[-1], W.transpose(0, 2, 1), out=work(f"H{k}", (len(l2), n, W.shape[1])))
-        A += b
-        Hs.append(sigmoid(A, out=A))
+        Hs.append(_encode(Hs[-1], W, b, work(f"H{k}", (len(l2), n, W.shape[1]))))
     logP = _log_softmax(np.matmul(Hs[-1], Wh.transpose(0, 2, 1)) + bh)
     rows = np.arange(n)
     penalty = sum((W * W).sum(axis=(1, 2)) for W in Ws + [Wh])
@@ -305,12 +303,14 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     Model i is bit-equal to ``fine_tune`` with l2s = [l2s[i]].
 
     Raises TrainingDivergedError at the first iteration where the loss of
-    any L2 value is non-finite, even if the others would have trained.
+    any L2 value is non-finite, even if the others would have trained, and
+    after the last iteration if the loss it leaves is.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0, 1))):
         raise ValueError("labels must be one 0/1 value per row")
+    y = y.astype(np.int64)
     if not layers or layers[0].d != X.shape[1]:
         raise ValueError("layer dimensions do not chain with the input")
     l2 = np.array(l2s, dtype=float).reshape(-1, 1, 1)
@@ -330,6 +330,8 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
             raise TrainingDivergedError(f"fine-tuning loss non-finite at iteration {it}")
         for param, grad in zip(Ws + bs + [Wh, bh], gWs + gbs + [gWh, gbh]):
             param -= lr * grad
+    if not np.isfinite(_ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)[0]).all():
+        raise TrainingDivergedError(f"fine-tuning loss non-finite after iteration {cfg.iterations}")
     return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0], d_bias=layer.d_bias)
                                   for W, b, layer in zip(Ws, bs, layers)),
                      softmax_W=Wh[i], softmax_b=bh[i, 0])
@@ -339,8 +341,10 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
 def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:
     """Top-layer encodings (no softmax): the learned feature representation."""
     cur = np.asarray(X, dtype=float)
+    if cur.shape[1] != model.layers[0].d:
+        raise ValueError(f"expected {model.layers[0].d} columns, got {cur.shape[1]}")
     for layer in model.layers:
-        cur = ae_encode(layer, cur)
+        cur = _encode(cur, layer.W, layer.b)
     return cur
 
 

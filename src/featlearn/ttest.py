@@ -9,9 +9,11 @@ import numpy as np
 def two_sample_t(X: np.ndarray, labels) -> np.ndarray:
     """Welch statistic T_j = (mean0_j - mean1_j) / sqrt(s0_j^2/n0 + s1_j^2/n1)
     over the rows labeled 0 and 1, with per-class variances using
-    denominator n_k - 1."""
+    denominator n_k - 1. Raises ValueError if any label is not 0 or 1."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
     X0 = X[labels == 0]
     X1 = X[labels == 1]
     n0, n1 = X0.shape[0], X1.shape[0]
@@ -38,7 +40,8 @@ def select_top_m(t: np.ndarray, m: int) -> np.ndarray:
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms) -> list:
     """``svm_cv``'s index candidates for the t-test search over ``kfold``'s
     fold pairs: entry ``[i][f]`` is fold f's top ``candidate_ms[i]`` columns,
-    ascending, ranked on that fold's own training rows.
+    ascending, ranked on that fold's own training rows. Raises ValueError
+    if a training row's label is not 0 or 1.
 
     The caller scores them; the name stays because the benchmark's tracer
     times the t-test search's ranking under ``ttest.ttest_cv``."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from featlearn import harness
-from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, main
+from featlearn.cli import _METHOD_NAMES, _SELECTOR_NAMES, entry, main
 from featlearn.data import Dataset, SyntheticSpec, generate_synthetic, load_csv, save_csv
 from featlearn.harness import (PipelineSpec, ResultsTable, parse_config, run_experiment,
                                write_runs_csv)
@@ -109,6 +109,22 @@ def test_unknown_method_exits_1(data_csv, capsys):
 def test_missing_data_file_exits_2(tmp_path, capsys):
     assert main(["run", "--data", str(tmp_path / "absent.csv")]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen-data", "--out", "{dir}/d.csv", "--n0", "4", "--n1", "4", "--n-unlabeled", "0",
+      "--p", "3", "--s", "1"], 0),
+    (["run", "--data", "{dir}/d.csv", "--method", "sae"], 1),
+    (["run", "--data", "{dir}/d.csv"], 2),
+], ids=["gen-data", "usage-error", "missing-data"])
+def test_console_script_exits_with_mains_code(tmp_path, monkeypatch, capsys, argv, code):
+    """``entry``, the installed ``featlearn`` command, reads sys.argv and
+    exits with the code that main returns."""
+    monkeypatch.setattr("sys.argv", ["featlearn", *(a.format(dir=tmp_path) for a in argv)])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == code
+    assert (tmp_path / "d.csv").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("line, message", [

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from featlearn.harness import ExperimentConfig
-from featlearn.sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError, ae_encode,
-                           ae_train, check_dims, fine_tune, sae_pretrain, semi_pretrain_finetune,
-                           sigmoid)
+from featlearn.sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError, ae_train,
+                           check_dims, fine_tune, sae_features, sae_pretrain,
+                           semi_pretrain_finetune, sigmoid)
 from sae_reference import ae_train_loop, fine_tune_loop
 
 
@@ -140,6 +140,14 @@ class TestDivergence:
                 TrainingDivergedError, match="^reconstruction loss non-finite after iteration 1$"):
             ae_train(X, 3, TrainConfig(learning_rate=1e300, iterations=1))
 
+    def test_fine_tune_raises_after_its_last_iteration(self):
+        # the one step's loss is finite; the loss it leaves is not
+        X, labels = _labeled()
+        layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=5))
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match="^fine-tuning loss non-finite after iteration 1$"):
+            fine_tune(layers, X, labels, TrainConfig(learning_rate=1e300, iterations=1), [0.0])
+
     def test_fine_tune_raises_at_huge_learning_rate(self):
         X, labels = _labeled()
         layers = sae_pretrain(X, (4, 2), TrainConfig(iterations=5))
@@ -230,11 +238,23 @@ class TestRefusals:
          "hidden size must satisfy 1 <= h < d=6, got 6"),
         (lambda X, y: ae_train(X, 0, TrainConfig()),
          "hidden size must satisfy 1 <= h < d=6, got 0"),
-        (lambda X, y: ae_encode(_layer(3, 6), X[:, :5]), "expected 6 columns, got 5"),
+        (lambda X, y: sae_features(SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 3)),
+                                            softmax_b=np.zeros(2)), X[:, :5]),
+         "expected 6 columns, got 5"),
         (lambda X, y: check_dims(6, []), "dims must be nonempty"),
         (lambda X, y: fine_tune(_two_layers(), X, y[1:], TrainConfig(), [0.0]),
          "labels must be one 0/1 value per row"),
         (lambda X, y: fine_tune(_two_layers(), X, 2 * y, TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: fine_tune(_two_layers(), X, np.where(y == 0, 0.7, 1.0), TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: fine_tune(_two_layers(), X, np.where(y == 1, 1.5, 0.0), TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: semi_pretrain_finetune(X, np.where(y == 0, 0.7, 1.0), X[:0], (4, 2),
+                                             TrainConfig(), [0.0]),
+         "labels must be one 0/1 value per row"),
+        (lambda X, y: semi_pretrain_finetune(X, np.where(y == 1, 1.5, 0.0), X[:0], (4, 2),
+                                             TrainConfig(), [0.0]),
          "labels must be one 0/1 value per row"),
         (lambda X, y: fine_tune(_two_layers(), X[:, :5], y, TrainConfig(), [0.0]),
          "layer dimensions do not chain with the input"),
@@ -244,8 +264,9 @@ class TestRefusals:
          "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (4, 5)"),
         (lambda X, y: semi_pretrain_finetune(X, y, np.empty(0), (4, 2), TrainConfig(), [0.0]),
          "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (0,)"),
-    ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "ae-encode-width",
+    ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "sae-features-width",
             "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
+            "fine-tune-label-0.7", "fine-tune-label-1.5", "semi-label-0.7", "semi-label-1.5",
             "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",
             "semi-unlabeled-1-d"])
     def test_bad_input_rejected(self, call, message):

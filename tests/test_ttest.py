@@ -70,6 +70,13 @@ class TestTwoSampleT:
         with pytest.raises(ValueError, match="feature 0 has zero variance"):
             two_sample_t(X, [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("bad", [0.7, 2])
+    def test_labels_other_than_0_1_rejected(self, bad):
+        # a row labeled neither 0 nor 1 would otherwise join neither class
+        X = np.random.default_rng(0).normal(size=(6, 2))
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            two_sample_t(X, [0, 0, 0, 1, 1, bad])
+
     def test_small_class_rejected(self):
         with pytest.raises(ValueError, match="n0=1"):
             two_sample_t([[1.0], [2.0], [3.0]], [0, 1, 1])
@@ -211,6 +218,14 @@ class TestTtestCv:
         X = np.random.default_rng(0).normal(size=(20, 4))
         with pytest.raises(ValueError, match=r"^candidate m values must lie in 1\.\.4$"):
             ttest_cv(X, labels, self._folds(labels), [2, m])
+
+    @pytest.mark.parametrize("bad", [0.7, 2])
+    def test_labels_other_than_0_1_rejected(self, bad):
+        labels = np.array([0, 1] * 10)
+        folds = self._folds(labels)
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            ttest_cv(X, np.where(np.arange(20) == 3, bad, labels), folds, [2])
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
