@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import get_args, get_type_hints
 
@@ -450,23 +450,10 @@ def _mean_std(accs) -> tuple[float, float]:
     return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
 
 
-def _run_repeat(ds: Dataset, task) -> list[tuple[dict, float]]:
-    specs, cfg, r, split = task
+def _run_repeat(ds: Dataset, specs, cfg: ExperimentConfig, r: int,
+                split: SplitIndices) -> list[tuple[dict, float]]:
     repeat = _RepeatFits(ds, split, cfg, r)
     return [(fit.chosen, acc) for fit, acc in (run_pipeline(repeat, spec) for spec in specs)]
-
-
-# a pool worker's dataset, sent once by _init_worker rather than with every task
-_worker_ds: Dataset | None = None
-
-
-def _init_worker(ds: Dataset) -> None:
-    global _worker_ds
-    _worker_ds = ds
-
-
-def _repeat_worker(task) -> list[tuple[dict, float]]:
-    return _run_repeat(_worker_ds, task)
 
 
 def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIndices:
@@ -489,8 +476,9 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     Every spec sees the same split within a repeat (paired comparison);
     repeat r uses seed base_seed + r, as repeat 0 at that base_seed does.
     The repeats run in min(jobs, cfg.repeats) worker processes when that is
-    more than one. ``jobs`` is an argument, not a config field: it never
-    changes a result.
+    more than one, and each worker gets the dataset with every repeat it
+    runs. ``jobs`` is an argument, not a config field: it never changes a
+    result.
     Raises ValueError before any fit if jobs is not an integer >= 1, the SAE
     dims do not fit ds or some repeat's smaller training class has fewer than
     cfg.k rows.
@@ -502,18 +490,18 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(specs, cfg, r, _checked_split(ds, specs, cfg, r)) for r in range(cfg.repeats)]
+    splits = [_checked_split(ds, specs, cfg, r) for r in range(cfg.repeats)]
+    run = partial(_run_repeat, ds, specs, cfg)
     # a fork-based pool starts all its workers on the first submit
     workers = min(jobs, cfg.repeats)
     if workers > 1:
         # imported here: the pool's modules are a sizeable share of importing featlearn
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(ds,)) as pool:
-            outcomes = list(pool.map(_repeat_worker, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, range(cfg.repeats), splits))
     else:
-        outcomes = [_run_repeat(ds, t) for t in tasks]
-    # both keep task order, so outcomes[r][i] is repeat r of spec i
+        outcomes = list(map(run, range(cfg.repeats), splits))
+    # both keep repeat order, so outcomes[r][i] is repeat r of spec i
     keys = [(spec.method, spec.selector) for spec in specs]
     return ResultsTable(
         accuracies={key: tuple(o[i][1] for o in outcomes) for i, key in enumerate(keys)},

@@ -50,6 +50,8 @@ def pca_fit(Xs, r: int) -> list[PcaModel]:
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     """Scores (X - mean) V, one row per sample."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[1] != model.mean.shape[0]:
         raise ValueError(f"expected {model.mean.shape[0]} columns, got {X.shape[1]}")
     return (X - model.mean) @ model.components

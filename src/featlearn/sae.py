@@ -341,6 +341,8 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
 def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:
     """Top-layer encodings (no softmax): the learned feature representation."""
     cur = np.asarray(X, dtype=float)
+    if cur.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {cur.shape}")
     if cur.shape[1] != model.layers[0].d:
         raise ValueError(f"expected {model.layers[0].d} columns, got {cur.shape[1]}")
     for layer in model.layers:

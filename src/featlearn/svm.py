@@ -204,6 +204,8 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
 def svm_predict(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
     """0/1 labels: 1 where w^T x + b >= 0, a decision value of exactly 0 included."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[1] != model.w.shape[0]:
         raise ValueError(f"expected {model.w.shape[0]} columns, got {X.shape[1]}")
     return np.where(X @ model.w + model.bias >= 0.0, 1, 0)

@@ -1,9 +1,10 @@
 import codecs
 import concurrent.futures
-import pickle
+import multiprocessing
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -602,7 +603,15 @@ class TestRenderedOutput:
 
 
 class TestRunExperiment:
-    def test_jobs_do_not_change_results(self):
+    @pytest.fixture(params=["fork", "spawn"])
+    def start_method(self, request, monkeypatch):
+        # a spawned worker inherits nothing, so it must get all it needs
+        # through its calls, as under Python 3.14's forkserver default
+        context = multiprocessing.get_context(request.param)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(concurrent.futures.ProcessPoolExecutor, mp_context=context))
+
+    def test_jobs_do_not_change_results(self, start_method):
         ds = generate_synthetic(TINY_DATA)
         specs = [PipelineSpec("LLF"), PipelineSpec("SEMI_SAEF"), PipelineSpec("LLF", "LASSO")]
         serial = run_experiment(ds, specs, TINY)
@@ -610,7 +619,7 @@ class TestRunExperiment:
         assert pooled.accuracies == serial.accuracies
         assert pooled.chosen == serial.chosen
 
-    def test_stage_error_is_the_same_under_a_pool(self):
+    def test_stage_error_is_the_same_under_a_pool(self, start_method):
         # a constant column fails the standardize stage of every repeat; the
         # pool replaces the error's cause with its remote traceback
         ds = generate_synthetic(replace(TINY_DATA, n_unlabeled=0))
@@ -626,34 +635,18 @@ class TestRunExperiment:
         assert errors[0][1:] == ("standardize", "pipeline stage 'standardize' failed: column "
                                  "'f2' (index 2) is constant over the given rows")
 
-    def test_tasks_leave_the_dataset_out(self, monkeypatch):
-        # a pool gets the dataset once per worker; each task holds the rest
-        ds = generate_synthetic(SyntheticSpec.adni_like(0))
-        sizes = []
-
-        def record(data, task):
-            assert data is ds
-            sizes.append(len(pickle.dumps(task)))
-            return [({}, 0.5)] * len(task[0])
-
-        monkeypatch.setattr(harness, "_run_repeat", record)
-        run_experiment(ds, PipelineSpec.table_cells(), ExperimentConfig(repeats=3))
-        assert len(sizes) == 3
-        assert max(sizes) < len(pickle.dumps(ds)) / 10
-
-    # CPython forks all of a pool's workers on its first submit, and each
-    # worker gets the dataset, so a worker without a repeat costs memory
+    # CPython forks all of a pool's workers on its first submit, and each is
+    # a whole Python process, so a worker without a repeat costs memory
     @pytest.mark.parametrize("jobs, repeats, workers",
                              [(8, 3, [3]), (2, 3, [2]), (8, 1, []), (np.int64(2), 3, [2])])
     def test_pool_has_at_most_one_worker_per_repeat(self, monkeypatch, jobs, repeats, workers):
         pools = []
 
         class RecordingPool:
-            """Records its worker count and runs the tasks in this process."""
+            """Records its worker count and runs the repeats in this process."""
 
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -661,13 +654,12 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return None
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_worker_ds", None)
         monkeypatch.setattr(harness, "_run_repeat",
-                            lambda ds, task: [({"C": task[2]}, 0.5)] * len(task[0]))
+                            lambda ds, specs, cfg, r, split: [({"C": r}, 0.5)] * len(specs))
         results = run_experiment(generate_synthetic(TINY_DATA), [PipelineSpec("LLF")],
                                  replace(TINY, repeats=repeats), jobs=jobs)
         assert pools == workers

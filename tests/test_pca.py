@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,15 @@ class TestPcaTransform:
         model, = pca_fit([np.random.default_rng(7).normal(size=(10, 3))], 2)
         with pytest.raises(ValueError):
             pca_transform(model, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("X, message", [
+        (np.zeros(3), "X must be 2-D, got shape (3,)"),
+        (np.zeros((2, 3, 3)), "X must be 2-D, got shape (2, 3, 3)"),
+    ], ids=["1-d", "3-d"])
+    def test_rows_other_than_2_d_rejected(self, X, message):
+        model, = pca_fit([np.random.default_rng(7).normal(size=(10, 3))], 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pca_transform(model, X)
 
     def test_inverse_map_full_rank(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,7 @@ import pytest
 
 from featlearn.harness import ExperimentConfig
 from featlearn.sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError, ae_train,
-                           check_dims, fine_tune, sae_features, sae_pretrain,
+                           check_dims, fine_tune, sae_features, sae_predict, sae_pretrain,
                            semi_pretrain_finetune, sigmoid)
 from sae_reference import ae_train_loop, fine_tune_loop
 
@@ -199,6 +199,11 @@ def _layer(h, d):
     return AeLayer(W=np.zeros((h, d)), b=np.zeros(h), d_bias=np.zeros(d))
 
 
+def _zero_model():
+    """A 6 -> 3 model of zeros with its 2 x 3 softmax head."""
+    return SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 3)), softmax_b=np.zeros(2))
+
+
 def _two_layers():
     """A 6 -> 4 -> 2 stack, trained for two steps on ``_labeled`` rows."""
     return sae_pretrain(_labeled()[0], (4, 2), TrainConfig(iterations=2))
@@ -238,9 +243,16 @@ class TestRefusals:
          "hidden size must satisfy 1 <= h < d=6, got 6"),
         (lambda X, y: ae_train(X, 0, TrainConfig()),
          "hidden size must satisfy 1 <= h < d=6, got 0"),
-        (lambda X, y: sae_features(SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 3)),
-                                            softmax_b=np.zeros(2)), X[:, :5]),
+        (lambda X, y: sae_features(_zero_model(), X[:, :5]),
          "expected 6 columns, got 5"),
+        (lambda X, y: sae_features(_zero_model(), X[0]),
+         "X must be 2-D, got shape (6,)"),
+        (lambda X, y: sae_features(_zero_model(), np.zeros((2, 6, 6))),
+         "X must be 2-D, got shape (2, 6, 6)"),
+        (lambda X, y: sae_predict(_zero_model(), X[0]),
+         "X must be 2-D, got shape (6,)"),
+        (lambda X, y: sae_predict(_zero_model(), np.zeros((2, 6, 6))),
+         "X must be 2-D, got shape (2, 6, 6)"),
         (lambda X, y: check_dims(6, []), "dims must be nonempty"),
         (lambda X, y: fine_tune(_two_layers(), X, y[1:], TrainConfig(), [0.0]),
          "labels must be one 0/1 value per row"),
@@ -265,6 +277,7 @@ class TestRefusals:
         (lambda X, y: semi_pretrain_finetune(X, y, np.empty(0), (4, 2), TrainConfig(), [0.0]),
          "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (0,)"),
     ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "sae-features-width",
+            "sae-features-1-d", "sae-features-3-d", "sae-predict-1-d", "sae-predict-3-d",
             "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
             "fine-tune-label-0.7", "fine-tune-label-1.5", "semi-label-0.7", "semi-label-1.5",
             "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",

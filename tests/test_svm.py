@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -479,6 +481,15 @@ class TestSvmPredict:
         model = LinearSvmModel(w=np.array([1.0, -1.0]), bias=0.5, C=1.0)
         with pytest.raises(ValueError, match="^expected 2 columns, got 3$"):
             svm_predict(model, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("X, message", [
+        (np.ones(2), "X must be 2-D, got shape (2,)"),
+        (np.zeros((2, 3, 3)), "X must be 2-D, got shape (2, 3, 3)"),
+    ], ids=["1-d", "3-d"])
+    def test_rows_other_than_2_d_rejected(self, X, message):
+        model = LinearSvmModel(w=np.array([1.0, -1.0, 0.0]), bias=0.5, C=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            svm_predict(model, X)
 
 
 class TestAccuracy:
