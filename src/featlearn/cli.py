@@ -124,9 +124,7 @@ def _config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = replace(_config(args), repeats=1)
-    ds = load_csv(args.data, args.label_column)
-    spec = PipelineSpec(method=_METHOD_NAMES[args.method],
-                        selector=_SELECTOR_NAMES[args.selector])
+    ds, spec = load_csv(args.data, args.label_column), args.spec
     results, cell = run_experiment(ds, [spec], cfg), (spec.method, spec.selector)
     (acc,), (chosen,) = results.accuracies[cell], results.chosen[cell]
     print(f"method={args.method} selector={args.selector} accuracy={acc:.4f}")
@@ -169,6 +167,12 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run":  # an undefined cell is a usage error, refused before any file is read
+        try:
+            args.spec = PipelineSpec(method=_METHOD_NAMES[args.method],
+                                     selector=_SELECTOR_NAMES[args.selector])
+        except ValueError as exc:
+            parser.error(str(exc))
     handlers = {
         "gen-data": _cmd_gen_data,
         "run": _cmd_run,

@@ -671,8 +671,10 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ValueError("must be true or false")
                 updates[key] = value.lower() == "true"
             elif get_args(kind):  # tuple[elem, ...]
-                elem = get_args(kind)[0]
-                updates[key] = tuple(elem(p.strip()) for p in value.split(",") if p.strip())
+                entries = [p.strip() for p in value.split(",")]
+                if not all(entries):
+                    raise ValueError("empty entry")
+                updates[key] = tuple(map(get_args(kind)[0], entries))
             else:
                 updates[key] = kind(value)
         except ValueError as exc:

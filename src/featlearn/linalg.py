@@ -21,7 +21,6 @@ decomposing that matrix alone, as a one-member stack. Its rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,12 +55,11 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-@lru_cache(maxsize=64)
 def _round_robin(p: int) -> np.ndarray:
     """Tournament schedule: rounds of disjoint index pairs covering all
-    p(p-1)/2 pairs exactly once, as a read-only (rounds, 2, p // 2) array of
-    (ks, ls) with ks < ls. Disjointness lets a whole round of Jacobi
-    rotations be applied with vectorized row/column updates."""
+    p(p-1)/2 pairs exactly once, as a (rounds, 2, p // 2) array of (ks, ls)
+    with ks < ls. Disjointness lets a whole round of Jacobi rotations be
+    applied with vectorized row/column updates."""
     players = list(range(p)) + ([-1] if p % 2 else [])
     m = len(players)
     rounds = []
@@ -74,9 +72,7 @@ def _round_robin(p: int) -> np.ndarray:
                 ls.append(max(a, b))
         rounds.append((ks, ls))
         players = [players[0], players[-1]] + players[1:-1]
-    schedule = np.array(rounds, dtype=np.intp).reshape(len(rounds), 2, p // 2)
-    schedule.setflags(write=False)
-    return schedule
+    return np.array(rounds, dtype=np.intp).reshape(len(rounds), 2, p // 2)
 
 
 def _check_stack(Ms) -> list[np.ndarray]:

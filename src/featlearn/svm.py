@@ -15,12 +15,11 @@ a (1, n, q) stack at one C. These rules keep it so:
 
 - Each group computes its margins and its gradient with one ``np.matmul``
   per product over an (f, |Cs|, n, q) broadcast view of its slices, with
-  stride 0 on the C axis and a unit f or |Cs| axis dropped. That makes the
-  same gemv call per (slice, C) as the 2-D product on that problem alone.
-  No block-wide matrix product (gemm): it rounds differently.
-- The w.w products run one stacked ``np.matmul`` per run of equal q, each
-  over the problem's own q: a dot product over a zero-padded w rounds
-  differently.
+  stride 0 on the C axis. That makes the same gemv call per (slice, C) as
+  the 2-D product on that problem alone. No block-wide matrix product
+  (gemm): it rounds differently.
+- The w.w products run one stacked ``np.matmul`` per group, each over the
+  problem's own q: a dot product over a zero-padded w rounds differently.
 - Rows are padded to the longest problem for the elementwise steps, with
   zero labels on the padding. The hinge and bias-gradient sums reduce each
   problem's exact-length row, one reduction per run of equal row count,
@@ -85,7 +84,7 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     problems = []  # (X, +/-1 labels, C) per problem, in group order: problem i is block row i
-    segments = []  # (X, a, b, lead, n, q) per group: its view of X and its block rows a:b
+    segments = []  # (X, a, b) per group: its (f, |Cs|, n, q) view of X and its block rows a:b
     for X, labels, Cs in groups:
         X, Y = np.asarray(X, dtype=float), _plus_minus(labels)
         if X.ndim != 3 or Y.shape != X.shape[:2]:
@@ -96,13 +95,9 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
         if not all(0.0 < C < math.inf for C in Cs):
             raise ValueError("C must be > 0 and finite")
         (f, n, q), c = X.shape, len(Cs)
-        if f and c:
-            # every C of a slice reads the slice itself: stride 0 on the C
-            # axis; a unit slice or C axis is dropped: a matmul with one batch
-            # axis fewer costs less per call and makes the same gemv calls
-            lead = tuple(d for d in (f, c) if d > 1) or (1,)
-            view = np.broadcast_to(X[:, None], (f, c, n, q)).reshape(lead + (n, q))
-            segments.append((view, len(problems), len(problems) + f * c, lead, n, q))
+        if f and c:  # every C of a slice reads the slice itself: stride 0 on the C axis
+            segments.append((np.broadcast_to(X[:, None], (f, c, n, q)),
+                             len(problems), len(problems) + f * c))
         problems.extend((x, y, float(C)) for x, y in zip(X, Y) for C in Cs)
     if not problems:
         raise ValueError("need at least one problem")
@@ -122,26 +117,22 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     prev_obj = list(best_obj)
     models: list = [None] * len(problems)
 
-    # (A, B, out) for each matrix product of an epoch: the margins and
-    # gradients per group and the w.w per run of equal q; and per run of
-    # equal n, the work rows whose sums are the hinge and then the bias
-    # gradient, with both outputs
-    n_runs, q_runs = [], []
-    for _, a, b, _, n, q in segments:
-        for runs, size in ((n_runs, n), (q_runs, q)):
-            if runs and runs[-1][2] == size:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b, size])
-    # a group's products act on its block rows a:b split as its X's batch
-    # axes are, which are views of the block's own arrays
-    margin, gradient = [], []
-    for X, a, b, lead, n, q in segments:
-        margin.append((X, Wb[a:b, :q, None].reshape(lead + (q, 1)),
-                       margins[a:b, :n, None].reshape(lead + (n, 1))))
-        gradient.append((work[a:b, None, :n].reshape(lead + (1, n)), X,
-                         grad[a:b, None, :q].reshape(lead + (1, q))))
-    dot = [(Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]) for a, b, q in q_runs]
+    # (A, B, out) for each matrix product of an epoch: per group, the margins
+    # and the gradient on its block rows a:b split as its X's (f, |Cs|) batch
+    # axes, views of the block's own arrays, and the w.w; and per run of equal
+    # n, the work rows whose sums are the hinge and then the bias gradient
+    n_runs, margin, gradient, dot = [], [], [], []
+    for X, a, b in segments:
+        f, c, n, q = X.shape
+        if n_runs and n_runs[-1][2] == n:
+            n_runs[-1][1] = b
+        else:
+            n_runs.append([a, b, n])
+        margin.append((X, Wb[a:b, :q, None].reshape(f, c, q, 1),
+                       margins[a:b, :n, None].reshape(f, c, n, 1)))
+        gradient.append((work[a:b, None, :n].reshape(f, c, 1, n), X,
+                         grad[a:b, None, :q].reshape(f, c, 1, q)))
+        dot.append((Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]))
     sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
 
     def retire(i: int, t: int, converged: bool) -> None:

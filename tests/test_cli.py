@@ -106,6 +106,16 @@ def test_unknown_method_exits_1(data_csv, capsys):
     assert "invalid choice: 'sae'" in capsys.readouterr().err
 
 
+def test_undefined_cell_exits_1_before_reading_data(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--data", str(tmp_path / "absent.csv"), "--method", "saef",
+              "--selector", "pca"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: selector 'PCA' is not defined for method 'SAEF'" in err
+    assert "absent.csv" not in err
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     assert main(["run", "--data", str(tmp_path / "absent.csv")]) == 2
     assert "no such file" in capsys.readouterr().err

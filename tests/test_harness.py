@@ -354,6 +354,8 @@ class TestParseConfig:
         ("stratify = yes", "config line 1: stratify: must be true or false"),
         # the key parses, but every split is stratified
         ("stratify = false", "stratify must be true: every split is stratified by class"),
+        ("sae_dims = 40,,15", "config line 1: sae_dims: empty entry"),
+        ("k = 3\nc_grid = 0.1,1,", "config line 2: c_grid: empty entry"),
     ])
     def test_bad_line_named(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -157,9 +157,9 @@ class TestSvmTrainBlock:
     def test_products_act_on_views(self, monkeypatch):
         """Every matrix product of an epoch reads and writes views: the
         (f, |Cs|) splits of the block's w, margin, work and gradient rows
-        are written through ``out=``, so a copy would lose the result. A
-        group with several slices and several C values keeps both batch
-        axes; any other drops its unit axis."""
+        are written through ``out=``, so a copy would lose the result. Every
+        margin and gradient product is an (f, |Cs|, ., .) matmul, a unit
+        slice or C axis included."""
         X, y, folds = _adni_folds(6, 10)
         groups = _ttest_groups(X, y, folds, [1, 4, 12])  # f slices x one C
         groups.append(_single(X[folds[0][0]], y[folds[0][0]], [0.1, 1.0]))  # one slice x two Cs
@@ -174,10 +174,10 @@ class TestSvmTrainBlock:
             assert out is not None
             assert not (a.flags.owndata or b.flags.owndata or out.flags.owndata)
         # per epoch and group, one margin and one gradient product; the w.w
-        # runs are the products of w with itself
-        products = [out for (a, b), out in calls if not np.shares_memory(a, b)]
+        # products are the products of w with itself
+        products = [(a, b, out) for (a, b), out in calls if not np.shares_memory(a, b)]
         assert len(products) == 3 * 2 * len(groups)
-        assert sum(out.ndim == 4 for out in products) == 3 * 2
+        assert all(op.ndim == 4 for product in products for op in product)
 
     @pytest.mark.parametrize("Cs, converged", [
         ([1.0, 0.01, 1.0], [False, True, False]),
@@ -219,7 +219,7 @@ class TestSvmTrainBlock:
         svm_train(groups, tol=1e-6, max_epochs=5)
         dots = [a for a, b in recording.matmul_operands if np.shares_memory(a, b)]
         assert sorted({a.shape[-1] for a in dots}) == sorted(set(widths))
-        assert len(dots) == 5 * 4  # per epoch, one per run of equal width
+        assert len(dots) == 5 * 6  # per epoch, one per group
 
     def test_some_models_retire_early_others_run_out(self):
         X, y = _problem(0)
