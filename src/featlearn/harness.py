@@ -220,6 +220,12 @@ class ExperimentConfig:
         TrainConfig(learning_rate=self.sae_learning_rate, iterations=self.sae_iterations)
         if not all(0.0 <= l2 < np.inf for l2 in self.l2_grid):
             raise ValueError("l2 must be >= 0 and finite")
+        # a repeated candidate would be trained twice and change no choice
+        for name in ("l2_grid", "c_grid", "pca_grid", "ttest_grid"):
+            grid = getattr(self, name)
+            for i, value in enumerate(grid):
+                if value in grid[:i]:
+                    raise ValueError(f"{name} holds {value!r} more than once")
 
 
 def _method_features(spec: PipelineSpec, sae: SaeModel | None, X: np.ndarray) -> np.ndarray:
@@ -479,13 +485,17 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     more than one, and each worker gets the dataset with every repeat it
     runs. ``jobs`` is an argument, not a config field: it never changes a
     result.
-    Raises ValueError before any fit if jobs is not an integer >= 1, the SAE
-    dims do not fit ds or some repeat's smaller training class has fewer than
-    cfg.k rows.
+    Raises ValueError before any fit if a cell is repeated in specs, jobs is
+    not an integer >= 1, the SAE dims do not fit ds or some repeat's smaller
+    training class has fewer than cfg.k rows.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
+    keys = [(spec.method, spec.selector) for spec in specs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"cell {','.join(key)} is repeated in specs")
     if not isinstance(jobs, (int, np.integer)) or isinstance(jobs, bool):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
@@ -502,7 +512,6 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     else:
         outcomes = list(map(run, range(cfg.repeats), splits))
     # both keep repeat order, so outcomes[r][i] is repeat r of spec i
-    keys = [(spec.method, spec.selector) for spec in specs]
     return ResultsTable(
         accuracies={key: tuple(o[i][1] for o in outcomes) for i, key in enumerate(keys)},
         chosen={key: tuple(o[i][0] for o in outcomes) for i, key in enumerate(keys)})

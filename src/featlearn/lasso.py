@@ -36,7 +36,6 @@ step, and each member's walk is the one it would walk alone, bit for bit:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,24 +50,6 @@ class SingularActiveSetError(ArithmeticError):
     """The lasso path cannot go on: its active columns are linearly
     dependent (for example a duplicated column), so the solution is not
     unique, or no choice among exactly tied columns is consistent."""
-
-
-@dataclass(frozen=True)
-class LassoFit:
-    """The exact solution at ``lam``. ``iterations_run`` counts the path
-    segments walked to reach it, and ``converged`` is always True: there is
-    no iteration to stop early."""
-
-    beta: np.ndarray
-    lam: float
-    iterations_run: int
-    converged: bool
-    objective: float
-
-
-def lasso_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    r = y - X @ beta
-    return float(r @ r) / X.shape[0] + lam * float(np.sum(np.abs(beta)))
 
 
 def _solve_active(blocks: np.ndarray, rhs: np.ndarray):
@@ -318,15 +299,13 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     return _walk(problems, lambdas)[0]
 
 
-def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
-    """The exact solution at one lambda: lasso_path with one problem and a
-    one-value grid."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    (betas,), (segments,) = _walk([(X, y)], [lam])
-    beta = betas[:, 0]
-    return LassoFit(beta=beta, lam=lam, iterations_run=segments, converged=True,
-                    objective=lasso_objective(X, y, beta, lam))
+def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The one-member path's coefficients at one lambda. It stays only
+    because perfbench/tracing.py resolves ``featlearn.lasso.lasso_fit`` by
+    name (ROADMAP item 1a drops that entry and this alias). No run calls
+    it, and none may under the tracer, which reads ``iterations_run`` from
+    a call's result."""
+    return lasso_path([(X, y)], [lam])[0][:, 0]
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -370,8 +349,8 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     and then the full problem's as one lockstep block, reading the centered
     fold copies from a generator, so one is held at a time; each member's
     path is its walk alone, bit for bit, so the full path's column at a
-    lambda is ``lasso_fit(X, y - mean(y), lambda).beta``. One matrix product
-    per fold scores every lambda.
+    lambda is the one-member ``lasso_path([(X, y - mean(y))], [lambda])``.
+    One matrix product per fold scores every lambda.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
     a full-data ``lambda_path`` need not give the zero fit in every fold,

@@ -10,15 +10,33 @@ The objective is |y - X b|^2 / n + lambda |b|_1, the same as the package's.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from featlearn.lasso import LassoFit, SingularActiveSetError, lasso_objective
+from featlearn.lasso import SingularActiveSetError
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10000
 _TIE_RTOL = 1e-12
 _MAX_TIE_CHOICES = 1024
+
+
+@dataclass(frozen=True)
+class DescentFit:
+    """Where ``coordinate_descent`` stopped: ``iterations_run`` sweeps, and
+    whether the last one moved every coordinate by less than the tolerance."""
+
+    beta: np.ndarray
+    lam: float
+    iterations_run: int
+    converged: bool
+    objective: float
+
+
+def lasso_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    r = y - X @ beta
+    return float(r @ r) / X.shape[0] + lam * float(np.sum(np.abs(beta)))
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -44,7 +62,7 @@ def running_max_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
 
 def coordinate_descent(X: np.ndarray, y: np.ndarray, lam: float,
                        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                       beta0: np.ndarray | None = None) -> LassoFit:
+                       beta0: np.ndarray | None = None) -> DescentFit:
     """Cyclic coordinate descent with exact soft-threshold updates.
 
     Each coordinate is set to its exact partial minimizer
@@ -88,8 +106,8 @@ def coordinate_descent(X: np.ndarray, y: np.ndarray, lam: float,
         if max_delta < tol:
             converged = True
             break
-    return LassoFit(beta=beta, lam=lam, iterations_run=sweeps, converged=converged,
-                    objective=lasso_objective(X, y, beta, lam))
+    return DescentFit(beta=beta, lam=lam, iterations_run=sweeps, converged=converged,
+                      objective=lasso_objective(X, y, beta, lam))
 
 
 def _solve_active(block: np.ndarray, rhs: np.ndarray, active: list[int]) -> np.ndarray:

@@ -154,6 +154,10 @@ def test_console_script_exits_with_mains_code(tmp_path, monkeypatch, capsys, arg
     ("l2_grid = 0.001,-0.0001", "l2 must be >= 0"),
     ("pca_grid = 0", "every pca_grid and ttest_grid value must be >= 1"),
     ("ttest_grid = -3", "every pca_grid and ttest_grid value must be >= 1"),
+    ("c_grid = 1,0.1,1", "c_grid holds 1.0 more than once"),
+    ("pca_grid = 5,2,5", "pca_grid holds 5 more than once"),
+    ("ttest_grid = 2,2", "ttest_grid holds 2 more than once"),
+    ("l2_grid = 0,0.001,-0", "l2_grid holds -0.0 more than once"),
     ("sae_dims = 4,0", "hidden sizes must be >= 1"),
     ("base_seed = -1", "base_seed must be >= 0"),
     ("k = 3.5", "config line 1: k: invalid literal for int() with base 10: '3.5'"),

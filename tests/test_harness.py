@@ -294,6 +294,7 @@ class TestExperimentConfig:
         ({"c_grid": (float("nan"), 0.1)}, "every C in c_grid must be > 0 and finite"),
         ({"c_grid": (1.0, float("inf"))}, "every C in c_grid must be > 0 and finite"),
         ({"c_grid": ()}, "c_grid must be nonempty"),
+        ({"c_grid": (1.0, 0.1, 1.0)}, "^c_grid holds 1.0 more than once$"),
     ])
     def test_bad_svm_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -317,6 +318,9 @@ class TestExperimentConfig:
         ({"l2_grid": (1e-3, float("nan"))}, "l2 must be >= 0 and finite"),
         ({"l2_grid": (float("inf"),)}, "l2 must be >= 0 and finite"),
         ({"stratify": False}, "stratify must be true: every split is stratified by class"),
+        ({"pca_grid": (np.int64(5), 2, 5)}, "^pca_grid holds 5 more than once$"),
+        ({"ttest_grid": (1, 2, 2)}, "^ttest_grid holds 2 more than once$"),
+        ({"l2_grid": (1e-3, 0.0, 1e-3)}, "^l2_grid holds 0.001 more than once$"),
     ])
     def test_bad_selector_and_sae_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -683,6 +687,9 @@ class TestRunExperiment:
         ([PipelineSpec("LLF")], "2", "jobs must be an integer, got '2'"),
         ([PipelineSpec("LLF")], True, "jobs must be an integer, got True"),
         ([PipelineSpec("LLF")], None, "jobs must be an integer, got None"),
+        ([PipelineSpec("LLF")] * 2, 1, "cell LLF,NONE is repeated in specs"),
+        ([PipelineSpec("LLF_SAEF", "LASSO"), PipelineSpec("LLF"),
+          PipelineSpec("LLF_SAEF", "LASSO")], 1, "cell LLF_SAEF,LASSO is repeated in specs"),
     ])
     def test_bad_arguments_rejected_before_any_fit(self, no_fits, specs, jobs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -11,7 +11,7 @@ and asserts its bound over every instance.
 import numpy as np
 import pytest
 
-from featlearn.lasso import lambda_max, lasso_fit
+from featlearn.lasso import lambda_max, lasso_path
 from featlearn.pca import pca_fit
 from featlearn.sae import _Work, _ae_value_and_grads, _ft_value_and_grads, _init_matrix
 from featlearn.svm import svm_predict, svm_train
@@ -124,7 +124,7 @@ def check_lasso_lambda_max():
         y -= y.mean()
         lmax = lambda_max(X, y)
         for lam in (lmax, 1.5 * lmax):
-            beta = lasso_fit(X, y, lam).beta
+            beta = lasso_path([(X, y)], [lam])[0][:, 0]
             assert np.all(beta == 0.0), f"max |beta| {np.max(np.abs(beta)):g} at lambda {lam:g}"
 
 
@@ -144,13 +144,13 @@ def check_lasso_orthogonal():
         z = X.T @ y / n
         lam = float(rng.uniform(0.05, 1.0)) * 2.0 * float(np.max(np.abs(z)))
         closed = np.sign(z) * np.maximum(np.abs(z) - lam / 2.0, 0.0)
-        fit = lasso_fit(X, y, lam)
-        worst = max(worst, float(np.max(np.abs(fit.beta - closed))))
+        beta = lasso_path([(X, y)], [lam])[0][:, 0]
+        worst = max(worst, float(np.max(np.abs(beta - closed))))
     assert worst < 1e-8, f"max |beta - closed form| {worst:g}"
 
 
 def check_lasso_kkt():
-    """Subgradient optimality of 50 converged fits: |(2/n) X_j^T r| <= lambda
+    """Subgradient optimality of 50 exact fits: |(2/n) X_j^T r| <= lambda
     where beta_j = 0, and equal to lambda*sign(beta_j) elsewhere."""
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -163,12 +163,11 @@ def check_lasso_kkt():
         y = X @ beta_true + 0.3 * rng.normal(size=n)
         y -= y.mean()
         lam = float(rng.uniform(0.02, 0.8)) * lambda_max(X, y)
-        fit = lasso_fit(X, y, lam)
-        assert fit.converged
-        grad = 2.0 * (X.T @ (y - X @ fit.beta)) / n
-        zero = fit.beta == 0.0
+        beta = lasso_path([(X, y)], [lam])[0][:, 0]
+        grad = 2.0 * (X.T @ (y - X @ beta)) / n
+        zero = beta == 0.0
         viol_zero = float(np.max(np.maximum(np.abs(grad[zero]) - lam, 0.0), initial=0.0))
-        viol_active = float(np.max(np.abs(grad[~zero] - lam * np.sign(fit.beta[~zero])), initial=0.0))
+        viol_active = float(np.max(np.abs(grad[~zero] - lam * np.sign(beta[~zero])), initial=0.0))
         worst = max(worst, viol_zero, viol_active)
     assert worst < 1e-6, f"max subgradient residual {worst:g}"
 
