@@ -57,6 +57,7 @@ has not been measured.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
@@ -186,17 +187,21 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        # the integer fields and entries, numpy integers included, as plain ints
+        # the integer and float fields and entries, numpy numbers included, as
+        # plain ints and floats: a float field takes integers, no field a bool
         for name, kind in _CONFIG_FIELDS.items():
+            what = {int: "an integer", tuple[int, ...]: "integers", float: "a number",
+                    tuple[float, ...]: "numbers"}.get(kind)
+            if what is None:
+                continue
+            elem, many = (get_args(kind) or (kind,))[0], bool(get_args(kind))
             value = getattr(self, name)
-            if kind in (int, tuple[int, ...]):
-                values = (value,) if kind is int else value
-                if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                           for v in values):
-                    what = "an integer" if kind is int else "integers"
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-                object.__setattr__(self, name, int(value) if kind is int else
-                                   tuple(map(int, values)))
+            values = value if many else (value,)
+            types = numbers.Integral if elem is int else numbers.Real
+            if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            values = tuple(map(elem, values))
+            object.__setattr__(self, name, values if many else values[0])
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.k < 2:
@@ -423,7 +428,7 @@ class _RepeatFits:
 
         with _stage("svm"):
             scores = svm_cv(_fold_rows(Gtr, folds_local), ytr01, folds_local, self.cfg.c_grid,
-                            max_epochs=self.cfg.svm_cv_epochs)
+                            [Gtr.shape[1]], max_epochs=self.cfg.svm_cv_epochs)
             chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
             model, = svm_train([(Gtr[None], ytr01[None], [C])], 1e-7, self.cfg.svm_epochs)
 

@@ -2,8 +2,8 @@
 two-output softmax head, joint fine-tuning with cross-entropy + L2, and a
 semi-supervised pretraining variant that also consumes unlabeled rows.
 
-Encoder: h = sigmoid(b + W x), computed by ``_encode`` alone for training,
-pretraining and ``sae_features``; decoder: xhat = d_bias + W^T h (weights tied).
+Encoder: h = sigmoid(b + W x), computed by ``_encode`` alone and kept as an
+``AeLayer``; decoder, in ``ae_train`` alone: xhat = d_bias + W^T h (tied W).
 Training is full-batch gradient descent; gradients are per-sample averages
 so that the default learning rate is stable regardless of sample count.
 All training is a pure function of (inputs, cfg.seed).
@@ -50,31 +50,28 @@ def sigmoid(x, out=None):
 
 @dataclass(frozen=True)
 class AeLayer:
-    """One tied-weight auto-encoder: W is h x d with h < d, b the encoder
-    bias, d_bias the decoder bias."""
+    """The encoder of one tied-weight auto-encoder: W is h x d with h < d,
+    b the encoder bias. The decoder bias belongs to ``ae_train`` alone."""
 
     W: np.ndarray
     b: np.ndarray
-    d_bias: np.ndarray
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
         b = np.array(self.b, dtype=float)
-        d_bias = np.array(self.d_bias, dtype=float)
         if W.ndim != 2:
             raise ValueError("W must be 2-D (hidden x input)")
         h, d = W.shape
         if h >= d:
             raise ValueError(f"undercomplete layer requires h < d, got {h} >= {d}")
-        if b.shape != (h,) or d_bias.shape != (d,):
-            raise ValueError("bias shapes must be (h,) and (d,)")
-        for arr in (W, b, d_bias):
+        if b.shape != (h,):
+            raise ValueError(f"bias shape must be ({h},), got {b.shape}")
+        for arr in (W, b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("layer parameters must be finite")
             arr.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d_bias", d_bias)
 
     @property
     def h(self) -> int:
@@ -216,7 +213,7 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
         d_bias -= lr * gd
     if not math.isfinite(_ae_forward(W, b, d_bias, X, work)[0]):
         raise TrainingDivergedError(f"reconstruction loss non-finite after iteration {cfg.iterations}")
-    return AeLayer(W=W, b=b, d_bias=d_bias)
+    return AeLayer(W=W, b=b)
 
 
 def check_dims(width: int, dims) -> list[int]:
@@ -241,12 +238,12 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     """
     X = np.asarray(X, dtype=float)
     dims = check_dims(X.shape[1], dims)
-    layers = []
-    cur = X
+    layers, cur = [], X
     for k, h in enumerate(dims):
-        layer = ae_train(cur, h, replace(cfg, seed=derive_seed(cfg.seed, _SEED_LAYER_BASE + k)))
-        layers.append(layer)
-        cur = _encode(cur, layer.W, layer.b)
+        if layers:  # the top layer's encodings would train nothing
+            cur = _encode(cur, layers[-1].W, layers[-1].b)
+        seed = derive_seed(cfg.seed, _SEED_LAYER_BASE + k)
+        layers.append(ae_train(cur, h, replace(cfg, seed=seed)))
     return layers
 
 
@@ -297,10 +294,9 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     l2s, all from the same layers and the same head seed, trained in
     lockstep as one stack; cfg.l2 is not read.
 
-    Updates every encoder W and b and the head; decoder biases take no part
-    and are carried over unchanged. The loss is mean cross-entropy plus
-    (l2 / 2) times the squared Frobenius norms of all weight matrices.
-    Model i is bit-equal to ``fine_tune`` with l2s = [l2s[i]].
+    Updates every encoder W and b and the head. The loss is mean
+    cross-entropy plus (l2 / 2) times the squared Frobenius norms of all
+    weight matrices. Model i is bit-equal to ``fine_tune`` with l2s = [l2s[i]].
 
     Raises TrainingDivergedError at the first iteration where the loss of
     any L2 value is non-finite, even if the others would have trained, and
@@ -332,8 +328,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
             param -= lr * grad
     if not np.isfinite(_ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)[0]).all():
         raise TrainingDivergedError(f"fine-tuning loss non-finite after iteration {cfg.iterations}")
-    return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0], d_bias=layer.d_bias)
-                                  for W, b, layer in zip(Ws, bs, layers)),
+    return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0]) for W, b in zip(Ws, bs)),
                      softmax_W=Wh[i], softmax_b=bh[i, 0])
             for i in range(stack)]
 

@@ -210,7 +210,7 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
-def svm_cv(fold_features, labels, folds, C_grid, candidates=None, *,
+def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
            max_epochs: int) -> np.ndarray:
     """Validation accuracy per (fold, candidate, C) over ``kfold``'s (training
     mask, validation rows) pairs: a (folds, candidates * |C_grid|) array,
@@ -219,8 +219,8 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates=None, *,
     ``fold_features`` yields each fold's (training rows, validation rows)
     features, in fold order, all of one width q. A candidate is a width w,
     which trains on the first w columns, or one ascending column-index array
-    per fold; ``None`` is the one width q. Every (fold, candidate, C) trains
-    in one ``svm_train`` block at tol 1e-6 (see the module docstring)."""
+    per fold. Every (fold, candidate, C) trains in one ``svm_train`` block at
+    tol 1e-6 (see the module docstring)."""
     y, k = np.asarray(labels), len(folds)
     by_rows: dict = {}  # training row count -> the folds that share its stacks
     for f, (train, _) in enumerate(folds):
@@ -232,7 +232,7 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates=None, *,
         X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
         if f == 0:  # each candidate's columns per fold, a slice for a width
             q, cols = X_tr.shape[-1], []
-            for i, c in enumerate([q] if candidates is None else candidates):
+            for i, c in enumerate(candidates):
                 cols.append([slice(c)] * k if np.isscalar(c) else list(c))
                 if len(cols[-1]) != k or np.isscalar(c) and not 1 <= c <= q:
                     raise ValueError(f"candidate {i} is neither a width in 1..{q}, fold 0's "

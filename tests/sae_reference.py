@@ -57,7 +57,7 @@ def ae_train_loop(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
         d_bias -= lr * gd
     if not np.isfinite(ae_value_and_grads(W, b, d_bias, X)[0]):
         raise TrainingDivergedError(f"reconstruction loss non-finite after iteration {cfg.iterations}")
-    return AeLayer(W=W, b=b, d_bias=d_bias)
+    return AeLayer(W=W, b=b)
 
 
 def ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2):
@@ -112,7 +112,5 @@ def fine_tune_loop(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
             b_ -= lr * gb
         Wh -= lr * gWh
         bh -= lr * gbh
-    new_layers = tuple(
-        AeLayer(W=W, b=b_, d_bias=layer.d_bias)
-        for W, b_, layer in zip(Ws, bs, layers))
+    new_layers = tuple(AeLayer(W=W, b=b_) for W, b_ in zip(Ws, bs))
     return SaeModel(layers=new_layers, softmax_W=Wh, softmax_b=bh)

@@ -92,7 +92,7 @@ class TestFitSaeStage:
         assert _sorted_columns(grid, scores).tobytes() == want_scores.tobytes()
         assert got_l2 == want_l2
         for a, b in zip(got.layers, want.layers, strict=True):
-            for name in ("W", "b", "d_bias"):
+            for name in ("W", "b"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert got.softmax_W.tobytes() == want.softmax_W.tobytes()
         assert got.softmax_b.tobytes() == want.softmax_b.tobytes()
@@ -348,6 +348,30 @@ class TestExperimentConfig:
         for name in ("sae_dims", "pca_grid", "ttest_grid"):
             assert all(type(v) is int for v in getattr(cfg, name)), name
 
+    @pytest.mark.parametrize("kwargs", [
+        {"test_frac": "0.2"}, {"test_frac": True}, {"sae_learning_rate": True},
+        {"lambda_ratio": None}, {"lambda_ratio": np.True_}, {"l2_grid": (1e-3, False)},
+        {"l2_grid": ("0.1",)}, {"c_grid": (True,)}, {"c_grid": (1.0, None)},
+    ], ids=lambda kwargs: next(iter(kwargs)))
+    def test_bool_or_non_number_in_a_float_field_rejected(self, kwargs):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be (a number|numbers), got"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_floats_are_kept_as_floats_and_round_trip(self):
+        # float32(0.1) is 0.10000000149011612: the text must rerun that C
+        cfg = ExperimentConfig(test_frac=np.float32(0.25), sae_learning_rate=np.float64(0.05),
+                               lambda_ratio=np.float32(0.1), l2_grid=np.array([0.0, 1e-3]),
+                               c_grid=(np.float32(0.1), 1))
+        assert cfg.c_grid == (0.10000000149011612, 1.0)
+        parsed = parse_config(config_to_text(cfg))
+        assert parsed == cfg
+        for got in (cfg, parsed):
+            for name in ("test_frac", "sae_learning_rate", "lambda_ratio"):
+                assert type(getattr(got, name)) is float, name
+            for name in ("l2_grid", "c_grid"):
+                assert all(type(v) is float for v in getattr(got, name)), name
+
 
 class TestParseConfig:
     @pytest.mark.parametrize("text, message", [
@@ -388,7 +412,7 @@ class TestParseConfig:
 
 
 def _sae_arrays(model):
-    arrays = [a for layer in model.layers for a in (layer.W, layer.b, layer.d_bias)]
+    arrays = [a for layer in model.layers for a in (layer.W, layer.b)]
     return [a.tobytes() for a in arrays + [model.softmax_W, model.softmax_b]]
 
 

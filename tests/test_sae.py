@@ -1,10 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from featlearn import sae
 from featlearn.harness import ExperimentConfig
 from featlearn.sae import (AeLayer, SaeModel, TrainConfig, TrainingDivergedError, ae_train,
                            check_dims, fine_tune, sae_features, sae_predict, sae_pretrain,
@@ -64,7 +65,7 @@ def _labeled(seed=0):
 
 
 def _model_bytes(model):
-    arrays = [a for layer in model.layers for a in (layer.W, layer.b, layer.d_bias)]
+    arrays = [a for layer in model.layers for a in (layer.W, layer.b)]
     return [a.tobytes() for a in arrays + [model.softmax_W, model.softmax_b]]
 
 
@@ -77,8 +78,36 @@ class TestAeTrainMatchesReference:
         X = np.random.default_rng(n).normal(size=(n, d))
         cfg = TrainConfig(learning_rate=0.05, iterations=iterations, seed=3)
         got, want = ae_train(X, h, cfg), ae_train_loop(X, h, cfg)
-        for name in ("W", "b", "d_bias"):
+        for name in ("W", "b"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestLayersAreEncoders:
+    def test_a_layer_holds_its_encoder_weight_and_bias_only(self):
+        assert [f.name for f in fields(AeLayer)] == ["W", "b"]
+
+    def test_pretraining_encodes_every_layer_but_the_top(self, monkeypatch):
+        # layer k + 1 trains on layer k's encodings; the top layer's train nothing
+        trained_on, encoded = [], []
+        encode = sae._encode
+
+        def fixed_layer(X, h, cfg):
+            trained_on.append(X)
+            return AeLayer(W=np.full((h, X.shape[1]), 0.1 * h), b=np.full(h, -0.2))
+
+        def counted_encode(X, W, b, out=None):
+            encoded.append(X.shape)
+            return encode(X, W, b, out)
+
+        monkeypatch.setattr(sae, "ae_train", fixed_layer)
+        monkeypatch.setattr(sae, "_encode", counted_encode)
+        X = _labeled()[0]
+        layers = sae_pretrain(X, (4, 3, 2), TrainConfig())
+        assert [layer.W.shape for layer in layers] == [(4, 6), (3, 4), (2, 3)]
+        assert encoded == [(30, 6), (30, 4)]
+        assert trained_on[0].tobytes() == X.tobytes()
+        for below, rows, above in zip(layers, trained_on, trained_on[1:]):
+            assert above.tobytes() == encode(rows, below.W, below.b).tobytes()
 
 
 class TestFineTuneBlock:
@@ -196,7 +225,7 @@ class TestSemiPretrainFinetune:
 
 def _layer(h, d):
     """A valid h x d layer of zeros."""
-    return AeLayer(W=np.zeros((h, d)), b=np.zeros(h), d_bias=np.zeros(d))
+    return AeLayer(W=np.zeros((h, d)), b=np.zeros(h))
 
 
 def _zero_model():
@@ -211,14 +240,11 @@ def _two_layers():
 
 class TestRefusals:
     @pytest.mark.parametrize("make, message", [
-        (lambda: AeLayer(W=np.zeros(4), b=np.zeros(2), d_bias=np.zeros(4)),
-         "W must be 2-D (hidden x input)"),
-        (lambda: AeLayer(W=np.zeros((3, 3)), b=np.zeros(3), d_bias=np.zeros(3)),
+        (lambda: AeLayer(W=np.zeros(4), b=np.zeros(2)), "W must be 2-D (hidden x input)"),
+        (lambda: AeLayer(W=np.zeros((3, 3)), b=np.zeros(3)),
          "undercomplete layer requires h < d, got 3 >= 3"),
-        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(4), d_bias=np.zeros(4)),
-         "bias shapes must be (h,) and (d,)"),
-        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(2), d_bias=[0.0, 0.0, np.nan, 0.0]),
-         "layer parameters must be finite"),
+        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(4)), "bias shape must be (2,), got (4,)"),
+        (lambda: AeLayer(W=np.zeros((2, 4)), b=[0.0, np.nan]), "layer parameters must be finite"),
         (lambda: SaeModel(layers=(), softmax_W=np.zeros((2, 2)), softmax_b=np.zeros(2)),
          "at least one layer is required"),
         (lambda: SaeModel(layers=(_layer(3, 6), _layer(1, 2)), softmax_W=np.zeros((2, 1)),

@@ -322,7 +322,7 @@ def _rows(X, folds):
 def _assert_matches_per_c(X, y, folds, grid):
     """svm_cv's accuracies equal per_c_cv's byte for byte, and _choose picks
     per_c_cv's C from them."""
-    scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=150)
+    scores = svm_cv(_rows(X, folds), y, folds, grid, [X.shape[1]], max_epochs=150)
     want_C, want = per_c_cv(X, y, folds, grid, 1e-6, 150)
     assert scores[:, np.argsort(grid, kind="stable")].tobytes() == want.tobytes()
     assert _choose(grid, scores, min) == want_C
@@ -339,7 +339,7 @@ class TestSvmCv:
             for C in grid:
                 model, = svm_train([_single(X[train], y[train], [C])], 1e-8, 2000)
                 assert np.all(svm_predict(model, X[val]) == y[val])
-        scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=2000)
+        scores = svm_cv(_rows(X, folds), y, folds, grid, [X.shape[1]], max_epochs=2000)
         assert _choose(grid, scores, min) == 0.1
 
     @pytest.mark.parametrize("seed", range(4))
@@ -357,9 +357,9 @@ class TestSvmCv:
         X, y = _problem(4, 30, 36, 12)
         folds = kfold(y, 5, seed=4)
         grid = [10.0, 0.01, 100.0, 1.0, 0.1, 1.0]
-        scores = svm_cv(_rows(X, folds), y, folds, grid, max_epochs=150)
+        scores = svm_cv(_rows(X, folds), y, folds, grid, [X.shape[1]], max_epochs=150)
         assert scores.shape == (5, 6)
-        in_order = svm_cv(_rows(X, folds), y, folds, sorted(grid), max_epochs=150)
+        in_order = svm_cv(_rows(X, folds), y, folds, sorted(grid), [X.shape[1]], max_epochs=150)
         assert scores[:, np.argsort(grid, kind="stable")].tobytes() == in_order.tobytes()
         _assert_matches_per_c(X, y, folds, grid)
 
