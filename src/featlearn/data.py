@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ class SyntheticSpec:
             raise ValueError("p must be >= 1")
         if not 0 <= self.s <= self.p:
             raise ValueError("s must satisfy 0 <= s <= p")
-        if not 0.0 <= self.delta < math.inf:
+        if not 0.0 <= self.delta <= sys.float_info.max:  # refuses a larger integer too
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
@@ -161,6 +162,11 @@ class SyntheticSpec:
         """56 features over 144/179 labeled plus 309 unlabeled rows."""
         return SyntheticSpec(n0=144, n1=179, n_unlabeled=309, p=56, s=6,
                              delta=0.8, rho=0.2, seed=seed)
+
+
+def _repeated_name(names: list[str]) -> str | None:
+    """The first name that an earlier name equals, or None."""
+    return next((h for i, h in enumerate(names) if h in names[:i]), None)
 
 
 def load_csv(path: str, label_column: str = "label") -> Dataset:
@@ -185,7 +191,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, expected a header row") from None
-        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        repeated = _repeated_name(header)
         if repeated is not None:
             raise CsvFormatError(f"{path}:1: repeated column name {repeated!r}")
         if label_column not in header:
@@ -239,10 +245,17 @@ def save_csv(ds: Dataset, path: str) -> None:
     row is one ``%`` format of a fixed template, since numeric cells never
     need quoting. The bytes are those of writing every row through
     ``csv.writer``: the same digits and ``\\r\\n`` line ends.
+
+    A feature named ``label``, or two of one name, would repeat a column
+    name, which load_csv refuses; that raises ValueError before any write.
     """
+    header = list(ds.feature_names) + ["label"]
+    repeated = _repeated_name(header)
+    if repeated is not None:
+        raise ValueError(f"repeated column name {repeated!r}: load_csv would refuse the file")
     row = "%.17g," * ds.p + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(ds.feature_names) + ["label"])
+        csv.writer(fh).writerow(header)
         for values, label in zip(ds.features.tolist(), ds.labels.tolist()):
             fh.write(row % (*values, label))
 

@@ -198,9 +198,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             values = value if many else (value,)
             types = numbers.Integral if elem is int else numbers.Real
-            if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-            values = tuple(map(elem, values))
+            try:  # float() raises OverflowError on an integer past the float range
+                if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
+                    raise TypeError
+                values = tuple(map(elem, values))
+            except (TypeError, OverflowError):
+                raise ValueError(f"{name} must be {what}, got {value!r}") from None
             object.__setattr__(self, name, values if many else values[0])
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")

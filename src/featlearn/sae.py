@@ -22,7 +22,9 @@ every other step is elementwise or reduces within a slice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -124,11 +126,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
+        if not 0.0 < self.learning_rate <= sys.float_info.max:  # refuses a larger integer too
             raise ValueError("learning_rate must be > 0 and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.l2 < math.inf:
+        if not 0.0 <= self.l2 <= sys.float_info.max:
             raise ValueError("l2 must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
@@ -167,7 +169,8 @@ def _ae_forward(W, b, d_bias, X, work: _Work):
 
 
 def _ae_value_and_grads(W, b, d_bias, X, work: _Work):
-    """Mean squared reconstruction error and its gradients.
+    """Mean squared reconstruction error and its gradients for W, b and
+    d_bias, in that order.
 
     The tied weight collects both contributions: decoder outer(h, 2e) and
     encoder outer(delta_a, x).
@@ -181,7 +184,22 @@ def _ae_value_and_grads(W, b, d_bias, X, work: _Work):
     gW = (H.T @ E2 + dA.T @ X) / n
     gb = dA.sum(axis=0) / n
     gd = E2.sum(axis=0) / n
-    return loss, gW, gb, gd
+    return loss, [gW, gb, gd]
+
+
+def _descend(step, loss, params, cfg: TrainConfig, what: str) -> None:
+    """cfg.iterations full-batch steps ``param -= lr * grad`` in place, with
+    the gradients that ``step()`` returns after the loss, in parameter order.
+    Raises TrainingDivergedError naming the iteration at the first non-finite
+    loss, or after the last step if ``loss()[0]``, the loss it leaves, is."""
+    for it in range(cfg.iterations):
+        value, grads = step()
+        if not np.isfinite(value).all():
+            raise TrainingDivergedError(f"{what} loss non-finite at iteration {it}")
+        for param, grad in zip(params, grads):
+            param -= cfg.learning_rate * grad
+    if not np.isfinite(loss()[0]).all():
+        raise TrainingDivergedError(f"{what} loss non-finite after iteration {cfg.iterations}")
 
 
 def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
@@ -199,20 +217,9 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     if not 1 <= h < d:
         raise ValueError(f"hidden size must satisfy 1 <= h < d={d}, got {h}")
     rng = np.random.default_rng(cfg.seed)
-    W = _init_matrix(rng, h, d)
-    b = np.zeros(h)
-    d_bias = np.zeros(d)
-    lr = cfg.learning_rate
-    work = _Work()
-    for it in range(cfg.iterations):
-        loss, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, work)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(f"reconstruction loss non-finite at iteration {it}")
-        W -= lr * gW
-        b -= lr * gb
-        d_bias -= lr * gd
-    if not math.isfinite(_ae_forward(W, b, d_bias, X, work)[0]):
-        raise TrainingDivergedError(f"reconstruction loss non-finite after iteration {cfg.iterations}")
+    W, b, d_bias = params = [_init_matrix(rng, h, d), np.zeros(h), np.zeros(d)]
+    args = (*params, X, _Work())
+    _descend(partial(_ae_value_and_grads, *args), partial(_ae_forward, *args), params, cfg, "reconstruction")
     return AeLayer(W=W, b=b)
 
 
@@ -259,8 +266,9 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
 
     Every parameter has a leading axis of one slice per L2 value: Ws[k] is
     (L, h, d), bs[k] (L, 1, h), Wh (L, 2, h_top), bh (L, 1, 2) and l2 is
-    (L, 1, 1). Returns the L losses as an array. The input gradient of the
-    first layer is never formed.
+    (L, 1, 1). Returns the L losses as an array and the gradients in the
+    order Ws, bs, Wh, bh. The input gradient of the first layer is never
+    formed.
     """
     n = X.shape[0]
     Hs = [X]
@@ -285,7 +293,7 @@ def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
         gbs[idx] = dH.sum(axis=1, keepdims=True)
         if idx:
             dH = np.matmul(dH, Ws[idx], out=work(f"D{idx - 1}", Hs[idx].shape))
-    return losses, gWs, gbs, gWh, gbh
+    return losses, gWs + gbs + [gWh, gbh]
 
 
 def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeModel]:
@@ -318,16 +326,8 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_HEAD))
     Wh = np.repeat(_init_matrix(rng, 2, layers[-1].h)[None], stack, axis=0)
     bh = np.zeros((stack, 1, 2))
-    lr = cfg.learning_rate
-    work = _Work()
-    for it in range(cfg.iterations):
-        losses, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
-        if not np.isfinite(losses).all():
-            raise TrainingDivergedError(f"fine-tuning loss non-finite at iteration {it}")
-        for param, grad in zip(Ws + bs + [Wh, bh], gWs + gbs + [gWh, gbh]):
-            param -= lr * grad
-    if not np.isfinite(_ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)[0]).all():
-        raise TrainingDivergedError(f"fine-tuning loss non-finite after iteration {cfg.iterations}")
+    step = partial(_ft_value_and_grads, Ws, bs, Wh, bh, X, y, l2, _Work())
+    _descend(step, step, Ws + bs + [Wh, bh], cfg, "fine-tuning")
     return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0]) for W, b in zip(Ws, bs)),
                      softmax_W=Wh[i], softmax_b=bh[i, 0])
             for i in range(stack)]

@@ -118,6 +118,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=r"twice.csv:1: repeated column name 'a'"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("names, repeated", [(("label", "b"), "label"), (("a", "a"), "a")],
+                             ids=["feature-named-label", "two-features-of-one-name"])
+    def test_save_refuses_a_repeated_column_name_and_writes_nothing(self, tmp_path, names,
+                                                                    repeated):
+        path = tmp_path / "twice.csv"
+        with pytest.raises(ValueError, match=f"^repeated column name '{repeated}': load_csv would"):
+            save_csv(Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], names), str(path))
+        assert not path.exists()
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/nope.csv")
@@ -419,7 +428,8 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(1, 1, 0, 3, 1, 0.0, 1.0, seed=0)
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5])
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5,
+                                       pytest.param(10**400, id="past-float-range")])
     def test_delta_must_be_finite_and_nonnegative(self, delta):
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
             SyntheticSpec(4, 4, 0, 3, 1, delta, 0.0, seed=0)

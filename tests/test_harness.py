@@ -352,6 +352,10 @@ class TestExperimentConfig:
         {"test_frac": "0.2"}, {"test_frac": True}, {"sae_learning_rate": True},
         {"lambda_ratio": None}, {"lambda_ratio": np.True_}, {"l2_grid": (1e-3, False)},
         {"l2_grid": ("0.1",)}, {"c_grid": (True,)}, {"c_grid": (1.0, None)},
+        # integers that float() refuses with OverflowError
+        *(pytest.param({name: value}, id=f"{name}-past-float-range") for name, value in [
+            ("test_frac", 10**400), ("sae_learning_rate", 10**400), ("lambda_ratio", 10**400),
+            ("l2_grid", (1e-3, 10**400)), ("c_grid", (10**400,))]),
     ], ids=lambda kwargs: next(iter(kwargs)))
     def test_bool_or_non_number_in_a_float_field_rejected(self, kwargs):
         [(name, value)] = kwargs.items()

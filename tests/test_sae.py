@@ -256,9 +256,11 @@ class TestRefusals:
         (lambda: TrainConfig(seed=-1), "seed must be unsigned"),
         (lambda: TrainConfig(l2=-1.0), "l2 must be >= 0 and finite"),
         (lambda: TrainConfig(l2=math.inf), "l2 must be >= 0 and finite"),
+        (lambda: TrainConfig(l2=10**400), "l2 must be >= 0 and finite"),
+        (lambda: TrainConfig(learning_rate=10**400), "learning_rate must be > 0 and finite"),
     ], ids=["ae-W-not-2d", "ae-not-undercomplete", "ae-bias-shapes", "ae-non-finite",
             "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed",
-            "negative-l2", "infinite-l2"])
+            "negative-l2", "infinite-l2", "l2-past-float-range", "learning-rate-past-float-range"])
     def test_bad_model_or_config_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

@@ -64,8 +64,8 @@ def check_reconstruction_gradients():
             return _ae_value_and_grads(Wv, bv, dv, X, work)[0]
 
         vec = np.concatenate([W.ravel(), b, d_bias])
-        _, gW, gb, gd = _ae_value_and_grads(W, b, d_bias, X, work)
-        analytic = np.concatenate([gW.ravel(), gb, gd])
+        _, grads = _ae_value_and_grads(W, b, d_bias, X, work)
+        analytic = np.concatenate([g.ravel() for g in grads])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     assert worst < GRAD_RTOL, f"max relative error {worst:g}"
 
@@ -106,8 +106,8 @@ def check_finetune_gradients():
                                            work)[0])
 
         vec = np.concatenate([a.ravel() for a in Ws + bs + [Wh, bh]])
-        _, gWs, gbs, gWh, gbh = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
-        analytic = np.concatenate([g.ravel() for g in gWs + gbs + [gWh, gbh]])
+        _, grads = _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work)
+        analytic = np.concatenate([g.ravel() for g in grads])
         worst = max(worst, _rel_err(analytic, _central_diff(loss_of, vec)))
     assert worst < GRAD_RTOL, f"max relative error {worst:g}"
 
