@@ -1,5 +1,5 @@
-"""Dataset container, CSV I/O, standardization, splitting, k-fold
-partitioning, and a synthetic equicorrelated-Gaussian generator.
+"""Dataset container, CSV I/O, standardization, splitting, k-fold partitioning,
+a synthetic equicorrelated-Gaussian generator and every config's number rule.
 
 Labels live in {0, 1, -1}; -1 marks unlabeled rows that never enter a
 train/test split but may feed unsupervised pretraining.
@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
-import sys
 from dataclasses import dataclass
+from functools import cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -32,6 +34,32 @@ def derive_seed(seed: int, *tags: int) -> int:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+_KINDS = {int: "an integer", float: "a number", tuple[int, ...]: "integers",
+          tuple[float, ...]: "numbers"}  # the numeric kinds, as a refusal names them
+field_kinds = cache(get_type_hints)  # a dataclass's field name -> type, resolved once
+
+
+def plain_number(name: str, value, kind):
+    """``value`` as ``kind``, a key of _KINDS, in plain Python numbers (numpy's too; a float
+    takes an integer). Anything else, a bool included, is a ValueError naming ``name``."""
+    elem = (get_args(kind) or (kind,))[0]
+    try:  # float() raises OverflowError past the float range
+        values = (value,) if elem is kind else tuple(value)
+        if not all(isinstance(v, numbers.Integral if elem is int else numbers.Real)
+                   and not isinstance(v, bool) for v in values):
+            raise TypeError
+        return elem(value) if elem is kind else tuple(map(elem, values))
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
+
+
+def plain_numbers(obj) -> None:
+    """Store each numeric field of a frozen dataclass as ``plain_number`` returns it."""
+    for name, kind in field_kinds(type(obj)).items():
+        if kind in _KINDS and type(value := getattr(obj, name)) is not kind:  # else already plain
+            object.__setattr__(obj, name, plain_number(name, value, kind))
 
 
 @dataclass(frozen=True)
@@ -142,6 +170,7 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        plain_numbers(self)
         if min(self.n0, self.n1, self.n_unlabeled) < 0:
             raise ValueError("counts must be >= 0")
         if self.n0 + self.n1 + self.n_unlabeled < 1:
@@ -150,7 +179,7 @@ class SyntheticSpec:
             raise ValueError("p must be >= 1")
         if not 0 <= self.s <= self.p:
             raise ValueError("s must satisfy 0 <= s <= p")
-        if not 0.0 <= self.delta <= sys.float_info.max:  # refuses a larger integer too
+        if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")

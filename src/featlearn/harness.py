@@ -57,17 +57,16 @@ has not been measured.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import chain
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import numpy as np
 
-from .data import (UNLABELED, Dataset, SplitIndices, StandardizationParams, _readonly,
-                   derive_seed, kfold, standardize_fit, stratified_split)
+from .data import (UNLABELED, Dataset, SplitIndices, StandardizationParams, _readonly, derive_seed,
+                   field_kinds, kfold, plain_number, plain_numbers, standardize_fit, stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, sae_features, sae_predict,
@@ -183,28 +182,10 @@ class ExperimentConfig:
     svm_cv_epochs: int = 150
 
     def __post_init__(self):
+        plain_numbers(self)
         for name in ("sae_dims", "l2_grid", "c_grid", "pca_grid", "ttest_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        # the integer and float fields and entries, numpy numbers included, as
-        # plain ints and floats: a float field takes integers, no field a bool
-        for name, kind in _CONFIG_FIELDS.items():
-            what = {int: "an integer", tuple[int, ...]: "integers", float: "a number",
-                    tuple[float, ...]: "numbers"}.get(kind)
-            if what is None:
-                continue
-            elem, many = (get_args(kind) or (kind,))[0], bool(get_args(kind))
-            value = getattr(self, name)
-            values = value if many else (value,)
-            types = numbers.Integral if elem is int else numbers.Real
-            try:  # float() raises OverflowError on an integer past the float range
-                if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
-                    raise TypeError
-                values = tuple(map(elem, values))
-            except (TypeError, OverflowError):
-                raise ValueError(f"{name} must be {what}, got {value!r}") from None
-            object.__setattr__(self, name, values if many else values[0])
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.k < 2:
@@ -504,8 +485,7 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     for i, key in enumerate(keys):
         if key in keys[:i]:
             raise ValueError(f"cell {','.join(key)} is repeated in specs")
-    if not isinstance(jobs, (int, np.integer)) or isinstance(jobs, bool):
-        raise ValueError(f"jobs must be an integer, got {jobs!r}")
+    jobs = plain_number("jobs", jobs, int)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     splits = [_checked_split(ds, specs, cfg, r) for r in range(cfg.repeats)]
@@ -641,10 +621,6 @@ def read_runs_csv(path: str) -> ResultsTable:
     return ResultsTable(accuracies=table)
 
 
-# Field name -> its annotated type, e.g. float or tuple[int, ...]
-_CONFIG_FIELDS = get_type_hints(ExperimentConfig)
-
-
 def _float_text(x: float) -> str:
     """The short ``g`` form where it reads back equal, else the exact repr."""
     short = f"{x:g}"
@@ -676,12 +652,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        if key not in field_kinds(ExperimentConfig):
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in set_on:
             raise ValueError(f"config line {lineno}: {key} is already set on line {set_on[key]}")
         set_on[key] = lineno
-        kind = _CONFIG_FIELDS[key]
+        kind = field_kinds(ExperimentConfig)[key]
         try:
             if kind is bool:
                 if value.lower() not in ("true", "false"):

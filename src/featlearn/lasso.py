@@ -39,6 +39,8 @@ import itertools
 
 import numpy as np
 
+from .data import plain_number
+
 SELECT_EPS = 1e-10  # a coefficient is selected when |beta_j| exceeds this
 # events whose lambdas agree to this fraction of lambda_max happen together
 _TIE_RTOL = 1e-12
@@ -141,8 +143,8 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
     ``colsign`` holds the sign of each. Its next active set, the natural
     choice, is the keyed columns that do not leave, in key order.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or not np.all(lambdas >= 0.0):
+    lambdas = np.array(plain_number("lambdas", lambdas, tuple[float, ...]))
+    if not np.all(lambdas >= 0.0):
         raise ValueError("lambdas must be a list of values >= 0")
     order = np.argsort(-lambdas, kind="stable")
     descending = lambdas[order]
@@ -358,7 +360,7 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     null model on validation error by chance. So on pure-noise problems the
     largest lambda has the lowest total error in roughly 70% of them, not all.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = np.array(plain_number("lambdas", lambdas, tuple[float, ...]))
     if lambdas.size == 0:
         raise ValueError("empty lambda list")
     X = np.asarray(X, dtype=float)

@@ -22,13 +22,12 @@ every other step is elementwise or reduces within a slice.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .data import derive_seed
+from .data import derive_seed, plain_number, plain_numbers
 
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
@@ -126,11 +125,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate <= sys.float_info.max:  # refuses a larger integer too
+        plain_numbers(self)
+        if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be > 0 and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.l2 <= sys.float_info.max:
+        if not 0.0 <= self.l2 < math.inf:
             raise ValueError("l2 must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
@@ -224,9 +224,10 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
 
 
 def check_dims(width: int, dims) -> list[int]:
-    """``dims`` as ints; raises ValueError unless they are nonempty, at
-    least 1, strictly decreasing and start below the input width."""
-    dims = [int(h) for h in dims]
+    """``dims`` as ints; raises ValueError unless they are integers (numpy
+    integers included, bools not), nonempty, at least 1, strictly decreasing
+    and start below the input width."""
+    dims = list(plain_number("dims", dims, tuple[int, ...]))
     if not dims:
         raise ValueError("dims must be nonempty")
     chain = [width] + dims
@@ -259,28 +260,32 @@ def _log_softmax(Z):
     return Z - (m + np.log(np.exp(Z - m).sum(axis=-1, keepdims=True)))
 
 
-def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
+def _ft_forward(Ws, bs, Wh, bh, X, y, l2, work: _Work):
     """Per stack slice i: mean cross-entropy + (l2[i]/2) * sum of squared
-    weight-matrix norms (biases unpenalized), with gradients for every
-    encoder parameter and the head.
+    weight-matrix norms (biases unpenalized), as an array of the L losses,
+    with every layer's encodings (X first) and the head's log-probabilities.
 
     Every parameter has a leading axis of one slice per L2 value: Ws[k] is
     (L, h, d), bs[k] (L, 1, h), Wh (L, 2, h_top), bh (L, 1, 2) and l2 is
-    (L, 1, 1). Returns the L losses as an array and the gradients in the
-    order Ws, bs, Wh, bh. The input gradient of the first layer is never
-    formed.
+    (L, 1, 1).
     """
     n = X.shape[0]
     Hs = [X]
     for k, (W, b) in enumerate(zip(Ws, bs)):
         Hs.append(_encode(Hs[-1], W, b, work(f"H{k}", (len(l2), n, W.shape[1]))))
     logP = _log_softmax(np.matmul(Hs[-1], Wh.transpose(0, 2, 1)) + bh)
-    rows = np.arange(n)
     penalty = sum((W * W).sum(axis=(1, 2)) for W in Ws + [Wh])
-    losses = -logP[:, rows, y].sum(axis=1) / n + 0.5 * l2.ravel() * penalty
+    return -logP[:, np.arange(n), y].sum(axis=1) / n + 0.5 * l2.ravel() * penalty, Hs, logP
 
+
+def _ft_value_and_grads(Ws, bs, Wh, bh, X, y, l2, work: _Work):
+    """The losses of ``_ft_forward`` and their gradients for every encoder
+    parameter and the head, in the order Ws, bs, Wh, bh. The input gradient
+    of the first layer is never formed."""
+    n = X.shape[0]
+    losses, Hs, logP = _ft_forward(Ws, bs, Wh, bh, X, y, l2, work)
     G = np.exp(logP)
-    G[:, rows, y] -= 1.0
+    G[:, np.arange(n), y] -= 1.0
     G /= n
     gWh = np.matmul(G.transpose(0, 2, 1), Hs[-1]) + l2 * Wh
     gbh = G.sum(axis=1, keepdims=True)
@@ -317,7 +322,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     y = y.astype(np.int64)
     if not layers or layers[0].d != X.shape[1]:
         raise ValueError("layer dimensions do not chain with the input")
-    l2 = np.array(l2s, dtype=float).reshape(-1, 1, 1)
+    l2 = np.array(plain_number("l2s", l2s, tuple[float, ...])).reshape(-1, 1, 1)
     if l2.size == 0 or not np.all((l2 >= 0) & (l2 < math.inf)):
         raise ValueError("l2s must be nonempty and every l2 must be >= 0 and finite")
     stack = len(l2)
@@ -326,8 +331,9 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_HEAD))
     Wh = np.repeat(_init_matrix(rng, 2, layers[-1].h)[None], stack, axis=0)
     bh = np.zeros((stack, 1, 2))
-    step = partial(_ft_value_and_grads, Ws, bs, Wh, bh, X, y, l2, _Work())
-    _descend(step, step, Ws + bs + [Wh, bh], cfg, "fine-tuning")
+    args = (Ws, bs, Wh, bh, X, y, l2, _Work())
+    _descend(partial(_ft_value_and_grads, *args), partial(_ft_forward, *args),
+             Ws + bs + [Wh, bh], cfg, "fine-tuning")
     return [SaeModel(layers=tuple(AeLayer(W=W[i], b=b[i, 0]) for W, b in zip(Ws, bs)),
                      softmax_W=Wh[i], softmax_b=bh[i, 0])
             for i in range(stack)]

@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import plain_number
+
 
 @dataclass(frozen=True)
 class LinearSvmModel:
@@ -81,6 +83,9 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     when its per-epoch objective change falls below tol * (1 + |objective|);
     it is built then, and the block returns when the last one has converged
     or at max_epochs. The bias is unregularized."""
+    tol, max_epochs = plain_number("tol", tol, float), plain_number("max_epochs", max_epochs, int)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     problems = []  # (X, +/-1 labels, C) per problem, in group order: problem i is block row i
@@ -92,13 +97,14 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
                              f"got X {X.shape} and labels {Y.shape}")
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
+        Cs = plain_number("Cs", Cs, tuple[float, ...])
         if not all(0.0 < C < math.inf for C in Cs):
             raise ValueError("C must be > 0 and finite")
         (f, n, q), c = X.shape, len(Cs)
         if f and c:  # every C of a slice reads the slice itself: stride 0 on the C axis
             segments.append((np.broadcast_to(X[:, None], (f, c, n, q)),
                              len(problems), len(problems) + f * c))
-        problems.extend((x, y, float(C)) for x, y in zip(X, Y) for C in Cs)
+        problems.extend((x, y, C) for x, y in zip(X, Y) for C in Cs)
     if not problems:
         raise ValueError("need at least one problem")
 

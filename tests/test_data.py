@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -428,11 +429,30 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(1, 1, 0, 3, 1, 0.0, 1.0, seed=0)
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5,
-                                       pytest.param(10**400, id="past-float-range")])
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5])
     def test_delta_must_be_finite_and_nonnegative(self, delta):
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
             SyntheticSpec(4, 4, 0, 3, 1, delta, 0.0, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"p": 2.5}, "p must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n0": True}, "n0 must be an integer, got True"),
+        ({"delta": True}, "delta must be a number, got True"),
+        ({"delta": 10**400}, f"delta must be a number, got {10**400}"),
+    ], ids=["p-float", "seed-float", "n0-bool", "delta-bool", "delta-past-float-range"])
+    def test_non_number_in_a_field_rejected(self, kwargs, message):
+        args = {"n0": 4, "n1": 4, "n_unlabeled": 0, "p": 3, "s": 1, "delta": 0.5, "rho": 0.0,
+                "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(**args)
+
+    def test_numpy_numbers_are_stored_as_plain_numbers(self):
+        spec = SyntheticSpec(np.int64(4), np.int32(4), np.uint8(0), np.int64(3), np.int16(1),
+                             np.float32(0.5), np.int64(0), seed=np.uint32(2))
+        assert spec == SyntheticSpec(4, 4, 0, 3, 1, 0.5, 0.0, seed=2)
+        types = [type(getattr(spec, f.name)) for f in fields(spec)]
+        assert types == [int] * 5 + [float, float, int]
 
 
 class TestRefusals:

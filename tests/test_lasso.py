@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -308,6 +309,15 @@ class TestLassoPath:
     def test_bad_lambdas_rejected(self, lams):
         with pytest.raises(ValueError):
             lasso_path([(np.eye(3), np.ones(3))], lams)
+
+    @pytest.mark.parametrize("call", [
+        lambda lams: lasso_path([(np.eye(3), np.ones(3))], lams),
+        lambda lams: lasso_cv(np.eye(4), np.ones(4), kfold([0, 0, 1, 1], 2, seed=0), lams),
+    ], ids=["lasso-path", "lasso-cv"])
+    def test_integer_past_the_float_range_rejected(self, call):
+        message = f"lambdas must be numbers, got [0.5, {10**400}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call([0.5, 10**400])
 
 
 def _same_bytes(got, want):

@@ -147,6 +147,19 @@ class TestFineTuneBlock:
                 TrainingDivergedError, match="fine-tuning loss non-finite at iteration 0"):
             fine_tune(layers, X, labels, cfg, [1e-4, 1e308])
 
+    def test_one_backward_pass_per_step_and_a_forward_pass_to_end(self, monkeypatch):
+        X, labels = _labeled()
+        cfg = TrainConfig(iterations=4)
+        layers = sae_pretrain(X, (4, 2), cfg)
+        want = fine_tune(layers, X, labels, cfg, [1e-3, 0.0])
+        calls = []
+        for name in ("_ft_forward", "_ft_value_and_grads"):
+            monkeypatch.setattr(sae, name, lambda *args, f=getattr(sae, name), name=name:
+                                calls.append(name) or f(*args))
+        got = fine_tune(layers, X, labels, cfg, [1e-3, 0.0])
+        assert calls == ["_ft_value_and_grads", "_ft_forward"] * 4 + ["_ft_forward"]
+        assert [_model_bytes(m) for m in got] == [_model_bytes(m) for m in want]
+
     @pytest.mark.parametrize("l2s", [[], [1e-3, -1e-4], [1e-3, np.inf], [np.nan]])
     def test_bad_l2_values_rejected(self, l2s):
         X, labels = _labeled()
@@ -256,14 +269,26 @@ class TestRefusals:
         (lambda: TrainConfig(seed=-1), "seed must be unsigned"),
         (lambda: TrainConfig(l2=-1.0), "l2 must be >= 0 and finite"),
         (lambda: TrainConfig(l2=math.inf), "l2 must be >= 0 and finite"),
-        (lambda: TrainConfig(l2=10**400), "l2 must be >= 0 and finite"),
-        (lambda: TrainConfig(learning_rate=10**400), "learning_rate must be > 0 and finite"),
+        (lambda: TrainConfig(l2=10**400), f"l2 must be a number, got {10**400}"),
+        (lambda: TrainConfig(learning_rate=10**400),
+         f"learning_rate must be a number, got {10**400}"),
+        (lambda: TrainConfig(iterations=2.5), "iterations must be an integer, got 2.5"),
+        (lambda: TrainConfig(iterations=True), "iterations must be an integer, got True"),
+        (lambda: TrainConfig(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: TrainConfig(learning_rate=True), "learning_rate must be a number, got True"),
     ], ids=["ae-W-not-2d", "ae-not-undercomplete", "ae-bias-shapes", "ae-non-finite",
             "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed",
-            "negative-l2", "infinite-l2", "l2-past-float-range", "learning-rate-past-float-range"])
+            "negative-l2", "infinite-l2", "l2-past-float-range", "learning-rate-past-float-range",
+            "iterations-float", "iterations-bool", "seed-float", "learning-rate-bool"])
     def test_bad_model_or_config_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
+
+    def test_numpy_numbers_are_stored_as_plain_numbers(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.5), iterations=np.int64(3), l2=np.int32(0),
+                          seed=np.uint8(7))
+        assert cfg == TrainConfig(learning_rate=0.5, iterations=3, l2=0.0, seed=7)
+        assert [type(getattr(cfg, f.name)) for f in fields(cfg)] == [float, int, float, int]
 
     @pytest.mark.parametrize("call, message", [
         (lambda X, y: ae_train(X[:0], 3, TrainConfig()), "need at least one row"),
@@ -282,6 +307,15 @@ class TestRefusals:
         (lambda X, y: sae_predict(_zero_model(), np.zeros((2, 6, 6))),
          "X must be 2-D, got shape (2, 6, 6)"),
         (lambda X, y: check_dims(6, []), "dims must be nonempty"),
+        (lambda X, y: check_dims(6, [3.7]), "dims must be integers, got [3.7]"),
+        (lambda X, y: check_dims(6, [True]), "dims must be integers, got [True]"),
+        (lambda X, y: check_dims(6, ["3"]), "dims must be integers, got ['3']"),
+        (lambda X, y: sae_pretrain(X, [3.7], TrainConfig()), "dims must be integers, got [3.7]"),
+        (lambda X, y: fine_tune(_two_layers(), X, y, TrainConfig(), [10**400]),
+         f"l2s must be numbers, got [{10**400}]"),
+        (lambda X, y: semi_pretrain_finetune(X, y, X[:0], (4, 2), TrainConfig(iterations=2),
+                                             [1e-3, 10**400]),
+         f"l2s must be numbers, got [0.001, {10**400}]"),
         (lambda X, y: fine_tune(_two_layers(), X, y[1:], TrainConfig(), [0.0]),
          "labels must be one 0/1 value per row"),
         (lambda X, y: fine_tune(_two_layers(), X, 2 * y, TrainConfig(), [0.0]),
@@ -306,7 +340,9 @@ class TestRefusals:
          "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (0,)"),
     ], ids=["ae-train-no-rows", "ae-train-h-equals-d", "ae-train-h-zero", "sae-features-width",
             "sae-features-1-d", "sae-features-3-d", "sae-predict-1-d", "sae-predict-3-d",
-            "check-dims-empty", "fine-tune-label-count", "fine-tune-label-value",
+            "check-dims-empty", "check-dims-float", "check-dims-bool", "check-dims-str",
+            "pretrain-dims-float", "fine-tune-l2-past-float-range", "semi-l2-past-float-range",
+            "fine-tune-label-count", "fine-tune-label-value",
             "fine-tune-label-0.7", "fine-tune-label-1.5", "semi-label-0.7", "semi-label-1.5",
             "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",
             "semi-unlabeled-1-d"])
@@ -314,3 +350,7 @@ class TestRefusals:
         X, y = _labeled()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(X, y)
+
+    def test_check_dims_takes_numpy_integers_as_ints(self):
+        dims = check_dims(6, np.array([4, 2]))
+        assert dims == [4, 2] and all(type(h) is int for h in dims)

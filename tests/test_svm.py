@@ -294,9 +294,17 @@ class TestSvmTrainBlock:
         ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [np.nan])]}, "C must be > 0 and finite"),
         ({"groups": [(np.eye(4)[None], [[0, 1, 0.5, 1]], [1.0])]}, "labels must be 0 or 1"),
         ({"groups": [(np.eye(4)[None], [[0, 1, np.nan, 1]], [1.0])]}, "labels must be 0 or 1"),
+        ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [1.0, 10**400])]},
+         f"^Cs must be numbers, got \\[1.0, {10**400}\\]$"),
+        ({"tol": np.nan}, "^tol must be >= 0 and finite, got nan$"),
+        ({"tol": -1e-6}, "^tol must be >= 0 and finite, got -1e-06$"),
+        ({"tol": np.inf}, "^tol must be >= 0 and finite, got inf$"),
+        ({"tol": 10**400}, f"^tol must be a number, got {10**400}$"),
+        ({"max_epochs": 2.5}, "^max_epochs must be an integer, got 2.5$"),
     ], ids=["max-epochs-0", "label-rows-per-slice", "one-label-vector-for-a-stack",
             "2-d-x", "row-count", "4-d-x", "C-0", "no-groups", "labels-plus-minus-1",
-            "one-class", "C-inf", "C-nan", "label-one-half", "label-nan"])
+            "one-class", "C-inf", "C-nan", "label-one-half", "label-nan", "C-past-float-range",
+            "tol-nan", "tol-negative", "tol-inf", "tol-past-float-range", "max-epochs-float"])
     def test_bad_block_rejected(self, kwargs, message):
         y = [[0, 1, 0, 1]]
         args = {"groups": [(np.eye(4)[None], y, [1.0, 2.0]), (np.eye(4)[None, :, :2], y, [1.0])],
@@ -440,6 +448,12 @@ class TestSvmCvCandidates:
         candidates = [20, *ttest_cv(X, y, folds, [2, 12]), 4]
         _assert_candidates_match_reference(monkeypatch, list(_rows(X, folds)), y, folds,
                                            [0.1, 1.0, 10.0], candidates)
+
+    def test_integer_past_the_float_range_in_the_C_grid_rejected(self):
+        X, y = _problem(0, 15, 15, 6)
+        folds = kfold(y, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^Cs must be numbers, got \\[{10**400}\\]$"):
+            svm_cv(_rows(X, folds), y, folds, [10**400], [6], max_epochs=5)
 
     @pytest.mark.parametrize("change, message", [
         (lambda feats, cands: (feats[:2], cands), "none for fold 2 of 3"),
