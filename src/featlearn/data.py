@@ -1,5 +1,6 @@
 """Dataset container, CSV I/O, standardization, splitting, k-fold partitioning,
-a synthetic equicorrelated-Gaussian generator and every config's number rule.
+a synthetic equicorrelated-Gaussian generator, every config's number rule and
+``feature_rows``, the one check of the rows that a fitted model reads.
 
 Labels live in {0, 1, -1}; -1 marks unlabeled rows that never enter a
 train/test split but may feed unsupervised pretraining.
@@ -60,6 +61,17 @@ def plain_numbers(obj) -> None:
     for name, kind in field_kinds(type(obj)).items():
         if kind in _KINDS and type(value := getattr(obj, name)) is not kind:  # else already plain
             object.__setattr__(obj, name, plain_number(name, value, kind))
+
+
+def feature_rows(X, width: int) -> np.ndarray:
+    """``X`` as a 2-D float array of ``width`` columns: the rows that an SVM,
+    PCA or SAE model of that input width reads. Anything else is a ValueError."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if X.shape[1] != width:
+        raise ValueError(f"expected {width} columns, got {X.shape[1]}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -335,7 +347,7 @@ def kfold(labels, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
 
     Fold sizes differ by at most one per class; deterministic given seed.
     """
-    labels = np.asarray(labels)
+    labels, k = np.asarray(labels), plain_number("k", k, int)
     if k < 2:
         raise ValueError("k must be >= 2")
     if not np.all((labels == 0) | (labels == 1)):

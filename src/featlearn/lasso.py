@@ -317,17 +317,20 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(corr), initial=0.0))
 
 
-def check_lambda_grid(n_lambdas: int, ratio: float) -> None:
-    """Raises ValueError unless lambda_path accepts these grid settings."""
+def check_lambda_grid(n_lambdas: int, ratio: float) -> int:
+    """``n_lambdas`` as an int; raises ValueError unless lambda_path accepts
+    these grid settings."""
+    n_lambdas = plain_number("n_lambdas", n_lambdas, int)
     if n_lambdas < 2:
         raise ValueError("n_lambdas must be >= 2")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
+    return n_lambdas
 
 
 def lambda_path(X: np.ndarray, y: np.ndarray, n_lambdas: int, ratio: float) -> np.ndarray:
     """Log-spaced descending grid from lambda_max down to ratio*lambda_max."""
-    check_lambda_grid(n_lambdas, ratio)
+    n_lambdas = check_lambda_grid(n_lambdas, ratio)
     lmax = lambda_max(X, y)
     if lmax == 0.0:
         return np.array([0.0])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import feature_rows, plain_number
 from .linalg import sample_covariance, sym_eigen
 
 
@@ -29,7 +30,8 @@ def pca_fit(Xs, r: int) -> list[PcaModel]:
     is the first r columns of the eigenvector matrix: a view, with its strides.
 
     Raises ValueError, naming the matrix, unless each X is a finite 2-D
-    matrix and 1 <= r <= min(n - 1, p)."""
+    matrix and 1 <= r <= min(n - 1, p), r an integer."""
+    r = plain_number("r", r, int)
     means, covariances = [], []
     for i, X in enumerate(Xs):
         X = np.asarray(X, dtype=float)
@@ -49,9 +51,4 @@ def pca_fit(Xs, r: int) -> list[PcaModel]:
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     """Scores (X - mean) V, one row per sample."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if X.shape[1] != model.mean.shape[0]:
-        raise ValueError(f"expected {model.mean.shape[0]} columns, got {X.shape[1]}")
-    return (X - model.mean) @ model.components
+    return (feature_rows(X, model.mean.shape[0]) - model.mean) @ model.components

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import derive_seed, plain_number, plain_numbers
+from .data import derive_seed, feature_rows, plain_number, plain_numbers
 
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
@@ -210,7 +210,7 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     zero. Raises TrainingDivergedError naming the iteration if the loss
     leaves the float range.
     """
-    X = np.asarray(X, dtype=float)
+    X, h = np.asarray(X, dtype=float), plain_number("h", h, int)
     n, d = X.shape
     if n < 1:
         raise ValueError("need at least one row")
@@ -341,11 +341,7 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
 
 def sae_features(model: SaeModel, X: np.ndarray) -> np.ndarray:
     """Top-layer encodings (no softmax): the learned feature representation."""
-    cur = np.asarray(X, dtype=float)
-    if cur.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {cur.shape}")
-    if cur.shape[1] != model.layers[0].d:
-        raise ValueError(f"expected {model.layers[0].d} columns, got {cur.shape[1]}")
+    cur = feature_rows(X, model.layers[0].d)
     for layer in model.layers:
         cur = _encode(cur, layer.W, layer.b)
     return cur

@@ -25,9 +25,10 @@ a (1, n, q) stack at one C. These rules keep it so:
   problem's exact-length row, one reduction per run of equal row count,
   because a sum over the padding is blocked differently. Problem i is block
   row i, so callers that pass equal-n groups together share reductions.
-- A problem that converges keeps its block row: its model is built at that
-  epoch, and its row still runs through the products and the updates but
-  is no longer scored. So every operand keeps one layout for the whole call.
+- A problem that converges keeps its block row: its best iterate is frozen
+  at that epoch and becomes its model when the block returns, and its row
+  still runs through the products and the updates but is no longer scored.
+  So every operand keeps one layout for the whole call.
 
 The other steps are elementwise, so each problem's row gets what its own
 vector would.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import plain_number
+from .data import feature_rows, plain_number
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,9 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     (f, n, q) stack of f slices and labels an (f, n) stack of 0/1 labels, one
     row per slice. Groups may differ in f, n and q. A model has converged
     when its per-epoch objective change falls below tol * (1 + |objective|);
-    it is built then, and the block returns when the last one has converged
-    or at max_epochs. The bias is unregularized."""
+    its best iterate is frozen then and becomes its model when the block
+    returns, once the last one has converged or at max_epochs. The bias is
+    unregularized."""
     tol, max_epochs = plain_number("tol", tol, float), plain_number("max_epochs", max_epochs, int)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
@@ -121,7 +123,7 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     hinge, ww = np.empty(P), np.empty(P)
     best_obj = [C * X.shape[0] for X, _, C in problems]  # objective at w = 0, b = 0
     prev_obj = list(best_obj)
-    models: list = [None] * len(problems)
+    stops = [0] * P  # the epoch at which each problem converged, 0 while it runs
 
     # (A, B, out) for each matrix product of an epoch: per group, the margins
     # and the gradient on its block rows a:b split as its X's (f, |Cs|) batch
@@ -141,12 +143,7 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
         dot.append((Wb[a:b, None, :q], Wb[a:b, :q, None], ww[a:b, None, None]))
     sums = [(work[a:b, :n], hinge[a:b], grad[a:b, -1]) for a, b, n in n_runs]
 
-    def retire(i: int, t: int, converged: bool) -> None:
-        X, _, C = problems[i]
-        models[i] = LinearSvmModel(w=best_Wb[i, :X.shape[1]].copy(), bias=float(best_Wb[i, -1]),
-                                   C=C, epochs=t, converged=converged)
-
-    live = list(range(P))  # the block rows not yet converged
+    live = range(P)  # the block rows not yet converged
     for t in range(1, max_epochs + 1):
         for A, B, out in margin:
             np.matmul(A, B, out=out)
@@ -158,7 +155,7 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
         for A, B, out in dot:
             np.matmul(A, B, out=out)
         w2, h = ww.tolist(), hinge.tolist()
-        done, better = [], []
+        better = []
         for i in live:
             obj = 0.5 * w2[i] + problems[i][2] * h[i]
             if not math.isfinite(obj):
@@ -167,19 +164,17 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
                 best_obj[i] = obj
                 better.append(i)
             if abs(obj - prev_obj[i]) < tol * (1.0 + abs(obj)) and t > 1:
-                done.append(i)
+                stops[i] = t
             else:
                 prev_obj[i] = obj
-        if len(better) == len(live):
-            best_Wb[:] = Wb  # the common case; a converged row's best_Wb is no longer read
+        if len(better) == P:
+            best_Wb[:] = Wb  # the common case: every problem still runs and improved
         elif better:
             best_Wb[better] = Wb[better]
-        if done:
-            for i in done:
-                retire(i, t, converged=True)
-            live = [i for i in live if i not in done]
+        if t in stops:  # some problem converged at this epoch
+            live = [i for i in live if not stops[i]]
             if not live:
-                return models
+                break
 
         # y/n where the margin is below 1, else 0; adding 0.0 turns the -0.0
         # of a masked -1/n into the +0.0 that the one-problem loop has
@@ -193,18 +188,14 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
         Wb[:, :-1] *= 1.0 - 1.0 / t
         Wb += grad
 
-    for i in live:
-        retire(i, max_epochs, converged=False)
-    return models
+    return [LinearSvmModel(w=best_Wb[i, :X.shape[1]].copy(), bias=float(best_Wb[i, -1]), C=C,
+                           epochs=stops[i] or max_epochs, converged=stops[i] > 0)
+            for i, (X, _, C) in enumerate(problems)]
 
 
 def svm_predict(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
     """0/1 labels: 1 where w^T x + b >= 0, a decision value of exactly 0 included."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if X.shape[1] != model.w.shape[0]:
-        raise ValueError(f"expected {model.w.shape[0]} columns, got {X.shape[1]}")
+    X = feature_rows(X, model.w.shape[0])
     return np.where(X @ model.w + model.bias >= 0.0, 1, 0)
 
 
@@ -239,8 +230,10 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
         if f == 0:  # each candidate's columns per fold, a slice for a width
             q, cols = X_tr.shape[-1], []
             for i, c in enumerate(candidates):
-                cols.append([slice(c)] * k if np.isscalar(c) else list(c))
-                if len(cols[-1]) != k or np.isscalar(c) and not 1 <= c <= q:
+                if width := np.isscalar(c):
+                    c = plain_number(f"candidate {i}", c, int)
+                cols.append([slice(c)] * k if width else list(c))
+                if len(cols[-1]) != k or width and not 1 <= c <= q:
                     raise ValueError(f"candidate {i} is neither a width in 1..{q}, fold 0's "
                                      f"width, nor one column-index array per fold ({k})")
         rows, n_val = int(np.count_nonzero(folds[f][0])), len(folds[f][1])

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import plain_number
+
 
 def two_sample_t(X: np.ndarray, labels) -> np.ndarray:
     """Welch statistic T_j = (mean0_j - mean1_j) / sqrt(s0_j^2/n0 + s1_j^2/n1)
@@ -31,7 +33,7 @@ def two_sample_t(X: np.ndarray, labels) -> np.ndarray:
 def select_top_m(t: np.ndarray, m: int) -> np.ndarray:
     """The m features of largest t^2 (ties go to the lower index), returned
     ascending by index."""
-    p = t.shape[0]
+    p, m = t.shape[0], plain_number("m", m, int)
     if not 1 <= m <= p:
         raise ValueError(f"m must lie in 1..{p}, got {m}")
     return np.sort(np.argsort(-t * t, kind="stable")[:m])
@@ -45,7 +47,7 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms) -> list:
 
     The caller scores them; the name stays because the benchmark's tracer
     times the t-test search's ranking under ``ttest.ttest_cv``."""
-    candidate_ms = [int(m) for m in candidate_ms]
+    candidate_ms = plain_number("candidate_ms", candidate_ms, tuple[int, ...])
     if not candidate_ms:
         raise ValueError("empty candidate list")
     X = np.asarray(X, dtype=float)

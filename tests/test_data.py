@@ -310,6 +310,16 @@ class TestSplits:
 
 
 class TestKfold:
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, k):
+        """A bool or a non-integer k is refused by name."""
+        labels = _toy(n0=10, n1=10).labels
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            kfold(labels, k, seed=0)
+        for got, want in zip(kfold(labels, np.int64(4), seed=0), kfold(labels, 4, seed=0),
+                             strict=True):
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_exact_division(self):
         ds = _toy(n0=10, n1=10)
         folds = kfold(ds.labels, k=10, seed=0)

@@ -13,7 +13,7 @@ from featlearn import harness, pca, svm
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
                                ResultsTable, _checked_split, _choose, _fit_lasso_selector,
-                               _fit_pca_selector, _fit_sae_stage, _fit_ttest_selector,
+                               _fit_pca_selector, _fit_sae_stage, _fit_scaler, _fit_ttest_selector,
                                _RepeatFits, _stage, config_to_text, parse_config, read_runs_csv,
                                render_table, run_experiment, write_runs_csv)
 from featlearn.lasso import lambda_path
@@ -68,6 +68,18 @@ def _sorted_columns(grid, scores):
     """scores with its columns in ascending grid order, as the references
     give theirs."""
     return scores[:, np.argsort(grid, kind="stable")]
+
+
+class TestFitScaler:
+    def test_near_constant_columns_are_centered_but_not_scaled(self):
+        """A learned column whose std is at most 1e-12 gets std 1.0 and its
+        mean, so the fit does not refuse it; a varying column keeps its std."""
+        varying = np.array([0.0, 1.0, 3.0, 2.0, 5.0, 4.0])
+        F = np.column_stack([np.full(6, 0.3), 0.3 + 1e-14 * np.arange(6), varying])
+        assert 0.0 < F[:, 1].std(ddof=1) <= 1e-12
+        scaler = _fit_scaler(F)
+        assert scaler.stds.tolist() == [1.0, 1.0, varying.std(ddof=1)]
+        assert scaler.means.tolist() == F.mean(axis=0).tolist()
 
 
 class TestFitSaeStage:

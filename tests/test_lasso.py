@@ -486,6 +486,14 @@ class TestLassoRejectsBadProblems:
 
 
 class TestLambdaPath:
+    @pytest.mark.parametrize("n_lambdas", [2.5, True])
+    def test_n_lambdas_must_be_an_integer(self, n_lambdas):
+        """A bool or a non-integer grid length is refused by name."""
+        X, y = _centered_problem(np.random.default_rng(0), 20, 4, signal=1)
+        with pytest.raises(ValueError, match=f"^n_lambdas must be an integer, got {n_lambdas!r}$"):
+            lambda_path(X, y, n_lambdas, 0.1)
+        assert lambda_path(X, y, np.int64(5), 0.1).tobytes() == lambda_path(X, y, 5, 0.1).tobytes()
+
     def test_two_point_endpoints(self):
         rng = np.random.default_rng(0)
         X, y = _centered_problem(rng, 20, 4, signal=1)

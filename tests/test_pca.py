@@ -44,6 +44,16 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             pca_fit([X], 0)
 
+    @pytest.mark.parametrize("r", [True, 2.5])
+    def test_r_must_be_an_integer(self, r):
+        """A bool or a non-integer r is refused by name, not used as a slice bound."""
+        X = np.random.default_rng(3).normal(size=(6, 4))
+        with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+            pca_fit([X], r)
+        got, = pca_fit([X], np.int64(2))
+        want, = pca_fit([X], 2)
+        assert got.components.tobytes() == want.components.tobytes()
+
 
 class TestPcaTransform:
     def test_mean_rows_map_to_zero(self):

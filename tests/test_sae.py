@@ -351,6 +351,15 @@ class TestRefusals:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(X, y)
 
+    @pytest.mark.parametrize("h", [True, 2.5])
+    def test_ae_train_hidden_size_must_be_an_integer(self, h):
+        """A bool or a non-integer hidden size is refused by name."""
+        X, _ = _labeled()
+        cfg = TrainConfig(iterations=2)
+        with pytest.raises(ValueError, match=f"^h must be an integer, got {h!r}$"):
+            ae_train(X, h, cfg)
+        assert ae_train(X, np.int64(3), cfg).W.tobytes() == ae_train(X, 3, cfg).W.tobytes()
+
     def test_check_dims_takes_numpy_integers_as_ints(self):
         dims = check_dims(6, np.array([4, 2]))
         assert dims == [4, 2] and all(type(h) is int for h in dims)

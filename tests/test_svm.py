@@ -247,6 +247,16 @@ class TestSvmTrainBlock:
         np.testing.assert_allclose([model.w[0], model.bias], [37 / 76, -547 / 840], rtol=1e-12)
         assert svm_objective(X, y, model.w, model.bias, 1.0) > 3.87508
 
+    @pytest.mark.parametrize("max_epochs, flag", [(39, True), (38, False)])
+    def test_converging_on_the_last_allowed_epoch(self, max_epochs, flag):
+        """The five-row problem of the best-iterate test converges at epoch 39:
+        with that budget it still converged, with one epoch less it stops
+        unconverged at the budget."""
+        X = np.array([[1.0], [3.0], [-0.5], [2.0], [-1.0]])
+        y = np.array([1, 0, 0, 1, 0])
+        (model,) = _assert_matches_reference([_single(X, y, [1.0])], 1e-6, max_epochs)
+        assert (model.epochs, model.converged) == (max_epochs, flag)
+
     def test_equal_row_counts_apart_keep_group_order(self):
         """Row counts 7, 6, 7: the two n = 7 groups are not adjacent, and the
         models still come back in group order, each byte-equal to its
@@ -448,6 +458,16 @@ class TestSvmCvCandidates:
         candidates = [20, *ttest_cv(X, y, folds, [2, 12]), 4]
         _assert_candidates_match_reference(monkeypatch, list(_rows(X, folds)), y, folds,
                                            [0.1, 1.0, 10.0], candidates)
+
+    @pytest.mark.parametrize("width", [True, 2.5])
+    def test_width_must_be_an_integer(self, width):
+        """A bool or a non-integer width is refused by name, not trained as a slice."""
+        X, y = _problem(0, 15, 15, 6)
+        folds = kfold(y, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^candidate 1 must be an integer, got {width!r}$"):
+            svm_cv(_rows(X, folds), y, folds, [1.0], [2, width], max_epochs=5)
+        got = svm_cv(_rows(X, folds), y, folds, [1.0], [np.int64(2)], max_epochs=5)
+        assert got.tobytes() == svm_cv(_rows(X, folds), y, folds, [1.0], [2], max_epochs=5).tobytes()
 
     def test_integer_past_the_float_range_in_the_C_grid_rejected(self):
         X, y = _problem(0, 15, 15, 6)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,13 @@ class TestSelectTopM:
             select_top_m(t, 2)
         with pytest.raises(ValueError):
             select_top_m(t, 0)
+
+    @pytest.mark.parametrize("m", [True, 2.5, "2"])
+    def test_m_must_be_an_integer(self, m):
+        """A bool or a non-integer is refused by name, not read as an integer."""
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            select_top_m(np.array([3.0, -1.0, 2.0]), m)
+        assert select_top_m(np.array([3.0, -1.0, 2.0]), np.int64(2)).tolist() == [0, 2]
 
     def test_invariant_to_permuting_unselected_columns(self):
         rng = np.random.default_rng(7)
@@ -226,6 +235,18 @@ class TestTtestCv:
         X = np.random.default_rng(0).normal(size=(20, 4))
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             ttest_cv(X, np.where(np.arange(20) == 3, bad, labels), folds, [2])
+
+    @pytest.mark.parametrize("ms", [[2.5], [True], [2, "3"]])
+    def test_candidate_ms_must_be_integers(self, ms):
+        """A bool or a non-integer m is refused by name, not ranked as int(m)."""
+        labels = np.array([0, 1] * 10)
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        folds = self._folds(labels)
+        with pytest.raises(ValueError,
+                           match=f"^candidate_ms must be integers, got {re.escape(repr(ms))}$"):
+            ttest_cv(X, labels, folds, ms)
+        got = ttest_cv(X, labels, folds, [np.int64(2)])
+        assert [c.tolist() for c in got[0]] == [c.tolist() for c in ttest_cv(X, labels, folds, [2])[0]]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
