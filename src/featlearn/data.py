@@ -322,7 +322,7 @@ def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
     """
     if not 0.0 < test_frac < 1.0:
         raise ValueError("test_frac must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(plain_number("seed", seed, int))
     train_parts, test_parts = [], []
     for cls in (0, 1):
         members = np.flatnonzero(ds.labels == cls)
@@ -352,7 +352,7 @@ def kfold(labels, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
         raise ValueError("k must be >= 2")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("kfold requires labeled rows only (labels 0 and 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(plain_number("seed", seed, int))
     fold_of = np.empty(labels.size, dtype=np.intp)  # a class's i-th shuffled row is in fold i % k
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)

@@ -263,9 +263,6 @@ class PipelineFit:
         F = _method_features(self.spec, self.sae, self.standardization.apply(X_raw))
         return _selected(self.spec, self.selection, self.feature_scaler.apply(F))
 
-    def predict(self, X_raw: np.ndarray) -> np.ndarray:
-        return svm_predict(self.svm, self.transform(X_raw))
-
 
 def _fold_rows(F: np.ndarray, folds_local):
     """Each fold's (training rows, validation rows) of F for ``svm_cv``, made
@@ -349,9 +346,9 @@ _SELECTOR_FITS = {"LASSO": _fit_lasso_selector, "TTEST": _fit_ttest_selector,
 
 class _RepeatFits:
     """One repeat's shared fits (see the module docstring), each made on
-    first use and kept only as long as this object; ``fit`` adds a cell's
-    own selector and SVM. Shared arrays are read-only, so a cell that wrote
-    into one would raise instead of changing what the next cell sees."""
+    first use and kept only as long as this object. Shared arrays are
+    read-only, so a cell that wrote into one would raise instead of changing
+    what the next cell sees."""
 
     def __init__(self, ds: Dataset, split: SplitIndices, cfg: ExperimentConfig, r: int):
         self.ds = ds
@@ -376,10 +373,7 @@ class _RepeatFits:
     def _sae_stage(self, semi: bool) -> tuple[SaeModel, float]:
         if semi not in self._sae:
             params, Xtr, ytr01, folds_local = self._train
-            if semi:
-                X_extra = params.apply(self.ds.features[self.ds.labels == UNLABELED])
-            else:
-                X_extra = np.zeros((0, self.ds.p))
+            X_extra = params.apply(self.ds.features[(self.ds.labels == UNLABELED) & semi])
             self._sae[semi] = _fit_sae_stage(Xtr, ytr01, X_extra, folds_local,
                                              self.cfg, self.seed)
         return self._sae[semi]
@@ -397,36 +391,34 @@ class _RepeatFits:
                 self._methods[spec.method] = (sae, scaler, _readonly(scaler.apply(Ftr)), chosen)
         return self._methods[spec.method]
 
-    def fit(self, spec: PipelineSpec) -> PipelineFit:
-        params, _, ytr01, folds_local = self._train
-        sae, scaler, Ftr, method_chosen = self._method_stage(spec)
-        chosen = dict(method_chosen)
-
-        with _stage("selector"):
-            selection = None
-            if spec.selector != "NONE":
-                fit_selector = _SELECTOR_FITS[spec.selector]
-                selection, picked = fit_selector(Ftr, ytr01, folds_local, self.cfg)
-                chosen.update(picked)
-            Gtr = _selected(spec, selection, Ftr)
-
-        with _stage("svm"):
-            scores = svm_cv(_fold_rows(Gtr, folds_local), ytr01, folds_local, self.cfg.c_grid,
-                            [Gtr.shape[1]], max_epochs=self.cfg.svm_cv_epochs)
-            chosen["C"] = C = float(_choose(self.cfg.c_grid, scores, min))
-            model, = svm_train([(Gtr[None], ytr01[None], [C])], 1e-7, self.cfg.svm_epochs)
-
-        return PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
-                           selection=selection, svm=model, chosen=chosen)
-
 
 def run_pipeline(repeat: _RepeatFits, spec: PipelineSpec) -> tuple[PipelineFit, float]:
-    """Fit one cell through its repeat's shared fits; return the fit and its
-    accuracy on the test side of the repeat's split."""
-    fit = repeat.fit(spec)
+    """Fit one cell's selector and SVM on its repeat's shared fits and score
+    the cell; return the fit and its accuracy on the test side of the
+    repeat's split."""
+    params, _, ytr01, folds_local = repeat._train
+    sae, scaler, Ftr, method_chosen = repeat._method_stage(spec)
+    chosen, cfg = dict(method_chosen), repeat.cfg
+
+    with _stage("selector"):
+        selection = None
+        if spec.selector != "NONE":
+            selection, picked = _SELECTOR_FITS[spec.selector](Ftr, ytr01, folds_local, cfg)
+            chosen.update(picked)
+        Gtr = _selected(spec, selection, Ftr)
+
+    with _stage("svm"):
+        scores = svm_cv(_fold_rows(Gtr, folds_local), ytr01, folds_local, cfg.c_grid,
+                        [Gtr.shape[1]], max_epochs=cfg.svm_cv_epochs)
+        chosen["C"] = C = float(_choose(cfg.c_grid, scores, min))
+        model, = svm_train([(Gtr[None], ytr01[None], [C])], 1e-7, cfg.svm_epochs)
+
+    fit = PipelineFit(spec=spec, standardization=params, sae=sae, feature_scaler=scaler,
+                      selection=selection, svm=model, chosen=chosen)
     with _stage("evaluate"):
         test = repeat.split.test
-        return fit, accuracy(fit.predict(repeat.ds.features[test]), repeat.ds.labels[test])
+        return fit, accuracy(svm_predict(model, fit.transform(repeat.ds.features[test])),
+                             repeat.ds.labels[test])
 
 
 @dataclass(frozen=True, eq=False)

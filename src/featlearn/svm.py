@@ -245,6 +245,9 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
         keys = {None: slice(None)} if any(isinstance(c[f], slice) for c in cols) else {}
         for i, c in enumerate(cols):
             if not isinstance(c[f], slice):
+                if np.asarray(c[f]).dtype.kind not in "iu":
+                    raise ValueError(f"candidate {i}: fold {f}'s columns are not an integer "
+                                     f"index array")
                 if np.size(c[f]) == 0 or np.min(c[f]) < 0 or np.max(c[f]) >= q:
                     raise ValueError(f"candidate {i}: fold {f}'s columns are not in 0..{q - 1}")
                 keys[i] = c[f]

@@ -46,7 +46,7 @@ def no_fits(monkeypatch):
     def fail(repeat, spec):
         raise AssertionError(f"{spec} was fitted")
 
-    monkeypatch.setattr(harness._RepeatFits, "fit", fail)
+    monkeypatch.setattr(harness, "run_pipeline", fail)
 
 
 @pytest.fixture

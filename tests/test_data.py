@@ -308,6 +308,17 @@ class TestSplits:
         with pytest.raises(ValueError, match="class 0"):
             stratified_split(ds, 0.05, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        """A bool or a non-integer seed is refused by name; a numpy integer
+        gives the split of the same Python int."""
+        ds = _toy(n0=10, n1=10)
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            stratified_split(ds, 0.3, seed)
+        got, want = stratified_split(ds, 0.3, np.int64(4)), stratified_split(ds, 0.3, 4)
+        assert got.train.tolist() == want.train.tolist() and got.test.tolist() == want.test.tolist()
+
 
 class TestKfold:
     @pytest.mark.parametrize("k", [2.5, True])
@@ -318,6 +329,17 @@ class TestKfold:
             kfold(labels, k, seed=0)
         for got, want in zip(kfold(labels, np.int64(4), seed=0), kfold(labels, 4, seed=0),
                              strict=True):
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        """A bool or a non-integer seed is refused by name; a numpy integer
+        gives the folds of the same Python int."""
+        labels = _toy(n0=10, n1=10).labels
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            kfold(labels, 3, seed)
+        for got, want in zip(kfold(labels, 3, np.uint32(4)), kfold(labels, 3, 4), strict=True):
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     def test_exact_division(self):

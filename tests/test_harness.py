@@ -15,7 +15,7 @@ from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, Pipelin
                                ResultsTable, _checked_split, _choose, _fit_lasso_selector,
                                _fit_pca_selector, _fit_sae_stage, _fit_scaler, _fit_ttest_selector,
                                _RepeatFits, _stage, config_to_text, parse_config, read_runs_csv,
-                               render_table, run_experiment, write_runs_csv)
+                               render_table, run_experiment, run_pipeline, write_runs_csv)
 from featlearn.lasso import lambda_path
 from featlearn.pca import pca_fit
 from featlearn.sae import TrainConfig, sae_predict, semi_pretrain_finetune
@@ -137,7 +137,7 @@ def _svm_train_calls(monkeypatch, spec):
     monkeypatch.setattr(harness, "svm_train", counting)
     monkeypatch.setattr(svm, "svm_train", counting)
     ds = generate_synthetic(TINY_DATA)
-    _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0).fit(spec)
+    run_pipeline(_RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0), spec)
     return len(calls)
 
 
@@ -181,7 +181,7 @@ class TestFitPcaSelector:
         count(pca, "sym_eigen")
         ds = generate_synthetic(TINY_DATA)
         fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
-        fits.fit(PipelineSpec("LLF", "PCA"))
+        run_pipeline(fits, PipelineSpec("LLF", "PCA"))
         assert calls == {"pca_fit": 1, "sym_eigen": 1}
 
     def test_one_cell_makes_one_svm_block_per_search(self, monkeypatch):
@@ -276,13 +276,13 @@ class TestChoose:
         specs = PipelineSpec.table_cells()
         fits = _RepeatFits(ds, _checked_split(ds, specs, TINY, 0), TINY, 0)
         for spec in specs:
-            fits.fit(spec)
+            run_pipeline(fits, spec)
         rules = {"_fit_sae_stage": min, "_fit_lasso_selector": max, "_fit_ttest_selector": min,
-                 "_fit_pca_selector": min, "fit": min}
+                 "_fit_pca_selector": min, "run_pipeline": min}
         assert {caller: ties for caller, _, _, ties in choices} == rules
         for caller, grid, scores, ties in choices:
             assert scores.shape == (TINY.k, len(grid)), caller
-        assert [caller for caller, *_ in choices].count("fit") == len(specs)
+        assert [caller for caller, *_ in choices].count("run_pipeline") == len(specs)
 
 
 class TestStage:
@@ -294,6 +294,25 @@ class TestStage:
                     raise cause
         assert info.value.stage == "standardize" and info.value.__cause__ is cause
         assert str(info.value) == f"pipeline stage 'standardize' failed: {cause}"
+
+    @pytest.mark.parametrize("name, spec, stage", [
+        ("kfold", PipelineSpec("LLF"), "folds"),
+        ("_fit_scaler", PipelineSpec("LLF"), "method-features"),
+        ("lasso_cv", PipelineSpec("LLF", "LASSO"), "selector"),
+        ("svm_train", PipelineSpec("LLF"), "svm"),
+        ("svm_predict", PipelineSpec("LLF"), "evaluate"),
+    ], ids=["folds", "method-features", "selector", "svm", "evaluate"])
+    def test_each_cell_stage_names_itself(self, monkeypatch, name, spec, stage):
+        """A failure in each per-cell stage's harness-level call surfaces from
+        run_experiment under that stage's name, with the failure as cause."""
+        cause = RuntimeError(f"{name} failed")
+
+        def fail(*args, **kwargs):
+            raise cause
+        monkeypatch.setattr(harness, name, fail)
+        with pytest.raises(PipelineStageError) as info:
+            run_experiment(generate_synthetic(TINY_DATA), [spec], replace(TINY, repeats=1))
+        assert info.value.stage == stage and info.value.__cause__ is cause
 
 
 class TestExperimentConfig:
@@ -444,7 +463,7 @@ class TestRepeatFits:
         clean_fits = _RepeatFits(ds, split, cfg, 0)
         noisy_fits = _RepeatFits(noisy, split, cfg, 0)
         for spec in PipelineSpec.table_cells():
-            clean, other = clean_fits.fit(spec), noisy_fits.fit(spec)
+            (clean, _), (other, _) = run_pipeline(clean_fits, spec), run_pipeline(noisy_fits, spec)
             assert other.chosen == clean.chosen, spec
             assert other.svm.w.tobytes() == clean.svm.w.tobytes(), spec
             assert other.svm.bias == clean.svm.bias, spec
@@ -465,7 +484,7 @@ class TestRepeatFits:
         monkeypatch.setattr(harness, "svm_train", recording)
         ds = generate_synthetic(TINY_DATA)
         split = _checked_split(ds, [spec], TINY, repeat)
-        fit = _RepeatFits(ds, split, TINY, repeat).fit(spec)
+        fit, _ = run_pipeline(_RepeatFits(ds, split, TINY, repeat), spec)
         [[((X,), _, _)]] = trained
         got = fit.transform(ds.features[split.train])
         assert got.shape == X.shape and got.tobytes() == X.tobytes()

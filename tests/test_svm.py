@@ -492,8 +492,13 @@ class TestSvmCvCandidates:
          r"candidate 1: fold 2's columns are not in 0\.\.5"),
         (lambda feats, cands: (feats, [cands[0][:1] + [np.array([], int)] + cands[0][2:]]),
          "candidate 0: fold 1's columns"),
+        (lambda feats, cands: (feats, [[np.array([0.0, 1.0])] * 3]),
+         "^candidate 0: fold 0's columns are not an integer index array$"),
+        (lambda feats, cands: (feats, [4, [np.arange(6) % 2 == 0] * 3]),
+         "^candidate 1: fold 0's columns are not an integer index array$"),
     ], ids=["short", "long", "train-rows", "validation-rows", "width", "width-0",
-            "width-too-wide", "arrays-missing", "index-out-of-range", "index-empty"])
+            "width-too-wide", "arrays-missing", "index-out-of-range", "index-empty",
+            "index-float", "index-bool"])
     def test_bad_fold_features_rejected(self, change, message):
         X, y = _problem(0, 15, 15, 6)
         folds = kfold(y, 3, seed=0)
