@@ -1,6 +1,6 @@
 """Dataset container, CSV I/O, standardization, splitting, k-fold partitioning,
-a synthetic equicorrelated-Gaussian generator, every config's number rule and
-``feature_rows``, the one check of the rows that a fitted model reads.
+a synthetic equicorrelated-Gaussian generator, every config's number rule, and
+the one checks of what a fit reads: ``feature_rows`` and ``class_labels``.
 
 Labels live in {0, 1, -1}; -1 marks unlabeled rows that never enter a
 train/test split but may feed unsupervised pretraining.
@@ -63,15 +63,26 @@ def plain_numbers(obj) -> None:
             object.__setattr__(obj, name, plain_number(name, value, kind))
 
 
-def feature_rows(X, width: int) -> np.ndarray:
-    """``X`` as a 2-D float array of ``width`` columns: the rows that an SVM,
-    PCA or SAE model of that input width reads. Anything else is a ValueError."""
+def feature_rows(X, width: int | None = None) -> np.ndarray:
+    """``X`` as a 2-D float array, of ``width`` columns if given: the rows that a
+    fit or a fitted SVM, PCA or SAE model reads. Anything else is a ValueError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if X.shape[1] != width:
+    if width is not None and X.shape[1] != width:
         raise ValueError(f"expected {width} columns, got {X.shape[1]}")
     return X
+
+
+def class_labels(labels, shape) -> np.ndarray:
+    """``labels`` as an int64 array of ``shape`` that holds only 0 and 1: what a
+    selector, an SVM or an SAE head trains on. Anything else is a ValueError."""
+    y = np.asarray(labels)
+    if y.shape != tuple(shape):
+        raise ValueError(f"labels must have shape {tuple(shape)}, got {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -342,16 +353,14 @@ def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
 def kfold(labels, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Class-stratified k-fold CV over the positions 0..len(labels)-1: one
     read-only (training mask, validation rows) pair per fold. The mask is
-    False exactly on the fold's rows, which are ascending. Every label must
-    be 0 or 1.
+    False exactly on the fold's rows, which are ascending. The labels must be
+    1-D and pass ``class_labels``.
 
     Fold sizes differ by at most one per class; deterministic given seed.
     """
-    labels, k = np.asarray(labels), plain_number("k", k, int)
+    labels, k = class_labels(labels, (np.size(labels),)), plain_number("k", k, int)
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("kfold requires labeled rows only (labels 0 and 1)")
     rng = np.random.default_rng(plain_number("seed", seed, int))
     fold_of = np.empty(labels.size, dtype=np.intp)  # a class's i-th shuffled row is in fold i % k
     for cls in (0, 1):

@@ -366,8 +366,9 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     lambdas = np.array(plain_number("lambdas", lambdas, tuple[float, ...]))
     if lambdas.size == 0:
         raise ValueError("empty lambda list")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"need a 2-D X and one y value per row, got X {X.shape} and y {y.shape}")
     means = []
 
     def members():

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import derive_seed, feature_rows, plain_number, plain_numbers
+from .data import class_labels, derive_seed, feature_rows, plain_number, plain_numbers
 
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
@@ -210,7 +210,7 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     zero. Raises TrainingDivergedError naming the iteration if the loss
     leaves the float range.
     """
-    X, h = np.asarray(X, dtype=float), plain_number("h", h, int)
+    X, h = feature_rows(X), plain_number("h", h, int)
     n, d = X.shape
     if n < 1:
         raise ValueError("need at least one row")
@@ -244,7 +244,7 @@ def sae_pretrain(X: np.ndarray, dims, cfg: TrainConfig) -> list[AeLayer]:
     ``dims`` must be strictly decreasing and start below the input width.
     Each layer gets its own seed derived from cfg.seed.
     """
-    X = np.asarray(X, dtype=float)
+    X = feature_rows(X)
     dims = check_dims(X.shape[1], dims)
     layers, cur = [], X
     for k, h in enumerate(dims):
@@ -315,13 +315,10 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     any L2 value is non-finite, even if the others would have trained, and
     after the last iteration if the loss it leaves is.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(labels)
-    if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0, 1))):
-        raise ValueError("labels must be one 0/1 value per row")
-    y = y.astype(np.int64)
-    if not layers or layers[0].d != X.shape[1]:
-        raise ValueError("layer dimensions do not chain with the input")
+    if not layers:
+        raise ValueError("at least one layer is required")
+    X = feature_rows(X, layers[0].d)
+    y = class_labels(labels, X.shape[:1])
     l2 = np.array(plain_number("l2s", l2s, tuple[float, ...])).reshape(-1, 1, 1)
     if l2.size == 0 or not np.all((l2 >= 0) & (l2 < math.inf)):
         raise ValueError("l2s must be nonempty and every l2 must be >= 0 and finite")

@@ -41,8 +41,8 @@ copies round differently, and changed 46 of 420 PCA-search models at
 ``adni_like`` seeds 0-5, k = 10.
 
 Labels are 0/1 at the API, as everywhere else in the package: the functions
-here take them, check them and ``svm_predict`` returns them. The +/-1
-encoding that the hinge loss needs exists only inside this module.
+here take them, ``data.class_labels`` checks them and ``svm_predict`` returns
+them. The hinge loss's +/-1 encoding exists only inside ``svm_train``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import feature_rows, plain_number
+from .data import class_labels, feature_rows, plain_number
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,6 @@ class LinearSvmModel:
     C: float
     epochs: int = 0
     converged: bool = False
-
-
-def _plus_minus(labels) -> np.ndarray:
-    """The +/-1 encoding of 0/1 labels."""
-    y = np.asarray(labels, dtype=float)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    return 2.0 * y - 1.0
 
 
 def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
@@ -93,10 +85,10 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     problems = []  # (X, +/-1 labels, C) per problem, in group order: problem i is block row i
     segments = []  # (X, a, b) per group: its (f, |Cs|, n, q) view of X and its block rows a:b
     for X, labels, Cs in groups:
-        X, Y = np.asarray(X, dtype=float), _plus_minus(labels)
-        if X.ndim != 3 or Y.shape != X.shape[:2]:
-            raise ValueError(f"need an (f, n, q) X and (f, n) labels, one row per slice, "
-                             f"got X {X.shape} and labels {Y.shape}")
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 3:
+            raise ValueError(f"need an (f, n, q) X of f slices, got shape {X.shape}")
+        Y = 2.0 * class_labels(labels, X.shape[:2]) - 1.0
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
         Cs = plain_number("Cs", Cs, tuple[float, ...])
@@ -211,14 +203,15 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
            max_epochs: int) -> np.ndarray:
     """Validation accuracy per (fold, candidate, C) over ``kfold``'s (training
     mask, validation rows) pairs: a (folds, candidates * |C_grid|) array,
-    candidate-major, each candidate's columns in ``C_grid`` order.
+    candidate-major, each candidate's columns in ``C_grid`` order. ``labels``
+    holds one 0/1 label per entry of a training mask.
 
     ``fold_features`` yields each fold's (training rows, validation rows)
     features, in fold order, all of one width q. A candidate is a width w,
     which trains on the first w columns, or one ascending column-index array
     per fold. Every (fold, candidate, C) trains in one ``svm_train`` block at
     tol 1e-6 (see the module docstring)."""
-    y, k = np.asarray(labels), len(folds)
+    k = len(folds)
     by_rows: dict = {}  # training row count -> the folds that share its stacks
     for f, (train, _) in enumerate(folds):
         by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
@@ -227,8 +220,8 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
         if f == k:
             raise ValueError(f"got features for a fold {f}, but there are {k} folds")
         X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
-        if f == 0:  # each candidate's columns per fold, a slice for a width
-            q, cols = X_tr.shape[-1], []
+        if f == 0:  # the labels, and each candidate's columns per fold, a slice for a width
+            y, q, cols = class_labels(labels, np.shape(folds[0][0])), X_tr.shape[-1], []
             for i, c in enumerate(candidates):
                 if width := np.isscalar(c):
                     c = plain_number(f"candidate {i}", c, int)

@@ -5,17 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import plain_number
+from .data import class_labels, feature_rows, plain_number
 
 
 def two_sample_t(X: np.ndarray, labels) -> np.ndarray:
     """Welch statistic T_j = (mean0_j - mean1_j) / sqrt(s0_j^2/n0 + s1_j^2/n1)
-    over the rows labeled 0 and 1, with per-class variances using
-    denominator n_k - 1. Raises ValueError if any label is not 0 or 1."""
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
+    over the rows labeled 0 and 1 (``class_labels``, one per row of a 2-D X),
+    with per-class variances using denominator n_k - 1."""
+    X = feature_rows(X)
+    labels = class_labels(labels, X.shape[:1])
     X0 = X[labels == 0]
     X1 = X[labels == 1]
     n0, n1 = X0.shape[0], X1.shape[0]
@@ -32,7 +30,10 @@ def two_sample_t(X: np.ndarray, labels) -> np.ndarray:
 
 def select_top_m(t: np.ndarray, m: int) -> np.ndarray:
     """The m features of largest t^2 (ties go to the lower index), returned
-    ascending by index."""
+    ascending by index. t must be 1-D."""
+    t = np.asarray(t)
+    if t.ndim != 1:
+        raise ValueError(f"t must be 1-D, got shape {t.shape}")
     p, m = t.shape[0], plain_number("m", m, int)
     if not 1 <= m <= p:
         raise ValueError(f"m must lie in 1..{p}, got {m}")
@@ -42,16 +43,16 @@ def select_top_m(t: np.ndarray, m: int) -> np.ndarray:
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms) -> list:
     """``svm_cv``'s index candidates for the t-test search over ``kfold``'s
     fold pairs: entry ``[i][f]`` is fold f's top ``candidate_ms[i]`` columns,
-    ascending, ranked on that fold's own training rows. Raises ValueError
-    if a training row's label is not 0 or 1.
+    ascending, ranked on that fold's own training rows. X must be 2-D, and
+    the labels pass ``class_labels``, one per row.
 
     The caller scores them; the name stays because the benchmark's tracer
     times the t-test search's ranking under ``ttest.ttest_cv``."""
     candidate_ms = plain_number("candidate_ms", candidate_ms, tuple[int, ...])
     if not candidate_ms:
         raise ValueError("empty candidate list")
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
+    X = feature_rows(X)
+    labels = class_labels(labels, X.shape[:1])
     p = X.shape[1]
     if min(candidate_ms) < 1 or max(candidate_ms) > p:
         raise ValueError(f"candidate m values must lie in 1..{p}")

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from featlearn.svm import LinearSvmModel, _plus_minus, accuracy, svm_predict
+from featlearn.data import class_labels
+from featlearn.svm import LinearSvmModel, accuracy, svm_predict
 
 
 def svm_objective(X: np.ndarray, labels, w: np.ndarray, bias: float, C: float) -> float:
     """The primal objective (see the ``svm`` module docstring) at 0/1 ``labels``."""
-    margins = _plus_minus(labels) * (np.asarray(X, dtype=float) @ w + bias)
+    X = np.asarray(X, dtype=float)
+    margins = (2.0 * class_labels(labels, X.shape[:1]) - 1.0) * (X @ w + bias)
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 

@@ -7,9 +7,8 @@ import pytest
 
 from data_reference import per_cell_load_csv, per_cell_save_csv
 from featlearn.data import (CsvFormatError, Dataset, SplitIndices, StandardizationParams,
-                            SyntheticSpec, generate_synthetic, kfold,
-                            load_csv, save_csv, standardize_fit,
-                            stratified_split)
+                            SyntheticSpec, class_labels, generate_synthetic, kfold,
+                            load_csv, save_csv, standardize_fit, stratified_split)
 
 
 def _toy(n0=5, n1=5, n_unl=0, p=3, seed=0):
@@ -377,7 +376,7 @@ class TestKfold:
 
     def test_unlabeled_rejected(self):
         ds = _toy(n0=4, n1=4, n_unl=2)
-        with pytest.raises(ValueError, match="labeled"):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             kfold(ds.labels, k=2, seed=0)
 
     def test_masks_complement_folds_in_fold_order(self):
@@ -415,6 +414,31 @@ class TestKfold:
                 dealt[j] += perm[j::k].tolist()
         for (_, fold), rows in zip(kfold(labels, k, seed), dealt):
             np.testing.assert_array_equal(fold, sorted(rows))
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize("labels", [[0, 1, 1], [0.0, 1.0, 1.0], [False, True, True],
+                                        np.array([0, 1, 1], dtype=np.uint8)])
+    def test_0_1_labels_come_back_as_int64(self, labels):
+        got = class_labels(labels, (3,))
+        assert got.dtype == np.int64 and got.tolist() == [0, 1, 1]
+
+    def test_stacked_labels_keep_their_shape(self):
+        assert class_labels([[0, 1], [1, 0]], (2, 2)).tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("labels, shape, message", [
+        ([0, 1, 1], (4,), "labels must have shape (4,), got (3,)"),
+        ([[0, 1, 1]], (3,), "labels must have shape (3,), got (1, 3)"),
+        ([0, 1], (1, 2), "labels must have shape (1, 2), got (2,)"),
+        ([0, 1, -1], (3,), "labels must be 0 or 1"),
+        ([0, 1, 2], (3,), "labels must be 0 or 1"),
+        ([0, 1, 0.5], (3,), "labels must be 0 or 1"),
+        ([0, 1, np.nan], (3,), "labels must be 0 or 1"),
+        (["0", "1", "1"], (3,), "labels must be 0 or 1"),
+    ], ids=["short", "2-d", "1-d-for-stack", "unlabeled", "two", "half", "nan", "text"])
+    def test_bad_labels_rejected(self, labels, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            class_labels(labels, shape)
 
 
 class TestGenerateSynthetic:
@@ -506,10 +530,14 @@ class TestRefusals:
         (lambda: stratified_split(_toy(), 0.0, seed=0), "test_frac must lie in (0, 1)"),
         (lambda: stratified_split(_toy(), 1.0, seed=0), "test_frac must lie in (0, 1)"),
         (lambda: kfold([0, 1, 0, 1], 1, seed=0), "k must be >= 2"),
+        (lambda: kfold([[0, 1], [1, 0], [0, 1], [1, 0]], 2, seed=0),
+         "labels must have shape (8,), got (4, 2)"),
+        (lambda: kfold(1, 2, seed=0), "labels must have shape (1,), got ()"),
     ], ids=["dataset-1-d", "dataset-no-rows", "dataset-no-columns", "dataset-label-count",
             "dataset-name-count", "scaler-shapes", "scaler-zero-std", "scaler-negative-std",
             "split-overlap", "spec-negative-count", "spec-no-rows", "spec-negative-seed",
-            "standardize-one-row", "split-test-frac-0", "split-test-frac-1", "kfold-k-1"])
+            "standardize-one-row", "split-test-frac-0", "split-test-frac-1", "kfold-k-1",
+            "kfold-2-d-labels", "kfold-scalar-label"])
     def test_bad_input_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

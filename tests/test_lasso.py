@@ -626,6 +626,18 @@ class TestLassoCv:
         with pytest.raises(ValueError):
             lasso_cv(np.zeros((4, 2)), np.zeros(4), [], [])
 
+    @pytest.mark.parametrize("X, y, shapes", [
+        (np.ones((10, 3)), np.ones(9), "X (10, 3) and y (9,)"),
+        (np.ones((10, 3)), np.ones((10, 1)), "X (10, 3) and y (10, 1)"),
+        (np.arange(10.0), np.ones(10), "X (10,) and y (10,)"),
+    ], ids=["y-short", "y-column", "x-1-d"])
+    def test_mismatched_shapes_rejected(self, X, y, shapes):
+        """The caller's shapes are named before the walk, not a fold copy's
+        shape or an IndexError from a fold's mask."""
+        message = f"need a 2-D X and one y value per row, got {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lasso_cv(X, y, self._folds(10), [0.5])
+
     @pytest.mark.parametrize("grid", ["path", "zero"])
     def test_full_path_is_the_one_member_fit(self, grid):
         """The full problem's path, walked as the block's last member, is

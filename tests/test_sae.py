@@ -317,23 +317,29 @@ class TestRefusals:
                                              [1e-3, 10**400]),
          f"l2s must be numbers, got [0.001, {10**400}]"),
         (lambda X, y: fine_tune(_two_layers(), X, y[1:], TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must have shape (30,), got (29,)"),
         (lambda X, y: fine_tune(_two_layers(), X, 2 * y, TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must be 0 or 1"),
         (lambda X, y: fine_tune(_two_layers(), X, np.where(y == 0, 0.7, 1.0), TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must be 0 or 1"),
         (lambda X, y: fine_tune(_two_layers(), X, np.where(y == 1, 1.5, 0.0), TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must be 0 or 1"),
         (lambda X, y: semi_pretrain_finetune(X, np.where(y == 0, 0.7, 1.0), X[:0], (4, 2),
                                              TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must be 0 or 1"),
         (lambda X, y: semi_pretrain_finetune(X, np.where(y == 1, 1.5, 0.0), X[:0], (4, 2),
                                              TrainConfig(), [0.0]),
-         "labels must be one 0/1 value per row"),
+         "labels must be 0 or 1"),
         (lambda X, y: fine_tune(_two_layers(), X[:, :5], y, TrainConfig(), [0.0]),
-         "layer dimensions do not chain with the input"),
+         "expected 6 columns, got 5"),
         (lambda X, y: fine_tune([], X, y, TrainConfig(), [0.0]),
-         "layer dimensions do not chain with the input"),
+         "at least one layer is required"),
+        (lambda X, y: fine_tune(_two_layers(), X[0], y, TrainConfig(), [0.0]),
+         "X must be 2-D, got shape (6,)"),
+        (lambda X, y: ae_train(X[0], 1, TrainConfig()), "X must be 2-D, got shape (6,)"),
+        (lambda X, y: sae_pretrain(X[0], [2], TrainConfig()), "X must be 2-D, got shape (6,)"),
+        (lambda X, y: sae_pretrain(X[None], [2], TrainConfig()),
+         "X must be 2-D, got shape (1, 30, 6)"),
         (lambda X, y: semi_pretrain_finetune(X, y, X[:4, :5], (4, 2), TrainConfig(), [0.0]),
          "need a 2-D unlabeled X as wide as the labeled X, got labeled (30, 6) and unlabeled (4, 5)"),
         (lambda X, y: semi_pretrain_finetune(X, y, np.empty(0), (4, 2), TrainConfig(), [0.0]),
@@ -344,7 +350,8 @@ class TestRefusals:
             "pretrain-dims-float", "fine-tune-l2-past-float-range", "semi-l2-past-float-range",
             "fine-tune-label-count", "fine-tune-label-value",
             "fine-tune-label-0.7", "fine-tune-label-1.5", "semi-label-0.7", "semi-label-1.5",
-            "fine-tune-width", "fine-tune-no-layers", "semi-widths-differ",
+            "fine-tune-width", "fine-tune-no-layers", "fine-tune-1-d", "ae-train-1-d",
+            "pretrain-1-d", "pretrain-3-d", "semi-widths-differ",
             "semi-unlabeled-1-d"])
     def test_bad_input_rejected(self, call, message):
         X, y = _labeled()

@@ -284,15 +284,15 @@ class TestSvmTrainBlock:
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"groups": [(np.ones((2, 4, 2)), [[0, 1, 0, 1]] * 3, [1.0, 2.0, 3.0])]},
-         r"need an \(f, n, q\) X and \(f, n\) labels, one row per slice, "
-         r"got X \(2, 4, 2\) and labels \(3, 4\)"),
+         r"^labels must have shape \(2, 4\), got \(3, 4\)$"),
         ({"groups": [(np.ones((2, 4, 2)), [0, 1, 0, 1], [1.0])]},
-         r"got X \(2, 4, 2\) and labels \(4,\)"),
-        ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0])]}, r"got X \(4, 4\) and labels \(4,\)"),
+         r"^labels must have shape \(2, 4\), got \(4,\)$"),
+        ({"groups": [(np.eye(4), [0, 1, 0, 1], [1.0])]},
+         r"^need an \(f, n, q\) X of f slices, got shape \(4, 4\)$"),
         ({"groups": [(np.ones((1, 3, 2)), [[0, 1, 0, 1]], [1.0])]},
-         r"got X \(1, 3, 2\) and labels \(1, 4\)"),
+         r"^labels must have shape \(1, 3\), got \(1, 4\)$"),
         ({"groups": [(np.ones((1, 1, 4, 2)), [[0, 1, 0, 1]], [1.0])]},
-         r"got X \(1, 1, 4, 2\) and labels \(1, 4\)"),
+         r"^need an \(f, n, q\) X of f slices, got shape \(1, 1, 4, 2\)$"),
         ({"groups": [(np.eye(4)[None], [[0, 1, 0, 1]], [1.0, 0.0])]}, "C must be > 0"),
         ({"groups": []}, "need at least one problem"),
         ({"groups": [(np.eye(4)[None], [[-1.0, 1.0, -1.0, 1.0]], [1.0])]},
@@ -474,6 +474,13 @@ class TestSvmCvCandidates:
         folds = kfold(y, 3, seed=0)
         with pytest.raises(ValueError, match=f"^Cs must be numbers, got \\[{10**400}\\]$"):
             svm_cv(_rows(X, folds), y, folds, [10**400], [6], max_epochs=5)
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["first", "last"])
+    def test_labels_of_another_length_than_the_masks_rejected(self, cut):
+        X, y = _problem(0, 15, 15, 6)
+        folds = kfold(y, 3, seed=0)
+        with pytest.raises(ValueError, match=r"^labels must have shape \(30,\), got \(29,\)$"):
+            svm_cv(_rows(X, folds), y[cut], folds, [1.0], [6], max_epochs=5)
 
     @pytest.mark.parametrize("change, message", [
         (lambda feats, cands: (feats[:2], cands), "none for fold 2 of 3"),

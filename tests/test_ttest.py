@@ -83,6 +83,17 @@ class TestTwoSampleT:
         with pytest.raises(ValueError, match="n0=1"):
             two_sample_t([[1.0], [2.0], [3.0]], [0, 1, 1])
 
+    @pytest.mark.parametrize("X, labels, message", [
+        (np.ones((6, 2)), [0, 0, 0, 1, 1], "labels must have shape (6,), got (5,)"),
+        (np.ones((6, 2)), [0, 0, 0, 1, 1, 1, 1], "labels must have shape (6,), got (7,)"),
+        (np.arange(6.0), [0, 0, 0, 1, 1, 1], "X must be 2-D, got shape (6,)"),
+    ], ids=["labels-short", "labels-long", "x-1-d"])
+    def test_mismatched_shapes_rejected(self, X, labels, message):
+        """Labels of another length than X's rows, or a 1-D X, are refused by
+        name: not an IndexError, nor a scalar statistic."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            two_sample_t(X, labels)
+
 
 class TestSelectTopM:
     def test_m_equals_p(self):
@@ -93,6 +104,10 @@ class TestSelectTopM:
 
     def test_exact_tie_goes_to_the_lower_index(self):
         np.testing.assert_array_equal(select_top_m(np.array([1.0, -2.0, 2.0]), 1), [1])
+
+    def test_t_other_than_1_d_rejected(self):
+        with pytest.raises(ValueError, match=r"^t must be 1-D, got shape \(2, 2\)$"):
+            select_top_m(np.ones((2, 2)), 1)
 
     def test_m_out_of_range(self):
         t = np.array([1.0])
@@ -235,6 +250,12 @@ class TestTtestCv:
         X = np.random.default_rng(0).normal(size=(20, 4))
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             ttest_cv(X, np.where(np.arange(20) == 3, bad, labels), folds, [2])
+
+    def test_labels_of_another_length_rejected(self):
+        labels = np.array([0, 1] * 10)
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        with pytest.raises(ValueError, match=r"^labels must have shape \(19,\), got \(20,\)$"):
+            ttest_cv(X[:19], labels, self._folds(labels), [2])
 
     @pytest.mark.parametrize("ms", [[2.5], [True], [2, "3"]])
     def test_candidate_ms_must_be_integers(self, ms):
