@@ -144,7 +144,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class StandardizationParams:
-    """Per-column means and standard deviations fitted on training rows."""
+    """Per-column means and stds fitted on training rows: equal-length 1-D
+    arrays, every std positive, as ``standardize_fit`` (which refuses a
+    constant column) and ``harness._fit_scaler`` (std 1.0 for a near-constant
+    one) make them."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -152,11 +155,6 @@ class StandardizationParams:
     def __post_init__(self):
         object.__setattr__(self, "means", _readonly(np.array(self.means, dtype=float)))
         object.__setattr__(self, "stds", _readonly(np.array(self.stds, dtype=float)))
-        if self.means.shape != self.stds.shape or self.means.ndim != 1:
-            raise ValueError("means and stds must be 1-D arrays of equal length")
-        if np.any(self.stds <= 0.0):
-            j = int(np.argmax(self.stds <= 0.0))
-            raise ValueError(f"std for column {j} must be positive")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """(X - means) / stds, column by column."""
@@ -165,7 +163,9 @@ class StandardizationParams:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint train/test row indices over the labeled rows."""
+    """Disjoint train/test row indices over the labeled rows. The overlap
+    check stays, unlike the checks of the fitted types: it guards the
+    protocol's promise that no test row reaches a fit."""
 
     train: np.ndarray
     test: np.ndarray

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import class_labels, derive_seed, feature_rows, plain_number, plain_numbers
+from .data import _readonly, class_labels, derive_seed, feature_rows, plain_number, plain_numbers
 
 # Fixed sub-stream tags for deriving per-stage RNG seeds from cfg.seed
 _SEED_HEAD = 1
@@ -51,28 +51,21 @@ def sigmoid(x, out=None):
 
 @dataclass(frozen=True)
 class AeLayer:
-    """The encoder of one tied-weight auto-encoder: W is h x d with h < d,
-    b the encoder bias. The decoder bias belongs to ``ae_train`` alone."""
+    """The encoder of one tied-weight auto-encoder: W is h x d with h < d and
+    b the encoder bias, shape (h,); the decoder bias belongs to ``ae_train``.
+    ``ae_train`` (its h check) and ``fine_tune`` (which keeps each layer's
+    shapes) guarantee the shapes. Finiteness is checked: an infinite bias can
+    leave ``_ae_forward``'s loss finite, so no loss check sees that fault."""
 
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=float)
-        b = np.array(self.b, dtype=float)
-        if W.ndim != 2:
-            raise ValueError("W must be 2-D (hidden x input)")
-        h, d = W.shape
-        if h >= d:
-            raise ValueError(f"undercomplete layer requires h < d, got {h} >= {d}")
-        if b.shape != (h,):
-            raise ValueError(f"bias shape must be ({h},), got {b.shape}")
-        for arr in (W, b):
+        for name in ("W", "b"):
+            arr = _readonly(np.array(getattr(self, name), dtype=float))
             if not np.all(np.isfinite(arr)):
                 raise ValueError("layer parameters must be finite")
-            arr.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
+            object.__setattr__(self, name, arr)
 
     @property
     def h(self) -> int:
@@ -86,28 +79,18 @@ class AeLayer:
 @dataclass(frozen=True)
 class SaeModel:
     """Encoder layers with strictly decreasing dimensions plus a two-output
-    softmax head on the top representation."""
+    softmax head on the top representation: 2 x h_top, with a length-2 bias.
+    ``fine_tune`` guarantees all of it: it refuses an empty stack, trains
+    only layers that chain, and makes the head."""
 
     layers: tuple[AeLayer, ...]
     softmax_W: np.ndarray
     softmax_b: np.ndarray
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        if not layers:
-            raise ValueError("at least one layer is required")
-        for lo, hi in zip(layers[1:], layers[:-1]):
-            if lo.d != hi.h:
-                raise ValueError(f"layer input dim {lo.d} does not chain with previous hidden dim {hi.h}")
-        W = np.array(self.softmax_W, dtype=float)
-        b = np.array(self.softmax_b, dtype=float)
-        if W.shape != (2, layers[-1].h) or b.shape != (2,):
-            raise ValueError(f"softmax head must be 2 x {layers[-1].h} with a length-2 bias")
-        W.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "softmax_W", W)
-        object.__setattr__(self, "softmax_b", b)
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "softmax_W", _readonly(np.array(self.softmax_W, dtype=float)))
+        object.__setattr__(self, "softmax_b", _readonly(np.array(self.softmax_b, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,22 @@
 and every model of ``fine_tune`` must equal ``fine_tune_loop`` at its
 L2, weight by weight and bias by bias.
 
+It also holds a tied *linear* auto-encoder, whose global optimum is known in
+closed form, as a step and a last-loss function that ``sae._descend`` drives.
+
 Each step allocates its own temporaries, and each L2 value is fine-tuned on
 its own; the arithmetic, its operand order and the seeds are the package's.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from featlearn.data import derive_seed
 from featlearn.sae import (_SEED_HEAD, AeLayer, SaeModel, TrainConfig, TrainingDivergedError,
-                           _init_matrix, _log_softmax)
+                           _descend, _init_matrix, _log_softmax)
 
 
 def where_sigmoid(x):
@@ -114,3 +119,33 @@ def fine_tune_loop(layers, X: np.ndarray, labels, cfg: TrainConfig) -> SaeModel:
         bh -= lr * gbh
     new_layers = tuple(AeLayer(W=W, b=b_) for W, b_ in zip(Ws, bs))
     return SaeModel(layers=new_layers, softmax_W=Wh, softmax_b=bh)
+
+
+def linear_ae_step(W, b, d_bias, X):
+    """Mean squared reconstruction error of the tied linear auto-encoder
+    xhat = d_bias + W^T (W x + b), summed over columns and averaged over
+    rows, and its gradients for W, b and d_bias, in that order."""
+    n = X.shape[0]
+    H = X @ W.T + b
+    E = (H @ W + d_bias) - X
+    E2 = 2.0 * E
+    dA = E2 @ W.T
+    grads = [(H.T @ E2 + dA.T @ X) / n, dA.sum(axis=0) / n, E2.sum(axis=0) / n]
+    return float(np.sum(E * E)) / n, grads
+
+
+def linear_ae_last_loss(W, b, d_bias, X):
+    """The loss ``_descend`` checks after its last step, first in a tuple as
+    ``sae._ae_forward`` returns it."""
+    return linear_ae_step(W, b, d_bias, X)[:1]
+
+
+def linear_ae_train(X: np.ndarray, h: int, cfg: TrainConfig):
+    """``sae._descend`` on the linear auto-encoder from ``ae_train``'s
+    initialization; returns the trained W and the loss it leaves."""
+    X = np.asarray(X, dtype=float)
+    d = X.shape[1]
+    params = [_init_matrix(np.random.default_rng(cfg.seed), h, d), np.zeros(h), np.zeros(d)]
+    _descend(partial(linear_ae_step, *params, X), partial(linear_ae_last_loss, *params, X),
+             params, cfg, "linear reconstruction")
+    return params[0], linear_ae_last_loss(*params, X)[0]

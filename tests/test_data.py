@@ -275,6 +275,15 @@ class TestStandardize:
         assert np.max(np.abs(params2.means)) < 1e-10
         assert np.max(np.abs(params2.stds - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_means_and_stds_are_equal_length_1_d_with_every_std_positive(self, seed):
+        """What ``StandardizationParams`` leaves to its producers."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(12, 4)) * [1e-12, 1e-3, 1.0, 1e3], [0, 1] * 6)
+        params = standardize_fit(ds, rng.choice(12, size=7, replace=False))
+        assert params.means.shape == params.stds.shape == (4,)
+        assert np.all(params.stds > 0.0)
+
     def test_constant_column_named(self):
         ds = Dataset([[1.0, 1.0], [1.0, 2.0]], [0, 1])
         with pytest.raises(ValueError, match="'f0'"):
@@ -518,10 +527,6 @@ class TestRefusals:
         (lambda: Dataset(np.empty((2, 0)), [0, 1]), "need n >= 1 and p >= 1, got shape (2, 0)"),
         (lambda: Dataset(np.ones((3, 1)), [0, 1]), "labels length (2,) does not match 3 rows"),
         (lambda: Dataset(np.ones((2, 2)), [0, 1], ("a",)), "1 feature names for 2 columns"),
-        (lambda: StandardizationParams([0.0, 0.0], [1.0]),
-         "means and stds must be 1-D arrays of equal length"),
-        (lambda: StandardizationParams([0.0, 0.0], [1.0, 0.0]), "std for column 1 must be positive"),
-        (lambda: StandardizationParams([0.0], [-2.0]), "std for column 0 must be positive"),
         (lambda: SplitIndices([0, 1], [2, 1]), "train and test indices overlap"),
         (lambda: SyntheticSpec(-1, 2, 0, 3, 1, 0.5, 0.0, seed=0), "counts must be >= 0"),
         (lambda: SyntheticSpec(0, 0, 0, 3, 1, 0.5, 0.0, seed=0), "at least one row is required"),
@@ -534,10 +539,9 @@ class TestRefusals:
          "labels must have shape (8,), got (4, 2)"),
         (lambda: kfold(1, 2, seed=0), "labels must have shape (1,), got ()"),
     ], ids=["dataset-1-d", "dataset-no-rows", "dataset-no-columns", "dataset-label-count",
-            "dataset-name-count", "scaler-shapes", "scaler-zero-std", "scaler-negative-std",
-            "split-overlap", "spec-negative-count", "spec-no-rows", "spec-negative-seed",
-            "standardize-one-row", "split-test-frac-0", "split-test-frac-1", "kfold-k-1",
-            "kfold-2-d-labels", "kfold-scalar-label"])
+            "dataset-name-count", "split-overlap", "spec-negative-count", "spec-no-rows",
+            "spec-negative-seed", "standardize-one-row", "split-test-frac-0", "split-test-frac-1",
+            "kfold-k-1", "kfold-2-d-labels", "kfold-scalar-label"])
     def test_bad_input_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

@@ -81,6 +81,15 @@ class TestFitScaler:
         assert scaler.stds.tolist() == [1.0, 1.0, varying.std(ddof=1)]
         assert scaler.means.tolist() == F.mean(axis=0).tolist()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_means_and_stds_are_equal_length_1_d_with_every_std_positive(self, seed):
+        """What ``StandardizationParams`` leaves to its producers: a constant
+        or near-constant column gets std 1.0."""
+        F = np.random.default_rng(seed).normal(size=(9, 5)) * [0.0, 1e-14, 1e-6, 1.0, 1e3]
+        scaler = _fit_scaler(F)
+        assert scaler.means.shape == scaler.stds.shape == (5,)
+        assert np.all(scaler.stds > 0.0) and scaler.stds[:2].tolist() == [1.0, 1.0]
+
 
 class TestFitSaeStage:
     # Over these seeds the reference picks each of the three L2 values at

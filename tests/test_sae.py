@@ -236,14 +236,10 @@ class TestSemiPretrainFinetune:
             assert _model_bytes(model) == _model_bytes(alone), l2
 
 
-def _layer(h, d):
-    """A valid h x d layer of zeros."""
-    return AeLayer(W=np.zeros((h, d)), b=np.zeros(h))
-
-
 def _zero_model():
     """A 6 -> 3 model of zeros with its 2 x 3 softmax head."""
-    return SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 3)), softmax_b=np.zeros(2))
+    return SaeModel(layers=(AeLayer(W=np.zeros((3, 6)), b=np.zeros(3)),),
+                    softmax_W=np.zeros((2, 3)), softmax_b=np.zeros(2))
 
 
 def _two_layers():
@@ -251,21 +247,43 @@ def _two_layers():
     return sae_pretrain(_labeled()[0], (4, 2), TrainConfig(iterations=2))
 
 
+class TestProducedModels:
+    """``AeLayer`` and ``SaeModel`` keep their values' shapes unchecked, so
+    the shapes are checked here, where ``semi_pretrain_finetune`` makes the
+    values through ``ae_train`` and ``fine_tune``."""
+
+    @pytest.mark.parametrize("dims", [(4, 2), (3,)], ids=["4-2", "3"])
+    @pytest.mark.parametrize("n_unlabeled", [0, 9], ids=["no-unlabeled", "unlabeled"])
+    def test_layers_are_undercomplete_and_chain_under_a_two_output_head(self, dims,
+                                                                        n_unlabeled):
+        X, y = _labeled()
+        X_unlabeled = np.random.default_rng(4).normal(size=(n_unlabeled, X.shape[1]))
+        models = semi_pretrain_finetune(X, y, X_unlabeled, dims, TrainConfig(iterations=3),
+                                        [0.0, 1e-3, 1e-1])
+        widths = [X.shape[1], *dims]
+        assert len(models) == 3
+        for model in models:
+            assert [layer.W.shape for layer in model.layers] == list(zip(widths[1:], widths))
+            assert all(layer.h < layer.d and layer.b.shape == (layer.h,)
+                       for layer in model.layers)
+            assert model.softmax_W.shape == (2, dims[-1]) and model.softmax_b.shape == (2,)
+            arrays = [a for layer in model.layers for a in (layer.W, layer.b)]
+            assert not any(a.flags.writeable for a in arrays + [model.softmax_W, model.softmax_b])
+
+    def test_an_infinite_bias_leaves_the_loss_finite_and_the_layer_refuses_it(self):
+        """Why ``AeLayer`` keeps its finiteness check: sigmoid(+inf) is 1, so
+        the reconstruction loss, the only check during training, stays finite."""
+        rng = np.random.default_rng(0)
+        X, W = rng.normal(size=(8, 5)), rng.normal(size=(3, 5))
+        b = np.array([np.inf, 0.0, 0.0])
+        assert np.isfinite(sae._ae_forward(W, b, np.zeros(5), X, sae._Work())[0])
+        with pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            AeLayer(W=W, b=b)
+
+
 class TestRefusals:
     @pytest.mark.parametrize("make, message", [
-        (lambda: AeLayer(W=np.zeros(4), b=np.zeros(2)), "W must be 2-D (hidden x input)"),
-        (lambda: AeLayer(W=np.zeros((3, 3)), b=np.zeros(3)),
-         "undercomplete layer requires h < d, got 3 >= 3"),
-        (lambda: AeLayer(W=np.zeros((2, 4)), b=np.zeros(4)), "bias shape must be (2,), got (4,)"),
         (lambda: AeLayer(W=np.zeros((2, 4)), b=[0.0, np.nan]), "layer parameters must be finite"),
-        (lambda: SaeModel(layers=(), softmax_W=np.zeros((2, 2)), softmax_b=np.zeros(2)),
-         "at least one layer is required"),
-        (lambda: SaeModel(layers=(_layer(3, 6), _layer(1, 2)), softmax_W=np.zeros((2, 1)),
-                          softmax_b=np.zeros(2)),
-         "layer input dim 2 does not chain with previous hidden dim 3"),
-        (lambda: SaeModel(layers=(_layer(3, 6),), softmax_W=np.zeros((2, 4)),
-                          softmax_b=np.zeros(2)),
-         "softmax head must be 2 x 3 with a length-2 bias"),
         (lambda: TrainConfig(seed=-1), "seed must be unsigned"),
         (lambda: TrainConfig(l2=-1.0), "l2 must be >= 0 and finite"),
         (lambda: TrainConfig(l2=math.inf), "l2 must be >= 0 and finite"),
@@ -276,10 +294,9 @@ class TestRefusals:
         (lambda: TrainConfig(iterations=True), "iterations must be an integer, got True"),
         (lambda: TrainConfig(seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: TrainConfig(learning_rate=True), "learning_rate must be a number, got True"),
-    ], ids=["ae-W-not-2d", "ae-not-undercomplete", "ae-bias-shapes", "ae-non-finite",
-            "sae-no-layers", "sae-layers-do-not-chain", "sae-head-shape", "negative-seed",
-            "negative-l2", "infinite-l2", "l2-past-float-range", "learning-rate-past-float-range",
-            "iterations-float", "iterations-bool", "seed-float", "learning-rate-bool"])
+    ], ids=["ae-non-finite", "negative-seed", "negative-l2", "infinite-l2", "l2-past-float-range",
+            "learning-rate-past-float-range", "iterations-float", "iterations-bool", "seed-float",
+            "learning-rate-bool"])
     def test_bad_model_or_config_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
