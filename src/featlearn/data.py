@@ -101,8 +101,6 @@ class Dataset:
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
         y = np.asarray(self.labels)  # checked before the int cast, which truncates 0.5 to 0
-        if X.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {X.shape}")
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError(f"need n >= 1 and p >= 1, got shape {X.shape}")
@@ -331,8 +329,6 @@ def stratified_split(ds: Dataset, test_frac: float, seed: int) -> SplitIndices:
 
     Only labeled rows are split; deterministic for a given seed.
     """
-    if not 0.0 < test_frac < 1.0:
-        raise ValueError("test_frac must lie in (0, 1)")
     rng = np.random.default_rng(plain_number("seed", seed, int))
     train_parts, test_parts = [], []
     for cls in (0, 1):

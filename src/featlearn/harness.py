@@ -445,7 +445,8 @@ def _run_repeat(ds: Dataset, specs, cfg: ExperimentConfig, r: int,
 
 def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIndices:
     """Repeat r's split, after checking what would otherwise fail only
-    partway through the run: the SAE stack's widths and the fold count."""
+    partway through the run: the SAE stack's widths, the fold count, and the
+    t-test's two rows per class on every fold's training side."""
     if any(spec.uses_sae for spec in specs):
         check_dims(ds.p, cfg.sae_dims)
     split = stratified_split(ds, cfg.test_frac, cfg.base_seed + r)
@@ -453,6 +454,12 @@ def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIn
     if cfg.k > smaller:
         raise ValueError(f"k={cfg.k} exceeds the {smaller} training rows of the "
                          f"smaller class in repeat {r}")
+    # kfold puts ceil(m / k) of a class's m rows in its largest fold, and
+    # m - ceil(m / k) grows with m, so the smaller class decides
+    left = smaller - -(-smaller // cfg.k)
+    if left < 2 and any(spec.selector == "TTEST" for spec in specs):
+        raise ValueError(f"k={cfg.k} folds leave {left} of the smaller class's m={smaller} training "
+                         f"rows on a fold's training side in repeat {r}; the t-test needs 2")
     return split
 
 
@@ -467,8 +474,9 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     runs. ``jobs`` is an argument, not a config field: it never changes a
     result.
     Raises ValueError before any fit if a cell is repeated in specs, jobs is
-    not an integer >= 1, the SAE dims do not fit ds or some repeat's smaller
-    training class has fewer than cfg.k rows.
+    not an integer >= 1, the SAE dims do not fit ds, some repeat's smaller
+    training class has fewer than cfg.k rows, or, with a t-test cell, some
+    fold's training side would hold fewer than 2 rows of a class.
     """
     specs = list(specs)
     if not specs:

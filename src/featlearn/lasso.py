@@ -152,8 +152,6 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
     for i, (X, y) in enumerate(problems):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X of member {i} must be 2-D, got shape {X.shape}")
         n, p = X.shape
         if y.shape != (n,):
             raise ValueError(f"y of member {i} must hold one value per row of X ({n}),"
@@ -295,8 +293,8 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     zero never enter. Raises SingularActiveSetError, naming the member, if
     its walk would need linearly dependent active columns, such as a
     duplicated column or more active columns than rows. Raises ValueError,
-    naming the member, unless X is a finite 2-D matrix with p columns and y
-    finite with one value per row.
+    naming the member, unless X is finite with p columns and y finite with
+    one value per row; an X that is not 2-D fails to unpack its shape.
     """
     return _walk(problems, lambdas)[0]
 
@@ -367,8 +365,6 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     if lambdas.size == 0:
         raise ValueError("empty lambda list")
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
-        raise ValueError(f"need a 2-D X and one y value per row, got X {X.shape} and y {y.shape}")
     means = []
 
     def members():

@@ -75,27 +75,6 @@ def _round_robin(p: int) -> np.ndarray:
     return np.array(rounds, dtype=np.intp).reshape(len(rounds), 2, p // 2)
 
 
-def _check_stack(Ms) -> list[np.ndarray]:
-    As = [np.asarray(M, dtype=float) for M in Ms]
-    if not As:
-        raise ValueError("sym_eigen requires at least one matrix")
-    for i, A in enumerate(As):
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"sym_eigen requires a square matrix, got shape {A.shape} "
-                             f"for matrix {i}")
-        if A.shape != As[0].shape:
-            raise ValueError(f"matrix {i} is {A.shape[0]} x {A.shape[0]}, but matrix 0 is "
-                             f"{As[0].shape[0]} x {As[0].shape[0]}; a block needs one size")
-        if not np.all(np.isfinite(A)):
-            raise ValueError(f"matrix {i} has a non-finite entry")
-        if A.shape[0] >= 1 and np.max(np.abs(A - A.T), initial=0.0) >= _SYM_ATOL:
-            raise ValueError(f"sym_eigen requires a symmetric matrix (|M - M^T| >= {_SYM_ATOL}), "
-                             f"not so for matrix {i}")
-    if As[0].shape[0] == 0:
-        raise ValueError("sym_eigen requires p >= 1")
-    return As
-
-
 def _off_frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0)))
 
@@ -116,20 +95,30 @@ def sym_eigen(Ms) -> list[SymEigen]:
     [A; V] as contiguous rows of W, and the rows of A from the transposed
     view of W[:, :, :p].
 
-    Raises ValueError, naming the matrix, for a non-square, non-symmetric or
-    non-finite member or one whose size differs from the first; and
+    Raises ValueError unless the members are p x p matrices, p >= 1 (numpy's
+    ``np.stack`` refuses an empty block or members of differing shapes), and,
+    naming the matrix, for a non-symmetric or non-finite member; and
     ConvergenceError, naming the first such matrix, if one is still rotating
     after 50 sweeps.
     """
-    As = _check_stack(Ms)
-    m, p = len(As), As[0].shape[0]
+    As = np.stack([np.asarray(M, dtype=float) for M in Ms])
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise ValueError(f"sym_eigen requires square matrices, got a block of shape {As.shape}")
+    m, p = As.shape[:2]
+    for i, A in enumerate(As):
+        if not np.all(np.isfinite(A)):
+            raise ValueError(f"matrix {i} has a non-finite entry")
+        if np.max(np.abs(A - A.T), initial=0.0) >= _SYM_ATOL:
+            raise ValueError(f"sym_eigen requires a symmetric matrix (|M - M^T| >= {_SYM_ATOL}), "
+                             f"not so for matrix {i}")
+    if p == 0:
+        raise ValueError("sym_eigen requires p >= 1")
     tol = np.array([1e-11 * max(1.0, float(np.linalg.norm(A))) for A in As])
     # thresh is +inf for a matrix that has met its stop rule: none of its
     # pairs is active again
     thresh = (tol / p)[:, None]
     W = np.empty((m, p, 2 * p))
-    for i, A in enumerate(As):
-        W[i, :, :p] = A.T
+    W[:, :, :p] = As.transpose(0, 2, 1)
     W[:, :, p:] = np.eye(p)
     At = W[:, :, :p]
     cols, rows = W.reshape(m * p, 2 * p), At.transpose(0, 2, 1)

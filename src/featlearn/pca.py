@@ -29,20 +29,17 @@ def pca_fit(Xs, r: int) -> list[PcaModel]:
     first r' < r components it is ``pca_fit([Xs[i]], r')[0]``. ``components``
     is the first r columns of the eigenvector matrix: a view, with its strides.
 
-    Raises ValueError, naming the matrix, unless each X is a finite 2-D
-    matrix and 1 <= r <= min(n - 1, p), r an integer."""
+    Raises ValueError, naming the matrix, unless 1 <= r <= min(n - 1, p), r an
+    integer, or for a non-finite X (``sym_eigen``'s refusal, after numpy warns
+    of any inf - inf). numpy refuses an X that is not 2-D or of another width."""
     r = plain_number("r", r, int)
     means, covariances = [], []
     for i, X in enumerate(Xs):
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"matrix {i} must be 2-D, got shape {X.shape}")
         n, p = X.shape
         if not 1 <= r <= min(n - 1, p):
             raise ValueError(f"r must lie in 1..min(n-1, p) = {min(n - 1, p)}, got {r}"
                              f" (matrix {i})")
-        if not np.all(np.isfinite(X)):
-            raise ValueError(f"matrix {i} has a non-finite entry")
         means.append(X.mean(axis=0))
         covariances.append(sample_covariance(X))
     return [PcaModel(mean=mean, components=eig.eigenvectors[:, :r], variances=eig.eigenvalues[:r])

@@ -80,8 +80,8 @@ class AeLayer:
 class SaeModel:
     """Encoder layers with strictly decreasing dimensions plus a two-output
     softmax head on the top representation: 2 x h_top, with a length-2 bias.
-    ``fine_tune`` guarantees all of it: it refuses an empty stack, trains
-    only layers that chain, and makes the head."""
+    ``fine_tune`` guarantees all of it: it reads the input width from the
+    first layer, trains only layers that chain, and makes the head."""
 
     layers: tuple[AeLayer, ...]
     softmax_W: np.ndarray
@@ -95,7 +95,8 @@ class SaeModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Learning rate, iteration count and seed of one training call.
+    """Learning rate, iteration count and seed of one training call; numpy
+    refuses a negative seed at the call's first draw.
 
     No training function reads ``l2``: ``fine_tune`` and
     ``semi_pretrain_finetune`` take their L2 values as ``l2s``. The field
@@ -115,8 +116,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if not 0.0 <= self.l2 < math.inf:
             raise ValueError("l2 must be >= 0 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be unsigned")
 
 
 def _init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -194,9 +193,7 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
     leaves the float range.
     """
     X, h = feature_rows(X), plain_number("h", h, int)
-    n, d = X.shape
-    if n < 1:
-        raise ValueError("need at least one row")
+    d = X.shape[1]
     if not 1 <= h < d:
         raise ValueError(f"hidden size must satisfy 1 <= h < d={d}, got {h}")
     rng = np.random.default_rng(cfg.seed)
@@ -208,11 +205,10 @@ def ae_train(X: np.ndarray, h: int, cfg: TrainConfig) -> AeLayer:
 
 def check_dims(width: int, dims) -> list[int]:
     """``dims`` as ints; raises ValueError unless they are integers (numpy
-    integers included, bools not), nonempty, at least 1, strictly decreasing
-    and start below the input width."""
+    integers included, bools not), at least 1, strictly decreasing and start
+    below the input width. An empty list raises IndexError; the config
+    refuses one first."""
     dims = list(plain_number("dims", dims, tuple[int, ...]))
-    if not dims:
-        raise ValueError("dims must be nonempty")
     chain = [width] + dims
     if any(b >= a for a, b in zip(chain, chain[1:])):
         raise ValueError(f"hidden sizes must decrease strictly from the input width: {chain}")
@@ -298,8 +294,6 @@ def fine_tune(layers, X: np.ndarray, labels, cfg: TrainConfig, l2s) -> list[SaeM
     any L2 value is non-finite, even if the others would have trained, and
     after the last iteration if the loss it leaves is.
     """
-    if not layers:
-        raise ValueError("at least one layer is required")
     X = feature_rows(X, layers[0].d)
     y = class_labels(labels, X.shape[:1])
     l2 = np.array(plain_number("l2s", l2s, tuple[float, ...])).reshape(-1, 1, 1)
@@ -346,11 +340,7 @@ def semi_pretrain_finetune(X_labeled: np.ndarray, labels, X_unlabeled: np.ndarra
     X_unlabeled is 2-D, as wide as X_labeled; with no rows, (0, p), this
     reduces exactly to the supervised path, bit for bit.
     """
-    X_labeled = np.asarray(X_labeled, dtype=float)
-    X_unlabeled = np.asarray(X_unlabeled, dtype=float)
-    if X_unlabeled.shape[1:] != X_labeled.shape[1:]:
-        raise ValueError(f"need a 2-D unlabeled X as wide as the labeled X, "
-                         f"got labeled {X_labeled.shape} and unlabeled {X_unlabeled.shape}")
-    X_pre = np.vstack([X_labeled, X_unlabeled])
+    X_labeled = feature_rows(X_labeled)
+    X_pre = np.vstack([X_labeled, feature_rows(X_unlabeled, X_labeled.shape[1])])
     layers = sae_pretrain(X_pre, dims, cfg)
     return fine_tune(layers, X_labeled, labels, cfg, l2s)

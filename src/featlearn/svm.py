@@ -86,8 +86,6 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
     segments = []  # (X, a, b) per group: its (f, |Cs|, n, q) view of X and its block rows a:b
     for X, labels, Cs in groups:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 3:
-            raise ValueError(f"need an (f, n, q) X of f slices, got shape {X.shape}")
         Y = 2.0 * class_labels(labels, X.shape[:2]) - 1.0
         if np.any(np.all(Y == Y[:, :1], axis=1)):
             raise ValueError("both classes must be present")
@@ -99,8 +97,6 @@ def svm_train(groups, tol: float, max_epochs: int) -> list[LinearSvmModel]:
             segments.append((np.broadcast_to(X[:, None], (f, c, n, q)),
                              len(problems), len(problems) + f * c))
         problems.extend((x, y, C) for x, y in zip(X, Y) for C in Cs)
-    if not problems:
-        raise ValueError("need at least one problem")
 
     ns = [X.shape[0] for X, _, _ in problems]
     P, n_max = len(problems), max(ns)
@@ -217,8 +213,6 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
         by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
     stacks, vals = {}, []  # (row count, None or an index candidate) -> stack; validation rows
     for f, (X_tr, X_val) in enumerate(fold_features):
-        if f == k:
-            raise ValueError(f"got features for a fold {f}, but there are {k} folds")
         X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
         if f == 0:  # the labels, and each candidate's columns per fold, a slice for a width
             y, q, cols = class_labels(labels, np.shape(folds[0][0])), X_tr.shape[-1], []

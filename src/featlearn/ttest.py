@@ -43,8 +43,9 @@ def select_top_m(t: np.ndarray, m: int) -> np.ndarray:
 def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms) -> list:
     """``svm_cv``'s index candidates for the t-test search over ``kfold``'s
     fold pairs: entry ``[i][f]`` is fold f's top ``candidate_ms[i]`` columns,
-    ascending, ranked on that fold's own training rows. X must be 2-D, and
-    the labels pass ``class_labels``, one per row.
+    ascending, ranked on that fold's own training rows. X must be 2-D, the
+    labels pass ``class_labels``, one per row, and each m passes
+    ``select_top_m``.
 
     The caller scores them; the name stays because the benchmark's tracer
     times the t-test search's ranking under ``ttest.ttest_cv``."""
@@ -53,8 +54,5 @@ def ttest_cv(X: np.ndarray, labels: np.ndarray, folds, candidate_ms) -> list:
         raise ValueError("empty candidate list")
     X = feature_rows(X)
     labels = class_labels(labels, X.shape[:1])
-    p = X.shape[1]
-    if min(candidate_ms) < 1 or max(candidate_ms) > p:
-        raise ValueError(f"candidate m values must lie in 1..{p}")
     ts = [two_sample_t(X[train], labels[train]) for train, _ in folds]
     return [[select_top_m(t, m) for t in ts] for m in candidate_ms]

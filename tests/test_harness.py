@@ -3,6 +3,7 @@ import concurrent.futures
 import multiprocessing
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 
@@ -779,6 +780,32 @@ class TestRunExperiment:
         ds = generate_synthetic(TINY_DATA)
         with pytest.raises(ValueError, match="k=17 exceeds the 16 training rows"):
             run_experiment(ds, [PipelineSpec("LLF")], replace(TINY, k=17))
+
+    def test_t_test_fold_with_one_row_of_a_class_rejected_before_any_fit(self, no_fits):
+        """3 class-0 rows leave 2 for training; k = 2 folds train on 1 of them,
+        where two_sample_t would fail after the LLF cell had run."""
+        ds = generate_synthetic(SyntheticSpec(3, 12, 0, 6, 2, 1.0, 0.0, seed=0))
+        specs = [PipelineSpec("LLF"), PipelineSpec("LLF", "TTEST")]
+        with pytest.raises(ValueError, match=r"^k=2 folds leave 1 of the smaller class's m=2 "
+                                             r"training rows .* the t-test needs 2$"):
+            run_experiment(ds, specs, ExperimentConfig(repeats=1, k=2))
+
+    def test_t_test_fold_check_leaves_other_cells_alone(self):
+        ds = generate_synthetic(SyntheticSpec(3, 12, 0, 6, 2, 1.0, 0.0, seed=0))
+        results = run_experiment(ds, [PipelineSpec("LLF")], ExperimentConfig(repeats=1, k=2))
+        assert results.accuracies[("LLF", "NONE")] == (0.6666666666666666,)
+
+    @pytest.mark.parametrize("n0, k", [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (8, 5)])
+    def test_t_test_fold_check_matches_kfold(self, n0, k):
+        """A t-test cell is refused exactly when one of kfold's folds trains
+        on fewer than 2 rows of a class (n0 - round(n0 / 5) class-0 rows)."""
+        ds = generate_synthetic(SyntheticSpec(n0, 12, 0, 6, 2, 1.0, 0.0, seed=0))
+        cfg = ExperimentConfig(repeats=1, k=k)
+        ytr = ds.labels[_checked_split(ds, [PipelineSpec("LLF")], cfg, 0).train]
+        short = any(np.count_nonzero(ytr[mask] == c) < 2
+                    for mask, _ in kfold(ytr, k, seed=0) for c in (0, 1))
+        with pytest.raises(ValueError, match="the t-test needs 2") if short else nullcontext():
+            _checked_split(ds, [PipelineSpec("LLF", "TTEST")], cfg, 0)
 
     def test_k_equal_to_smaller_training_class_runs(self):
         ds = generate_synthetic(replace(TINY_DATA, n1=10))
