@@ -60,7 +60,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
-from itertools import chain
 from typing import get_args
 
 import numpy as np
@@ -265,9 +264,8 @@ class PipelineFit:
 
 
 def _fold_rows(F: np.ndarray, folds_local):
-    """Each fold's (training rows, validation rows) of F for ``svm_cv``, made
-    one fold at a time."""
-    return ((F[train], F[val]) for train, val in folds_local)
+    """Each fold's (training rows, validation rows) of F for ``svm_cv``."""
+    return [(F[train], F[val]) for train, val in folds_local]
 
 
 def _choose(grid, scores, ties):
@@ -330,10 +328,9 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     n, q = F.shape
     r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
-    # a generator, so that one fold's training rows are held at a time
-    *pcas, final = pca_fit(chain((F[train] for train, _ in folds_local), [F]), max(grid))
-    scores = svm_cv(((pca_transform(pca, F[train]), pca_transform(pca, F[val]))
-                     for pca, (train, val) in zip(pcas, folds_local)),
+    *pcas, final = pca_fit([F[train] for train, _ in folds_local] + [F], max(grid))
+    scores = svm_cv([(pca_transform(pca, F[train]), pca_transform(pca, F[val]))
+                     for pca, (train, val) in zip(pcas, folds_local)],
                     ytr01, folds_local, [1.0], grid, max_epochs=cfg.svm_cv_epochs)
     r = _choose(grid, scores, min)
     model = replace(final, components=final.components[:, :r], variances=final.variances[:r])
@@ -365,7 +362,7 @@ class _RepeatFits:
         with _stage("standardize"):
             params = standardize_fit(ds, train)
             Xtr = _readonly(params.apply(ds.features[train]))
-            ytr01 = _readonly(ds.labels[train].astype(np.int64))
+            ytr01 = _readonly(ds.labels[train])
         with _stage("folds"):
             folds_local = kfold(ytr01, self.cfg.k, derive_seed(self.seed, _TAG_FOLDS))
         return params, Xtr, ytr01, folds_local

@@ -124,9 +124,22 @@ def _correlations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([2.0 * float(np.ascontiguousarray(col) @ y) / n for col in X.T])
 
 
-def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
-    """The homotopy behind lasso_path, over a block of problems; also
-    returns the segments each walked.
+def lasso_path(problems, lambdas) -> list[np.ndarray]:
+    """The exact lasso solution of each (X, y) problem of an iterable at
+    each lambda, as one p x len(lambdas) array per problem whose columns
+    follow the order of ``lambdas``.
+
+    The problems share p and are walked as one lockstep block (see the
+    module docstring). Each is read once and not kept, so a generator holds
+    one at a time, and member i is byte-equal to
+    ``lasso_path([problems[i]], lambdas)[0]``.
+
+    Every lambda >= lambda_max(X, y) gets exact zeros. Columns that are all
+    zero never enter. Raises SingularActiveSetError, naming the member, if
+    its walk would need linearly dependent active columns, such as a
+    duplicated column or more active columns than rows. Raises ValueError,
+    naming the member, unless X is finite with p columns and y finite with
+    one value per row; an X that is not 2-D fails to unpack its shape.
 
     On a segment with active set A and signs s the optimality conditions
     give beta_A(lam) = G_AA^-1 (c0_A - lam s) and correlations
@@ -148,7 +161,7 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
         raise ValueError("lambdas must be a list of values >= 0")
     order = np.argsort(-lambdas, kind="stable")
     descending = lambdas[order]
-    betas, segments, walking, grams, corr0s, lams = [], [], [], [], [], []
+    betas, walking, grams, corr0s, lams = [], [], [], [], []
     for i, (X, y) in enumerate(problems):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -161,7 +174,6 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError(f"member {i} has a non-finite entry")
         betas.append(np.zeros((p, lambdas.size)))
-        segments.append(0)
         corr0 = _correlations(X, y)  # so lam0 equals lambda_max bit for bit
         lam = float(np.max(np.abs(corr0), initial=0.0))
         if np.any(descending < lam):
@@ -170,7 +182,7 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
             corr0s.append(corr0)
             lams.append(lam)
     if not walking:
-        return betas, segments
+        return betas
     G = np.stack(grams)  # indexed by position in ``walking``, as ``live`` is
     del grams
     paths = np.zeros((len(walking), G.shape[1], lambdas.size))
@@ -187,9 +199,8 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
     key = np.where(can_join & (np.abs(corr0) >= (lam - tie)[:, None]), p + cols, 3 * p)
     leave = np.zeros(key.shape, dtype=bool)
     colsign = np.sign(corr0)
-    walked, steps, row = np.zeros(len(walking), dtype=int), 0, np.arange(len(walking))[:, None]
+    row = np.arange(len(walking))[:, None]
     while live.size:
-        steps += 1
         natural = np.where(leave, 3 * p, key)
         na = (natural < 3 * p).sum(axis=1)
         nkeep = (natural < p).sum(axis=1)
@@ -270,33 +281,12 @@ def _walk(problems, lambdas) -> tuple[list[np.ndarray], list[int]]:
         lam, done = end, reached
         going = done < lambdas.size
         if not going.all():
-            walked[live[~going]] = steps
             live, corr0, can_join, lam, tie, done, key, leave, colsign = (
                 a[going] for a in (live, corr0, can_join, lam, tie, done, key, leave, colsign))
             row = np.arange(live.size)[:, None]
-    for i, path, count in zip(walking, paths, walked.tolist()):
-        betas[i], segments[i] = path, count
-    return betas, segments
-
-
-def lasso_path(problems, lambdas) -> list[np.ndarray]:
-    """The exact lasso solution of each (X, y) problem of an iterable at
-    each lambda, as one p x len(lambdas) array per problem whose columns
-    follow the order of ``lambdas``.
-
-    The problems share p and are walked as one lockstep block (see the
-    module docstring). Each is read once and not kept, so a generator holds
-    one at a time, and member i is byte-equal to
-    ``lasso_path([problems[i]], lambdas)[0]``.
-
-    Every lambda >= lambda_max(X, y) gets exact zeros. Columns that are all
-    zero never enter. Raises SingularActiveSetError, naming the member, if
-    its walk would need linearly dependent active columns, such as a
-    duplicated column or more active columns than rows. Raises ValueError,
-    naming the member, unless X is finite with p columns and y finite with
-    one value per row; an X that is not 2-D fails to unpack its shape.
-    """
-    return _walk(problems, lambdas)[0]
+    for i, path in zip(walking, paths):
+        betas[i] = path
+    return betas
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -348,11 +338,10 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     ``folds`` are ``kfold``'s (training mask, validation rows) pairs and
     ``y`` the regression target. Within each fold the training columns and
     response are re-centered and the training mean serves as the intercept
-    for validation predictions. One lasso_path call walks every fold's path
-    and then the full problem's as one lockstep block, reading the centered
-    fold copies from a generator, so one is held at a time; each member's
-    path is its walk alone, bit for bit, so the full path's column at a
-    lambda is the one-member ``lasso_path([(X, y - mean(y))], [lambda])``.
+    for validation predictions. One lasso_path call walks every fold's
+    centered copy and then the full problem as one lockstep block; each
+    member's path is its walk alone, bit for bit, so the full path's column
+    at a lambda is the one-member ``lasso_path([(X, y - mean(y))], [lambda])``.
     One matrix product per fold scores every lambda.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
@@ -365,17 +354,10 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     if lambdas.size == 0:
         raise ValueError("empty lambda list")
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    means = []
-
-    def members():
-        for train, _ in folds:
-            col_means = X[train].mean(axis=0)
-            y_mean = y[train].mean()
-            means.append((col_means, y_mean))
-            yield X[train] - col_means, y[train] - y_mean
-        yield X, y - y.mean()
-
-    *paths, full = lasso_path(members(), lambdas)
+    means = [(X[train].mean(axis=0), y[train].mean()) for train, _ in folds]
+    *paths, full = lasso_path([(X[train] - col_means, y[train] - y_mean)
+                               for (train, _), (col_means, y_mean) in zip(folds, means)]
+                              + [(X, y - y.mean())], lambdas)
     scores = np.zeros((len(folds), lambdas.size))
     for f, ((_, val), (col_means, y_mean), betas) in enumerate(zip(folds, means, paths)):
         resid = y[val, None] - ((X[val] - col_means) @ betas + y_mean)

@@ -34,11 +34,13 @@ The other steps are elementwise, so each problem's row gets what its own
 vector would.
 
 ``svm_cv`` is the one CV search, over the C grid or the t-test's m and the
-PCA's r. Its folds with equal training row counts share stacks, filled in
-place: a width trains on a strided view of one stack of every column, an
-index candidate on its own stack. A width must stay a view: contiguous
-copies round differently, and changed 46 of 420 PCA-search models at
-``adni_like`` seeds 0-5, k = 10.
+PCA's r. Its folds with equal training row counts share one ``np.stack`` of
+every column: a width trains on a strided view of it, an index candidate on
+a C-contiguous copy of its columns, ``np.array`` over those folds. A width
+must stay a view: contiguous copies round differently, and changed 46 of
+420 PCA-search models at ``adni_like`` seeds 0-5, k = 10. An index copy must
+be C-contiguous: ``np.stack`` keeps the column-major layout of each fold's
+fancy-indexed columns, which rounds differently and failed 6 model-byte tests.
 
 Labels are 0/1 at the API, as everywhere else in the package: the functions
 here take them, ``data.class_labels`` checks them and ``svm_predict`` returns
@@ -202,16 +204,18 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
     candidate-major, each candidate's columns in ``C_grid`` order. ``labels``
     holds one 0/1 label per entry of a training mask.
 
-    ``fold_features`` yields each fold's (training rows, validation rows)
+    ``fold_features`` holds each fold's (training rows, validation rows)
     features, in fold order, all of one width q. A candidate is a width w,
     which trains on the first w columns, or one ascending column-index array
     per fold. Every (fold, candidate, C) trains in one ``svm_train`` block at
     tol 1e-6 (see the module docstring)."""
-    k = len(folds)
-    by_rows: dict = {}  # training row count -> the folds that share its stacks
+    k, fold_features = len(folds), list(fold_features)
+    if len(fold_features) != k:
+        raise ValueError(f"got features for {len(fold_features)} folds, not {k}")
+    by_rows: dict = {}  # training row count -> the folds that share its stack
     for f, (train, _) in enumerate(folds):
         by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
-    stacks, vals = {}, []  # (row count, None or an index candidate) -> stack; validation rows
+    trains, vals = [], []  # each fold's training rows and validation rows
     for f, (X_tr, X_val) in enumerate(fold_features):
         X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
         if f == 0:  # the labels, and each candidate's columns per fold, a slice for a width
@@ -227,9 +231,6 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
         if X_tr.shape != (rows, q) or X_val.shape != (n_val, q):
             raise ValueError(f"fold {f} needs {rows} training and {n_val} validation rows of "
                              f"fold 0's width {q}, got {X_tr.shape} and {X_val.shape}")
-        # one stack of every column, which the widths view, and one per index
-        # candidate, each filled from one copy of the fold's columns at a time
-        keys = {None: slice(None)} if any(isinstance(c[f], slice) for c in cols) else {}
         for i, c in enumerate(cols):
             if not isinstance(c[f], slice):
                 if np.asarray(c[f]).dtype.kind not in "iu":
@@ -237,22 +238,16 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
                                      f"index array")
                 if np.size(c[f]) == 0 or np.min(c[f]) < 0 or np.max(c[f]) >= q:
                     raise ValueError(f"candidate {i}: fold {f}'s columns are not in 0..{q - 1}")
-                keys[i] = c[f]
-        fs = by_rows[rows]
-        for key, c in keys.items():
-            X = X_tr[:, c]
-            if (rows, key) not in stacks:
-                stacks[rows, key] = np.empty((len(fs),) + X.shape)
-            stacks[rows, key][fs.index(f)] = X
+        trains.append(X_tr)
         vals.append(X_val)
-    if len(vals) != k:
-        raise ValueError(f"got features for {len(vals)} folds, none for fold {len(vals)} of {k}")
     groups, owners = [], []
     for rows, fs in by_rows.items():
         Y = np.stack([y[folds[f][0]] for f in fs])
+        S = np.stack([trains[f] for f in fs])  # every column, which the widths view
         for i, c in enumerate(cols):
-            S = stacks[rows, None][:, :, c[0]] if isinstance(c[0], slice) else stacks[rows, i]
-            groups.append((S, Y, C_grid))
+            X = (S[:, :, c[0]] if isinstance(c[0], slice)  # see the module docstring
+                 else np.array([trains[f][:, c[f]] for f in fs]))
+            groups.append((X, Y, C_grid))
             owners += [(f, i) for f in fs]
     models = iter(svm_train(groups, 1e-6, max_epochs))
     scores = np.empty((k, len(cols), len(C_grid)))

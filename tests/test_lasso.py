@@ -1,5 +1,6 @@
 import re
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,12 @@ def _one_member(X, y, lam):
 
 
 def _segments(X, y, lam):
-    """The segments the one-member walk takes to reach lam."""
-    return lasso._walk([(X, y)], [lam])[1][0]
+    """The segments the one-member walk takes to reach lam, counted as its
+    ``lasso._solve_active`` calls: one per segment where the natural tie
+    choice holds, as it does wherever this is used."""
+    with mock.patch.object(lasso, "_solve_active", wraps=lasso._solve_active) as solve:
+        lasso_path([(X, y)], [lam])
+    return solve.call_count
 
 
 def _centered_problem(rng, n, p, signal=0):
@@ -699,20 +704,25 @@ class TestLassoCvBlock:
             _same_bytes(path[:, i], _one_member(F, y_pm - y_pm.mean(), lam))
 
     def test_reads_each_fold_copy_once(self, monkeypatch):
-        # the centered fold copies and then the full problem come from a
-        # generator, read one at a time
+        # one lasso_path call takes the centered fold copies, in fold order,
+        # and then the full problem, each once
         rng = np.random.default_rng(21)
         X, y = _centered_problem(rng, 40, 6, signal=2)
         folds = kfold(np.array([0, 1] * 20), 4, 0)
-        seen = []
-        walk = lasso._walk
+        calls = []
+        walk = lasso.lasso_path
 
         def spy(problems, lambdas):
-            assert not isinstance(problems, (list, tuple))
-            return walk((seen.append(len(seen)) or problem for problem in problems), lambdas)
-        monkeypatch.setattr(lasso, "_walk", spy)
+            calls.append(list(problems))
+            return walk(calls[-1], lambdas)
+        monkeypatch.setattr(lasso, "lasso_path", spy)
         lams = lambda_path(X, y, 8, 0.01)
         scores = lasso_cv(X, y, folds, lams)[0]
-        assert seen == [0, 1, 2, 3, 4]
         monkeypatch.undo()
+        assert len(calls) == 1 and len(calls[0]) == len(folds) + 1
+        for (train, _), (Xc, yc) in zip(folds, calls[0]):
+            _same_bytes(Xc, X[train] - X[train].mean(axis=0))
+            _same_bytes(yc, y[train] - y[train].mean())
+        _same_bytes(calls[0][-1][0], X)
+        _same_bytes(calls[0][-1][1], y - y.mean())
         _same_bytes(scores, self._fold_loop(X, y, folds, lams))

@@ -482,8 +482,8 @@ class TestSvmCvCandidates:
             svm_cv(_rows(X, folds), y[cut], folds, [1.0], [6], max_epochs=5)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda feats, cands: (feats[:2], cands), "none for fold 2 of 3"),
-        (lambda feats, cands: (feats + feats[:1], cands), IndexError),  # folds[3]
+        (lambda feats, cands: (feats[:2], cands), "^got features for 2 folds, not 3$"),
+        (lambda feats, cands: (feats + feats[:1], cands), "^got features for 4 folds, not 3$"),
         (lambda feats, cands: ([feats[0], (feats[1][0][1:], feats[1][1])] + feats[2:], cands),
          "fold 1 needs"),
         (lambda feats, cands: (feats[:2] + [(feats[2][0], feats[2][1][1:])], cands),
