@@ -12,6 +12,7 @@ import csv
 import math
 import numbers
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from typing import get_args, get_type_hints
@@ -227,11 +228,11 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     unlabeled); every other column must be numeric and finite. Errors name
     the offending line and column.
 
-    A row's feature cells are parsed with one ``float`` pass and checked with
-    one finiteness pass; only a row that fails is read again cell by cell to
-    name its fault. The values and messages are those of reading every cell
-    on its own: the earliest bad line wins, its label is checked before its
-    cells, and its first bad cell in column order is named.
+    Feature cells are parsed by one ``float`` pass per row into an
+    ``array("d")`` joined to one flat array reshaped once, and checked by one
+    finiteness pass; a failing row is read again cell by cell to name its
+    fault. Values and messages are those of reading each cell alone: the
+    earliest bad line wins, then its label, then its leftmost bad cell.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -250,7 +251,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         names = [h for i, h in enumerate(header) if i != label_pos]
         if not names:
             raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
-        rows, labels = [], []
+        flat, labels = array("d"), []
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) < 2 and not "".join(rec).strip():
                 continue  # a blank line: a row has a feature cell and a label cell
@@ -264,15 +265,15 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                     f"in column {label_column!r} (expected 0, 1, or -1)")
             labels.append(int(raw_label))
             try:
-                vals = list(map(float, rec))
+                vals = array("d", map(float, rec))
             except ValueError:
                 vals = None
             if vals is None or not all(map(math.isfinite, vals)):
                 _raise_first_bad_cell(f"{path}:{lineno}", rec, names)
-            rows.append(vals)
-        if not rows:
+            flat += vals
+        if not labels:
             raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=float), np.array(labels), tuple(names))
+    return Dataset(np.frombuffer(flat).reshape(len(labels), -1), np.array(labels), tuple(names))
 
 
 def _raise_first_bad_cell(where: str, cells, names) -> None:
@@ -292,9 +293,9 @@ def save_csv(ds: Dataset, path: str) -> None:
     back equal; floats have 17 significant digits for bit-exact round trips.
 
     ``csv.writer`` writes the header, quoting names that need it; each data
-    row is one ``%`` format of a fixed template, since numeric cells never
-    need quoting. The bytes are those of writing every row through
-    ``csv.writer``: the same digits and ``\\r\\n`` line ends.
+    row, one ``tolist()`` of floats at a time, is one ``%`` format of a fixed
+    template, since numeric cells never need quoting. The bytes are those of
+    writing every row through ``csv.writer``: same digits, ``\\r\\n`` line ends.
 
     A feature named ``label``, or two of one name, would repeat a column
     name, which load_csv refuses; that raises ValueError before any write.
@@ -306,8 +307,8 @@ def save_csv(ds: Dataset, path: str) -> None:
     row = "%.17g," * ds.p + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for values, label in zip(ds.features.tolist(), ds.labels.tolist()):
-            fh.write(row % (*values, label))
+        for values, label in zip(ds.features, ds.labels.tolist()):
+            fh.write(row % (*values.tolist(), label))
 
 
 def standardize_fit(ds: Dataset, rows) -> StandardizationParams:

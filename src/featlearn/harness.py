@@ -321,14 +321,15 @@ def _fit_ttest_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
     """Choose r by k-fold CV of a C = 1 SVM on each fold's top-r PCA scores.
 
-    The k fold PCAs and the final one on all training rows are fitted at
-    the largest r in one ``pca_fit`` call, and the final one is cut to the
-    chosen r. Every (fold, r) trains in one ``svm_cv`` block, each r on the
-    first r columns of its fold's scores."""
+    The k fold PCAs and the final one on all of F are fitted at the largest r
+    in one ``pca_fit`` call, which copies one fold's rows at a time from a
+    generator, and the final one is cut to the chosen r. Every fold's scores
+    are held until one ``svm_cv`` block trains each r on their first r columns."""
     n, q = F.shape
     r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
-    *pcas, final = pca_fit([F[train] for train, _ in folds_local] + [F], max(grid))
+    every = [train for train, _ in folds_local] + [slice(None)]  # the last: all of F, as a view
+    *pcas, final = pca_fit((F[rows] for rows in every), max(grid))
     scores = svm_cv([(pca_transform(pca, F[train]), pca_transform(pca, F[val]))
                      for pca, (train, val) in zip(pcas, folds_local)],
                     ytr01, folds_local, [1.0], grid, max_epochs=cfg.svm_cv_epochs)

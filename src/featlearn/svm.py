@@ -34,13 +34,13 @@ The other steps are elementwise, so each problem's row gets what its own
 vector would.
 
 ``svm_cv`` is the one CV search, over the C grid or the t-test's m and the
-PCA's r. Its folds with equal training row counts share one ``np.stack`` of
-every column: a width trains on a strided view of it, an index candidate on
-a C-contiguous copy of its columns, ``np.array`` over those folds. A width
-must stay a view: contiguous copies round differently, and changed 46 of
-420 PCA-search models at ``adni_like`` seeds 0-5, k = 10. An index copy must
-be C-contiguous: ``np.stack`` keeps the column-major layout of each fold's
-fancy-indexed columns, which rounds differently and failed 6 model-byte tests.
+PCA's r. Its block holds the validation rows, per training row count one
+``np.stack`` of every column if a width views it, and each index candidate's
+C-contiguous copy of its columns, ``np.array`` over the row count's folds;
+it drops the fold training rows it was given before the epoch loop. A width
+must stay a view: contiguous copies round differently (46 of 420 PCA-search
+models at ``adni_like`` seeds 0-5, k = 10). An index copy must be C-contiguous:
+``np.stack`` keeps fancy-indexed columns column-major: 6 model-byte tests failed.
 
 Labels are 0/1 at the API, as everywhere else in the package: the functions
 here take them, ``data.class_labels`` checks them and ``svm_predict`` returns
@@ -208,7 +208,7 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
     features, in fold order, all of one width q. A candidate is a width w,
     which trains on the first w columns, or one ascending column-index array
     per fold. Every (fold, candidate, C) trains in one ``svm_train`` block at
-    tol 1e-6 (see the module docstring)."""
+    tol 1e-6; the module docstring says what the block holds."""
     k, fold_features = len(folds), list(fold_features)
     if len(fold_features) != k:
         raise ValueError(f"got features for {len(fold_features)} folds, not {k}")
@@ -243,12 +243,14 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
     groups, owners = [], []
     for rows, fs in by_rows.items():
         Y = np.stack([y[folds[f][0]] for f in fs])
-        S = np.stack([trains[f] for f in fs])  # every column, which the widths view
+        if any(isinstance(c[0], slice) for c in cols):  # every column, which the widths view
+            S = np.stack([trains[f] for f in fs])
         for i, c in enumerate(cols):
             X = (S[:, :, c[0]] if isinstance(c[0], slice)  # see the module docstring
                  else np.array([trains[f][:, c[f]] for f in fs]))
             groups.append((X, Y, C_grid))
             owners += [(f, i) for f in fs]
+    fold_features = trains = X_tr = None  # free the given training rows: the groups hold copies
     models = iter(svm_train(groups, 1e-6, max_epochs))
     scores = np.empty((k, len(cols), len(C_grid)))
     for f, i in owners:

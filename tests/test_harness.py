@@ -3,6 +3,7 @@ import concurrent.futures
 import multiprocessing
 import re
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
@@ -177,13 +178,15 @@ class TestFitPcaSelector:
             assert a.tobytes() == b.tobytes(), name
 
     def test_one_cell_makes_one_pca_fit_and_one_eigen_block(self, monkeypatch):
-        calls = {"pca_fit": 0, "sym_eigen": 0}
+        """The one ``pca_fit`` call reads its matrices from an iterator, so
+        it copies one fold's rows at a time."""
+        calls = {"pca_fit": [], "sym_eigen": []}  # the type of each call's first argument
 
         def count(module, name):
             original = getattr(module, name)
 
             def counting(*args):
-                calls[name] += 1
+                calls[name].append(type(args[0]))
                 return original(*args)
             monkeypatch.setattr(module, name, counting)
 
@@ -192,7 +195,8 @@ class TestFitPcaSelector:
         ds = generate_synthetic(TINY_DATA)
         fits = _RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0)
         run_pipeline(fits, PipelineSpec("LLF", "PCA"))
-        assert calls == {"pca_fit": 1, "sym_eigen": 1}
+        [Xs], [_] = calls["pca_fit"], calls["sym_eigen"]
+        assert issubclass(Xs, Iterator) and not issubclass(Xs, list)
 
     def test_one_cell_makes_one_svm_block_per_search(self, monkeypatch):
         """The PCA cell trains its r search, its C search and its final SVM

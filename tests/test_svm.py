@@ -1,4 +1,6 @@
 import re
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -502,9 +504,10 @@ class TestSvmCvCandidates:
          "^candidate 0: fold 0's columns are not an integer index array$"),
         (lambda feats, cands: (feats, [4, [np.arange(6) % 2 == 0] * 3]),
          "^candidate 1: fold 0's columns are not an integer index array$"),
+        (lambda feats, cands: (feats, []), ValueError),
     ], ids=["short", "long", "train-rows", "validation-rows", "width", "width-0",
             "width-too-wide", "arrays-missing", "index-out-of-range", "index-empty",
-            "index-float", "index-bool"])
+            "index-float", "index-bool", "no-candidates"])
     def test_bad_fold_features_rejected(self, change, message):
         X, y = _problem(0, 15, 15, 6)
         folds = kfold(y, 3, seed=0)
@@ -513,6 +516,52 @@ class TestSvmCvCandidates:
         typed = isinstance(message, type)  # the refusal of numpy, Python or another check
         with pytest.raises(message if typed else ValueError, match=None if typed else message):
             svm_cv(iter(feats), y, folds, [1.0], candidates, max_epochs=5)
+
+
+def _candidates(form, X, y, folds):
+    """A width, the t-test's index arrays, or both."""
+    return {"width": [20], "index": ttest_cv(X, y, folds, [1, 6]),
+            "both": [20, *ttest_cv(X, y, folds, [6])]}[form]
+
+
+class TestSvmCvHolds:
+    """What ``svm_cv`` holds through its ``svm_train`` block: the stacks and
+    index copies that its groups read and the validation rows, never the fold
+    training rows it was given."""
+
+    @pytest.mark.parametrize("form, stacks", [("width", 3), ("index", 0), ("both", 3)])
+    def test_full_width_stack_only_when_a_width_reads_it(self, form, stacks):
+        """One stack of every column per training row count (231, 232 and
+        233 at k=10) if a candidate is a width; else only the labels are
+        stacked."""
+        X, y, folds = _adni_folds(4, 10)
+        candidates = _candidates(form, X, y, folds)
+        with mock.patch.object(svm.np, "stack", wraps=np.stack) as spy:
+            svm_cv(_rows(X, folds), y, folds, [1.0], candidates, max_epochs=5)
+        shapes = [np.shape(call.args[0][0]) for call in spy.call_args_list]
+        full_width = [(231, 56), (232, 56), (233, 56)]
+        assert sorted(s for s in shapes if len(s) == 2) == full_width[:stacks]
+        assert sorted(s for s in shapes if len(s) == 1) == [(n,) for n, _ in full_width]
+
+    @pytest.mark.parametrize("form", ["width", "index", "both"])
+    def test_fold_training_rows_dropped_before_the_block(self, monkeypatch, form):
+        X, y, folds = _adni_folds(5, 3)
+        candidates, refs, checked = _candidates(form, X, y, folds), [], []
+
+        def fold_rows():
+            for train, val in folds:
+                X_tr, X_val = X[train], X[val]
+                refs.append((weakref.ref(X_tr), weakref.ref(X_val)))
+                yield X_tr, X_val
+
+        def checking_train(groups, *args):
+            assert [(tr() is None, val() is None) for tr, val in refs] == [(True, False)] * 3
+            checked.append(len(groups))
+            return svm_train(groups, *args)
+
+        monkeypatch.setattr(svm, "svm_train", checking_train)
+        svm_cv(fold_rows(), y, folds, [1.0], candidates, max_epochs=5)
+        assert checked == [3 * len(candidates)]  # one block: 3 row counts x the candidates
 
 
 class TestSvmPredict:
