@@ -130,8 +130,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     follow the order of ``lambdas``.
 
     The problems share p and are walked as one lockstep block (see the
-    module docstring). Each is read once and not kept, so a generator holds
-    one at a time, and member i is byte-equal to
+    module docstring), and member i is byte-equal to
     ``lasso_path([problems[i]], lambdas)[0]``.
 
     Every lambda >= lambda_max(X, y) gets exact zeros. Columns that are all

@@ -1,6 +1,5 @@
-"""Dense symmetric linear algebra used by the PCA stage: the sample
-covariance matrix and a full symmetric eigendecomposition via cyclic Jacobi
-rotations. Sized for dense problems up to a few hundred features.
+"""Full symmetric eigendecomposition by cyclic Jacobi rotations, the PCA
+stage's eigensolver. Sized for dense problems up to a few hundred features.
 
 ``sym_eigen`` decomposes a stack of equal-size matrices with one
 round-robin loop (Brent & Luk 1985), and each result is byte-equal to
@@ -13,14 +12,10 @@ decomposing that matrix alone, as a one-member stack. Its rules:
   ``c*Mk - s*Ml`` / ``s*Mk + c*Ml`` as alone and an inactive pair keeps its
   bytes (rotating it by c = 1, s = 0 instead would not: -0.0 - 0*y is +0.0
   for y < 0);
-- each matrix's off-diagonal norm is reduced over its own p x p array, and
-  its sort and sign convention run on its own eigenvector copy, laid out as
-  alone (``pca_transform``'s matmul rounding depends on that layout).
+- each matrix's off-diagonal norm is reduced over its own p x p array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +25,6 @@ _MAX_SWEEPS = 50
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class SymEigen:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` is sorted descending and ``eigenvectors[:, j]`` is the
-    unit-norm eigenvector paired with ``eigenvalues[j]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """Covariance S = (1/n) sum_i (x_i - xbar)(x_i - xbar)^T, denominator n."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("sample_covariance requires at least 2 rows")
-    centered = X - X.mean(axis=0)
-    S = (centered.T @ centered) / n
-    return (S + S.T) / 2.0
 
 
 def _round_robin(p: int) -> np.ndarray:
@@ -79,8 +51,11 @@ def _off_frobenius(A: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0)))
 
 
-def sym_eigen(Ms) -> list[SymEigen]:
-    """Cyclic Jacobi eigendecompositions of equal-size symmetric matrices.
+def sym_eigen(Ms) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi eigendecompositions of equal-size symmetric matrices,
+    returned as ``np.linalg.eigh`` returns a stack's: (m, p) eigenvalues, in
+    the converged diagonal's order, and (m, p, p) C-contiguous unit-norm
+    eigenvectors, ``vectors[i][:, j]`` paired with ``values[i, j]``.
 
     For each matrix M, sweeps (round-robin orderings of all index pairs) run
     until the off-diagonal Frobenius norm drops below tol = 1e-11 *
@@ -88,12 +63,12 @@ def sym_eigen(Ms) -> list[SymEigen]:
     leave more than tol of off-diagonal mass behind. A sweep that rotates
     nothing also stops.
 
-    Result i is byte-equal to ``sym_eigen([Ms[i]])[0]``; the module
-    docstring gives the rules that keep it so. The stack is one (m, p, 2p)
-    array W, where W[i, j] is column j of matrix i's [A; V], V being its
-    eigenvector estimate. So one round gathers the active pairs' columns of
-    [A; V] as contiguous rows of W, and the rows of A from the transposed
-    view of W[:, :, :p].
+    Member i of each array is byte-equal to member 0 of that array of
+    ``sym_eigen([Ms[i]])``; the module docstring gives the rules that keep
+    it so. The stack is one (m, p, 2p) array W, where W[i, j] is column j
+    of matrix i's [A; V], V being its eigenvector estimate. So one round
+    gathers the active pairs' columns of [A; V] as contiguous rows of W, and
+    the rows of A from the transposed view of W[:, :, :p].
 
     Raises ValueError unless the members are p x p matrices, p >= 1 (numpy's
     ``np.stack`` refuses an empty block or members of differing shapes), and,
@@ -171,17 +146,5 @@ def sym_eigen(Ms) -> list[SymEigen]:
             i = int(np.argmax(live))
             raise ConvergenceError(f"Jacobi sweeps exceeded {_MAX_SWEEPS} without reaching "
                                    f"tol={tol[i]:g} for matrix {i}")
-
-    out = []
-    for i in range(m):
-        eigenvalues = np.diag(At[i]).copy()
-        order = np.argsort(-eigenvalues, kind="stable")
-        eigenvalues = eigenvalues[order]
-        V = np.ascontiguousarray(W[i, :, p:].T)[:, order]
-        # Sign convention: make each eigenvector's largest-magnitude entry positive
-        flip = V[np.argmax(np.abs(V), axis=0), np.arange(p)] < 0
-        V[:, flip] *= -1.0
-        eigenvalues.setflags(write=False)
-        V.setflags(write=False)
-        out.append(SymEigen(eigenvalues, V))
-    return out
+    return (np.diagonal(At, axis1=1, axis2=2).copy(),
+            np.ascontiguousarray(W[:, :, p:].transpose(0, 2, 1)))

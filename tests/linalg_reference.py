@@ -3,26 +3,26 @@ the reference for ``featlearn.linalg``: ``sym_eigen`` must reproduce
 ``three_rotation_jacobi`` byte for byte, eigenvalues and eigenvectors.
 
 A's columns, A's rows and V's columns are each gathered, copied and
-scattered on their own; the schedule, thresholds, angle formula, stop rules,
-sort and sign convention are the package's.
+scattered on their own; the schedule, thresholds, angle formula and stop
+rules are the package's, and so is the unsorted, unsigned return.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from featlearn.linalg import (_MAX_SWEEPS, ConvergenceError, SymEigen, _off_frobenius,
-                              _round_robin)
+from featlearn.linalg import _MAX_SWEEPS, ConvergenceError, _off_frobenius, _round_robin
 
 
-def three_rotation_jacobi(M: np.ndarray) -> SymEigen:
+def three_rotation_jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition by cyclic Jacobi rotations, with V kept
-    apart from A and p = 1 returned before any sweep."""
+    apart from A and p = 1 returned before any sweep: the eigenvalues in
+    the converged diagonal's order and the eigenvectors as V's columns."""
     A = np.asarray(M, dtype=float).copy()
     p = A.shape[0]
     tol = 1e-11 * max(1.0, float(np.linalg.norm(A)))
     if p == 1:
-        return SymEigen(A[0].copy(), np.ones((1, 1)))
+        return A[0].copy(), np.ones((1, 1))
 
     V = np.eye(p)
     thresh = tol / p
@@ -58,11 +58,4 @@ def three_rotation_jacobi(M: np.ndarray) -> SymEigen:
     else:
         raise ConvergenceError(f"Jacobi sweeps exceeded {_MAX_SWEEPS} without reaching tol={tol:g}")
 
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    V = V[:, order]
-    # Sign convention: make each eigenvector's largest-magnitude entry positive
-    flip = V[np.argmax(np.abs(V), axis=0), np.arange(p)] < 0
-    V[:, flip] *= -1.0
-    return SymEigen(eigenvalues, V)
+    return np.diag(A).copy(), V

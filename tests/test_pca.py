@@ -1,12 +1,51 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from featlearn.data import (SyntheticSpec, generate_synthetic, kfold,
                             standardize_fit, stratified_split)
-from featlearn.linalg import sample_covariance, sym_eigen
-from featlearn.pca import PcaModel, pca_fit, pca_transform
+from featlearn.linalg import sym_eigen
+from featlearn.pca import PcaModel, pca_fit, pca_transform, sample_covariance
+
+
+class TestSampleCovariance:
+    def test_two_points_1d(self):
+        # mean 0, ((-1)^2 + 1^2) / 2 = 1
+        S = sample_covariance(np.array([[-1.0], [1.0]]))
+        np.testing.assert_allclose(S, [[1.0]])
+
+    def test_identical_rows_zero_matrix(self):
+        X = np.tile([2.0, -3.0, 0.5], (6, 1))
+        np.testing.assert_array_equal(sample_covariance(X), np.zeros((3, 3)))
+
+    def test_denominator_is_n(self):
+        X = np.array([[0.0], [2.0]])
+        # mean 1, (1 + 1)/2 = 1 (not 2, which the n-1 denominator would give)
+        np.testing.assert_allclose(sample_covariance(X), [[1.0]])
+
+    def test_psd_on_random_inputs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            X = rng.normal(size=(rng.integers(3, 30), rng.integers(1, 12)))
+            S = sample_covariance(X)
+            assert np.max(np.abs(S - S.T)) == 0.0
+            assert np.min(np.linalg.eigvalsh(S)) >= -1e-10
+
+    def test_single_row_rejected(self):
+        with pytest.raises(ValueError):
+            sample_covariance(np.ones((1, 3)))
+
+
+def _ordered_and_signed(values, vectors):
+    """PCA's convention applied to one eigendecomposition: the eigenvalues
+    descending by a stable argsort, the eigenvector columns in that order,
+    and each column's largest-magnitude entry positive."""
+    order = np.argsort(-values, kind="stable")
+    V = vectors[:, order]
+    return values[order], V * np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0,
+                                       -1.0, 1.0)
 
 
 class TestPcaFit:
@@ -20,9 +59,10 @@ class TestPcaFit:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 6))
         model, = pca_fit([X], 4)
-        eig, = sym_eigen([sample_covariance(X)])
-        np.testing.assert_array_equal(model.variances, eig.eigenvalues[:4])
-        np.testing.assert_array_equal(model.components, eig.eigenvectors[:, :4])
+        (values,), (vectors,) = sym_eigen([sample_covariance(X)])
+        want_values, want_vectors = _ordered_and_signed(values, vectors)
+        np.testing.assert_array_equal(model.variances, want_values[:4])
+        np.testing.assert_array_equal(model.components, want_vectors[:, :4])
 
     def test_isotropic_variances_close(self):
         rng = np.random.default_rng(1)
@@ -53,6 +93,116 @@ class TestPcaFit:
         got, = pca_fit([X], np.int64(2))
         want, = pca_fit([X], 2)
         assert got.components.tobytes() == want.components.tobytes()
+
+
+def _assert_convention(model):
+    """Variances descending, each component's largest-magnitude entry
+    positive, and both read-only."""
+    assert np.all(np.diff(model.variances) <= 0.0)
+    V = model.components
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] > 0.0)
+    assert not model.variances.flags.writeable
+    assert not model.components.flags.writeable
+
+
+def _eigh_oracle(X, r):
+    """LAPACK's eigendecomposition of X's covariance under PCA's order and
+    sign, cut to r: an oracle that does not run the Jacobi."""
+    values, vectors = _ordered_and_signed(
+        *np.linalg.eigh(np.atleast_2d(np.cov(X, rowvar=False, bias=True))))
+    return values[:r], vectors[:, :r]
+
+
+def _assert_matches_eigh(model, X):
+    """Variances agree with the oracle's to 1e-10, and so does each
+    component's cosine with its oracle twin, to 1: a swapped pair or a
+    flipped sign moves it by about 1 or 2. The cosine, not each entry, since
+    the Jacobi's components are off by up to about 1e-6 entrywise (see
+    ``test_adni_like_components_match_eigh_entrywise``)."""
+    values, vectors = _eigh_oracle(X, model.variances.shape[0])
+    np.testing.assert_allclose(model.variances, values, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(np.sum(model.components * vectors, axis=0), 1.0,
+                               rtol=0.0, atol=1e-10)
+
+
+def _well_separated(rng, n, p):
+    """n rows whose covariance is R diag(lams) R^T, R a random rotation and
+    the lams spaced 9 / (p - 1) apart in [1, 10], around a random mean."""
+    Z = rng.normal(size=(n, p))
+    Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
+    R, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    lams = rng.permutation(np.linspace(1.0, 10.0, p))
+    return np.sqrt(n) * (Q * np.sqrt(lams)) @ R.T + rng.normal(size=p)
+
+
+def _adni_like_block(seed=0):
+    """The PCA search's block at k = 10: each fold's training rows, then all
+    training rows."""
+    ds = generate_synthetic(SyntheticSpec.adni_like(seed))
+    split = stratified_split(ds, 0.2, seed)
+    F = standardize_fit(ds, split.train).apply(ds.features[split.train])
+    return [F[train] for train, _ in kfold(ds.labels[split.train], 10, seed)] + [F]
+
+
+class TestPcaFitConvention:
+    """``pca_fit`` decides the components' order, sign and layout; these
+    state that contract apart from the eigensolver."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_well_separated_matches_eigh(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        p = int(rng.integers(1, 21))
+        X = _well_separated(rng, p + int(rng.integers(1, 10)), p)
+        model, = pca_fit([X], p)
+        _assert_convention(model)
+        _assert_matches_eigh(model, X)
+
+    def test_adni_like_fold_block_matches_eigh(self):
+        Xs = _adni_like_block()
+        for X, model in zip(Xs, pca_fit(Xs, Xs[0].shape[1]), strict=True):
+            _assert_convention(model)
+            _assert_matches_eigh(model, X)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "linalg._off_frobenius loses the off-diagonal mass below about "
+        "sqrt(eps) |A|_F to cancellation, so the Jacobi stops early"))
+    def test_adni_like_components_match_eigh_entrywise(self):
+        X = _adni_like_block()[-1]
+        model, = pca_fit([X], X.shape[1])
+        np.testing.assert_allclose(model.components, _eigh_oracle(X, X.shape[1])[1],
+                                   rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_descending_and_signed_random_sizes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        p = int(rng.integers(1, 21))
+        X = rng.normal(size=(p + 1 + int(rng.integers(0, 10)), p)) * 3.0
+        model, = pca_fit([X], p)
+        _assert_convention(model)
+
+    def test_sign_convention_deterministic(self):
+        X = np.random.default_rng(5).normal(size=(12, 7))
+        (a,), (b,) = pca_fit([X], 7), pca_fit([X.copy()], 7)
+        assert a.components.tobytes() == b.components.tobytes()
+        _assert_convention(a)
+
+    def test_diagonal_covariance_is_permuted_not_rotated(self):
+        """Rows +-a_j e_j have the exact covariance diag(a_j^2 / 4), so the
+        components are columns of the identity in variance order."""
+        a = np.array([1.0, 4.0, 0.5, 2.0])
+        model, = pca_fit([np.vstack([np.diag(a), -np.diag(a)])], 4)
+        np.testing.assert_array_equal(model.variances, [4.0, 1.0, 0.25, 0.0625])
+        np.testing.assert_array_equal(model.components, np.eye(4)[:, [1, 3, 0, 2]])
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_outputs_read_only(self, p):
+        model, = pca_fit([np.vstack([np.eye(p), -np.eye(p)]) * 2.0], p)
+        _assert_convention(model)
+
+    def test_block_outputs_read_only(self):
+        rng = np.random.default_rng(19)
+        for model in pca_fit([rng.normal(size=(n, 5)) for n in (6, 9, 14)], 5):
+            _assert_convention(model)
 
 
 class TestPcaTransform:
@@ -181,6 +331,23 @@ class TestPcaFitBlock:
             want, = pca_fit([F], r)
             _assert_same_model(cut, want)
             assert pca_transform(cut, F).tobytes() == pca_transform(want, F).tobytes()
+
+    def test_generator_matrices_held_one_at_a_time(self):
+        """Each X is released before the iterable makes the next, so a
+        generator of fold rows holds one fold's copy at a time."""
+        refs, alive = [], []
+
+        def matrices():
+            rng = np.random.default_rng(18)
+            for _ in range(4):
+                alive.append(sum(ref() is not None for ref in refs))
+                X = rng.normal(size=(8, 3))
+                refs.append(weakref.ref(X))
+                yield X
+                del X
+
+        assert len(pca_fit(matrices(), 2)) == 4
+        assert alive == [0, 0, 0, 0]
 
     def test_r_out_of_range_names_the_matrix(self):
         rng = np.random.default_rng(13)
