@@ -14,10 +14,11 @@ Efron, Hastie, Johnstone & Tibshirani 2004, "Least Angle Regression"), so
 ``lasso_path`` walks a block of problems (the CV search's k folds and the
 full training problem) in lockstep, one segment of every live member per
 step, and each member's walk is the one it would walk alone, bit for bit:
-- Each member's Gram matrix and correlations are formed from its own X, as
-  for a walk alone. Its active column order, lambda, tie tolerance and
-  pending lambdas are its own; the order matters, since the solve's
-  rounding depends on it.
+- Every member holds one state from the start, formed from its own X as
+  for a walk alone: its Gram matrix, correlations, active column order
+  (which the solve's rounding depends on), lambda, tie tolerance and
+  pending lambdas. One with nothing to walk (lambda_max at or below every
+  lambda) retires before the first segment; no benchmark workload has one.
 - The event arithmetic (correlations, the distance to each join and drop,
   the step, the tie masks) runs as elementwise (members x p) operations.
   A member's active columns fill the first slots of its row, and the
@@ -129,16 +130,18 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     each lambda, as one p x len(lambdas) array per problem whose columns
     follow the order of ``lambdas``.
 
-    The problems share p and are walked as one lockstep block (see the
-    module docstring), and member i is byte-equal to
-    ``lasso_path([problems[i]], lambdas)[0]``.
+    The problems share p and are walked as one lockstep block, one state
+    per member from the start (see the module docstring), and member i is
+    byte-equal to ``lasso_path([problems[i]], lambdas)[0]``.
 
-    Every lambda >= lambda_max(X, y) gets exact zeros. Columns that are all
-    zero never enter. Raises SingularActiveSetError, naming the member, if
-    its walk would need linearly dependent active columns, such as a
-    duplicated column or more active columns than rows. Raises ValueError,
-    naming the member, unless X is finite with p columns and y finite with
-    one value per row; an X that is not 2-D fails to unpack its shape.
+    Every lambda >= lambda_max(X, y) gets exact zeros, so a member with no
+    lambda below it retires before the first segment; no benchmark workload
+    has one. Columns that are all zero never enter. Raises
+    SingularActiveSetError, naming the member, if its walk would need
+    linearly dependent active columns, such as a duplicated column or more
+    active columns than rows. Raises ValueError, naming the member, unless
+    X is finite with p columns and y finite with one value per row; an X
+    that is not 2-D fails to unpack its shape.
 
     On a segment with active set A and signs s the optimality conditions
     give beta_A(lam) = G_AA^-1 (c0_A - lam s) and correlations
@@ -160,7 +163,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
         raise ValueError("lambdas must be a list of values >= 0")
     order = np.argsort(-lambdas, kind="stable")
     descending = lambdas[order]
-    betas, walking, grams, corr0s, lams = [], [], [], [], []
+    grams, corr0s = [], []
     for i, (X, y) in enumerate(problems):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -168,25 +171,20 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
         if y.shape != (n,):
             raise ValueError(f"y of member {i} must hold one value per row of X ({n}),"
                              f" got shape {y.shape}")
-        if betas and p != betas[0].shape[0]:
-            raise ValueError(f"member {i} has {p} columns, member 0 has {betas[0].shape[0]}")
+        if grams and p != grams[0].shape[0]:
+            raise ValueError(f"member {i} has {p} columns, member 0 has {grams[0].shape[0]}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError(f"member {i} has a non-finite entry")
-        betas.append(np.zeros((p, lambdas.size)))
-        corr0 = _correlations(X, y)  # so lam0 equals lambda_max bit for bit
-        lam = float(np.max(np.abs(corr0), initial=0.0))
-        if np.any(descending < lam):
-            walking.append(i)
-            grams.append((X.T @ X) * (2.0 / n))
-            corr0s.append(corr0)
-            lams.append(lam)
-    if not walking:
-        return betas
-    G = np.stack(grams)  # indexed by position in ``walking``, as ``live`` is
+        grams.append((X.T @ X) * (2.0 / n))
+        corr0s.append(_correlations(X, y))  # so lam0 equals lambda_max bit for bit
+    if not grams:
+        return []
+    G = np.stack(grams)  # indexed by member, as ``live`` is
     del grams
-    paths = np.zeros((len(walking), G.shape[1], lambdas.size))
-    live = np.arange(len(walking))
-    corr0, lam = np.stack(corr0s), np.array(lams)
+    paths = np.zeros((len(G), G.shape[1], lambdas.size))
+    live = np.arange(len(G))
+    corr0 = np.stack(corr0s)
+    lam = np.max(np.abs(corr0), axis=1, initial=0.0)
     tie = _TIE_RTOL * lam
     can_join = np.diagonal(G, axis1=1, axis2=2) > 0.0  # a constant column never joins
     done = (descending >= lam[:, None]).sum(axis=1)
@@ -198,8 +196,11 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     key = np.where(can_join & (np.abs(corr0) >= (lam - tie)[:, None]), p + cols, 3 * p)
     leave = np.zeros(key.shape, dtype=bool)
     colsign = np.sign(corr0)
-    row = np.arange(len(walking))[:, None]
-    while live.size:
+    while (going := done < lambdas.size).any():
+        if not going.all():
+            live, corr0, can_join, lam, tie, done, key, leave, colsign = (
+                a[going] for a in (live, corr0, can_join, lam, tie, done, key, leave, colsign))
+        row = np.arange(live.size)[:, None]
         natural = np.where(leave, 3 * p, key)
         na = (natural < 3 * p).sum(axis=1)
         nkeep = (natural < p).sum(axis=1)
@@ -218,7 +219,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
                                          np.stack([corr0[rows[:, None], Am], S[rows, :m]], axis=2))
             if uv is None:
                 j = int(np.argmax(singular))
-                raise SingularActiveSetError(f"member {walking[w[j]]}: active columns"
+                raise SingularActiveSetError(f"member {w[j]}: active columns"
                                              f" {sorted(Am[j].tolist())} are linearly dependent")
             U[rows, :m], V[rows, :m] = uv[:, :, 0], uv[:, :, 1]
             cross[rows] = G_A @ uv
@@ -231,7 +232,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
             tied = np.argsort(ties, kind="stable")[:(ties < 3 * p).sum()]
             active, signs, u, v, cross[r], mask = _next_segment(
                 G[live[r]], corr0[r], A[r, :nkeep[r]].tolist(), S[r, :nkeep[r]], tied,
-                colsign[r, tied], ~leave[r, tied], walking[live[r]])
+                colsign[r, tied], ~leave[r, tied], live[r])
             na[r] = len(active)
             for a, values in ((A, active), (S, signs), (U, u), (V, v)):
                 a[r] = 0
@@ -278,14 +279,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
         colsign[rows_a, active_cols] = S[rows_a, slots_a]
         colsign = np.where(at_up, 1.0, np.where(at_down, -1.0, colsign))
         lam, done = end, reached
-        going = done < lambdas.size
-        if not going.all():
-            live, corr0, can_join, lam, tie, done, key, leave, colsign = (
-                a[going] for a in (live, corr0, can_join, lam, tie, done, key, leave, colsign))
-            row = np.arange(live.size)[:, None]
-    for i, path in zip(walking, paths):
-        betas[i] = path
-    return betas
+    return list(paths)
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:

@@ -389,12 +389,20 @@ class TestLassoPathBlock:
     @pytest.mark.parametrize("tie", [_hadamard_ties, _correlated_tie, _singular_choice_tie,
                                      _parallel_tie])
     @pytest.mark.parametrize("position", [0, 1])
-    def test_tie_problem_beside_an_untied_member(self, tie, position, monkeypatch):
+    @pytest.mark.parametrize("idle", [None, 0, 1])
+    def test_tie_problem_beside_an_untied_member(self, tie, position, idle, monkeypatch):
+        """With ``idle`` set, a y = 0 member, which has nothing to walk, sits
+        at that position: ahead of both walking members, or between them. It
+        retires before the first segment with an all-zero path, and the
+        members after it keep their own walks and their own numbers."""
         X, y, lams = tie()
         rng = np.random.default_rng(15)
         untied = _centered_problem(rng, 20, X.shape[1], signal=X.shape[1])
         problems = [untied]
         problems.insert(position, (X, y))
+        if idle is not None:
+            problems.insert(idle, (untied[0], np.zeros(20)))
+        tied_at = position + (idle is not None and idle <= position)
         retries = []
         retry = lasso._next_segment
         monkeypatch.setattr(lasso, "_next_segment",
@@ -402,20 +410,27 @@ class TestLassoPathBlock:
         block = lasso_path(problems, lams)
         for (Xm, ym), got in zip(problems, block):
             _same_bytes(got, sequential_walk(Xm, ym, lams)[0])
+        if idle is not None:
+            assert np.all(block[idle] == 0.0)
         # the three ties among correlated columns need choices other than the
         # natural one, tried for the tied member alone
-        assert retries == [position] * len(retries)
+        assert retries == [tied_at] * len(retries)
         assert bool(retries) == (tie is not _hadamard_ties)
 
-    def test_duplicated_column_names_the_member(self):
+    @pytest.mark.parametrize("idle_first", [False, True])
+    def test_duplicated_column_names_the_member(self, idle_first):
+        """Member 2 follows two walking members; member 1 follows a y = 0
+        member, which retires before the first segment."""
         rng = np.random.default_rng(10)
         X, y = _centered_problem(rng, 40, 5, signal=5)
         clean = _centered_problem(rng, 40, 6, signal=2)
         dup = (np.column_stack([X, X[:, 3]]), y)
         lams = lambda_path(*dup, 20, 0.01)
-        with pytest.raises(SingularActiveSetError, match=r"^member 2: active columns \[.*3.*5.*\]"
+        block = [(clean[0], np.zeros(40)), dup] if idle_first else [clean, clean, dup]
+        with pytest.raises(SingularActiveSetError, match=rf"^member {len(block) - 1}: active"
+                                                         r" columns \[.*3.*5.*\]"
                                                          r" are linearly dependent$"):
-            lasso_path([clean, clean, dup], lams)
+            lasso_path(block, lams)
 
     def test_failed_stacked_cholesky_is_redone_per_member(self, monkeypatch):
         # member 1's columns 0 and 2 are equal and tie at lambda_max, so its
@@ -436,15 +451,20 @@ class TestLassoPathBlock:
             lasso_path([clean, dup], [1.0, 0.5])
         assert sizes == [2, 1, 1]  # the stacked call, then each block alone
 
-    def test_no_consistent_tie_choice_names_the_member(self, monkeypatch):
+    @pytest.mark.parametrize("idle_first", [False, True])
+    def test_no_consistent_tie_choice_names_the_member(self, idle_first, monkeypatch):
+        """The tied member is member 1 after a walking member, and member 2
+        when a y = 0 member, which retires before the first segment, leads."""
         # only the natural choice, which fails on this tie, may be tried
         monkeypatch.setattr(lasso, "_MAX_TIE_CHOICES", 1)
         X, y, lams = _correlated_tie()
         rng = np.random.default_rng(15)
         untied = _centered_problem(rng, 20, X.shape[1], signal=X.shape[1])
-        with pytest.raises(SingularActiveSetError, match=r"^member 1: no consistent active set"
-                                                         r" among tied columns \[0, 2\]$"):
-            lasso_path([untied, (X, y)], lams)
+        block = [(untied[0], np.zeros(20))] * idle_first + [untied, (X, y)]
+        with pytest.raises(SingularActiveSetError, match=rf"^member {len(block) - 1}: no"
+                                                         r" consistent active set among tied"
+                                                         r" columns \[0, 2\]$"):
+            lasso_path(block, lams)
 
     def test_mixed_widths_rejected(self):
         rng = np.random.default_rng(16)
@@ -452,8 +472,8 @@ class TestLassoPathBlock:
             lasso_path([_centered_problem(rng, 10, 4), _centered_problem(rng, 10, 3)], [0.1])
 
     def test_mixed_widths_rejected_when_a_member_does_not_walk(self):
-        """A member with y = 0 never walks, so its width reaches no stacked
-        array: only the width check refuses it."""
+        """A member with y = 0 never walks, and the width check names it as
+        it names any member."""
         X, y = _centered_problem(np.random.default_rng(16), 10, 4)
         with pytest.raises(ValueError, match="member 1 has 3 columns, member 0 has 4"):
             lasso_path([(X, y), (X[:, :3], np.zeros(10))], [0.1])
