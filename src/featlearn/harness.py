@@ -27,10 +27,11 @@ in the spec, and two functions read them there to build a cell's features:
 (the kept columns or the PCA scores). Training rows and test rows go
 through the same two functions.
 
-The searches fit their candidates in blocks. The C search, the t-test's
-m and the PCA's r each score theirs in one ``svm_cv`` call over per-fold
-features (see ``svm``), and the PCA search fits its k fold PCAs and the
-final one on all training rows in one ``pca_fit`` call. The lambda search
+The searches fit their candidates in blocks, and each block reads its
+folds' rows from a generator, one fold at a time. The C search, the
+t-test's m and the PCA's r each score theirs in one ``svm_cv`` call over
+per-fold features (see ``svm``), and the PCA search fits its k fold PCAs and
+the final one on all training rows in one ``pca_fit`` call. The lambda search
 walks its k fold lasso paths and then the full problem on all training
 rows as one lockstep ``lasso_cv`` block, each member's walk bit for bit the
 one it walks alone, and the final fit reads the chosen lambda's column of
@@ -264,8 +265,9 @@ class PipelineFit:
 
 
 def _fold_rows(F: np.ndarray, folds_local):
-    """Each fold's (training rows, validation rows) of F for ``svm_cv``."""
-    return [(F[train], F[val]) for train, val in folds_local]
+    """Each fold's (training rows, validation rows) of F for ``svm_cv``, made
+    as it reads them."""
+    return ((F[train], F[val]) for train, val in folds_local)
 
 
 def _choose(grid, scores, ties):
@@ -323,15 +325,16 @@ def _fit_pca_selector(F, ytr01, folds_local, cfg: ExperimentConfig):
 
     The k fold PCAs and the final one on all of F are fitted at the largest r
     in one ``pca_fit`` call, which copies one fold's rows at a time from a
-    generator, and the final one is cut to the chosen r. Every fold's scores
-    are held until one ``svm_cv`` block trains each r on their first r columns."""
+    generator, and the final one is cut to the chosen r. One ``svm_cv`` block
+    trains each r on the first r columns of each fold's scores, which a
+    generator makes one fold at a time as ``svm_cv`` stacks them."""
     n, q = F.shape
     r_cap = min(min(n - len(val) for _, val in folds_local) - 1, q)
     grid = [r for r in cfg.pca_grid if r <= r_cap] or [r_cap]
     every = [train for train, _ in folds_local] + [slice(None)]  # the last: all of F, as a view
     *pcas, final = pca_fit((F[rows] for rows in every), max(grid))
-    scores = svm_cv([(pca_transform(pca, F[train]), pca_transform(pca, F[val]))
-                     for pca, (train, val) in zip(pcas, folds_local)],
+    scores = svm_cv(((pca_transform(pca, F[train]), pca_transform(pca, F[val]))
+                     for pca, (train, val) in zip(pcas, folds_local)),
                     ytr01, folds_local, [1.0], grid, max_epochs=cfg.svm_cv_epochs)
     r = _choose(grid, scores, min)
     model = replace(final, components=final.components[:, :r], variances=final.variances[:r])

@@ -132,7 +132,10 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
 
     The problems share p and are walked as one lockstep block, one state
     per member from the start (see the module docstring), and member i is
-    byte-equal to ``lasso_path([problems[i]], lambdas)[0]``.
+    byte-equal to ``lasso_path([problems[i]], lambdas)[0]``. Each (X, y) is
+    read once and dropped once its Gram matrix and correlations are formed,
+    so a generator holds one member's rows at a time; the block then holds
+    every member's p x p Gram matrix.
 
     Every lambda >= lambda_max(X, y) gets exact zeros, so a member with no
     lambda below it retires before the first segment; no benchmark workload
@@ -164,7 +167,8 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     order = np.argsort(-lambdas, kind="stable")
     descending = lambdas[order]
     grams, corr0s = [], []
-    for i, (X, y) in enumerate(problems):
+    for X, y in problems:
+        i = len(grams)
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, p = X.shape
@@ -177,6 +181,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
             raise ValueError(f"member {i} has a non-finite entry")
         grams.append((X.T @ X) * (2.0 / n))
         corr0s.append(_correlations(X, y))  # so lam0 equals lambda_max bit for bit
+        del X, y  # freed before problems makes the next, which enumerate's tuple would prevent
     if not grams:
         return []
     G = np.stack(grams)  # indexed by member, as ``live`` is
@@ -332,9 +337,10 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
     ``y`` the regression target. Within each fold the training columns and
     response are re-centered and the training mean serves as the intercept
     for validation predictions. One lasso_path call walks every fold's
-    centered copy and then the full problem as one lockstep block; each
-    member's path is its walk alone, bit for bit, so the full path's column
-    at a lambda is the one-member ``lasso_path([(X, y - mean(y))], [lambda])``.
+    centered copy, which a generator makes one at a time, and then the full
+    problem as one lockstep block; each member's path is its walk alone, bit
+    for bit, so the full path's column at a lambda is the one-member
+    ``lasso_path([(X, y - mean(y))], [lambda])``.
     One matrix product per fold scores every lambda.
 
     Every fold is scored on the same ``lambdas``, as glmnet does. The top of
@@ -348,9 +354,9 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, folds, lambdas) -> tuple[np.ndarray, 
         raise ValueError("empty lambda list")
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     means = [(X[train].mean(axis=0), y[train].mean()) for train, _ in folds]
-    *paths, full = lasso_path([(X[train] - col_means, y[train] - y_mean)
-                               for (train, _), (col_means, y_mean) in zip(folds, means)]
-                              + [(X, y - y.mean())], lambdas)
+    members = ((X[train] - col_means, y[train] - y_mean)
+               for (train, _), (col_means, y_mean) in zip(folds, means))
+    *paths, full = lasso_path(itertools.chain(members, [(X, y - y.mean())]), lambdas)
     scores = np.zeros((len(folds), lambdas.size))
     for f, ((_, val), (col_means, y_mean), betas) in enumerate(zip(folds, means, paths)):
         resid = y[val, None] - ((X[val] - col_means) @ betas + y_mean)

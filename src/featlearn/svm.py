@@ -34,13 +34,16 @@ The other steps are elementwise, so each problem's row gets what its own
 vector would.
 
 ``svm_cv`` is the one CV search, over the C grid or the t-test's m and the
-PCA's r. Its block holds the validation rows, per training row count one
-``np.stack`` of every column if a width views it, and each index candidate's
-C-contiguous copy of its columns, ``np.array`` over the row count's folds;
-it drops the fold training rows it was given before the epoch loop. A width
-must stay a view: contiguous copies round differently (46 of 420 PCA-search
-models at ``adni_like`` seeds 0-5, k = 10). An index copy must be C-contiguous:
-``np.stack`` keeps fancy-indexed columns column-major: 6 model-byte tests failed.
+PCA's r. It reads its folds one at a time. At a training row count's first
+fold it allocates that count's arrays: one C-contiguous (folds, rows, q)
+stack of every column if a width views it, and each index candidate's
+C-contiguous (folds, rows, |columns|) copy. Each fold's training rows are
+copied in and dropped before the next fold is read, so it holds one fold's
+given training rows at a time, and its block holds the stacks, the copies
+and the validation rows. A width must stay a view: contiguous copies round
+differently (46 of 420 PCA-search models at ``adni_like`` seeds 0-5,
+k = 10). An index copy must be C-contiguous: ``np.stack`` of fancy-indexed
+columns keeps them column-major, and 6 model-byte tests failed.
 
 Labels are 0/1 at the API, as everywhere else in the package: the functions
 here take them, ``data.class_labels`` checks them and ``svm_predict`` returns
@@ -204,19 +207,22 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
     candidate-major, each candidate's columns in ``C_grid`` order. ``labels``
     holds one 0/1 label per entry of a training mask.
 
-    ``fold_features`` holds each fold's (training rows, validation rows)
-    features, in fold order, all of one width q. A candidate is a width w,
-    which trains on the first w columns, or one ascending column-index array
-    per fold. Every (fold, candidate, C) trains in one ``svm_train`` block at
-    tol 1e-6; the module docstring says what the block holds."""
-    k, fold_features = len(folds), list(fold_features)
-    if len(fold_features) != k:
-        raise ValueError(f"got features for {len(fold_features)} folds, not {k}")
-    by_rows: dict = {}  # training row count -> the folds that share its stack
+    ``fold_features`` yields each fold's (training rows, validation rows)
+    features, in fold order, all of one width q; it is read once, one fold at
+    a time, and a fold past the k of ``folds`` is refused as it arrives. A
+    candidate is a width w, which trains on the first w columns, or one
+    ascending column-index array per fold. Every (fold, candidate, C) trains
+    in one ``svm_train`` block at tol 1e-6; the module docstring says what the
+    search holds and when."""
+    k, slots, by_rows = len(folds), [], {}  # each fold's slot in its group; row count -> folds
     for f, (train, _) in enumerate(folds):
-        by_rows.setdefault(int(np.count_nonzero(train)), []).append(f)
-    trains, vals = [], []  # each fold's training rows and validation rows
-    for f, (X_tr, X_val) in enumerate(fold_features):
+        fs = by_rows.setdefault(int(np.count_nonzero(train)), [])
+        slots.append(len(fs))
+        fs.append(f)
+    blocks, vals, f = {}, [], 0  # row count -> (its stack or None, per candidate its copy or None)
+    for X_tr, X_val in fold_features:
+        if f == k:
+            raise ValueError(f"got features for more than {k} folds")
         X_tr, X_val = np.asarray(X_tr, dtype=float), np.asarray(X_val, dtype=float)
         if f == 0:  # the labels, and each candidate's columns per fold, a slice for a width
             y, q, cols = class_labels(labels, np.shape(folds[0][0])), X_tr.shape[-1], []
@@ -238,19 +244,30 @@ def svm_cv(fold_features, labels, folds, C_grid, candidates, *,
                                      f"index array")
                 if np.size(c[f]) == 0 or np.min(c[f]) < 0 or np.max(c[f]) >= q:
                     raise ValueError(f"candidate {i}: fold {f}'s columns are not in 0..{q - 1}")
-        trains.append(X_tr)
+        if rows not in blocks:  # the row count's first fold: its arrays, filled as folds arrive
+            m = len(by_rows[rows])
+            blocks[rows] = (
+                np.empty((m, rows, q)) if any(isinstance(c[0], slice) for c in cols) else None,
+                [None if isinstance(c[f], slice) else np.empty((m, rows, np.size(c[f])))
+                 for c in cols])
+        S, copies = blocks[rows]
+        if S is not None:  # every column, which the widths view
+            S[slots[f]] = X_tr
+        for c, Xc in zip(cols, copies):
+            if Xc is not None:
+                Xc[slots[f]] = X_tr[:, c[f]]
         vals.append(X_val)
+        f += 1
+        del X_tr  # freed before fold_features makes the next fold
+    if f != k:
+        raise ValueError(f"got features for {f} folds, not {k}")
     groups, owners = [], []
     for rows, fs in by_rows.items():
         Y = np.stack([y[folds[f][0]] for f in fs])
-        if any(isinstance(c[0], slice) for c in cols):  # every column, which the widths view
-            S = np.stack([trains[f] for f in fs])
-        for i, c in enumerate(cols):
-            X = (S[:, :, c[0]] if isinstance(c[0], slice)  # see the module docstring
-                 else np.array([trains[f][:, c[f]] for f in fs]))
-            groups.append((X, Y, C_grid))
+        S, copies = blocks[rows]
+        for i, (c, Xc) in enumerate(zip(cols, copies)):  # see the module docstring
+            groups.append((S[:, :, c[0]] if Xc is None else Xc, Y, C_grid))
             owners += [(f, i) for f in fs]
-    fold_features = trains = X_tr = None  # free the given training rows: the groups hold copies
     models = iter(svm_train(groups, 1e-6, max_epochs))
     scores = np.empty((k, len(cols), len(C_grid)))
     for f, i in owners:

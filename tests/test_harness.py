@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from featlearn import harness, pca, svm
+from featlearn import harness, lasso, pca, svm
 from featlearn.data import Dataset, SyntheticSpec, derive_seed, generate_synthetic, kfold
 from featlearn.harness import (_TAG_SAE, ExperimentConfig, PipelineSpec, PipelineStageError,
                                ResultsTable, _checked_split, _choose, _fit_lasso_selector,
@@ -150,6 +150,33 @@ def _svm_train_calls(monkeypatch, spec):
     ds = generate_synthetic(TINY_DATA)
     run_pipeline(_RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0), spec)
     return len(calls)
+
+
+class TestSearchesStream:
+    """Each CV search hands its block a one-shot iterator of fold rows, which
+    the block reads one fold at a time: the C, t-test and PCA searches to
+    ``svm_cv``, the lambda search to ``lasso_path``."""
+
+    @pytest.mark.parametrize("selector, searches", [
+        ("NONE", ["svm_cv"]), ("TTEST", ["svm_cv", "svm_cv"]), ("PCA", ["svm_cv", "svm_cv"]),
+        ("LASSO", ["lasso_path", "svm_cv"])], ids=["NONE", "TTEST", "PCA", "LASSO"])
+    def test_each_search_reads_an_iterator(self, monkeypatch, selector, searches):
+        seen = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def recording(rows, *args, **kwargs):
+                seen.append((name, iter(rows) is rows))
+                return original(rows, *args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+
+        spy(harness, "svm_cv")
+        spy(lasso, "lasso_path")
+        ds = generate_synthetic(TINY_DATA)
+        run_pipeline(_RepeatFits(ds, _checked_split(ds, [], TINY, 0), TINY, 0),
+                     PipelineSpec("LLF", selector))
+        assert seen == [(name, True) for name in searches]
 
 
 class TestFitPcaSelector:

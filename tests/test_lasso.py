@@ -1,4 +1,5 @@
 import re
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -344,6 +345,24 @@ class TestLassoPathBlock:
         _same_bytes(lasso_path([(X, y)], lams)[0], want)
         assert _segments(X, y, lams[7]) == sequential_walk(X, y, [lams[7]])[1]
         assert segments >= p
+
+    def test_generator_problems_held_one_at_a_time(self):
+        """Each member's X and y are released once its Gram matrix and
+        correlations are formed, before the iterable makes the next, so a
+        generator of fold copies holds one member's rows at a time."""
+        refs, alive = [], []
+
+        def problems():
+            rng = np.random.default_rng(22)
+            for _ in range(4):
+                alive.append(sum(ref() is not None for pair in refs for ref in pair))
+                X, y = _centered_problem(rng, 30, 5, signal=2)
+                refs.append((weakref.ref(X), weakref.ref(y)))
+                yield X, y
+                del X, y
+
+        assert len(lasso_path(problems(), [0.5, 0.1, 0.01])) == 4
+        assert alive == [0, 0, 0, 0]
 
     def test_generator_block_of_mixed_problems(self):
         # each member has its own lambda_max, so its own tie tolerance: the

@@ -1,6 +1,6 @@
 import re
 import weakref
-from unittest import mock
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -485,7 +485,7 @@ class TestSvmCvCandidates:
 
     @pytest.mark.parametrize("change, message", [
         (lambda feats, cands: (feats[:2], cands), "^got features for 2 folds, not 3$"),
-        (lambda feats, cands: (feats + feats[:1], cands), "^got features for 4 folds, not 3$"),
+        (lambda feats, cands: (feats + feats[:1], cands), "^got features for more than 3 folds$"),
         (lambda feats, cands: ([feats[0], (feats[1][0][1:], feats[1][1])] + feats[2:], cands),
          "fold 1 needs"),
         (lambda feats, cands: (feats[:2] + [(feats[2][0], feats[2][1][1:])], cands),
@@ -517,6 +517,20 @@ class TestSvmCvCandidates:
         with pytest.raises(message if typed else ValueError, match=None if typed else message):
             svm_cv(iter(feats), y, folds, [1.0], candidates, max_epochs=5)
 
+    def test_fold_past_k_refused_as_it_arrives(self):
+        """A fold past k is refused when it arrives: the iterable is not
+        drained to count its folds."""
+        X, y = _problem(0, 15, 15, 6)
+        folds = kfold(y, 3, seed=0)
+
+        def too_many():
+            yield from _rows(X, folds)
+            yield X[:20], X[20:]  # fold k + 1
+            raise AssertionError("fold k + 2 was requested")
+
+        with pytest.raises(ValueError, match="^got features for more than 3 folds$"):
+            svm_cv(too_many(), y, folds, [1.0], [6], max_epochs=5)
+
 
 def _candidates(form, X, y, folds):
     """A width, the t-test's index arrays, or both."""
@@ -525,42 +539,61 @@ def _candidates(form, X, y, folds):
 
 
 class TestSvmCvHolds:
-    """What ``svm_cv`` holds through its ``svm_train`` block: the stacks and
-    index copies that its groups read and the validation rows, never the fold
-    training rows it was given."""
+    """What ``svm_cv`` holds: the stacks and index copies that its groups
+    read, filled one fold at a time, and the validation rows, never more
+    than one fold's training rows as it was given them."""
 
     @pytest.mark.parametrize("form, stacks", [("width", 3), ("index", 0), ("both", 3)])
-    def test_full_width_stack_only_when_a_width_reads_it(self, form, stacks):
-        """One stack of every column per training row count (231, 232 and
-        233 at k=10) if a candidate is a width; else only the labels are
-        stacked."""
+    def test_full_width_stack_only_when_a_width_reads_it(self, monkeypatch, form, stacks):
+        """Per training row count (231, 232 and 233 at k=10) one C-contiguous
+        stack of every column if a candidate is a width, which each width's
+        group views; each index candidate's group is its own C-contiguous
+        copy of its columns."""
         X, y, folds = _adni_folds(4, 10)
-        candidates = _candidates(form, X, y, folds)
-        with mock.patch.object(svm.np, "stack", wraps=np.stack) as spy:
-            svm_cv(_rows(X, folds), y, folds, [1.0], candidates, max_epochs=5)
-        shapes = [np.shape(call.args[0][0]) for call in spy.call_args_list]
-        full_width = [(231, 56), (232, 56), (233, 56)]
-        assert sorted(s for s in shapes if len(s) == 2) == full_width[:stacks]
-        assert sorted(s for s in shapes if len(s) == 1) == [(n,) for n, _ in full_width]
+        candidates, blocks = _candidates(form, X, y, folds), []
+
+        def recording_train(groups, *args):
+            blocks.append(groups)
+            return svm_train(groups, *args)
+
+        monkeypatch.setattr(svm, "svm_train", recording_train)
+        svm_cv(_rows(X, folds), y, folds, [1.0], candidates, max_epochs=5)
+        [groups] = blocks
+        per_rows = Counter(int(np.count_nonzero(train)) for train, _ in folds)
+        bases = {id(S.base): S.base for S, _, _ in groups if S.base is not None}
+        assert sorted(B.shape for B in bases.values()) == sorted(
+            (m, n, 56) for n, m in per_rows.items())[:stacks]
+        assert all(B.flags.c_contiguous for B in bases.values())
+        for (S, _, _), c in zip(groups, candidates * len(per_rows)):
+            if np.isscalar(c):
+                assert S.shape[-1] == c and S.base.shape[-1] == 56
+            else:
+                assert S.base is None and S.flags.c_contiguous
 
     @pytest.mark.parametrize("form", ["width", "index", "both"])
     def test_fold_training_rows_dropped_before_the_block(self, monkeypatch, form):
-        X, y, folds = _adni_folds(5, 3)
-        candidates, refs, checked = _candidates(form, X, y, folds), [], []
+        """Fold f's training rows are dead when fold f + 1 is requested, so
+        a generator holds one fold's at a time; every validation row is held
+        through the block."""
+        X, y, folds = _adni_folds(5, 10)
+        candidates, refs, alive, checked = _candidates(form, X, y, folds), [], [], []
 
         def fold_rows():
             for train, val in folds:
+                alive.append([tr() is not None for tr, _ in refs])
                 X_tr, X_val = X[train], X[val]
                 refs.append((weakref.ref(X_tr), weakref.ref(X_val)))
                 yield X_tr, X_val
+                del X_tr, X_val
 
         def checking_train(groups, *args):
-            assert [(tr() is None, val() is None) for tr, val in refs] == [(True, False)] * 3
+            assert [(tr() is None, val() is None) for tr, val in refs] == [(True, False)] * 10
             checked.append(len(groups))
             return svm_train(groups, *args)
 
         monkeypatch.setattr(svm, "svm_train", checking_train)
         svm_cv(fold_rows(), y, folds, [1.0], candidates, max_epochs=5)
+        assert alive == [[False] * f for f in range(10)]
         assert checked == [3 * len(candidates)]  # one block: 3 row counts x the candidates
 
 
