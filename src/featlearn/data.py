@@ -1,6 +1,7 @@
 """Dataset container, CSV I/O, standardization, splitting, k-fold partitioning,
-a synthetic equicorrelated-Gaussian generator, every config's number rule, and
-the one checks of what a fit reads: ``feature_rows`` and ``class_labels``.
+a synthetic equicorrelated-Gaussian generator, every config's number rule, the
+one scan for a repeated entry (``first_repeat``), and the one checks of what a
+fit reads: ``feature_rows`` and ``class_labels``.
 
 Labels live in {0, 1, -1}; -1 marks unlabeled rows that never enter a
 train/test split but may feed unsupervised pretraining.
@@ -215,9 +216,10 @@ class SyntheticSpec:
                              delta=0.8, rho=0.2, seed=seed)
 
 
-def _repeated_name(names: list[str]) -> str | None:
-    """The first name that an earlier name equals, or None."""
-    return next((h for i, h in enumerate(names) if h in names[:i]), None)
+def first_repeat(items):
+    """The first entry that an earlier entry equals, or None. A repeat may be
+    falsy (0, -0.0, ''), so test the result with ``is not None``."""
+    return next((h for i, h in enumerate(items) if h in items[:i]), None)
 
 
 def load_csv(path: str, label_column: str = "label") -> Dataset:
@@ -242,8 +244,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, expected a header row") from None
-        repeated = _repeated_name(header)
-        if repeated is not None:
+        if (repeated := first_repeat(header)) is not None:
             raise CsvFormatError(f"{path}:1: repeated column name {repeated!r}")
         if label_column not in header:
             raise CsvFormatError(f"{path}: header has no column named {label_column!r}")
@@ -301,8 +302,7 @@ def save_csv(ds: Dataset, path: str) -> None:
     name, which load_csv refuses; that raises ValueError before any write.
     """
     header = list(ds.feature_names) + ["label"]
-    repeated = _repeated_name(header)
-    if repeated is not None:
+    if (repeated := first_repeat(header)) is not None:
         raise ValueError(f"repeated column name {repeated!r}: load_csv would refuse the file")
     row = "%.17g," * ds.p + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:

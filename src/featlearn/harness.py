@@ -66,7 +66,8 @@ from typing import get_args
 import numpy as np
 
 from .data import (UNLABELED, Dataset, SplitIndices, StandardizationParams, _readonly, derive_seed,
-                   field_kinds, kfold, plain_number, plain_numbers, standardize_fit, stratified_split)
+                   field_kinds, first_repeat, kfold, plain_number, plain_numbers, standardize_fit,
+                   stratified_split)
 from .lasso import check_lambda_grid, lambda_path, lasso_cv, selected_features
 from .pca import PcaModel, pca_fit, pca_transform
 from .sae import (SaeModel, TrainConfig, check_dims, sae_features, sae_predict,
@@ -211,10 +212,8 @@ class ExperimentConfig:
             raise ValueError("l2 must be >= 0 and finite")
         # a repeated candidate would be trained twice and change no choice
         for name in ("l2_grid", "c_grid", "pca_grid", "ttest_grid"):
-            grid = getattr(self, name)
-            for i, value in enumerate(grid):
-                if value in grid[:i]:
-                    raise ValueError(f"{name} holds {value!r} more than once")
+            if (value := first_repeat(getattr(self, name))) is not None:
+                raise ValueError(f"{name} holds {value!r} more than once")
 
 
 def _method_features(spec: PipelineSpec, sae: SaeModel | None, X: np.ndarray) -> np.ndarray:
@@ -446,10 +445,9 @@ def _run_repeat(ds: Dataset, specs, cfg: ExperimentConfig, r: int,
 
 def _checked_split(ds: Dataset, specs, cfg: ExperimentConfig, r: int) -> SplitIndices:
     """Repeat r's split, after checking what would otherwise fail only
-    partway through the run: the SAE stack's widths, the fold count, and the
-    t-test's two rows per class on every fold's training side."""
-    if any(spec.uses_sae for spec in specs):
-        check_dims(ds.p, cfg.sae_dims)
+    partway through the run: the fold count against the smaller training
+    class, and the t-test's two rows per class on every fold's training side.
+    The SAE widths depend on no split; ``run_experiment`` checks them once."""
     split = stratified_split(ds, cfg.test_frac, cfg.base_seed + r)
     smaller = int(np.bincount(ds.labels[split.train], minlength=2).min())
     if cfg.k > smaller:
@@ -474,21 +472,23 @@ def run_experiment(ds: Dataset, specs, cfg: ExperimentConfig, jobs: int = 1) -> 
     more than one, and each worker gets the dataset with every repeat it
     runs. ``jobs`` is an argument, not a config field: it never changes a
     result.
-    Raises ValueError before any fit if a cell is repeated in specs, jobs is
-    not an integer >= 1, the SAE dims do not fit ds, some repeat's smaller
-    training class has fewer than cfg.k rows, or, with a t-test cell, some
-    fold's training side would hold fewer than 2 rows of a class.
+    Raises ValueError before any fit, in this order, if a cell is repeated
+    in specs, jobs is not an integer >= 1, the SAE dims do not fit ds (one
+    check per run), some repeat's smaller training class has fewer than
+    cfg.k rows, or, with a t-test cell, some fold's training side would hold
+    fewer than 2 rows of a class.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("specs must be nonempty")
     keys = [(spec.method, spec.selector) for spec in specs]
-    for i, key in enumerate(keys):
-        if key in keys[:i]:
-            raise ValueError(f"cell {','.join(key)} is repeated in specs")
+    if (key := first_repeat(keys)) is not None:
+        raise ValueError(f"cell {','.join(key)} is repeated in specs")
     jobs = plain_number("jobs", jobs, int)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if any(spec.uses_sae for spec in specs):
+        check_dims(ds.p, cfg.sae_dims)
     splits = [_checked_split(ds, specs, cfg, r) for r in range(cfg.repeats)]
     run = partial(_run_repeat, ds, specs, cfg)
     # a fork-based pool starts all its workers on the first submit

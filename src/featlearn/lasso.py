@@ -135,7 +135,7 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
     byte-equal to ``lasso_path([problems[i]], lambdas)[0]``. Each (X, y) is
     read once and dropped once its Gram matrix and correlations are formed,
     so a generator holds one member's rows at a time; the block then holds
-    every member's p x p Gram matrix.
+    every member's p x p Gram matrix, each held once, moved into one stack.
 
     Every lambda >= lambda_max(X, y) gets exact zeros, so a member with no
     lambda below it retires before the first segment; no benchmark workload
@@ -184,8 +184,9 @@ def lasso_path(problems, lambdas) -> list[np.ndarray]:
         del X, y  # freed before problems makes the next, which enumerate's tuple would prevent
     if not grams:
         return []
-    G = np.stack(grams)  # indexed by member, as ``live`` is
-    del grams
+    G = np.empty((len(grams), p, p))  # indexed by member, as ``live`` is
+    for i in range(len(G)):
+        G[i], grams[i] = grams[i], None  # moved in one at a time, so no Gram is held twice
     paths = np.zeros((len(G), G.shape[1], lambdas.size))
     live = np.arange(len(G))
     corr0 = np.stack(corr0s)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import feature_rows, plain_number
+from .data import _readonly, feature_rows, plain_number
 from .linalg import sym_eigen
 
 
@@ -61,13 +61,11 @@ def pca_fit(Xs, r: int) -> list[PcaModel]:
     models = []
     for mean, values, vectors in zip(means, *sym_eigen(covariances)):
         order = np.argsort(-values, kind="stable")
-        variances = values[order]
         V = vectors[:, order]
         flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
         V[:, flip] *= -1.0
-        variances.setflags(write=False)
-        V.setflags(write=False)
-        models.append(PcaModel(mean=mean, components=V[:, :r], variances=variances[:r]))
+        models.append(PcaModel(mean=mean, components=_readonly(V)[:, :r],
+                               variances=_readonly(values[order])[:r]))
     return models
 
 

@@ -99,9 +99,9 @@ class TrainConfig:
     refuses a negative seed at the call's first draw.
 
     No training function reads ``l2``: ``fine_tune`` and
-    ``semi_pretrain_finetune`` take their L2 values as ``l2s``. The field
-    stays, checked but unread, because the benchmark's self-test
-    (``perfbench/selftest.py``) still sets it."""
+    ``semi_pretrain_finetune`` take and check their L2 values as ``l2s``.
+    Unread and unchecked but for being a number, the field stays only for
+    ``perfbench/selftest.py``, which sets it until ROADMAP item 1a."""
 
     learning_rate: float = 0.01
     iterations: int = 150
@@ -114,8 +114,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0 and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.l2 < math.inf:
-            raise ValueError("l2 must be >= 0 and finite")
 
 
 def _init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

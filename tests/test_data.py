@@ -112,19 +112,23 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=r"twice.csv:1: repeated column name 'label'"):
             load_csv(str(path))
 
-    def test_repeated_feature_name_rejected(self, tmp_path):
+    @pytest.mark.parametrize("header, repeated", [("a,a,label", "a"), ("a,b,b,a,label", "b")],
+                             ids=["one-repeat", "earliest-of-two-repeats"])
+    def test_repeated_feature_name_rejected(self, tmp_path, header, repeated):
         path = tmp_path / "twice.csv"
-        path.write_text("a,a,label\n1,2,0\n3,4,1\n")
-        with pytest.raises(CsvFormatError, match=r"twice.csv:1: repeated column name 'a'"):
+        path.write_text(header + "\n" + ",".join("0" * (header.count(",") + 1)) + "\n")
+        with pytest.raises(CsvFormatError, match=f"twice.csv:1: repeated column name '{repeated}'"):
             load_csv(str(path))
 
-    @pytest.mark.parametrize("names, repeated", [(("label", "b"), "label"), (("a", "a"), "a")],
-                             ids=["feature-named-label", "two-features-of-one-name"])
+    @pytest.mark.parametrize("names, repeated", [(("label", "b"), "label"), (("a", "a"), "a"),
+                                                 (("a", "b", "b", "a"), "b")],
+                             ids=["feature-named-label", "two-features-of-one-name",
+                                  "earliest-of-two-repeats"])
     def test_save_refuses_a_repeated_column_name_and_writes_nothing(self, tmp_path, names,
                                                                     repeated):
         path = tmp_path / "twice.csv"
         with pytest.raises(ValueError, match=f"^repeated column name '{repeated}': load_csv would"):
-            save_csv(Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], names), str(path))
+            save_csv(Dataset(np.ones((2, len(names))), [0, 1], names), str(path))
         assert not path.exists()
 
     def test_missing_file(self):

@@ -391,6 +391,7 @@ class TestExperimentConfig:
         ({"l2_grid": (float("inf"),)}, "l2 must be >= 0 and finite"),
         ({"stratify": False}, "stratify must be true: every split is stratified by class"),
         ({"pca_grid": (np.int64(5), 2, 5)}, "^pca_grid holds 5 more than once$"),
+        ({"pca_grid": (5, 2, 2, 5)}, "^pca_grid holds 2 more than once$"),
         ({"ttest_grid": (1, 2, 2)}, "^ttest_grid holds 2 more than once$"),
         ({"l2_grid": (1e-3, 0.0, 1e-3)}, "^l2_grid holds 0.001 more than once$"),
     ])
@@ -790,6 +791,8 @@ class TestRunExperiment:
         ([PipelineSpec("LLF")] * 2, 1, "cell LLF,NONE is repeated in specs"),
         ([PipelineSpec("LLF_SAEF", "LASSO"), PipelineSpec("LLF"),
           PipelineSpec("LLF_SAEF", "LASSO")], 1, "cell LLF_SAEF,LASSO is repeated in specs"),
+        ([PipelineSpec("LLF"), PipelineSpec("SAEF"), PipelineSpec("SAEF"), PipelineSpec("LLF")],
+         1, "cell SAEF,NONE is repeated in specs"),
     ])
     def test_bad_arguments_rejected_before_any_fit(self, no_fits, specs, jobs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -801,6 +804,19 @@ class TestRunExperiment:
         specs = [PipelineSpec("LLF"), PipelineSpec("SAEF")]
         with pytest.raises(ValueError, match="decrease strictly"):
             run_experiment(ds, specs, replace(TINY, sae_dims=dims))
+
+    def test_sae_dims_checked_before_the_k_check(self, no_fits):
+        ds = generate_synthetic(TINY_DATA)
+        with pytest.raises(ValueError, match="decrease strictly"):
+            run_experiment(ds, [PipelineSpec("SAEF")], replace(TINY, k=17, sae_dims=(4, 4)))
+
+    def test_sae_dims_checked_once_per_run(self, monkeypatch):
+        """The widths depend on no split, so more repeats add no check."""
+        cfg, calls = replace(TINY, repeats=3), []
+        monkeypatch.setattr(harness, "check_dims", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_run_repeat", lambda *args: [({}, 1.0)])
+        run_experiment(generate_synthetic(TINY_DATA), [PipelineSpec("SAEF")], cfg)
+        assert calls == [(6, (4, 2))]
 
     def test_sae_dims_unchecked_without_sae_cells(self):
         ds = generate_synthetic(TINY_DATA)

@@ -1,4 +1,3 @@
-import math
 import re
 from dataclasses import fields, replace
 
@@ -286,8 +285,6 @@ class TestRefusals:
         (lambda: AeLayer(W=np.zeros((2, 4)), b=[0.0, np.nan]), "layer parameters must be finite"),
         # numpy's generator refuses the seed at a training call's first draw
         (lambda: ae_train(np.eye(3), 1, TrainConfig(seed=-1)), ValueError),
-        (lambda: TrainConfig(l2=-1.0), "l2 must be >= 0 and finite"),
-        (lambda: TrainConfig(l2=math.inf), "l2 must be >= 0 and finite"),
         (lambda: TrainConfig(l2=10**400), f"l2 must be a number, got {10**400}"),
         (lambda: TrainConfig(learning_rate=10**400),
          f"learning_rate must be a number, got {10**400}"),
@@ -295,7 +292,7 @@ class TestRefusals:
         (lambda: TrainConfig(iterations=True), "iterations must be an integer, got True"),
         (lambda: TrainConfig(seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: TrainConfig(learning_rate=True), "learning_rate must be a number, got True"),
-    ], ids=["ae-non-finite", "negative-seed", "negative-l2", "infinite-l2", "l2-past-float-range",
+    ], ids=["ae-non-finite", "negative-seed", "l2-past-float-range",
             "learning-rate-past-float-range", "iterations-float", "iterations-bool", "seed-float",
             "learning-rate-bool"])
     def test_bad_model_or_config_rejected(self, make, message):
@@ -303,6 +300,14 @@ class TestRefusals:
         with pytest.raises(message if typed else ValueError,
                            match=None if typed else f"^{re.escape(message)}$"):
             make()
+
+    def test_unread_l2_is_unchecked(self):
+        """No training function reads TrainConfig.l2, so any number constructs
+        and leaves a layer's bytes as they are."""
+        X = np.random.default_rng(3).standard_normal((12, 5))
+        base = ae_train(X, 3, TrainConfig(iterations=4, l2=0.0, seed=2))
+        layer = ae_train(X, 3, TrainConfig(iterations=4, l2=-1.0, seed=2))
+        assert layer.W.tobytes() == base.W.tobytes() and layer.b.tobytes() == base.b.tobytes()
 
     def test_numpy_numbers_are_stored_as_plain_numbers(self):
         cfg = TrainConfig(learning_rate=np.float32(0.5), iterations=np.int64(3), l2=np.int32(0),
